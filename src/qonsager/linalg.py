@@ -1,15 +1,25 @@
 """Dense exact linear algebra over Q: matrices, kernels, and the subspace lattice.
 
-Everything is desk-scale ((d+1) <= ~12), so plain O(n^3) rational Gaussian
-elimination is used throughout. Subspaces are stored as reduced row-echelon
-bases, the unique representation per subspace, so equality is structural.
+A matrix is held as integer numerators over one positive common denominator,
+in lowest terms (the gcd of all numerators and the denominator is 1), so
+equality and hashing are structural. Products, sums and scalings run on
+Python ints. Row reduction is fraction-free Gauss-Jordan elimination on
+integer rows: each updated row is divided by the gcd of its entries, which
+keeps coefficient growth in check, and rows are brought to reduced
+row-echelon form over one denominator once, at the end.
+
+`Fraction` appears only at the boundary: the constructors, `m[i, j]`, the
+read-only `entries` and `basis` views and the value of `trace()`.
+Subspaces are stored as reduced row-echelon bases in the same integer form,
+the unique representation per subspace, so equality is structural too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .scalars import ONE, ZERO
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 
 class ShapeError(ValueError):
@@ -25,58 +35,137 @@ class SingularMatrixError(ValueError):
         super().__init__(f"matrix is singular: rank {rank} < {size}")
 
 
+def _integer_rows(rows):
+    """Rational rows as (integer numerator rows, one positive common denominator)."""
+    rows = [[e if type(e) is int or type(e) is Fraction else Fraction(e) for e in row] for row in rows]
+    den = lcm(*[e.denominator for row in rows for e in row])
+    return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
+def _lowest_terms(rows, den: int | None):
+    """The stored form: integer row tuples over a positive denominator, in lowest terms.
+
+    `rows` are rationals when `den` is None, else integer numerators over `den`.
+    """
+    if den is None:
+        rows, den = _integer_rows(rows)
+    elif den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
+    rows = tuple(map(tuple, rows))
+    g = gcd(den, *chain.from_iterable(rows))
+    if g == 1:
+        return rows, den
+    return tuple(tuple(e // g for e in row) for row in rows), den // g
+
+
+def _gauss_jordan(rows, ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots are taken in the first `ncols` columns, on the first nonzero row
+    at or below the current one. Returns the pivot columns: afterwards row i
+    holds the i-th pivot, every other row is zero in each pivot column, and
+    the rows past the last pivot are zero in the first `ncols` columns.
+    """
+    nrows = len(rows)
+    pivots = []
+    for col in range(ncols):
+        lead = len(pivots)
+        if lead == nrows:
+            break
+        pivot = next((r for r in range(lead, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        prow = rows[pivot]
+        g = gcd(*prow)
+        if g > 1:
+            prow = [e // g for e in prow]
+        rows[pivot] = rows[lead]
+        rows[lead] = prow
+        p = prow[col]
+        for r in range(nrows):
+            f = rows[r][col]
+            if f and r != lead:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[r], prow)]
+                g = gcd(*row)
+                rows[r] = [e // g for e in row] if g > 1 else row
+        pivots.append(col)
+    return pivots
+
+
+def _reduced(rows, pivots):
+    """The pivot rows scaled to reduced row-echelon numerators over one denominator."""
+    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    return [[e * (den // row[c]) for e in row] for row, c in zip(rows, pivots)], den
+
+
 class Matrix:
     """Immutable dense matrix of exact rationals.
 
+    Built from rational entries, or from integer `numerators` over a positive
+    `denominator`; either way it is stored in lowest terms.
+
     >>> Matrix([[2, 0], [0, Fraction(1, 2)]]).inverse()
     Matrix([[1/2, 0], [0, 2]])
+    >>> Matrix([[1, 2], [3, 4]], 6) == Matrix([[Fraction(1, 6), Fraction(1, 3)], [Fraction(1, 2), Fraction(2, 3)]])
+    True
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "numerators", "denominator")
 
-    def __init__(self, entries):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in entries)
-        if not rows or not rows[0]:
+    def __init__(self, entries, denominator: int | None = None):
+        num, den = _lowest_terms(entries, denominator)
+        if not num or not num[0]:
             raise ShapeError("matrix must have at least one row and column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        width = len(num[0])
+        if any(len(r) != width for r in num):
             raise ShapeError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "rows", len(num))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "numerators", num)
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix, (self.numerators, self.denominator)
+
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zero(cls, rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls([[0] * cols for _ in range(rows)], 1)
 
     @classmethod
     def diagonal(cls, values) -> "Matrix":
         vals = list(values)
         n = len(vals)
-        return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row by row."""
+        den = self.denominator
+        return tuple(tuple(Fraction(e, den) for e in row) for row in self.numerators)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(self.numerators[i][j], self.denominator)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self):
         body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
@@ -88,30 +177,30 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other."""
         self._check_same_shape(other)
+        den = lcm(self.denominator, other.denominator)
+        f, g = den // self.denominator, sign * (den // other.denominator)
         return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
+            [[f * a + g * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.numerators, other.numerators)],
+            den,
         )
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-ONE)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix([[c * e for e in row] for row in self.entries])
+        if type(c) is not int and type(c) is not Fraction:
+            c = Fraction(c)
+        p = c.numerator
+        return Matrix([[p * e for e in row] for row in self.numerators], self.denominator * c.denominator)
 
     def __rmul__(self, c) -> "Matrix":
         if isinstance(c, Matrix):
@@ -125,12 +214,10 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = list(zip(*other.entries))
+        cols = list(zip(*other.numerators))
         return Matrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.entries
-            ]
+            [[sum(map(mul, row, col)) for col in cols] for row in self.numerators],
+            self.denominator * other.denominator,
         )
 
     def __pow__(self, n: int) -> "Matrix":
@@ -144,50 +231,41 @@ class Matrix:
         return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)))
+        return Matrix(list(zip(*self.numerators)), self.denominator)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
+        return Fraction(sum(row[i] for i, row in enumerate(self.numerators)), self.denominator)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
+        return not any(map(any, self.numerators))
 
     def apply(self, vec):
-        """Multiply by a column vector given as a sequence; returns a tuple."""
+        """Multiply by a column vector given as a sequence; returns a tuple of Fractions."""
         if len(vec) != self.cols:
             raise ShapeError(f"vector length {len(vec)} != {self.cols}")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        (v,), vden = _integer_rows([vec])
+        den = self.denominator * vden
+        return tuple(Fraction(sum(map(mul, row, v)), den) for row in self.numerators)
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan; raises SingularMatrixError with rank witness."""
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(self.entries)]
-        rank = 0
-        for col in range(n):
-            pivot = next((r for r in range(rank, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                continue
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            inv = 1 / aug[rank][col]
-            aug[rank] = [e * inv for e in aug[rank]]
-            for r in range(n):
-                if r != rank and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [e - f * p for e, p in zip(aug[r], aug[rank])]
-            rank += 1
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.numerators)]
+        rank = len(_gauss_jordan(aug, n))
         if rank < n:
             raise SingularMatrixError(rank, n)
-        return Matrix([row[n:] for row in aug])
+        # aug is now [diag(p) | p * N^-1] for the numerator matrix N; the
+        # inverse of N / den is den * N^-1.
+        den = lcm(*(row[i] for i, row in enumerate(aug)))
+        scale = self.denominator
+        return Matrix([[e * (scale * den // row[i]) for e in row[n:]] for i, row in enumerate(aug)], den)
 
     def rank(self) -> int:
-        return rref(self).count_nonzero_rows()
-
-    def count_nonzero_rows(self) -> int:
-        return sum(1 for row in self.entries if any(e != 0 for e in row))
+        return len(_gauss_jordan([list(r) for r in self.numerators], self.cols))
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
@@ -203,89 +281,85 @@ def q_commutator(x: Matrix, y: Matrix, q) -> Matrix:
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon form, pivoting on the first nonzero column."""
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    lead = 0
-    for col in range(ncols):
-        if lead >= nrows:
-            break
-        pivot = next((r for r in range(lead, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        inv = 1 / rows[lead][col]
-        rows[lead] = [e * inv for e in rows[lead]]
-        for r in range(nrows):
-            if r != lead and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [e - f * p for e, p in zip(rows[r], rows[lead])]
-        lead += 1
-    return Matrix(rows)
+    rows = [list(r) for r in m.numerators]
+    pivots = _gauss_jordan(rows, m.cols)
+    rank = len(pivots)
+    reduced, den = _reduced(rows[:rank], pivots)
+    return Matrix(reduced + rows[rank:], den)
 
 
 class Subspace:
     """A subspace of Q^n held as a reduced row-echelon basis with no zero rows.
 
-    The representation is canonical, so two subspaces are equal exactly when
-    their stored bases are identical.
+    The basis is stored like a `Matrix`: integer numerators over one positive
+    denominator, in lowest terms. The representation is canonical, so two
+    subspaces are equal exactly when their stored bases are identical.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "numerators", "denominator")
 
-    def __init__(self, ambient_dim: int, basis_rows):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in basis_rows)
-        for row in rows:
+    def __init__(self, ambient_dim: int, basis_rows, denominator: int | None = None):
+        num, den = _lowest_terms(basis_rows, denominator)
+        for row in num:
             if len(row) != ambient_dim:
                 raise ShapeError(f"basis row length {len(row)} != ambient {ambient_dim}")
-            if all(e == 0 for e in row):
+            if not any(row):
                 raise ValueError("zero row in subspace basis")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "numerators", num)
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
+    def __reduce__(self):
+        return Subspace, (self.ambient_dim, self.numerators, self.denominator)
+
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        if not vecs:
-            return cls(ambient_dim, [])
-        reduced = rref(Matrix(vecs))
-        rows = [r for r in reduced.entries if any(e != 0 for e in r)]
-        return cls(ambient_dim, rows)
+        rows, _ = _integer_rows(vectors)
+        if len({len(row) for row in rows}) > 1:
+            raise ShapeError("ragged rows")
+        for row in rows:
+            if len(row) != ambient_dim:
+                raise ShapeError(f"basis row length {len(row)} != ambient {ambient_dim}")
+        return _span(ambient_dim, rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [])
+        return cls(ambient_dim, (), 1)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(ambient_dim, Matrix.identity(ambient_dim).entries)
+        return cls(ambient_dim, Matrix.identity(ambient_dim).numerators, 1)
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced row-echelon basis as Fractions, row by row."""
+        den = self.denominator
+        return tuple(tuple(Fraction(e, den) for e in row) for row in self.numerators)
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.numerators)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.numerators
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.numerators, self.denominator))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.basis)
         return f"Subspace(dim {self.rank} of Q^{self.ambient_dim}: {body})"
-
-    def contains_vector(self, vec) -> bool:
-        joined = Subspace.from_vectors(self.ambient_dim, list(self.basis) + [list(vec)])
-        return joined.rank == self.rank
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -301,54 +375,57 @@ class Subspace:
         """The subspace m(self); basis vectors are mapped as column vectors."""
         if m.cols != self.ambient_dim:
             raise ShapeError(f"matrix cols {m.cols} != ambient {self.ambient_dim}")
-        return Subspace.from_vectors(m.rows, [m.apply(v) for v in self.basis])
+        return _span(m.rows, [[sum(map(mul, row, v)) for row in m.numerators] for v in self.numerators])
+
+
+def _span(ambient_dim: int, rows) -> Subspace:
+    """The span of integer rows of length `ambient_dim`."""
+    rows = [list(r) for r in rows]
+    pivots = _gauss_jordan(rows, ambient_dim)
+    return Subspace(ambient_dim, *_reduced(rows, pivots))
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m as a subspace of Q^cols."""
-    reduced = rref(m)
-    pivots = []
-    for row in reduced.entries:
-        for j, e in enumerate(row):
-            if e != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(m.cols) if j not in pivots]
+    rows = [list(r) for r in m.numerators]
+    pivots = _gauss_jordan(rows, m.cols)
+    # With R = reduced / den the reduced row-echelon form of m, free column f
+    # gives the vector with den at f and -den * R[i][f] at the i-th pivot column.
+    reduced, den = _reduced(rows, pivots)
     vectors = []
-    for f in free:
-        vec = [ZERO] * m.cols
-        vec[f] = ONE
-        for rowidx, pcol in enumerate(pivots):
-            vec[pcol] = -reduced.entries[rowidx][f]
+    for f in (j for j in range(m.cols) if j not in pivots):
+        vec = [0] * m.cols
+        vec[f] = den
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f]
         vectors.append(vec)
-    return Subspace.from_vectors(m.cols, vectors)
+    return _span(m.cols, vectors)
 
 
 def column_space(m: Matrix) -> Subspace:
     """Column space of m as a subspace of Q^rows."""
-    return Subspace.from_vectors(m.rows, zip(*m.entries))
+    return _span(m.rows, zip(*m.numerators))
 
 
 def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
     s._check_ambient(t)
-    return Subspace.from_vectors(s.ambient_dim, list(s.basis) + list(t.basis))
+    return _span(s.ambient_dim, s.numerators + t.numerators)
 
 
 def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection by the Zassenhaus block trick on the stacked bases."""
+    """Intersection by the Zassenhaus block trick on the stacked bases.
+
+    Eliminating [[S, S], [T, 0]] on its left half leaves rows with a zero
+    left half whose right halves span the intersection.
+    """
     s._check_ambient(t)
     n = s.ambient_dim
     if s.is_zero() or t.is_zero():
         return Subspace.zero(n)
-    block = [list(row) + list(row) for row in s.basis]
-    block += [list(row) + [ZERO] * n for row in t.basis]
-    reduced = rref(Matrix(block))
-    vectors = []
-    for row in reduced.entries:
-        left, right = row[:n], row[n:]
-        if all(e == 0 for e in left) and any(e != 0 for e in right):
-            vectors.append(right)
-    return Subspace.from_vectors(n, vectors)
+    block = [list(row) + list(row) for row in s.numerators]
+    block += [list(row) + [0] * n for row in t.numerators]
+    rank = len(_gauss_jordan(block, n))
+    return _span(n, [row[n:] for row in block[rank:]])
 
 
 def subspace_equal(s: Subspace, t: Subspace) -> bool:
@@ -366,23 +443,25 @@ class Decomposition:
             raise ValueError("decomposition needs at least one part")
         ambient = parts[0].ambient_dim
         total = 0
-        running = Subspace.zero(ambient)
         for p in parts:
             if p.ambient_dim != ambient:
                 raise ShapeError("decomposition parts live in different ambient spaces")
             if p.is_zero():
                 raise ValueError("decomposition part is the zero subspace")
             total += p.rank
-            running = subspace_sum(running, p)
-        if total != ambient or running.rank != ambient:
+        span = _span(ambient, [row for p in parts for row in p.numerators]).rank
+        if total != ambient or span != ambient:
             raise ValueError(
                 f"parts are not a direct-sum decomposition: ranks sum to {total}, "
-                f"span has dimension {running.rank}, ambient {ambient}"
+                f"span has dimension {span}, ambient {ambient}"
             )
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Decomposition is immutable")
+
+    def __reduce__(self):
+        return Decomposition, (self.parts,)
 
     def __len__(self):
         return len(self.parts)
@@ -415,7 +494,4 @@ def flag(dec: Decomposition, i: int, direction: str = "ascending") -> Subspace:
         chosen = dec.parts[d - i :]
     else:
         raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
-    out = Subspace.zero(dec.ambient_dim)
-    for part in chosen:
-        out = subspace_sum(out, part)
-    return out
+    return _span(dec.ambient_dim, [row for part in chosen for row in part.numerators])

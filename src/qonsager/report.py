@@ -63,9 +63,6 @@ class Report:
         passed, residual = fn()
         return self.add(name, detail, passed, residual, time.perf_counter() - start)
 
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -95,16 +95,19 @@ def _target_from_spec(spec: dict, index: int) -> Target:
         raise ConfigError(f"target {index}: must be an object")
     if "file" in spec:
         return make_file_target(str(spec["file"]))
+    phi = spec.get("phi", [])
+    if not isinstance(phi, list):
+        raise ConfigError(f"target {index}: 'phi' must be a list, got {type(phi).__name__}")
     try:
         d = int(spec["d"])
         q = parse_scalar(str(spec["q"]))
         a = parse_scalar(str(spec["a"]))
         b = parse_scalar(str(spec["b"]))
+        phi = tuple(parse_scalar(str(t)) for t in phi)
     except KeyError as exc:
         raise ConfigError(f"target {index}: missing key {exc}") from None
     except (ValueError, ParameterError) as exc:
         raise ConfigError(f"target {index}: {exc}") from None
-    phi = tuple(parse_scalar(str(t)) for t in spec.get("phi", ()))
     # ParamSet validation is deferred to run time so a hypothesis-violating
     # target becomes a per-target failure entry, not a config error.
     return make_param_target(d, q, a, b, phi)
@@ -121,11 +124,14 @@ def load_config(path: str) -> SuiteConfig:
     if not isinstance(data, dict) or "targets" not in data:
         raise ConfigError(f"{path}: config must be an object with a 'targets' list")
     targets = [_target_from_spec(t, i) for i, t in enumerate(data["targets"])]
+    parallel = data.get("parallel", False)
+    if not isinstance(parallel, bool):
+        raise ConfigError(f"{path}: 'parallel' must be true or false, got {parallel!r}")
     return SuiteConfig(
         targets=targets,
         suites=tuple(data.get("suites", ["all"])),
         output=data.get("output"),
-        parallel=bool(data.get("parallel", False)),
+        parallel=parallel,
     )
 
 

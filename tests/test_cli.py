@@ -187,3 +187,32 @@ def test_load_config_rejects_bad_json(tmp_path):
 
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def _write_config(tmp_path, **fields):
+    config = {"suites": ["scalars"], "targets": [{"d": 1, "q": "2", "a": "3", "b": "5", "phi": ["1"]}]}
+    config.update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_load_config_rejects_non_boolean_parallel(tmp_path, value):
+    from qonsager.suite import ConfigError
+
+    with pytest.raises(ConfigError, match="parallel"):
+        load_config(str(_write_config(tmp_path, parallel=value)))
+
+
+def test_load_config_accepts_boolean_parallel(tmp_path):
+    assert load_config(str(_write_config(tmp_path, parallel=False))).parallel is False
+    assert load_config(str(_write_config(tmp_path, parallel=True))).parallel is True
+
+
+@pytest.mark.parametrize("phi", [["1/0"], ["x"], "1/0", 5])
+def test_bad_phi_in_config_is_config_error(capsys, tmp_path, phi):
+    target = {"d": 1, "q": "2", "a": "3", "b": "5", "phi": phi}
+    path = _write_config(tmp_path, targets=[target])
+    assert main(["verify", "--config", str(path), "--quiet"]) == 2
+    assert "target 0" in capsys.readouterr().err
