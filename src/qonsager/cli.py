@@ -1,7 +1,7 @@
 """Command-line batch runner.
 
-Exit codes: 0 when every executed check passed, 1 when any check failed,
-2 for configuration or I/O errors.
+Exit codes: 0 when every executed check passed, 1 when any check failed or
+raised an error, 2 for configuration or I/O errors.
 """
 
 from __future__ import annotations

@@ -12,24 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, SingularMatrixError, flag
+from .linalg import Matrix, SingularMatrixError, Subspace, flag, qweyl_bracket
 from .lusztig import LusztigData
 from .model import ModelError, TDModel
 from .scalars import ParameterError
 from .splitmaps import (
+    LadderSpectra,
     SplitMaps,
-    split_from_decompositions,
-    eigenspace_decomposition,
+    expect_zero,
     map_from_decomposition,
-    qweyl_eigenvalues,
+    split_from_decompositions,
 )
 
 
 def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix:
     """(q XY - q^-1 YX)/(q - q^-1) - I."""
-    q = Fraction(q)
-    ident = Matrix.identity(x.rows)
-    return ((x * y).scale(q) - (y * x).scale(1 / q)).scale(1 / (q - 1 / q)) - ident
+    return qweyl_bracket(x, y, q) - Matrix.identity(x.rows)
 
 
 def check_qweyl(x: Matrix, y: Matrix, q: Fraction) -> bool:
@@ -52,9 +50,7 @@ def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):
     if failures:
         return False, failures
     for name, left, right in (("(X,Y)", x, y), ("(Y,Z)", y, z), ("(Z,X)", z, x)):
-        resid = qweyl_residual(left, right, q)
-        if not resid.is_zero():
-            failures.append((f"q-Weyl {name}", resid))
+        expect_zero(failures, f"q-Weyl {name}", qweyl_residual(left, right, q))
     return not failures, failures
 
 
@@ -102,43 +98,57 @@ def verify_triple_table(model: TDModel, table: TripleTable):
     return not failures, failures
 
 
-def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int):
+def ladder_step_image(x: Matrix, y: Matrix, lam: Fraction, q: Fraction, part: Subspace) -> Subspace:
+    """The image of `part` under (X - lam q^-2 I)(Y - lam^-1 I).
+
+    With `part` the lam-eigenspace of X, the ladder step holds exactly when
+    this image is zero.
+    """
+    ident = Matrix.identity(x.rows)
+    return part.image_under(y - ident.scale(1 / lam)).image_under(x - ident.scale(lam / (q * q)))
+
+
+def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: LadderSpectra | None = None):
     """The ladder and crossing-flag consequences of a q-Weyl pair.
 
     Preconditions reported distinctly: (X, Y) satisfies the q-Weyl relation
     and both are diagonalizable with eigenvalues q^d, ..., q^-d. Then
     (i) (X - q^-2 lam I)(Y - lam^-1 I) kills the lam-eigenspace of X for each
     eigenvalue lam, and (ii) Y_0+...+Y_i = X_(d-i)+...+X_d for every i.
+    Eigenspace decompositions come from `spectra` when given.
     Returns (passed, failures).
     """
     q = Fraction(q)
+    if spectra is None:
+        spectra = LadderSpectra(d, q)
     failures = []
     if not check_qweyl(x, y, q):
         failures.append(("precondition", "the pair does not satisfy the q-Weyl relation"))
-    eigs = qweyl_eigenvalues(d, q)
     try:
-        x_dec = eigenspace_decomposition(x, eigs)
-        y_dec = eigenspace_decomposition(y, eigs)
+        x_dec = spectra.decomposition(x)
+        y_dec = spectra.decomposition(y)
     except ModelError as exc:
         failures.append(("precondition", f"eigenvalue ladder missing: {exc}"))
         return False, failures
     if failures:
         return False, failures
-    ident = Matrix.identity(x.rows)
-    from .model import lagrange_projectors
-
-    x_projs = lagrange_projectors(x, eigs)
-    for i, lam in enumerate(eigs):
-        resid = (x - ident.scale(lam / (q * q))) * (y - ident.scale(1 / lam)) * x_projs[i]
-        if not resid.is_zero():
-            failures.append((f"ladder step from X-eigenvalue {lam}", resid))
+    for lam, part in zip(spectra.eigenvalues, x_dec.parts):
+        image = ladder_step_image(x, y, lam, q, part)
+        if not image.is_zero():
+            failures.append((f"ladder step from X-eigenvalue {lam}", image))
     for i in range(d + 1):
         if flag(y_dec, i, "ascending") != flag(x_dec, i, "descending"):
             failures.append((f"crossing flags at {i}", "Y_0+...+Y_i != X_(d-i)+...+X_d"))
     return not failures, failures
 
 
-def verify_diagrams(model: TDModel, lus: LusztigData, s: SplitMaps):
+def verify_diagrams(
+    model: TDModel,
+    lus: LusztigData,
+    s: SplitMaps,
+    spectra: LadderSpectra | None = None,
+    table_check=None,
+):
     """The flag and split-map assertions of the two big comparison diagrams.
 
     Checks, all exactly:
@@ -151,27 +161,26 @@ def verify_diagrams(model: TDModel, lus: LusztigData, s: SplitMaps):
         analogues; those of (A, L^-1(A*)) are the inverses of a A - a^2 K,
         a^-1 A - a^-2 B and the down analogues.
       - Oriented 3-cycles: delegated to the eight table rows.
+    The M/N decompositions come from `spectra`, and the table verdict is
+    `table_check` (a `verify_triple_table` result), when given.
     Returns (passed, failures) as (name, witness).
     """
     if s.M is None:
         raise ParameterError("SplitMaps must be completed with build_MN first")
     p = model.params
     q, a, d = p.q, p.a, p.d
-    eigs = qweyl_eigenvalues(d, q)
+    if spectra is None:
+        spectra = LadderSpectra(d, q)
     failures = []
 
     def expect(name: str, condition: bool, witness="flag mismatch") -> None:
         if not condition:
             failures.append((name, witness))
 
-    def expect_zero(name: str, resid: Matrix) -> None:
-        if not resid.is_zero():
-            failures.append((name, resid))
-
-    n_dec = eigenspace_decomposition(s.N, eigs)
-    ndown_dec = eigenspace_decomposition(s.Ndown, eigs)
-    m_dec = eigenspace_decomposition(s.M, eigs)
-    mdown_dec = eigenspace_decomposition(s.Mdown, eigs)
+    n_dec = spectra.decomposition(s.N)
+    ndown_dec = spectra.decomposition(s.Ndown)
+    m_dec = spectra.decomposition(s.M)
+    mdown_dec = spectra.decomposition(s.Mdown)
     vstar = model.eigenspaces_Astar
     vplus = lus.Vplus
     vminus = lus.Vminus
@@ -221,6 +230,7 @@ def verify_diagrams(model: TDModel, lus: LusztigData, s: SplitMaps):
     for name, star_order, a_order, expected in twisted_plus:
         dec = split_from_decompositions(vplus, a_dec, star_order, a_order)
         expect_zero(
+            failures,
             f"(A, L(A*)) split map at {name}",
             map_from_decomposition(dec, q) - expected,
         )
@@ -236,13 +246,15 @@ def verify_diagrams(model: TDModel, lus: LusztigData, s: SplitMaps):
     for name, star_order, a_order, label in twisted_minus:
         dec = split_from_decompositions(vminus, a_dec, star_order, a_order)
         expect_zero(
+            failures,
             f"(A, L^-1(A*)) split map at {name} times its label",
             map_from_decomposition(dec, q) * label - ident,
         )
 
     # Oriented 3-cycles are equitable triples: the eight table rows.
-    table = build_triple_table(model, s)
-    ok, table_failures = verify_triple_table(model, table)
+    if table_check is None:
+        table_check = verify_triple_table(model, build_triple_table(model, s))
+    ok, table_failures = table_check
     if not ok:
         failures.extend(
             (f"3-cycle row {label}: {name}", resid) for label, name, resid in table_failures

@@ -279,6 +279,12 @@ def q_commutator(x: Matrix, y: Matrix, q) -> Matrix:
     return (x * y).scale(q) - (y * x).scale(1 / q)
 
 
+def qweyl_bracket(x: Matrix, y: Matrix, q) -> Matrix:
+    """(q XY - q^-1 YX)/(q - q^-1); the pair (X, Y) is q-Weyl when this is I."""
+    q = Fraction(q)
+    return q_commutator(x, y, q).scale(1 / (q - 1 / q))
+
+
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon form, pivoting on the first nonzero column."""
     rows = [list(r) for r in m.numerators]
@@ -433,9 +439,13 @@ def subspace_equal(s: Subspace, t: Subspace) -> bool:
 
 
 class Decomposition:
-    """An ordered tuple of d+1 nonzero subspaces whose direct sum is the ambient space."""
+    """An ordered tuple of d+1 nonzero subspaces whose direct sum is the ambient space.
 
-    __slots__ = ("parts",)
+    The parts never change, so `flag` computes each direction's partial sums
+    once and keeps them on the instance.
+    """
+
+    __slots__ = ("parts", "_flags")
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -456,6 +466,7 @@ class Decomposition:
                 f"span has dimension {span}, ambient {ambient}"
             )
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_flags", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Decomposition is immutable")
@@ -488,10 +499,13 @@ def flag(dec: Decomposition, i: int, direction: str = "ascending") -> Subspace:
     d = len(dec) - 1
     if not 0 <= i <= d:
         raise IndexError(f"flag index {i} out of range 0..{d}")
-    if direction == "ascending":
-        chosen = dec.parts[: i + 1]
-    elif direction == "descending":
-        chosen = dec.parts[d - i :]
-    else:
+    if direction not in ("ascending", "descending"):
         raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
-    return _span(dec.ambient_dim, [row for part in chosen for row in part.numerators])
+    sums = dec._flags.get(direction)
+    if sums is None:
+        sums, rows = [], ()
+        for part in dec.parts if direction == "ascending" else dec.parts[::-1]:
+            sums.append(_span(dec.ambient_dim, rows + part.numerators))
+            rows = sums[-1].numerators
+        dec._flags[direction] = sums
+    return sums[i]

@@ -23,7 +23,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .scalars import ONE, ParameterError, ParamSet, theta, theta_star
+from .scalars import ONE, ParameterError, ParamSet, p_poly, theta, theta_star
 
 
 class ModelError(ValueError):
@@ -364,8 +364,6 @@ def spectrum_graph(eigs, q: Fraction) -> SpectrumGraph:
     capping vertex degree at 2); they are kept for the classification
     contract on arbitrary inputs.
     """
-    from .scalars import p_poly
-
     eigs = [Fraction(e) for e in eigs]
     if len(set(eigs)) != len(eigs):
         raise ParameterError("eigenvalues must be pairwise distinct")
@@ -479,18 +477,22 @@ def phi_candidate(d: int, q: Fraction, a: Fraction, b: Fraction, c: Fraction) ->
     )
 
 
-def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, candidates=None, limit: int = 3):
+def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, candidates=None, limit: int = 3, models=None):
     """Find rational phi sequences making the split-basis pair satisfy check_qdg.
 
     Scans the one-parameter candidate family over rational c values and keeps
     the sequences whose built model passes every construction check. Returns
     up to ``limit`` distinct validated sequences ([] when none validate, which
-    signals the caller to vary parameters).
+    signals the caller to vary parameters). When ``models`` is a list, the
+    built model of each returned sequence is appended to it, in order, so the
+    caller need not build it again.
     """
+    if models is None:
+        models = []
     base = ParamSet(d, Fraction(q), Fraction(a), Fraction(b))  # validates the scalars
     if d == 1:
         # Any nonzero phi_1 satisfies the relations at d=1.
-        build_model(base.with_phi((ONE,)))
+        models.append(build_model(base.with_phi((ONE,))))
         return [(ONE,)]
     found = []
     seen = set()
@@ -500,9 +502,10 @@ def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, candidates=None, li
             continue
         seen.add(phi)
         try:
-            build_model(base.with_phi(phi))
+            model = build_model(base.with_phi(phi))
         except (ModelError, ParameterError):
             continue
+        models.append(model)
         found.append(phi)
         if len(found) >= limit:
             break

@@ -1,8 +1,10 @@
 """Check results and machine-readable reports.
 
-A report is a flat list of named checks, each carrying a pass/fail flag and,
-on failure, an exact residual witness (matrix entries or a scalar) so a
-failure is reproducible from the report alone.
+A report is a flat list of named checks, each with a status: `pass`, `fail`
+with an exact residual witness (matrix entries or a scalar) so a failure is
+reproducible from the report alone, or `error` when the check, or a
+structure it needs, raised instead of returning a verdict; the exception
+text is then the witness.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ from fractions import Fraction
 
 from .linalg import Matrix
 from .scalars import format_scalar
+
+PASS, FAIL, ERROR = "pass", "fail", "error"
+
+# What a check may raise and still be recorded: every exception type of the
+# package derives from ValueError, and the construction cross-checks assert.
+CHECK_ERRORS = (ValueError, AssertionError)
 
 
 def _witness_payload(witness):
@@ -30,15 +38,19 @@ def _witness_payload(witness):
 class CheckResult:
     name: str
     detail: str
-    passed: bool
+    status: str
     residual: object = None
     elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.status == PASS
 
     def to_record(self) -> dict:
         rec = {
             "check": self.name,
             "detail": self.detail,
-            "status": "pass" if self.passed else "fail",
+            "status": self.status,
         }
         witness = _witness_payload(self.residual)
         if witness is not None:
@@ -53,14 +65,24 @@ class Report:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name: str, detail: str, passed: bool, residual=None, elapsed: float = 0.0) -> CheckResult:
-        result = CheckResult(name, detail, bool(passed), residual, elapsed)
+        return self._record(name, detail, PASS if passed else FAIL, residual, elapsed)
+
+    def _record(self, name: str, detail: str, status: str, residual, elapsed: float) -> CheckResult:
+        result = CheckResult(name, detail, status, residual, elapsed)
         self.checks.append(result)
         return result
 
     def run(self, name: str, detail: str, fn) -> CheckResult:
-        """Execute fn() -> (passed, residual) and record it with wall time."""
+        """Execute fn() -> (passed, residual) and record it with wall time.
+
+        A CHECK_ERRORS exception is recorded as an `error` with its text.
+        """
         start = time.perf_counter()
-        passed, residual = fn()
+        try:
+            outcome = fn()
+        except CHECK_ERRORS as exc:
+            return self._record(name, detail, ERROR, str(exc) or type(exc).__name__, time.perf_counter() - start)
+        passed, residual = outcome
         return self.add(name, detail, passed, residual, time.perf_counter() - start)
 
     @property
@@ -81,4 +103,6 @@ class Report:
         total = len(self.checks)
         failed = len(self.failures)
         status = "PASS" if failed == 0 else "FAIL"
-        return f"{self.target}: {status} ({total - failed}/{total} checks passed)"
+        errors = sum(c.status == ERROR for c in self.checks)
+        suffix = f", {errors} raised an error" if errors else ""
+        return f"{self.target}: {status} ({total - failed}/{total} checks passed{suffix})"

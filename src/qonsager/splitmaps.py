@@ -14,13 +14,13 @@ from fractions import Fraction
 from .linalg import (
     Decomposition,
     Matrix,
-    Subspace,
     flag,
     kernel,
+    qweyl_bracket,
     subspace_intersect,
 )
 from .lusztig import LusztigData
-from .model import ModelError, TDModel
+from .model import ModelError, TDModel, lagrange_projectors
 from .scalars import ParameterError
 
 
@@ -49,6 +49,31 @@ def eigenspace_decomposition(m: Matrix, eigs) -> Decomposition:
             f"eigenspace dimensions sum to {total} != {m.rows}; not diagonalizable on this list"
         )
     return Decomposition(parts)
+
+
+class LadderSpectra:
+    """Eigenspace decompositions over the q-ladder q^d, ..., q^-d, one per distinct matrix.
+
+    A matrix is looked up by its structural hash, so equal matrices built
+    separately share one decomposition. A matrix that is not diagonalizable
+    on the ladder raises ModelError on every lookup.
+    """
+
+    def __init__(self, d: int, q: Fraction):
+        self.eigenvalues = qweyl_eigenvalues(d, q)
+        self._decompositions: dict[Matrix, Decomposition] = {}
+
+    def decomposition(self, m: Matrix) -> Decomposition:
+        dec = self._decompositions.get(m)
+        if dec is None:
+            dec = self._decompositions[m] = eigenspace_decomposition(m, self.eigenvalues)
+        return dec
+
+
+def expect_zero(failures: list, name: str, resid: Matrix) -> None:
+    """Record (name, resid) as a failure unless the residual is the zero matrix."""
+    if not resid.is_zero():
+        failures.append((name, resid))
 
 
 def split_decomposition(model: TDModel, star_order: str = "forward", a_order: str = "forward") -> Decomposition:
@@ -160,10 +185,6 @@ def check_split_flags(model: TDModel, s: SplitMaps):
     return not failures, failures
 
 
-def _qweyl_bracket(x: Matrix, y: Matrix, q: Fraction) -> Matrix:
-    return ((x * y).scale(q) - (y * x).scale(1 / q)).scale(1 / (q - 1 / q))
-
-
 def check_KA_relations(model: TDModel, s: SplitMaps):
     """The defining relations tying A to each split-map pair, all exact.
 
@@ -184,35 +205,36 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
     c1 = (q / a - a / q) / (q - 1 / q)
     c2 = (a * q - 1 / (a * q)) / (q - 1 / q)
     failures = []
-
-    def expect_zero(name: str, resid: Matrix) -> None:
-        if not resid.is_zero():
-            failures.append((name, resid))
-
     for tag, k, b in (("", s.K, s.B), ("down:", s.Kdown, s.Bdown)):
         k_inv = k.inverse()
         b_inv = b.inverse()
         expect_zero(
+            failures,
             f"{tag}qweyl[K,A] = a K^2 + a^-1 I",
-            _qweyl_bracket(k, model.A, q) - (k * k).scale(a) - ident.scale(1 / a),
+            qweyl_bracket(k, model.A, q) - (k * k).scale(a) - ident.scale(1 / a),
         )
         expect_zero(
+            failures,
             f"{tag}qweyl[B,A] = a^-1 B^2 + a I",
-            _qweyl_bracket(b, model.A, q) - (b * b).scale(1 / a) - ident.scale(a),
+            qweyl_bracket(b, model.A, q) - (b * b).scale(1 / a) - ident.scale(a),
         )
         expect_zero(
+            failures,
             f"{tag}a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
             (k * k).scale(a) - (k * b).scale(c1) - (b * k).scale(c2) + (b * b).scale(1 / a),
         )
         expect_zero(
+            failures,
             f"{tag}qweyl[A,K^-1] = a^-1 K^-2 + a I",
-            _qweyl_bracket(model.A, k_inv, q) - (k_inv * k_inv).scale(1 / a) - ident.scale(a),
+            qweyl_bracket(model.A, k_inv, q) - (k_inv * k_inv).scale(1 / a) - ident.scale(a),
         )
         expect_zero(
+            failures,
             f"{tag}qweyl[A,B^-1] = a B^-2 + a^-1 I",
-            _qweyl_bracket(model.A, b_inv, q) - (b_inv * b_inv).scale(a) - ident.scale(1 / a),
+            qweyl_bracket(model.A, b_inv, q) - (b_inv * b_inv).scale(a) - ident.scale(1 / a),
         )
         expect_zero(
+            failures,
             f"{tag}a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0",
             (k_inv * k_inv).scale(1 / a)
             - (k_inv * b_inv).scale(c1)
@@ -224,12 +246,12 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
         a_inv = a - 1 / a
         p1 = (k_inv * b).scale((q - 1 / q) / (a * inv_a)) - ident.scale((q / a - a / q) / inv_a)
         q1 = (b * k_inv).scale((q - 1 / q) / (a * a_inv)) - ident.scale((a * q - 1 / (a * q)) / a_inv)
-        expect_zero(f"{tag}inverse pair (K^-1 B, B K^-1): left product", p1 * q1 - ident)
-        expect_zero(f"{tag}inverse pair (K^-1 B, B K^-1): right product", q1 * p1 - ident)
+        expect_zero(failures, f"{tag}inverse pair (K^-1 B, B K^-1): left product", p1 * q1 - ident)
+        expect_zero(failures, f"{tag}inverse pair (K^-1 B, B K^-1): right product", q1 * p1 - ident)
         p2 = (b_inv * k).scale(a * (q - 1 / q) / a_inv) - ident.scale((a * q - 1 / (a * q)) / a_inv)
         q2 = (k * b_inv).scale(a * (q - 1 / q) / inv_a) - ident.scale((q / a - a / q) / inv_a)
-        expect_zero(f"{tag}inverse pair (B^-1 K, K B^-1): left product", p2 * q2 - ident)
-        expect_zero(f"{tag}inverse pair (B^-1 K, K B^-1): right product", q2 * p2 - ident)
+        expect_zero(failures, f"{tag}inverse pair (B^-1 K, K B^-1): left product", p2 * q2 - ident)
+        expect_zero(failures, f"{tag}inverse pair (B^-1 K, K B^-1): right product", q2 * p2 - ident)
     return not failures, failures
 
 
@@ -256,9 +278,7 @@ def check_H_conjugation_of_splits(model: TDModel, lus: LusztigData, s: SplitMaps
         ("H Kdown^-1 H^-1 = a A - a^2 Kdown", h * s.Kdown.inverse() * h_inv, big_a.scale(a) - s.Kdown.scale(a * a)),
     ]
     for name, lhs, rhs in cases:
-        resid = lhs - rhs
-        if not resid.is_zero():
-            failures.append((name, resid))
+        expect_zero(failures, name, lhs - rhs)
     return not failures, failures
 
 
@@ -271,39 +291,35 @@ def check_R_ladder(model: TDModel, s: SplitMaps):
     """
     p = model.params
     q, a, d = p.q, p.a, p.d
-    from .model import lagrange_projectors
-
     projectors = lagrange_projectors(s.K, qweyl_eigenvalues(d, q))
     r = model.A - s.K.scale(a) - s.K.inverse().scale(1 / a)
     ident = Matrix.identity(model.dim)
     failures = []
-
-    def expect_zero(name: str, resid: Matrix) -> None:
-        if not resid.is_zero():
-            failures.append((name, resid))
-
     for i in range(d + 1):
         expect_zero(
+            failures,
             f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}",
             (s.K.scale(a) + s.K.inverse().scale(1 / a) - ident.scale(model.theta[i])) * projectors[i],
         )
         if i < d:
             expect_zero(
+                failures,
                 f"R U_{i} inside U_{i + 1}",
                 r * projectors[i] - projectors[i + 1] * r * projectors[i],
             )
-    expect_zero("R kills the top part", r * projectors[d])
-    expect_zero(f"R^{d + 1} = 0", r ** (d + 1))
-    expect_zero("R K = q^2 K R", r * s.K - (s.K * r).scale(q * q))
+    expect_zero(failures, "R kills the top part", r * projectors[d])
+    expect_zero(failures, f"R^{d + 1} = 0", r ** (d + 1))
+    expect_zero(failures, "R K = q^2 K R", r * s.K - (s.K * r).scale(q * q))
     return not failures, failures
 
 
-def build_MN(model: TDModel, s: SplitMaps) -> SplitMaps:
+def build_MN(model: TDModel, s: SplitMaps, spectra: LadderSpectra | None = None) -> SplitMaps:
     """Complete a SplitMaps with M, N, Mdown, Ndown and verify their structure.
 
     M = (a K - a^-1 B)/(a - a^-1), N = (a^-1 K^-1 - a B^-1)/(a^-1 - a), and the
     down analogues. Each must be diagonalizable with eigenvalues exactly
     q^d, ..., q^-d, and conjugation by H must carry M to N (and Mdown to Ndown).
+    The four eigenspace decompositions are left in `spectra` when given.
     """
     a = model.params.a
     if a == 1 or a == -1:
@@ -313,9 +329,10 @@ def build_MN(model: TDModel, s: SplitMaps) -> SplitMaps:
     n = (s.K.inverse().scale(1 / a) - s.B.inverse().scale(a)).scale(-1 / denom)
     mdown = (s.Kdown.scale(a) - s.Bdown.scale(1 / a)).scale(1 / denom)
     ndown = (s.Kdown.inverse().scale(1 / a) - s.Bdown.inverse().scale(a)).scale(-1 / denom)
-    eigs = qweyl_eigenvalues(model.d, model.params.q)
-    for name, mat in (("M", m), ("N", n), ("Mdown", mdown), ("Ndown", ndown)):
-        eigenspace_decomposition(mat, eigs)  # raises ModelError when not diagonalizable
+    if spectra is None:
+        spectra = LadderSpectra(model.d, model.params.q)
+    for mat in (m, n, mdown, ndown):
+        spectra.decomposition(mat)  # raises ModelError when not diagonalizable
     return replace(s, M=m, N=n, Mdown=mdown, Ndown=ndown)
 
 
@@ -323,7 +340,5 @@ def check_MN_conjugation(model: TDModel, lus: LusztigData, s: SplitMaps):
     """H^-1 M H = N and H^-1 Mdown H = Ndown, exactly."""
     failures = []
     for name, m, n in (("H^-1 M H = N", s.M, s.N), ("H^-1 Mdown H = Ndown", s.Mdown, s.Ndown)):
-        resid = lus.H_inv * m * lus.H - n
-        if not resid.is_zero():
-            failures.append((name, resid))
+        expect_zero(failures, name, lus.H_inv * m * lus.H - n)
     return not failures, failures

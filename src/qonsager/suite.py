@@ -1,8 +1,11 @@
 """Batch verification: run named check suites over parameter-set or file targets.
 
-Targets are independent and the underlying operations are pure, so the runner
-may execute targets concurrently; results are always merged in declared order
-and the report is deterministic apart from timing fields.
+Each target gets one `TargetContext`, which builds the structures its checks
+share (H, the split maps, M/N, the triple table, eigenspace decompositions)
+once, on first use. Targets are independent and the underlying operations
+are pure, so the runner may execute targets concurrently; results are always
+merged in declared order and the report is deterministic apart from timing
+fields.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 from . import equitable, lusztig, splitmaps
 from .linalg import Matrix, ShapeError, subspace_sum
+from .lusztig import LusztigData
 from .model import (
     ModelError,
     TDModel,
@@ -25,7 +29,7 @@ from .model import (
     spectrum_graph,
 )
 from .modelio import import_model
-from .report import Report
+from .report import CHECK_ERRORS, Report
 from .scalars import (
     ParameterError,
     ParamSet,
@@ -180,18 +184,18 @@ def _resolve_model(target: Target, report: Report) -> TDModel | None:
         )
         return None
     try:
-        if not params.phi:
-            sequences = solve_phi(d, params.q, params.a, params.b, limit=1)
-            if not sequences:
-                report.add(
-                    "model.solve_phi",
-                    "find a rational phi sequence passing the q-Dolan/Grady checks",
-                    False,
-                    "no rational solution found in the scanned family; vary parameters",
-                )
-                return None
-            params = params.with_phi(sequences[0])
-        return build_model(params)
+        if params.phi:
+            return build_model(params)
+        models = []
+        if not solve_phi(d, params.q, params.a, params.b, limit=1, models=models):
+            report.add(
+                "model.solve_phi",
+                "find a rational phi sequence passing the q-Dolan/Grady checks",
+                False,
+                "no rational solution found in the scanned family; vary parameters",
+            )
+            return None
+        return models[0]
     except (ParameterError, ModelError) as exc:
         residual = getattr(exc, "residual", None)
         report.add(
@@ -203,8 +207,63 @@ def _resolve_model(target: Target, report: Report) -> TDModel | None:
         return None
 
 
-def _run_scalars(model: TDModel, report: Report) -> None:
-    p = model.params
+class TargetContext:
+    """One target's model and the structures its checks share, each built once.
+
+    Every structure is built on first use, inside the check that needs it
+    first. A structure whose construction raises keeps its exception: each
+    check that needs it raises it again, and the report records an error.
+    """
+
+    def __init__(self, model: TDModel):
+        self.model = model
+        self.spectra = splitmaps.LadderSpectra(model.d, model.params.q)
+        self._built = {}
+
+    def _once(self, name: str, build):
+        if name not in self._built:
+            try:
+                self._built[name] = build()
+            except CHECK_ERRORS as exc:
+                self._built[name] = exc
+        value = self._built[name]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    @property
+    def lusztig(self) -> LusztigData:
+        return self._once("lusztig", lambda: lusztig.build_H(self.model))
+
+    @property
+    def split_maps(self) -> splitmaps.SplitMaps:
+        """K, B, Kdown, Bdown and their decompositions."""
+        return self._once("split_maps", lambda: splitmaps.build_split_maps(self.model))
+
+    @property
+    def completed_maps(self) -> splitmaps.SplitMaps:
+        """The split maps completed with M, N, Mdown and Ndown."""
+        return self._once(
+            "completed_maps",
+            lambda: splitmaps.build_MN(self.model, self.split_maps, self.spectra),
+        )
+
+    @property
+    def triple_table(self) -> equitable.TripleTable:
+        return self._once(
+            "triple_table", lambda: equitable.build_triple_table(self.model, self.completed_maps)
+        )
+
+    @property
+    def table_check(self):
+        """The `verify_triple_table` verdict on the triple table."""
+        return self._once(
+            "table_check", lambda: equitable.verify_triple_table(self.model, self.triple_table)
+        )
+
+
+def _run_scalars(ctx: TargetContext, report: Report) -> None:
+    p = ctx.model.params
     d = p.d
     thetas = [theta(i, p) for i in range(d + 1)]
     stars = [theta_star(i, p) for i in range(d + 1)]
@@ -268,7 +327,8 @@ def _run_scalars(model: TDModel, report: Report) -> None:
     )
 
 
-def _run_model(model: TDModel, report: Report) -> None:
+def _run_model(ctx: TargetContext, report: Report) -> None:
+    model = ctx.model
     p = model.params
 
     def qdg():
@@ -331,21 +391,21 @@ def _run_model(model: TDModel, report: Report) -> None:
     )
 
 
-def _run_lusztig(model: TDModel, report: Report) -> None:
-    lus = lusztig.build_H(model)
+def _run_lusztig(ctx: TargetContext, report: Report) -> None:
+    model = ctx.model
     report.run(
         "lusztig.H_invertible",
         "H H^-1 = I with H^-1 from the 1/t_i eigenvalue form",
-        lambda: (lus.H * lus.H_inv == Matrix.identity(model.dim), None),
+        lambda: (ctx.lusztig.H * ctx.lusztig.H_inv == Matrix.identity(model.dim), None),
     )
     report.run(
         "lusztig.H_commutes_A",
         "H A = A H",
-        lambda: ((lus.H * model.A - model.A * lus.H).is_zero(), None),
+        lambda: ((ctx.lusztig.H * model.A - model.A * ctx.lusztig.H).is_zero(), None),
     )
 
     def conjugation():
-        ok, residuals = lusztig.check_L_conjugation(model, lus)
+        ok, residuals = lusztig.check_L_conjugation(model, ctx.lusztig)
         witness = None if ok else next(
             f"{name}: nonzero residual" for name, r in residuals.items() if not r.is_zero()
         )
@@ -359,30 +419,30 @@ def _run_lusztig(model: TDModel, report: Report) -> None:
     report.run(
         "lusztig.entrywise",
         "E_i L(A*) E_j = t_ij E_i A* E_j within the tridiagonal band",
-        _check(lambda: lusztig.check_L_entrywise(model, lus)),
+        _check(lambda: lusztig.check_L_entrywise(model, ctx.lusztig)),
     )
     report.run(
         "lusztig.eigenstructure",
         "L^(+-1)(A*) diagonalizable with theta* spectrum on H^(-+1)-shifted eigenspaces",
-        _check(lambda: lusztig.check_L_eigenstructure(model, lus)),
+        _check(lambda: lusztig.check_L_eigenstructure(model, ctx.lusztig)),
     )
     report.run(
         "lusztig.expansions",
         "all four polynomial expansion families match H or H^-1 on their flags",
-        _check(lambda: lusztig.check_H_expansions(model, lus)),
+        _check(lambda: lusztig.check_H_expansions(model, ctx.lusztig)),
     )
 
 
-def _run_splitmaps(model: TDModel, report: Report) -> None:
-    lus = lusztig.build_H(model)
-    s = splitmaps.build_split_maps(model)
+def _run_splitmaps(ctx: TargetContext, report: Report) -> None:
+    model = ctx.model
     report.run(
         "split.flags",
         "each split decomposition satisfies both defining flag equalities",
-        _check(lambda: splitmaps.check_split_flags(model, s)),
+        _check(lambda: splitmaps.check_split_flags(model, ctx.split_maps)),
     )
 
     def inversion_inverts():
+        s = ctx.split_maps
         for name, dec, mat in (
             ("K", s.dec_K, s.K),
             ("B", s.dec_B, s.B),
@@ -402,45 +462,37 @@ def _run_splitmaps(model: TDModel, report: Report) -> None:
     report.run(
         "split.KA_relations",
         "the bracket relations and inverse-pair statements for K, B and the down pair",
-        _check(lambda: splitmaps.check_KA_relations(model, s)),
+        _check(lambda: splitmaps.check_KA_relations(model, ctx.split_maps)),
     )
     report.run(
         "split.H_conjugation",
         "all eight H-conjugation identities for the split maps",
-        _check(lambda: splitmaps.check_H_conjugation_of_splits(model, lus, s)),
+        _check(lambda: splitmaps.check_H_conjugation_of_splits(model, ctx.lusztig, ctx.split_maps)),
     )
     report.run(
         "split.R_ladder",
         "R = A - aK - a^-1 K^-1 raises the K-decomposition, R^(d+1) = 0, RK = q^2 KR",
-        _check(lambda: splitmaps.check_R_ladder(model, s)),
+        _check(lambda: splitmaps.check_R_ladder(model, ctx.split_maps)),
     )
-
-    def mn():
-        completed = splitmaps.build_MN(model, s)
-        ok, failures = splitmaps.check_MN_conjugation(model, lus, completed)
-        return ok, _first_witness(failures)
-
     report.run(
         "split.MN",
         "M, N and down analogues diagonalizable on the q-ladder; H^-1 M H = N",
-        mn,
+        _check(lambda: splitmaps.check_MN_conjugation(model, ctx.lusztig, ctx.completed_maps)),
     )
 
 
-def _run_equitable(model: TDModel, report: Report) -> None:
-    s = splitmaps.build_MN(model, splitmaps.build_split_maps(model))
-    table = equitable.build_triple_table(model, s)
+def _run_equitable(ctx: TargetContext, report: Report) -> None:
     report.run(
         "equitable.table",
         "all eight rows pass the three cyclic q-Weyl relations",
-        _check(lambda: equitable.verify_triple_table(model, table)),
+        _check(lambda: ctx.table_check),
     )
 
     def ladders():
-        q, d = model.params.q, model.params.d
-        for label, x, y, z in table.rows:
+        q, d = ctx.model.params.q, ctx.model.params.d
+        for label, x, y, z in ctx.triple_table.rows:
             for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
-                ok, failures = equitable.check_qweyl_ladder(left, right, q, d)
+                ok, failures = equitable.check_qweyl_ladder(left, right, q, d, ctx.spectra)
                 if not ok:
                     return False, f"row {label} pair ({pair_name}): {failures[0][0]}"
         return True, None
@@ -452,13 +504,15 @@ def _run_equitable(model: TDModel, report: Report) -> None:
     )
 
 
-def _run_diagrams(model: TDModel, report: Report) -> None:
-    lus = lusztig.build_H(model)
-    s = splitmaps.build_MN(model, splitmaps.build_split_maps(model))
+def _run_diagrams(ctx: TargetContext, report: Report) -> None:
     report.run(
         "diagrams.verify",
         "N/M flag equalities, twisted-pair split maps, and the 3-cycle triples",
-        _check(lambda: equitable.verify_diagrams(model, lus, s)),
+        _check(
+            lambda: equitable.verify_diagrams(
+                ctx.model, ctx.lusztig, ctx.completed_maps, ctx.spectra, ctx.table_check
+            )
+        ),
     )
 
 
@@ -477,8 +531,9 @@ def run_target(target: Target, suites) -> Report:
     model = _resolve_model(target, report)
     if model is None:
         return report
+    ctx = TargetContext(model)
     for name in suites:
-        _SUITE_RUNNERS[name](model, report)
+        _SUITE_RUNNERS[name](ctx, report)
     return report
 
 

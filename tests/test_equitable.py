@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,14 +8,20 @@ from qonsager.equitable import (
     check_equitable_triple,
     check_qweyl,
     check_qweyl_ladder,
+    ladder_step_image,
     verify_diagrams,
     verify_triple_table,
 )
 from qonsager.linalg import Matrix, Subspace, kernel
 from qonsager.lusztig import build_H
-from qonsager.model import build_model, solve_phi
+from qonsager.model import build_model, lagrange_projectors, solve_phi
 from qonsager.scalars import ParamSet
-from qonsager.splitmaps import build_MN, build_split_maps
+from qonsager.splitmaps import (
+    build_MN,
+    build_split_maps,
+    eigenspace_decomposition,
+    qweyl_eigenvalues,
+)
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
 
@@ -156,6 +163,58 @@ def test_qweyl_ladder_reports_missing_eigenvalue():
     ok, failures = check_qweyl_ladder(ident, ident, F(2), 1)
     assert not ok
     assert any("precondition" in name for name, _ in failures)
+
+
+def _projector_ladder_steps(x, y, q, d):
+    """Reference verdicts: (X - lam q^-2 I)(Y - lam^-1 I) E_i = 0 with the Lagrange projectors E_i of X."""
+    eigs = qweyl_eigenvalues(d, q)
+    ident = Matrix.identity(x.rows)
+    return [
+        ((x - ident.scale(lam / (q * q))) * (y - ident.scale(1 / lam)) * proj).is_zero()
+        for lam, proj in zip(eigs, lagrange_projectors(x, eigs))
+    ]
+
+
+def _seeded_ladder_pair(seed):
+    """X = P diag(q^d, ..., q^-d) P^-1 and a partner Y, exact on even seeds, perturbed on odd ones.
+
+    In the eigenbasis of X a q-Weyl partner is diag(q^-d, ..., q^d) plus any
+    subdiagonal; the perturbation adds one entry anywhere.
+    """
+    rng = random.Random(seed)
+    d = rng.randint(1, 4)
+    q = rng.choice([F(2), F(3, 2), F(-2), F(1, 3)])
+    n = d + 1
+    eigs = qweyl_eigenvalues(d, q)
+    while True:
+        p = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if p.rank() == n:
+            break
+    y0 = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        y0[i][i] = 1 / eigs[i]
+        if i:
+            y0[i][i - 1] = F(rng.randint(-5, 5), rng.randint(1, 4))
+    if seed % 2:
+        y0[rng.randrange(n)][rng.randrange(n)] += F(rng.randint(1, 5), rng.randint(1, 3))
+    p_inv = p.inverse()
+    return p * Matrix.diagonal(eigs) * p_inv, p * Matrix(y0) * p_inv, q, d
+
+
+def test_ladder_step_agrees_with_projector_reference():
+    verdicts = set()
+    for seed in range(40):
+        x, y, q, d = _seeded_ladder_pair(seed)
+        x_dec = eigenspace_decomposition(x, qweyl_eigenvalues(d, q))
+        got = [
+            ladder_step_image(x, y, lam, q, part).is_zero()
+            for lam, part in zip(qweyl_eigenvalues(d, q), x_dec.parts)
+        ]
+        assert got == _projector_ladder_steps(x, y, q, d), seed
+        if seed % 2 == 0:
+            assert check_qweyl(x, y, q) and all(got), seed
+        verdicts.update(got)
+    assert verdicts == {True, False}  # the perturbed pairs break some steps
 
 
 def test_verify_diagrams(golden, d2):

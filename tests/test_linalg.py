@@ -240,3 +240,31 @@ def test_flag_index_out_of_range():
     dec = Decomposition([standard_line(2, 0), standard_line(2, 1)])
     with pytest.raises(IndexError):
         flag(dec, 2, "ascending")
+
+
+def test_flag_is_memoized_and_equals_the_span_of_its_parts():
+    rng = random.Random(7)
+    n = 5
+    while True:
+        m = rand_matrix(n, rng)
+        if m.rank() == n:
+            break
+    columns = list(zip(*m.entries))
+    dec = Decomposition(
+        [Subspace.from_vectors(n, [columns[0], columns[1]])]
+        + [Subspace.from_vectors(n, [c]) for c in columns[2:]]
+    )
+    d = len(dec) - 1
+    for direction in ("ascending", "descending"):
+        for i in range(d + 1):
+            chosen = dec.parts[: i + 1] if direction == "ascending" else dec.parts[d - i :]
+            first = flag(dec, i, direction)
+            assert first == Subspace.from_vectors(n, [v for part in chosen for v in part.basis])
+            assert flag(dec, i, direction) is first
+    assert flag(dec, d, "ascending") == flag(dec, d, "descending") == Subspace.full(n)
+
+
+def test_flag_rejects_unknown_direction():
+    dec = Decomposition([standard_line(2, 0), standard_line(2, 1)])
+    with pytest.raises(ValueError):
+        flag(dec, 0, "sideways")

@@ -206,6 +206,16 @@ def test_solve_phi_d2_validates_through_qdg():
         assert check_qdg(model.A, model.Astar, F(2))[0]
 
 
+def test_solve_phi_hands_back_the_models_it_built():
+    models = []
+    sequences = solve_phi(2, F(2), F(3), F(5), limit=2, models=models)
+    assert [m.params.phi for m in models] == sequences
+    assert models[0] == build_model(ParamSet(2, F(2), F(3), F(5), sequences[0]))
+    d1_models = []
+    assert solve_phi(1, F(2), F(3), F(5), models=d1_models) == [(F(1),)]
+    assert d1_models == [build_model(GOLDEN)]
+
+
 def test_solve_phi_rejects_invalid_parameters():
     with pytest.raises(ParameterError):
         solve_phi(2, F(2), F(2), F(5))  # a^2 = q^2 collides

@@ -1,0 +1,102 @@
+"""The per-target context: each shared structure is built once, and a
+structure or check that raises becomes an `error` record instead of ending
+the batch.
+
+`tests/data/split_error_d2.model` is an imported d = 2 pair whose A* has the
+right spectrum but is not tridiagonal with respect to A, so its split
+decompositions are not direct sums and `build_split_maps` raises.
+"""
+
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from qonsager import equitable, lusztig, model, splitmaps, suite
+from qonsager.cli import main
+from qonsager.report import Report
+
+SPLIT_ERROR = Path(__file__).resolve().parent / "data" / "split_error_d2.model"
+NEEDS_SPLIT_MAPS = {
+    "split.flags",
+    "split.inversion",
+    "split.KA_relations",
+    "split.H_conjugation",
+    "split.R_ladder",
+    "split.MN",
+    "equitable.table",
+    "equitable.ladders",
+    "diagrams.verify",
+}
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap `module.name` with a call counter wherever the package refers to it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (model, lusztig, splitmaps, equitable, suite):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_structure_is_built_once_per_target(monkeypatch):
+    calls = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in (
+            (model, "build_model"),
+            (lusztig, "build_H"),
+            (splitmaps, "build_split_maps"),
+            (splitmaps, "build_MN"),
+            (splitmaps, "eigenspace_decomposition"),
+        )
+    }
+    report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), suite.SUITE_NAMES)
+    assert report.all_passed and len(report.checks) == 27
+    for name in ("build_model", "build_H", "build_split_maps", "build_MN"):
+        assert len(calls[name]) == 1, name
+    assert len(calls["eigenspace_decomposition"]) <= 24
+
+
+def test_a_raising_structure_is_an_error_and_the_batch_goes_on(tmp_path, capsys):
+    out = tmp_path / "report.jsonl"
+    args = ["--file", str(SPLIT_ERROR), "--d", "1", "--q", "2", "--a", "3", "--b", "5", "--phi", "1"]
+    assert main(["verify", *args, "--output", str(out), "--quiet"]) == 1
+    summaries = capsys.readouterr().out.splitlines()
+    assert summaries[0].endswith("FAIL (12/27 checks passed, 9 raised an error)")
+    assert summaries[1].endswith("PASS (27/27 checks passed)")
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    broken = [r for r in records if r["target"] == str(SPLIT_ERROR)]
+    errors = {r["check"]: r["residual"] for r in broken if r["status"] == "error"}
+    assert set(errors) == NEEDS_SPLIT_MAPS
+    assert all("not a direct-sum decomposition" in text for text in errors.values())
+    assert {r["status"] for r in broken if r["check"] not in errors} <= {"pass", "fail"}
+    rest = [r for r in records if r["target"] != str(SPLIT_ERROR)]
+    assert len(rest) == 27 and all(r["status"] == "pass" for r in rest)
+
+
+def test_a_failed_structure_is_built_once(monkeypatch):
+    calls = _count_calls(monkeypatch, splitmaps, "build_split_maps")
+    report = suite.run_target(suite.make_file_target(str(SPLIT_ERROR)), suite.SUITE_NAMES)
+    assert len(calls) == 1
+    assert {c.name for c in report.checks if c.status == "error"} == NEEDS_SPLIT_MAPS
+
+
+def test_report_records_check_errors_and_lets_other_exceptions_through():
+    report = Report("t")
+
+    def cross_check():
+        raise AssertionError
+
+    result = report.run("c", "a construction cross-check", cross_check)
+    assert (result.status, result.residual, result.passed) == ("error", "AssertionError", False)
+    assert json.loads(report.to_lines()[0])["status"] == "error"
+    assert not report.all_passed
+    with pytest.raises(TypeError):
+        report.run("bug", "not a check error", lambda: 1 + "1")
