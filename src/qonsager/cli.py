@@ -1,7 +1,11 @@
 """Command-line batch runner.
 
 Exit codes: 0 when every executed check passed, 1 when any check failed or
-raised an error, 2 for configuration or I/O errors.
+raised an error, 2 for configuration or I/O errors. In `verify`, a model
+file that cannot be read or parsed is not an I/O error of the run: its
+target gets one failed `target.load` record, with the `path:line: message`
+text as the witness, and the other targets still run (exit 1). `import`
+reads one file, so there an unreadable or malformed file exits 2.
 """
 
 from __future__ import annotations

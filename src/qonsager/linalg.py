@@ -12,6 +12,13 @@ row-echelon form over one denominator once, at the end.
 read-only `entries` and `basis` views and the value of `trace()`.
 Subspaces are stored as reduced row-echelon bases in the same integer form,
 the unique representation per subspace, so equality is structural too.
+
+The objects are immutable, so derived data is kept on them once computed:
+a matrix keeps its inverse (whose own inverse is the matrix), and a
+decomposition keeps its inversion and its ascending flag, which is the
+descending flag of the inversion. The derived object refers back to its
+origin weakly, so the two form no reference cycle and are freed by
+reference counting, without waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
+from weakref import ref
 
 
 class ShapeError(ValueError):
@@ -33,6 +41,11 @@ class SingularMatrixError(ValueError):
         self.rank = rank
         self.size = size
         super().__init__(f"matrix is singular: rank {rank} < {size}")
+
+
+def _memo(slot):
+    """The object a memo slot holds, following a weak back-reference; None if unset or freed."""
+    return slot() if type(slot) is ref else slot
 
 
 def _integer_rows(rows):
@@ -112,7 +125,7 @@ class Matrix:
     True
     """
 
-    __slots__ = ("rows", "cols", "numerators", "denominator")
+    __slots__ = ("rows", "cols", "numerators", "denominator", "_inverse", "__weakref__")
 
     def __init__(self, entries, denominator: int | None = None):
         num, den = _lowest_terms(entries, denominator)
@@ -125,6 +138,7 @@ class Matrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "numerators", num)
         object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -250,7 +264,14 @@ class Matrix:
         return tuple(Fraction(sum(map(mul, row, v)), den) for row in self.numerators)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse via Gauss-Jordan; raises SingularMatrixError with rank witness."""
+        """Exact inverse via Gauss-Jordan; raises SingularMatrixError with rank witness.
+
+        Computed once per instance, and while this matrix lives the inverse's
+        own inverse is this matrix. A singular matrix raises on every call.
+        """
+        inv = _memo(self._inverse)
+        if inv is not None:
+            return inv
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
@@ -262,7 +283,10 @@ class Matrix:
         # inverse of N / den is den * N^-1.
         den = lcm(*(row[i] for i, row in enumerate(aug)))
         scale = self.denominator
-        return Matrix([[e * (scale * den // row[i]) for e in row[n:]] for i, row in enumerate(aug)], den)
+        inv = Matrix([[e * (scale * den // row[i]) for e in row[n:]] for i, row in enumerate(aug)], den)
+        object.__setattr__(inv, "_inverse", ref(self))
+        object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def rank(self) -> int:
         return len(_gauss_jordan([list(r) for r in self.numerators], self.cols))
@@ -283,6 +307,49 @@ def qweyl_bracket(x: Matrix, y: Matrix, q) -> Matrix:
     """(q XY - q^-1 YX)/(q - q^-1); the pair (X, Y) is q-Weyl when this is I."""
     q = Fraction(q)
     return q_commutator(x, y, q).scale(1 / (q - 1 / q))
+
+
+def is_qweyl_pair(x: Matrix, y: Matrix, q) -> bool:
+    """True when (q XY - q^-1 YX)/(q - q^-1) = I, tested on integer numerators.
+
+    With q = u/v, X = X_n/d_x and Y = Y_n/d_y this is
+    u^2 X_n Y_n - v^2 Y_n X_n = (u^2 - v^2) d_x d_y I; no matrix is built.
+    """
+    if not x.rows == x.cols == y.rows == y.cols:
+        raise ShapeError(f"q-Weyl test of {x.rows}x{x.cols} and {y.rows}x{y.cols}: need one square size")
+    q = Fraction(q)
+    u2, v2 = q.numerator**2, q.denominator**2
+    diagonal = (u2 - v2) * x.denominator * y.denominator
+    x_cols, y_cols = list(zip(*x.numerators)), list(zip(*y.numerators))
+    for i, (x_row, y_row) in enumerate(zip(x.numerators, y.numerators)):
+        for j, (x_col, y_col) in enumerate(zip(x_cols, y_cols)):
+            entry = u2 * sum(map(mul, x_row, y_col)) - v2 * sum(map(mul, y_row, x_col))
+            if entry != (diagonal if i == j else 0):
+                return False
+    return True
+
+
+def shifted_product_images(dec: Decomposition, x: Matrix, y: Matrix, x_shifts, y_shifts) -> list[Subspace]:
+    """The image of each part W_i of `dec` under (X - c_i I)(Y - b_i I).
+
+    c_i and b_i are the i-th entries of `x_shifts` and `y_shifts`. Each
+    basis vector p of W_i is mapped on integer numerators: with b = b_n/b_d,
+    c = c_n/c_d, X = X_n/d_x and Y = Y_n/d_y, the vector w = b_d Y_n p - b_n d_y p
+    is a nonzero multiple of (Y - b I) p, and c_d X_n w - c_n d_x w one of
+    (X - c I)(Y - b I) p. The parts are eliminated only where an image is nonzero.
+    """
+    if not x.rows == x.cols == y.rows == y.cols == dec.ambient_dim:
+        raise ShapeError(f"shifted product of {x.rows}x{x.cols} and {y.rows}x{y.cols} on Q^{dec.ambient_dim}")
+    n, dx, dy = x.rows, x.denominator, y.denominator
+    images = []
+    for part, c, b in zip(dec.parts, map(Fraction, x_shifts), map(Fraction, y_shifts)):
+        vectors = []
+        for p in part.numerators:
+            w = [b.denominator * sum(map(mul, row, p)) - b.numerator * dy * e for row, e in zip(y.numerators, p)]
+            z = [c.denominator * sum(map(mul, row, w)) - c.numerator * dx * e for row, e in zip(x.numerators, w)]
+            vectors.append(z)
+        images.append(_span(n, vectors) if any(map(any, vectors)) else Subspace.zero(n))
+    return images
 
 
 def rref(m: Matrix) -> Matrix:
@@ -441,11 +508,13 @@ def subspace_equal(s: Subspace, t: Subspace) -> bool:
 class Decomposition:
     """An ordered tuple of d+1 nonzero subspaces whose direct sum is the ambient space.
 
-    The parts never change, so `flag` computes each direction's partial sums
-    once and keeps them on the instance.
+    The parts never change, so the inversion (the parts in reverse order) is
+    built once and keeps this decomposition as its own inversion, and `flag`
+    keeps the ascending partial sums on the instance; the descending ones are
+    those of the inversion.
     """
 
-    __slots__ = ("parts", "_flags")
+    __slots__ = ("parts", "_inversion", "_ascending", "__weakref__")
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -465,8 +534,12 @@ class Decomposition:
                 f"parts are not a direct-sum decomposition: ranks sum to {total}, "
                 f"span has dimension {span}, ambient {ambient}"
             )
+        self._set(parts)
+
+    def _set(self, parts) -> None:
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_flags", {})
+        object.__setattr__(self, "_inversion", None)
+        object.__setattr__(self, "_ascending", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Decomposition is immutable")
@@ -491,7 +564,14 @@ class Decomposition:
         return self.parts[0].ambient_dim
 
     def inversion(self) -> "Decomposition":
-        return Decomposition(self.parts[::-1])
+        """The parts in reverse order; the same parts are a direct sum, so they are not checked again."""
+        inverted = _memo(self._inversion)
+        if inverted is None:
+            inverted = object.__new__(Decomposition)
+            inverted._set(self.parts[::-1])
+            object.__setattr__(inverted, "_inversion", ref(self))
+            object.__setattr__(self, "_inversion", inverted)
+        return inverted
 
 
 def flag(dec: Decomposition, i: int, direction: str = "ascending") -> Subspace:
@@ -501,11 +581,13 @@ def flag(dec: Decomposition, i: int, direction: str = "ascending") -> Subspace:
         raise IndexError(f"flag index {i} out of range 0..{d}")
     if direction not in ("ascending", "descending"):
         raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
-    sums = dec._flags.get(direction)
-    if sums is None:
+    if direction == "descending":
+        dec = dec.inversion()
+    if dec._ascending is None:
         sums, rows = [], ()
-        for part in dec.parts if direction == "ascending" else dec.parts[::-1]:
+        for part in dec.parts:
             sums.append(_span(dec.ambient_dim, rows + part.numerators))
             rows = sums[-1].numerators
-        dec._flags[direction] = sums
-    return sums[i]
+        object.__setattr__(dec, "_ascending", sums)
+    return dec._ascending[i]
+

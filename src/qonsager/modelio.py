@@ -55,6 +55,11 @@ def _content_lines(text: str):
             yield idx, line
 
 
+def _is_label(line: str) -> bool:
+    """True for a line that starts a matrix block or the phi sequence."""
+    return line in ("A:", "Astar:") or line.startswith("phi:")
+
+
 def export_model(model: TDModel, path: str) -> None:
     """Write a model file; constructed models round-trip through their parameters."""
     p = model.params
@@ -108,11 +113,12 @@ def import_model(path: str) -> TDModel:
                 rows, cols = (int(t) for t in dims.split())
             except ValueError:
                 raise ModelIOError(path, dims_lineno, f"bad matrix size line {dims!r}") from None
-            # Entries may wrap across lines; collect tokens until the count fits.
+            # Entries may wrap across lines; collect tokens until the count
+            # fits or the next block or phi line starts.
             needed = rows * cols
             body = [dims]
             j = i + 2
-            while needed > 0 and j < len(lines):
+            while needed > 0 and j < len(lines) and not _is_label(lines[j][1]):
                 chunk = lines[j][1]
                 body.append(chunk)
                 needed -= len(chunk.split())

@@ -20,7 +20,7 @@ from .linalg import (
     subspace_intersect,
 )
 from .lusztig import LusztigData
-from .model import ModelError, TDModel, lagrange_projectors
+from .model import ModelError, TDModel
 from .scalars import ParameterError
 
 
@@ -55,8 +55,10 @@ class LadderSpectra:
     """Eigenspace decompositions over the q-ladder q^d, ..., q^-d, one per distinct matrix.
 
     A matrix is looked up by its structural hash, so equal matrices built
-    separately share one decomposition. A matrix that is not diagonalizable
-    on the ladder raises ModelError on every lookup.
+    separately share one decomposition. The ladder is closed under
+    lam -> lam^-1 and ker(m^-1 - lam^-1 I) = ker(m - lam I), so decomposing m
+    also gives the decomposition of m^-1: the inversion of m's. A matrix that
+    is not diagonalizable on the ladder raises ModelError on every lookup.
     """
 
     def __init__(self, d: int, q: Fraction):
@@ -67,6 +69,7 @@ class LadderSpectra:
         dec = self._decompositions.get(m)
         if dec is None:
             dec = self._decompositions[m] = eigenspace_decomposition(m, self.eigenvalues)
+            self._decompositions[m.inverse()] = dec.inversion()
         return dec
 
 
@@ -282,32 +285,34 @@ def check_H_conjugation_of_splits(model: TDModel, lus: LusztigData, s: SplitMaps
     return not failures, failures
 
 
-def check_R_ladder(model: TDModel, s: SplitMaps):
+def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra | None = None):
     """The raising-ladder properties of R = A - a K - a^-1 K^-1.
 
-    On the i-th part of K's decomposition, a K + a^-1 K^-1 acts as theta_i;
-    R maps part i into part i+1 (and kills the top part); R^(d+1) = 0; and
+    U_0, ..., U_d are the eigenspaces of K for q^d, ..., q^-d, taken from
+    `spectra` when given. With U_i's basis as the columns of a matrix:
+    a K + a^-1 K^-1 acts as theta_i on U_i; R maps U_i into U_(i+1), that is
+    (K - q^(d-2i-2) I) R kills U_i; R kills U_d. Then R^(d+1) = 0 and
     RK = q^2 KR. Returns (passed, failures) as (name, residual).
     """
     p = model.params
     q, a, d = p.q, p.a, p.d
-    projectors = lagrange_projectors(s.K, qweyl_eigenvalues(d, q))
-    r = model.A - s.K.scale(a) - s.K.inverse().scale(1 / a)
-    ident = Matrix.identity(model.dim)
+    if spectra is None:
+        spectra = LadderSpectra(d, q)
+    parts = spectra.decomposition(s.K).parts
+    eigs = spectra.eigenvalues
+    theta_map = s.K.scale(a) + s.K.inverse().scale(1 / a)
+    r = model.A - theta_map
     failures = []
-    for i in range(d + 1):
+    for i, part in enumerate(parts):
+        u = Matrix(part.basis).transpose()
         expect_zero(
-            failures,
-            f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}",
-            (s.K.scale(a) + s.K.inverse().scale(1 / a) - ident.scale(model.theta[i])) * projectors[i],
+            failures, f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}", theta_map * u - u.scale(model.theta[i])
         )
+        ru = r * u
         if i < d:
-            expect_zero(
-                failures,
-                f"R U_{i} inside U_{i + 1}",
-                r * projectors[i] - projectors[i + 1] * r * projectors[i],
-            )
-    expect_zero(failures, "R kills the top part", r * projectors[d])
+            expect_zero(failures, f"R U_{i} inside U_{i + 1}", s.K * ru - ru.scale(eigs[i + 1]))
+        else:
+            expect_zero(failures, "R kills the top part", ru)
     expect_zero(failures, f"R^{d + 1} = 0", r ** (d + 1))
     expect_zero(failures, "R K = q^2 K R", r * s.K - (s.K * r).scale(q * q))
     return not failures, failures

@@ -28,7 +28,7 @@ from .model import (
     solve_phi,
     spectrum_graph,
 )
-from .modelio import import_model
+from .modelio import ModelIOError, import_model
 from .report import CHECK_ERRORS, Report
 from .scalars import (
     ParameterError,
@@ -163,6 +163,9 @@ def _resolve_model(target: Target, report: Report) -> TDModel | None:
     if target.path is not None:
         try:
             return import_model(target.path)
+        except (ModelIOError, OSError) as exc:
+            report.add("target.load", "read and parse the model file", False, str(exc))
+            return None
         except (ParameterError, ModelError, ShapeError) as exc:
             residual = getattr(exc, "residual", None)
             report.add(
@@ -472,7 +475,7 @@ def _run_splitmaps(ctx: TargetContext, report: Report) -> None:
     report.run(
         "split.R_ladder",
         "R = A - aK - a^-1 K^-1 raises the K-decomposition, R^(d+1) = 0, RK = q^2 KR",
-        _check(lambda: splitmaps.check_R_ladder(model, ctx.split_maps)),
+        _check(lambda: splitmaps.check_R_ladder(model, ctx.split_maps, ctx.spectra)),
     )
     report.run(
         "split.MN",

@@ -3,18 +3,28 @@ from fractions import Fraction as F
 
 import pytest
 
+from qonsager import suite
 from qonsager.equitable import (
+    TripleTable,
     build_triple_table,
     check_equitable_triple,
     check_qweyl,
     check_qweyl_ladder,
-    ladder_step_image,
+    qweyl_residual,
     verify_diagrams,
     verify_triple_table,
 )
-from qonsager.linalg import Matrix, Subspace, kernel
+from qonsager.linalg import (
+    Matrix,
+    ShapeError,
+    Subspace,
+    is_qweyl_pair,
+    kernel,
+    shifted_product_images,
+)
 from qonsager.lusztig import build_H
 from qonsager.model import build_model, lagrange_projectors, solve_phi
+from qonsager.report import Report
 from qonsager.scalars import ParamSet
 from qonsager.splitmaps import (
     build_MN,
@@ -201,20 +211,67 @@ def _seeded_ladder_pair(seed):
     return p * Matrix.diagonal(eigs) * p_inv, p * Matrix(y0) * p_inv, q, d
 
 
+def test_integer_qweyl_test_agrees_with_the_residual():
+    verdicts = set()
+    for seed in range(40):
+        x, y, q, d = _seeded_ladder_pair(seed)
+        rng = random.Random(seed)
+        dense = Matrix([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d + 1)] for _ in range(d + 1)])
+        for left, right in ((x, y), (y, x), (x, dense), (dense.scale(q), y)):
+            got = is_qweyl_pair(left, right, q)
+            assert got == qweyl_residual(left, right, q).is_zero(), seed
+            verdicts.add(got)
+        if seed % 2 == 0:
+            assert is_qweyl_pair(x, y, q), seed
+    assert verdicts == {True, False}
+    ident = Matrix.identity(2)
+    assert is_qweyl_pair(ident, ident, F(2)) and is_qweyl_pair(ident, ident, F(1, 3))
+    with pytest.raises(ShapeError):
+        is_qweyl_pair(ident, Matrix.identity(3), F(2))
+
+
+def _subspace_ladder_step(x, y, lam, q, part):
+    """Reference image: `part` mapped by (Y - lam^-1 I), then by (X - lam q^-2 I), one subspace at a time."""
+    ident = Matrix.identity(x.rows)
+    return part.image_under(y - ident.scale(1 / lam)).image_under(x - ident.scale(lam / (q * q)))
+
+
 def test_ladder_step_agrees_with_projector_reference():
     verdicts = set()
     for seed in range(40):
         x, y, q, d = _seeded_ladder_pair(seed)
-        x_dec = eigenspace_decomposition(x, qweyl_eigenvalues(d, q))
-        got = [
-            ladder_step_image(x, y, lam, q, part).is_zero()
-            for lam, part in zip(qweyl_eigenvalues(d, q), x_dec.parts)
-        ]
+        eigs = qweyl_eigenvalues(d, q)
+        x_dec = eigenspace_decomposition(x, eigs)
+        images = shifted_product_images(x_dec, x, y, [lam / (q * q) for lam in eigs], [1 / lam for lam in eigs])
+        got = [image.is_zero() for image in images]
         assert got == _projector_ladder_steps(x, y, q, d), seed
+        assert images == [_subspace_ladder_step(x, y, lam, q, part) for lam, part in zip(eigs, x_dec.parts)], seed
         if seed % 2 == 0:
             assert check_qweyl(x, y, q) and all(got), seed
         verdicts.update(got)
     assert verdicts == {True, False}  # the perturbed pairs break some steps
+
+
+def test_a_perturbed_table_row_fails_each_equitable_check():
+    """Negative control: one perturbed row through the suite's own checks.
+
+    The witnesses are those the checks gave before the integer q-Weyl test.
+    """
+    target = suite.make_param_target(1, F(2), F(3), F(5), (F(1),))
+    ctx = suite.TargetContext(build_model(GOLDEN))
+    table = ctx.triple_table
+    label, x, y, z = table.rows[0]
+    perturbed = ((label, x, y + Matrix([[0, F(1, 5)], [0, 0]]), z),) + table.rows[1:]
+    ctx._built["triple_table"] = TripleTable(perturbed)
+    report = Report(target.label)
+    suite._run_equitable(ctx, report)
+    suite._run_diagrams(ctx, report)
+    got = {c.name: (c.status, c.residual) for c in report.checks}
+    assert got == {
+        "equitable.table": ("fail", "('1', 'q-Weyl (X,Y)'): Matrix([[-1/5, 0], [0, 4/5]])"),
+        "equitable.ladders": ("fail", "row 1 pair (X,Y): precondition"),
+        "diagrams.verify": ("fail", "('3-cycle row 1: q-Weyl (X,Y)',): Matrix([[-1/5, 0], [0, 4/5]])"),
+    }
 
 
 def test_verify_diagrams(golden, d2):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +79,49 @@ def test_singular_inverse_reports_rank():
         Matrix([[1, 2], [2, 4]]).inverse()
     assert err.value.rank == 1
     assert err.value.size == 2
+
+
+def test_inverse_is_memoized_and_its_inverse_is_the_matrix():
+    rng = random.Random(13)
+    for _ in range(5):
+        m = rand_matrix(4, rng)
+        if m.rank() < 4:
+            continue
+        inv = m.inverse()
+        assert m.inverse() is inv
+        assert inv.inverse() is m
+        assert m * inv == Matrix.identity(4)
+        # An equal matrix built separately computes an equal inverse of its own.
+        twin = Matrix(m.numerators, m.denominator)
+        assert twin.inverse() == inv and twin.inverse() is not inv
+
+
+def test_memoized_inverse_and_inversion_form_no_reference_cycle():
+    """Each memo points back weakly: dropping the origin frees it without the cycle collector."""
+    m = Matrix([[2, 1], [1, 1]])
+    dec = Decomposition([Subspace.from_vectors(2, [[1, 0]]), Subspace.from_vectors(2, [[1, 1]])])
+    inv, inverted = m.inverse(), dec.inversion()
+    probes = weakref.ref(m), weakref.ref(dec)
+    gc.disable()
+    try:
+        del m, dec
+        assert [probe() for probe in probes] == [None, None]
+    finally:
+        gc.enable()
+    # The back-reference is gone, so each is derived again, equal to the freed origin.
+    assert inv.inverse() == Matrix([[2, 1], [1, 1]]) and inv.inverse().inverse() is inv
+    assert inverted.inversion().parts == inverted.parts[::-1]
+    assert inverted.inversion().inversion() is inverted
+
+
+def test_singular_matrix_raises_on_every_call():
+    m = Matrix([[1, 2], [2, 4]])
+    for _ in range(3):
+        with pytest.raises(SingularMatrixError) as err:
+            m.inverse()
+        assert (err.value.rank, err.value.size) == (1, 2)
+    with pytest.raises(ShapeError):
+        Matrix([[1, 2]]).inverse()
 
 
 def test_commutator_with_self_vanishes():
@@ -262,6 +307,32 @@ def test_flag_is_memoized_and_equals_the_span_of_its_parts():
             assert first == Subspace.from_vectors(n, [v for part in chosen for v in part.basis])
             assert flag(dec, i, direction) is first
     assert flag(dec, d, "ascending") == flag(dec, d, "descending") == Subspace.full(n)
+
+
+def test_inversion_is_built_once_and_its_flags_match_a_fresh_decomposition():
+    rng = random.Random(17)
+    n = 5
+    while True:
+        m = rand_matrix(n, rng)
+        if m.rank() == n:
+            break
+    columns = list(zip(*m.entries))
+    dec = Decomposition(
+        [Subspace.from_vectors(n, columns[:2])] + [Subspace.from_vectors(n, [c]) for c in columns[2:]]
+    )
+    inverted = dec.inversion()
+    assert dec.inversion() is inverted
+    assert inverted.inversion() is dec
+    fresh = Decomposition(dec.parts[::-1])
+    assert inverted == fresh and inverted.parts == dec.parts[::-1]
+    d = len(dec) - 1
+    for direction in ("ascending", "descending"):
+        for i in range(d + 1):
+            assert flag(inverted, i, direction) == flag(fresh, i, direction)
+    for i in range(d + 1):
+        # A descending flag is the inversion's ascending flag, computed once for both.
+        assert flag(dec, i, "descending") is flag(inverted, i, "ascending")
+        assert flag(dec, i, "ascending") is flag(inverted, i, "descending")
 
 
 def test_flag_rejects_unknown_direction():

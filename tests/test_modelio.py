@@ -99,6 +99,24 @@ def test_import_rejects_missing_body(tmp_path):
         import_model(str(path))
 
 
+@pytest.mark.parametrize(
+    "block, after",
+    [
+        ("A", "Astar:\n2 2\n101/10 1\n0 29/10\n"),
+        ("Astar", "phi: 1\n"),
+        ("Astar", "A:\n2 2\n1 0\n0 1\n"),
+    ],
+)
+def test_short_block_stops_at_the_next_label(tmp_path, block, after):
+    # The block has 2 of its 4 entries; the label line after it is not one of them.
+    path = tmp_path / "short.model"
+    path.write_text(f"1 2 3 5\n{block}:\n2 2\n1 0\n{after}")
+    with pytest.raises(ModelIOError) as err:
+        import_model(str(path))
+    assert err.value.line == 3
+    assert str(err.value) == f"{path}:3: expected 4 entries, got 2"
+
+
 def test_import_rejects_dimension_mismatch(tmp_path):
     path = tmp_path / "mismatch.model"
     path.write_text(

@@ -1,13 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from qonsager.linalg import Matrix, Subspace
 from qonsager.lusztig import build_H
-from qonsager.model import build_model, solve_phi
+from qonsager.model import ModelError, build_model, lagrange_projectors, solve_phi
 from qonsager.scalars import ParameterError, ParamSet
 from qonsager.splitmaps import (
     build_MN,
+    LadderSpectra,
     build_split_maps,
     check_H_conjugation_of_splits,
     check_KA_relations,
@@ -158,6 +160,60 @@ def test_R_ladder(golden, d2):
     for model, _, s in (golden, d2):
         ok, failures = check_R_ladder(model, s)
         assert ok, [name for name, _ in failures]
+
+
+def _projector_R_ladder_failures(model, s):
+    """Reference: the names of the failing statements in the Lagrange-projector form of the R-ladder check."""
+    q, a, d = model.params.q, model.params.a, model.d
+    projectors = lagrange_projectors(s.K, qweyl_eigenvalues(d, q))
+    r = model.A - s.K.scale(a) - s.K.inverse().scale(1 / a)
+    ident = Matrix.identity(model.dim)
+    statements = []
+    for i in range(d + 1):
+        statements.append((
+            f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}",
+            (s.K.scale(a) + s.K.inverse().scale(1 / a) - ident.scale(model.theta[i])) * projectors[i],
+        ))
+        if i < d:
+            statements.append((f"R U_{i} inside U_{i + 1}", r * projectors[i] - projectors[i + 1] * r * projectors[i]))
+    statements.append(("R kills the top part", r * projectors[d]))
+    statements.append((f"R^{d + 1} = 0", r ** (d + 1)))
+    statements.append(("R K = q^2 K R", r * s.K - (s.K * r).scale(q * q)))
+    return [name for name, resid in statements if not resid.is_zero()]
+
+
+def _shear(n, i, j, c):
+    """I + c E_ij."""
+    return Matrix([[int(r == c_) + (c if (r, c_) == (i, j) else 0) for c_ in range(n)] for r in range(n)])
+
+
+def test_R_ladder_negative_control_perturbs_K(golden, d2):
+    """K conjugated by a shear keeps its spectrum on the ladder, so the check runs.
+
+    A shear that moves U_d off the top A-eigenspace must fail it; every
+    verdict, pass or fail, must name the statements the projector form names.
+    """
+    names = set()
+    for model, _, s in (golden, d2):
+        n = model.dim
+        for i, j, c in ((0, n - 1, 1), (0, 1, -2), (n - 1, 0, F(1, 3)), (1, 0, 5)):
+            shear = _shear(n, i, j, c)
+            perturbed = replace(s, K=shear * s.K * shear.inverse())
+            ok, failures = check_R_ladder(model, perturbed)
+            assert [name for name, _ in failures] == _projector_R_ladder_failures(model, perturbed)
+            assert all(not resid.is_zero() for _, resid in failures)
+            if i == 0:
+                assert not ok, (model.d, i, j, c)
+            names.update(name for name, _ in failures)
+        ok, failures = check_R_ladder(model, s, LadderSpectra(model.d, model.params.q))
+        assert ok and _projector_R_ladder_failures(model, s) == []
+    assert {"R U_0 inside U_1", "R kills the top part"} <= names
+
+
+def test_R_ladder_K_off_the_ladder_raises(golden):
+    model, _, s = golden
+    with pytest.raises(ModelError):
+        check_R_ladder(model, replace(s, K=s.K.scale(3)))
 
 
 def test_build_MN_golden_values(golden):

@@ -1,6 +1,6 @@
 """The per-target context: each shared structure is built once, and a
-structure or check that raises becomes an `error` record instead of ending
-the batch.
+structure or check that raises, or a model file that cannot be read,
+becomes a record instead of ending the batch.
 
 `tests/data/split_error_d2.model` is an imported d = 2 pair whose A* has the
 right spectrum but is not tridiagonal with respect to A, so its split
@@ -55,13 +55,18 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (splitmaps, "build_split_maps"),
             (splitmaps, "build_MN"),
             (splitmaps, "eigenspace_decomposition"),
+            (model, "lagrange_projectors"),
         )
     }
     report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), suite.SUITE_NAMES)
     assert report.all_passed and len(report.checks) == 27
     for name in ("build_model", "build_H", "build_split_maps", "build_MN"):
         assert len(calls[name]) == 1, name
-    assert len(calls["eigenspace_decomposition"]) <= 24
+    # 24 distinct matrices go through the q-ladder, in 12 matrix/inverse pairs
+    # and 4 more matrices whose inverse decomposition is derived from theirs.
+    assert len(calls["eigenspace_decomposition"]) <= 16
+    # Both come from build_model; split.R_ladder uses K's eigenspaces.
+    assert len(calls["lagrange_projectors"]) == 2
 
 
 def test_a_raising_structure_is_an_error_and_the_batch_goes_on(tmp_path, capsys):
@@ -100,3 +105,30 @@ def test_report_records_check_errors_and_lets_other_exceptions_through():
     assert not report.all_passed
     with pytest.raises(TypeError):
         report.run("bug", "not a check error", lambda: 1 + "1")
+
+
+def test_a_malformed_model_file_is_a_load_failure_and_the_batch_goes_on(tmp_path, capsys):
+    bad = tmp_path / "short_block.model"
+    bad.write_text("1 2 3 5\nA:\n2 2\n1 0\nAstar:\n2 2\n101/10 1\n0 29/10\n")
+    missing = tmp_path / "missing.model"
+    out = tmp_path / "report.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "output": str(out),
+        "targets": [
+            {"file": str(bad)},
+            {"file": str(missing)},
+            {"d": 1, "q": "2", "a": "3", "b": "5", "phi": ["1"]},
+        ],
+    }))
+    assert main(["verify", "--config", str(config), "--quiet"]) == 1
+    summaries = capsys.readouterr().out.splitlines()
+    assert summaries[0] == f"{bad}: FAIL (0/1 checks passed)"
+    assert summaries[1] == f"{missing}: FAIL (0/1 checks passed)"
+    assert summaries[2].endswith("PASS (27/27 checks passed)")
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    loads = [r for r in records if r["check"] == "target.load"]
+    assert [(r["target"], r["status"]) for r in loads] == [(str(bad), "fail"), (str(missing), "fail")]
+    assert loads[0]["residual"] == f"{bad}:3: expected 4 entries, got 2"
+    assert str(missing) in loads[1]["residual"]
+    assert len(records) == 2 + 27
