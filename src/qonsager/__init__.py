@@ -72,6 +72,7 @@ from .scalars import (
     theta_star,
 )
 from .splitmaps import (
+    LadderSpectra,
     SplitMaps,
     build_MN,
     build_split_maps,

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run check suites over targets")
-    verify.add_argument("--config", help="JSON config with targets/suites/output/parallel")
+    verify.add_argument("--config", help="JSON config with keys targets, suites, output")
     _add_param_flags(verify, required=False)
     verify.add_argument("--file", action="append", default=[], help="model file target (repeatable)")
     verify.add_argument(
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite name (repeatable): scalars, model, lusztig, splitmaps, equitable, diagrams, all",
     )
     verify.add_argument("--output", help="write one JSON record per check to this path")
-    verify.add_argument("--parallel", action="store_true", help="run targets concurrently")
     verify.add_argument("--quiet", action="store_true", help="print only the per-target summaries")
 
     solve = sub.add_parser("solve-phi", help="find rational phi sequences for given parameters")
@@ -97,7 +96,6 @@ def _verify_config(args) -> SuiteConfig:
         targets=targets,
         suites=tuple(args.suite) if args.suite else ("all",),
         output=args.output,
-        parallel=args.parallel,
     )
 
 

@@ -106,7 +106,7 @@ def verify_triple_table(model: TDModel, table: TripleTable):
     return not failures, failures
 
 
-def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: LadderSpectra | None = None):
+def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: LadderSpectra):
     """The ladder and crossing-flag consequences of a q-Weyl pair.
 
     Preconditions reported distinctly: (X, Y) satisfies the q-Weyl relation
@@ -115,12 +115,10 @@ def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: Ladde
     eigenvalue lam, and (ii) Y_0+...+Y_i = X_(d-i)+...+X_d for every i.
     Step (i) maps the basis vectors of X's eigenspaces, with no elimination
     unless a step fails; the witness is then the image of the eigenspace.
-    Eigenspace decompositions come from `spectra` when given.
+    Eigenspace decompositions come from `spectra`.
     Returns (passed, failures).
     """
     q = Fraction(q)
-    if spectra is None:
-        spectra = LadderSpectra(d, q)
     failures = []
     if not check_qweyl(x, y, q):
         failures.append(("precondition", "the pair does not satisfy the q-Weyl relation"))
@@ -147,8 +145,8 @@ def verify_diagrams(
     model: TDModel,
     lus: LusztigData,
     s: SplitMaps,
-    spectra: LadderSpectra | None = None,
-    table_check=None,
+    spectra: LadderSpectra,
+    table_check,
 ):
     """The flag and split-map assertions of the two big comparison diagrams.
 
@@ -163,15 +161,13 @@ def verify_diagrams(
         a^-1 A - a^-2 B and the down analogues.
       - Oriented 3-cycles: delegated to the eight table rows.
     The M/N decompositions come from `spectra`, and the table verdict is
-    `table_check` (a `verify_triple_table` result), when given.
+    `table_check`, the `verify_triple_table` result on the model's table.
     Returns (passed, failures) as (name, witness).
     """
     if s.M is None:
         raise ParameterError("SplitMaps must be completed with build_MN first")
     p = model.params
     q, a, d = p.q, p.a, p.d
-    if spectra is None:
-        spectra = LadderSpectra(d, q)
     failures = []
 
     def expect(name: str, condition: bool, witness="flag mismatch") -> None:
@@ -253,8 +249,6 @@ def verify_diagrams(
         )
 
     # Oriented 3-cycles are equitable triples: the eight table rows.
-    if table_check is None:
-        table_check = verify_triple_table(model, build_triple_table(model, s))
     ok, table_failures = table_check
     if not ok:
         failures.extend(

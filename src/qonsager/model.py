@@ -128,6 +128,11 @@ class TDModel:
             [kernel(self.Astar - ident.scale(th)) for th in self.theta_star]
         )
 
+    @cached_property
+    def irreducible(self) -> bool:
+        """No proper nonzero subspace is invariant under both A and A*."""
+        return check_irreducible(self.A, self.Astar, self.eigenspaces_A, self.eigenspaces_Astar)
+
 
 def build_model(p: ParamSet) -> TDModel:
     """Construct the split-basis model for a full ParamSet and verify it.
@@ -175,7 +180,7 @@ def build_model(p: ParamSet) -> TDModel:
     if not ok:
         side, i, j, resid = failures[0]
         raise ModelError(f"tridiagonal action violated at {side} ({i},{j})", resid)
-    if not check_irreducible(a, astar, thetas, theta_stars):
+    if not model.irreducible:
         raise ModelError("constructed pair is reducible")
     return model
 
@@ -223,78 +228,6 @@ def check_tridiagonal_action(model: TDModel):
     return not failures, failures
 
 
-def _char_poly(m: Matrix) -> list[Fraction]:
-    """Characteristic polynomial det(xI - m) by Faddeev-LeVerrier; index = degree."""
-    n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = ONE
-    work = Matrix.identity(n)
-    for k in range(1, n + 1):
-        work = m * work
-        c = -work.trace() / k
-        coeffs[n - k] = c
-        work = work + Matrix.identity(n).scale(c)
-    return coeffs
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.add(f)
-            out.add(n // f)
-        f += 1
-    return sorted(out)
-
-
-def rational_eigenvalues(m: Matrix) -> list[Fraction]:
-    """All rational eigenvalues of m, found exactly via the rational root theorem."""
-    coeffs = _char_poly(m)
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    roots = []
-    if ints[0] == 0:
-        roots.append(Fraction(0))  # multiplicity does not matter, the eigenspace does
-        while len(ints) > 1 and ints[0] == 0:
-            ints = ints[1:]
-    lead = ints[-1]
-    const = ints[0]
-    if const == 0:
-        candidates = []
-    else:
-        candidates = [
-            Fraction(sp * p, q)
-            for p in _divisors(const)
-            for q in _divisors(lead)
-            for sp in (1, -1)
-        ]
-    seen = set(roots)
-    for cand in candidates:
-        if cand in seen:
-            continue
-        if _poly_eval(coeffs, cand) == 0:
-            roots.append(cand)
-            seen.add(cand)
-    return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def _closure(seed: Subspace, maps) -> Subspace:
     """Smallest subspace containing seed and invariant under every map."""
     current = seed
@@ -308,37 +241,28 @@ def _closure(seed: Subspace, maps) -> Subspace:
 
 
 def check_irreducible(
-    a: Matrix,
-    astar: Matrix,
-    eigenvalues_a=None,
-    eigenvalues_astar=None,
+    a: Matrix, astar: Matrix, spaces_a: Decomposition, spaces_astar: Decomposition
 ) -> bool:
     """True iff no proper nonzero subspace is invariant under both maps.
 
-    Searches eigenvector-driven candidates: any joint invariant subspace
-    contains an eigenvector of each map, so it suffices to (i) reject joint
-    eigenvectors outright and (ii) close every eigenline of either map under
-    the pair and demand full rank. Complete whenever either map has all
-    eigenspaces one-dimensional over Q (true for every generated model).
+    `spaces_a` and `spaces_astar` are the eigenspace decompositions of the
+    two maps. Any joint invariant subspace contains an eigenvector of each
+    map, so it suffices to (i) reject joint eigenvectors outright and (ii)
+    close every eigenspace basis vector of either map under the pair and
+    demand full rank. Complete whenever either map has all eigenspaces
+    one-dimensional (true for every generated model).
     """
     if a.rows != a.cols or a.rows != astar.rows or a.cols != astar.cols:
         raise ShapeError("irreducibility check needs square matrices of equal shape")
     n = a.rows
     if n == 1:
         return True
-    ident = Matrix.identity(n)
-    eigs_a = list(eigenvalues_a) if eigenvalues_a is not None else rational_eigenvalues(a)
-    eigs_astar = (
-        list(eigenvalues_astar) if eigenvalues_astar is not None else rational_eigenvalues(astar)
-    )
-    spaces_a = [kernel(a - ident.scale(e)) for e in eigs_a]
-    spaces_astar = [kernel(astar - ident.scale(e)) for e in eigs_astar]
-    for va in spaces_a:
-        for vs in spaces_astar:
+    for va in spaces_a.parts:
+        for vs in spaces_astar.parts:
             if not subspace_intersect(va, vs).is_zero():
                 return False  # a joint eigenvector spans an invariant line
     pair = (a, astar)
-    for space in spaces_a + spaces_astar:
+    for space in spaces_a.parts + spaces_astar.parts:
         for vec in space.basis:
             seed = Subspace.from_vectors(n, [vec])
             if _closure(seed, pair).rank < n:

@@ -1,10 +1,11 @@
 """Text formats for matrices and model files.
 
 Matrix format: a "rows cols" line followed by rows*cols whitespace-separated
-rational tokens. Model format: a "d q a b" header line, then either a
-"phi: ..." line (the model is rebuilt from parameters) or two matrix blocks
-labeled "A:" and "Astar:" (the pair is imported as-is and only verified).
-Blank lines and "#" comments are ignored.
+rational tokens. Model format: a "d q a b" header line, then either one
+"phi: ..." line (the model is rebuilt from parameters) or one matrix block
+each labeled "A:" and "Astar:" (the pair is imported as-is and only
+verified); a second definition is a parse error. Blank lines and "#"
+comments are ignored.
 """
 
 from __future__ import annotations
@@ -95,9 +96,17 @@ def import_model(path: str) -> TDModel:
 
     phi = None
     blocks: dict[str, Matrix] = {}
+    defined: dict[str, int] = {}  # "phi", "A", "Astar" -> line of the definition
     i = 1
     while i < len(lines):
         lineno, line = lines[i]
+        if _is_label(line):
+            name = "phi" if line.startswith("phi:") else line[:-1]
+            for other, first in defined.items():
+                if other == name or "phi" in (other, name):
+                    clash = f"{name}: conflicts with the {other}: definition at line {first}"
+                    raise ModelIOError(path, lineno, f"{clash}; a file has one phi: line or one A:/Astar: pair")
+            defined[name] = lineno
         if line.startswith("phi:"):
             try:
                 phi = tuple(parse_scalar(t) for t in line[4:].split())

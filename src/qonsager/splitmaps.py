@@ -285,19 +285,17 @@ def check_H_conjugation_of_splits(model: TDModel, lus: LusztigData, s: SplitMaps
     return not failures, failures
 
 
-def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra | None = None):
+def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     """The raising-ladder properties of R = A - a K - a^-1 K^-1.
 
     U_0, ..., U_d are the eigenspaces of K for q^d, ..., q^-d, taken from
-    `spectra` when given. With U_i's basis as the columns of a matrix:
+    `spectra`. With U_i's basis as the columns of a matrix:
     a K + a^-1 K^-1 acts as theta_i on U_i; R maps U_i into U_(i+1), that is
     (K - q^(d-2i-2) I) R kills U_i; R kills U_d. Then R^(d+1) = 0 and
     RK = q^2 KR. Returns (passed, failures) as (name, residual).
     """
     p = model.params
     q, a, d = p.q, p.a, p.d
-    if spectra is None:
-        spectra = LadderSpectra(d, q)
     parts = spectra.decomposition(s.K).parts
     eigs = spectra.eigenvalues
     theta_map = s.K.scale(a) + s.K.inverse().scale(1 / a)
@@ -318,13 +316,13 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra | None =
     return not failures, failures
 
 
-def build_MN(model: TDModel, s: SplitMaps, spectra: LadderSpectra | None = None) -> SplitMaps:
+def build_MN(model: TDModel, s: SplitMaps, spectra: LadderSpectra) -> SplitMaps:
     """Complete a SplitMaps with M, N, Mdown, Ndown and verify their structure.
 
     M = (a K - a^-1 B)/(a - a^-1), N = (a^-1 K^-1 - a B^-1)/(a^-1 - a), and the
     down analogues. Each must be diagonalizable with eigenvalues exactly
     q^d, ..., q^-d, and conjugation by H must carry M to N (and Mdown to Ndown).
-    The four eigenspace decompositions are left in `spectra` when given.
+    The four eigenspace decompositions are left in `spectra`.
     """
     a = model.params.a
     if a == 1 or a == -1:
@@ -334,8 +332,6 @@ def build_MN(model: TDModel, s: SplitMaps, spectra: LadderSpectra | None = None)
     n = (s.K.inverse().scale(1 / a) - s.B.inverse().scale(a)).scale(-1 / denom)
     mdown = (s.Kdown.scale(a) - s.Bdown.scale(1 / a)).scale(1 / denom)
     ndown = (s.Kdown.inverse().scale(1 / a) - s.Bdown.inverse().scale(a)).scale(-1 / denom)
-    if spectra is None:
-        spectra = LadderSpectra(model.d, model.params.q)
     for mat in (m, n, mdown, ndown):
         spectra.decomposition(mat)  # raises ModelError when not diagonalizable
     return replace(s, M=m, N=n, Mdown=mdown, Ndown=ndown)

@@ -2,16 +2,13 @@
 
 Each target gets one `TargetContext`, which builds the structures its checks
 share (H, the split maps, M/N, the triple table, eigenspace decompositions)
-once, on first use. Targets are independent and the underlying operations
-are pure, so the runner may execute targets concurrently; results are always
-merged in declared order and the report is deterministic apart from timing
-fields.
+once, on first use. Targets run in declared order and the report is
+deterministic apart from timing fields.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import equitable, lusztig, splitmaps
@@ -21,7 +18,6 @@ from .model import (
     ModelError,
     TDModel,
     build_model,
-    check_irreducible,
     check_qdg,
     check_tridiagonal_action,
     recover_a,
@@ -72,7 +68,6 @@ class SuiteConfig:
     targets: list[Target]
     suites: tuple[str, ...] = ("all",)
     output: str | None = None
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if not self.targets:
@@ -94,11 +89,23 @@ class SuiteConfig:
         self.suites = tuple(deduped)
 
 
+CONFIG_KEYS = ("targets", "suites", "output")
+PARAM_TARGET_KEYS = ("d", "q", "a", "b", "phi")
+
+
+def _reject_unknown_keys(where: str, data: dict, valid: tuple[str, ...]) -> None:
+    unknown = [key for key in data if key not in valid]
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; valid: {', '.join(valid)}")
+
+
 def _target_from_spec(spec: dict, index: int) -> Target:
     if not isinstance(spec, dict):
         raise ConfigError(f"target {index}: must be an object")
     if "file" in spec:
+        _reject_unknown_keys(f"target {index} (a file target)", spec, ("file",))
         return make_file_target(str(spec["file"]))
+    _reject_unknown_keys(f"target {index}", spec, PARAM_TARGET_KEYS)
     phi = spec.get("phi", [])
     if not isinstance(phi, list):
         raise ConfigError(f"target {index}: 'phi' must be a list, got {type(phi).__name__}")
@@ -127,15 +134,12 @@ def load_config(path: str) -> SuiteConfig:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict) or "targets" not in data:
         raise ConfigError(f"{path}: config must be an object with a 'targets' list")
+    _reject_unknown_keys(path, data, CONFIG_KEYS)
     targets = [_target_from_spec(t, i) for i, t in enumerate(data["targets"])]
-    parallel = data.get("parallel", False)
-    if not isinstance(parallel, bool):
-        raise ConfigError(f"{path}: 'parallel' must be true or false, got {parallel!r}")
     return SuiteConfig(
         targets=targets,
         suites=tuple(data.get("suites", ["all"])),
         output=data.get("output"),
-        parallel=parallel,
     )
 
 
@@ -347,10 +351,7 @@ def _run_model(ctx: TargetContext, report: Report) -> None:
     report.run(
         "model.irreducible",
         "no proper nonzero subspace invariant under both generators",
-        lambda: (
-            check_irreducible(model.A, model.Astar, model.theta, model.theta_star),
-            None,
-        ),
+        lambda: (model.irreducible, None),
     )
 
     def spectrum():
@@ -543,14 +544,10 @@ def run_target(target: Target, suites) -> Report:
 def run_suite(cfg: SuiteConfig) -> list[Report]:
     """Run every configured suite on every target.
 
-    Returns per-target reports in declared order regardless of parallelism;
-    writes one JSON record per check to cfg.output when set.
+    Returns per-target reports in declared order; writes one JSON record per
+    check to cfg.output when set.
     """
-    if cfg.parallel and len(cfg.targets) > 1:
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(lambda t: run_target(t, cfg.suites), cfg.targets))
-    else:
-        reports = [run_target(t, cfg.suites) for t in cfg.targets]
+    reports = [run_target(t, cfg.suites) for t in cfg.targets]
     if cfg.output:
         lines = [line for rep in reports for line in rep.to_lines()]
         with open(cfg.output, "w", encoding="utf-8") as fh:

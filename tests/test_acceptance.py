@@ -50,13 +50,14 @@ def grid():
 
 @pytest.fixture(scope="module")
 def grid_structures(grid):
-    """Lusztig data and completed split maps for every grid model."""
+    """Lusztig data, completed split maps and ladder spectra for every grid model."""
     models, _ = grid
     out = []
     for model in models:
         lus = lusztig.build_H(model)
-        s = splitmaps.build_MN(model, splitmaps.build_split_maps(model))
-        out.append((model, lus, s))
+        spectra = splitmaps.LadderSpectra(model.d, model.params.q)
+        s = splitmaps.build_MN(model, splitmaps.build_split_maps(model), spectra)
+        out.append((model, lus, s, spectra))
     return out
 
 
@@ -79,7 +80,7 @@ def test_criterion_1_qdg_over_grid(grid):
 def test_criterion_2_golden_regression():
     model = build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     lus = lusztig.build_H(model)
-    s = splitmaps.build_MN(model, splitmaps.build_split_maps(model))
+    s = splitmaps.build_MN(model, splitmaps.build_split_maps(model), splitmaps.LadderSpectra(1, F(2)))
     expect = {
         "theta": model.theta == (F(37, 6), F(13, 6)),
         "theta*": model.theta_star == (F(101, 10), F(29, 10)),
@@ -111,7 +112,7 @@ def test_criterion_3_chu_vandermonde_over_grid(grid):
 
 def test_criterion_4_lusztig_conjugation(grid_structures):
     ok = True
-    for model, lus, _ in grid_structures:
+    for model, lus, _, _ in grid_structures:
         passed, _residuals = lusztig.check_L_conjugation(model, lus)
         ok = ok and passed
     _report(4, "L^(+-1)(A*) equals H^(-+1)-conjugation and H^-1 A H = A over G", ok)
@@ -119,7 +120,7 @@ def test_criterion_4_lusztig_conjugation(grid_structures):
 
 def test_criterion_5_polynomial_expansions(grid_structures):
     ok = True
-    for model, lus, _ in grid_structures:
+    for model, lus, _, _ in grid_structures:
         passed, _failures = lusztig.check_H_expansions(model, lus)
         ok = ok and passed
     _report(5, "all expansion families on their flags for every anchor over G", ok)
@@ -127,7 +128,7 @@ def test_criterion_5_polynomial_expansions(grid_structures):
 
 def test_criterion_6_split_relations(grid_structures):
     ok = True
-    for model, _, s in grid_structures:
+    for model, _, s, _ in grid_structures:
         passed, _failures = splitmaps.check_KA_relations(model, s)
         ok = ok and passed
     _report(6, "bracket relations, inverse pairs, and down analogues over G", ok)
@@ -135,17 +136,17 @@ def test_criterion_6_split_relations(grid_structures):
 
 def test_criterion_7_split_conjugation_and_ladder(grid_structures):
     ok = True
-    for model, lus, s in grid_structures:
+    for model, lus, s, spectra in grid_structures:
         conj_ok, _ = splitmaps.check_H_conjugation_of_splits(model, lus, s)
         mn_ok, _ = splitmaps.check_MN_conjugation(model, lus, s)
-        ladder_ok, _ = splitmaps.check_R_ladder(model, s)
+        ladder_ok, _ = splitmaps.check_R_ladder(model, s, spectra)
         ok = ok and conj_ok and mn_ok and ladder_ok
     _report(7, "eight conjugation identities, M/N conjugation, R-ladder over G", ok)
 
 
 def test_criterion_8_equitable_triples(grid_structures):
     ok = True
-    for model, _, s in grid_structures:
+    for model, _, s, _ in grid_structures:
         table = equitable.build_triple_table(model, s)
         passed, _failures = equitable.verify_triple_table(model, table)
         ok = ok and passed
@@ -158,8 +159,9 @@ def test_criterion_8_equitable_triples(grid_structures):
 
 def test_criterion_9_diagrams(grid_structures):
     ok = True
-    for model, lus, s in grid_structures:
-        passed, _failures = equitable.verify_diagrams(model, lus, s)
+    for model, lus, s, spectra in grid_structures:
+        table_check = equitable.verify_triple_table(model, equitable.build_triple_table(model, s))
+        passed, _failures = equitable.verify_diagrams(model, lus, s, spectra, table_check)
         ok = ok and passed
     _report(9, "flag equalities and twisted-pair split maps over G", ok)
 
@@ -167,7 +169,7 @@ def test_criterion_9_diagrams(grid_structures):
 def test_criterion_10_negative_controls_and_runtime():
     golden = build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     lus = lusztig.build_H(golden)
-    s = splitmaps.build_MN(golden, splitmaps.build_split_maps(golden))
+    s = splitmaps.build_MN(golden, splitmaps.build_split_maps(golden), splitmaps.LadderSpectra(1, F(2)))
     controls = {}
 
     # phi = 0 is rejected as a parameter and the degenerate pair is reducible.
@@ -179,7 +181,10 @@ def test_criterion_10_negative_controls_and_runtime():
     from qonsager.model import check_irreducible
 
     degenerate_star = Matrix([[F(101, 10), 0], [0, F(29, 10)]])
-    controls["phi=0 pair reducible"] = not check_irreducible(golden.A, degenerate_star)
+    star_spaces = splitmaps.eigenspace_decomposition(degenerate_star, golden.theta_star)
+    controls["phi=0 pair reducible"] = not check_irreducible(
+        golden.A, degenerate_star, golden.eigenspaces_A, star_spaces
+    )
 
     # Swapped K and B break the bracket relations with a nonzero residual.
     swapped = replace(s, K=s.B, B=s.K)

@@ -1,10 +1,12 @@
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from qonsager.cli import main
-from qonsager.suite import SuiteConfig, load_config, make_param_target, run_suite
+from qonsager.suite import ConfigError, load_config
 
 GOLDEN_ARGS = ["--d", "1", "--q", "2", "--a", "3", "--b", "5", "--phi", "1"]
 
@@ -49,7 +51,6 @@ def test_verify_config_file_run(capsys, tmp_path):
     config = {
         "suites": ["scalars", "model"],
         "output": str(out),
-        "parallel": True,
         "targets": [
             {"d": 1, "q": "2", "a": "3", "b": "5", "phi": ["1"]},
             {"d": 2, "q": "2", "a": "3", "b": "5"},
@@ -124,19 +125,6 @@ def test_verify_reports_are_deterministic(tmp_path):
     assert strip_timing(out1) == strip_timing(out2)
 
 
-def test_parallel_and_serial_agree():
-    targets = [
-        make_param_target(1, F(2), F(3), F(5), (F(1),)),
-        make_param_target(1, F(2), F(5), F(3), (F(1),)),
-        make_param_target(2, F(2), F(3), F(5)),
-    ]
-    serial = run_suite(SuiteConfig(targets=list(targets), suites=("model",), parallel=False))
-    parallel = run_suite(SuiteConfig(targets=list(targets), suites=("model",), parallel=True))
-    serial_rows = [(c.name, c.passed) for rep in serial for c in rep.checks]
-    parallel_rows = [(c.name, c.passed) for rep in parallel for c in rep.checks]
-    assert serial_rows == parallel_rows
-
-
 def test_solve_phi_command(capsys):
     code = main(["solve-phi", "--d", "2", "--q", "2", "--a", "3", "--b", "5", "--limit", "2"])
     captured = capsys.readouterr()
@@ -183,8 +171,6 @@ def test_import_malformed_file_is_io_error(capsys, tmp_path):
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    from qonsager.suite import ConfigError
-
     with pytest.raises(ConfigError):
         load_config(str(path))
 
@@ -197,17 +183,37 @@ def _write_config(tmp_path, **fields):
     return path
 
 
-@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-def test_load_config_rejects_non_boolean_parallel(tmp_path, value):
-    from qonsager.suite import ConfigError
-
-    with pytest.raises(ConfigError, match="parallel"):
-        load_config(str(_write_config(tmp_path, parallel=value)))
+PARAM_TARGET = {"d": 1, "q": "2", "a": "3", "b": "5", "phi": ["1"]}
 
 
-def test_load_config_accepts_boolean_parallel(tmp_path):
-    assert load_config(str(_write_config(tmp_path, parallel=False))).parallel is False
-    assert load_config(str(_write_config(tmp_path, parallel=True))).parallel is True
+@pytest.mark.parametrize(
+    "fields, key, valid",
+    [
+        pytest.param({"parallel": value}, "parallel", "targets, suites, output", id=f"parallel-{value}")
+        for value in ("false", "true", 0, 1, None, False, True)
+    ]
+    + [
+        pytest.param({"suite": ["all"]}, "suite", "targets, suites, output", id="suite"),
+        pytest.param(
+            {"targets": [{**PARAM_TARGET, "phy": ["7"]}]}, "phy", "d, q, a, b, phi", id="target-phy"
+        ),
+        pytest.param({"targets": [{"file": "m.model", "d": 1}]}, "d", "file", id="file-target-with-d"),
+    ],
+)
+def test_load_config_rejects_unknown_key(tmp_path, fields, key, valid):
+    message = f"unknown key '{key}'; valid: {valid}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(_write_config(tmp_path, **fields)))
+
+
+def test_unknown_config_key_exits_2(capsys, tmp_path):
+    # A misspelt key must not run the config as if the key were absent.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"targets": [{**PARAM_TARGET, "phy": ["7"]}], "suite": ["scalars"]}))
+    assert main(["verify", "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown key 'suite'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("phi", [["1/0"], ["x"], "1/0", 5])
@@ -216,3 +222,13 @@ def test_bad_phi_in_config_is_config_error(capsys, tmp_path, phi):
     path = _write_config(tmp_path, targets=[target])
     assert main(["verify", "--config", str(path), "--quiet"]) == 2
     assert "target 0" in capsys.readouterr().err
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(examples) == 1
+    path = tmp_path / "config.json"
+    path.write_text(examples[0])
+    cfg = load_config(str(path))
+    assert cfg.targets and cfg.suites

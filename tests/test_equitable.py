@@ -27,6 +27,7 @@ from qonsager.model import build_model, lagrange_projectors, solve_phi
 from qonsager.report import Report
 from qonsager.scalars import ParamSet
 from qonsager.splitmaps import (
+    LadderSpectra,
     build_MN,
     build_split_maps,
     eigenspace_decomposition,
@@ -36,11 +37,19 @@ from qonsager.splitmaps import (
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
 
 
+def _spectra(model):
+    return LadderSpectra(model.d, model.params.q)
+
+
+def _table_check(model, s):
+    return verify_triple_table(model, build_triple_table(model, s))
+
+
 @pytest.fixture(scope="module")
 def golden():
     model = build_model(GOLDEN)
     lus = build_H(model)
-    s = build_MN(model, build_split_maps(model))
+    s = build_MN(model, build_split_maps(model), _spectra(model))
     return model, lus, s
 
 
@@ -49,7 +58,7 @@ def d2():
     phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
     lus = build_H(model)
-    s = build_MN(model, build_split_maps(model))
+    s = build_MN(model, build_split_maps(model), _spectra(model))
     return model, lus, s
 
 
@@ -137,7 +146,7 @@ def test_qweyl_ladder_golden(golden):
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     y = s.M.inverse()
-    ok, failures = check_qweyl_ladder(x, y, F(2), model.d)
+    ok, failures = check_qweyl_ladder(x, y, F(2), model.d, _spectra(model))
     assert ok, failures
     # Y_0 = span(e_0 - 2 e_1) = X_1: the crossing at the golden parameters.
     y0 = kernel(y - Matrix.identity(2).scale(F(2)))
@@ -163,14 +172,14 @@ def test_qweyl_ladder_detects_perturbed_partner(golden):
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     perturbed = s.M.inverse() + Matrix([[0, F(1, 5)], [0, 0]])
-    ok, failures = check_qweyl_ladder(x, perturbed, F(2), model.d)
+    ok, failures = check_qweyl_ladder(x, perturbed, F(2), model.d, _spectra(model))
     assert not ok
     assert failures
 
 
 def test_qweyl_ladder_reports_missing_eigenvalue():
     ident = Matrix.identity(2)
-    ok, failures = check_qweyl_ladder(ident, ident, F(2), 1)
+    ok, failures = check_qweyl_ladder(ident, ident, F(2), 1, LadderSpectra(1, F(2)))
     assert not ok
     assert any("precondition" in name for name, _ in failures)
 
@@ -276,7 +285,7 @@ def test_a_perturbed_table_row_fails_each_equitable_check():
 
 def test_verify_diagrams(golden, d2):
     for model, lus, s in (golden, d2):
-        ok, failures = verify_diagrams(model, lus, s)
+        ok, failures = verify_diagrams(model, lus, s, _spectra(model), _table_check(model, s))
         assert ok, [name for name, _ in failures]
 
 
@@ -299,6 +308,6 @@ def test_diagrams_detect_swapped_K_B(golden):
     from dataclasses import replace
 
     swapped = replace(s, K=s.B, B=s.K)
-    ok, failures = verify_diagrams(model, lus, swapped)
+    ok, failures = verify_diagrams(model, lus, swapped, _spectra(model), _table_check(model, swapped))
     assert not ok
     assert failures

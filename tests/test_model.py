@@ -3,14 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from qonsager.linalg import Matrix
+from qonsager.linalg import Decomposition, Matrix, kernel
 from qonsager.model import (
     ModelError,
     build_model,
     check_irreducible,
     check_qdg,
     check_tridiagonal_action,
-    rational_eigenvalues,
     recover_a,
     solve_phi,
     spectrum_graph,
@@ -126,27 +125,39 @@ def test_tridiagonal_action_dense_star_fails(d2_model):
     assert failures
 
 
+def _eigenspaces(m: Matrix, eigs) -> Decomposition:
+    ident = Matrix.identity(m.rows)
+    return Decomposition([kernel(m - ident.scale(e)) for e in eigs])
+
+
 def test_irreducible_golden(golden_model):
-    assert check_irreducible(golden_model.A, golden_model.Astar)
+    assert golden_model.irreducible
+    assert check_irreducible(
+        golden_model.A, golden_model.Astar, golden_model.eigenspaces_A, golden_model.eigenspaces_Astar
+    )
 
 
 def test_reducible_when_phi_vanishes():
     # Upper-bidiagonal A* with phi_1 = 0: span(e_1) is invariant under both.
     a = Matrix([[F(37, 6), 0], [1, F(13, 6)]])
     astar = Matrix([[F(101, 10), 0], [0, F(29, 10)]])
-    assert not check_irreducible(a, astar)
+    spaces_a = _eigenspaces(a, (F(37, 6), F(13, 6)))
+    spaces_astar = _eigenspaces(astar, (F(101, 10), F(29, 10)))
+    assert not check_irreducible(a, astar, spaces_a, spaces_astar)
 
 
 def test_identity_pair_reducible():
     ident = Matrix.identity(2)
-    assert not check_irreducible(ident, ident)
+    whole = _eigenspaces(ident, (F(1),))
+    assert not check_irreducible(ident, ident, whole, whole)
 
 
-def test_rational_eigenvalues():
-    m = Matrix([[F(37, 6), 0], [1, F(13, 6)]])
-    assert rational_eigenvalues(m) == [F(13, 6), F(37, 6)]
-    assert rational_eigenvalues(Matrix.identity(3)) == [F(1)]
-    assert rational_eigenvalues(Matrix.zero(2)) == [F(0)]
+def test_build_model_rejects_a_reducible_pair():
+    # At d = 1 every nonzero phi_1 satisfies the q-Dolan/Grady relations, but
+    # phi_1 = -144/5 puts the theta*_1-eigenvector of A* on the theta_0-line
+    # of A: that joint eigenvector spans an invariant line.
+    with pytest.raises(ModelError, match="constructed pair is reducible"):
+        build_model(ParamSet(1, F(2), F(3), F(5), (F(-144, 5),)))
 
 
 def test_spectrum_graph_golden_path():

@@ -142,3 +142,27 @@ def test_import_rejects_invalid_paramset(tmp_path):
     path.write_text("2 2 2 5\nphi: 1 1\n")  # a^2 = q^2
     with pytest.raises(ParameterError):
         import_model(str(path))
+
+
+A_BLOCK = "A:\n2 2\n1 0\n0 1\n"
+ASTAR_BLOCK = "Astar:\n2 2\n5 0\n0 7\n"
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("phi: 1\n" + A_BLOCK + ASTAR_BLOCK, 3, "A: conflicts with the phi: definition at line 2"),
+        (A_BLOCK + ASTAR_BLOCK + "phi: 1\n", 10, "phi: conflicts with the A: definition at line 2"),
+        ("phi: 1\nphi: 2\n", 3, "phi: conflicts with the phi: definition at line 2"),
+        (A_BLOCK + ASTAR_BLOCK + A_BLOCK, 10, "A: conflicts with the A: definition at line 2"),
+        (A_BLOCK + ASTAR_BLOCK + ASTAR_BLOCK, 10, "Astar: conflicts with the Astar: definition at line 6"),
+    ],
+    ids=["phi-then-blocks", "blocks-then-phi", "two-phi", "two-A", "two-Astar"],
+)
+def test_import_rejects_a_second_definition(tmp_path, body, line, message):
+    path = tmp_path / "conflict.model"
+    path.write_text("1 2 3 5\n" + body)
+    with pytest.raises(ModelIOError) as err:
+        import_model(str(path))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"{path}:{line}: {message}")

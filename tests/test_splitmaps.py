@@ -24,11 +24,15 @@ from qonsager.splitmaps import (
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
 
 
+def _spectra(model):
+    return LadderSpectra(model.d, model.params.q)
+
+
 @pytest.fixture(scope="module")
 def golden():
     model = build_model(GOLDEN)
     lus = build_H(model)
-    s = build_MN(model, build_split_maps(model))
+    s = build_MN(model, build_split_maps(model), _spectra(model))
     return model, lus, s
 
 
@@ -37,7 +41,7 @@ def d2():
     phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
     lus = build_H(model)
-    s = build_MN(model, build_split_maps(model))
+    s = build_MN(model, build_split_maps(model), _spectra(model))
     return model, lus, s
 
 
@@ -158,7 +162,7 @@ def test_R_ladder_golden_values(golden):
 
 def test_R_ladder(golden, d2):
     for model, _, s in (golden, d2):
-        ok, failures = check_R_ladder(model, s)
+        ok, failures = check_R_ladder(model, s, _spectra(model))
         assert ok, [name for name, _ in failures]
 
 
@@ -199,13 +203,13 @@ def test_R_ladder_negative_control_perturbs_K(golden, d2):
         for i, j, c in ((0, n - 1, 1), (0, 1, -2), (n - 1, 0, F(1, 3)), (1, 0, 5)):
             shear = _shear(n, i, j, c)
             perturbed = replace(s, K=shear * s.K * shear.inverse())
-            ok, failures = check_R_ladder(model, perturbed)
+            ok, failures = check_R_ladder(model, perturbed, _spectra(model))
             assert [name for name, _ in failures] == _projector_R_ladder_failures(model, perturbed)
             assert all(not resid.is_zero() for _, resid in failures)
             if i == 0:
                 assert not ok, (model.d, i, j, c)
             names.update(name for name, _ in failures)
-        ok, failures = check_R_ladder(model, s, LadderSpectra(model.d, model.params.q))
+        ok, failures = check_R_ladder(model, s, _spectra(model))
         assert ok and _projector_R_ladder_failures(model, s) == []
     assert {"R U_0 inside U_1", "R kills the top part"} <= names
 
@@ -213,7 +217,7 @@ def test_R_ladder_negative_control_perturbs_K(golden, d2):
 def test_R_ladder_K_off_the_ladder_raises(golden):
     model, _, s = golden
     with pytest.raises(ModelError):
-        check_R_ladder(model, replace(s, K=s.K.scale(3)))
+        check_R_ladder(model, replace(s, K=s.K.scale(3)), _spectra(model))
 
 
 def test_build_MN_golden_values(golden):
@@ -250,4 +254,4 @@ def test_build_MN_rejects_a_one():
     object.__setattr__(bad_params, "phi", (F(1),))
     bad_model = dc_replace(model, params=bad_params)
     with pytest.raises(ParameterError):
-        build_MN(bad_model, s)
+        build_MN(bad_model, s, _spectra(model))

@@ -56,6 +56,7 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (splitmaps, "build_MN"),
             (splitmaps, "eigenspace_decomposition"),
             (model, "lagrange_projectors"),
+            (model, "check_irreducible"),
         )
     }
     report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), suite.SUITE_NAMES)
@@ -67,6 +68,8 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     assert len(calls["eigenspace_decomposition"]) <= 16
     # Both come from build_model; split.R_ladder uses K's eigenspaces.
     assert len(calls["lagrange_projectors"]) == 2
+    # build_model rejects a reducible pair; model.irreducible reads its verdict.
+    assert len(calls["check_irreducible"]) == 1
 
 
 def test_a_raising_structure_is_an_error_and_the_batch_goes_on(tmp_path, capsys):
@@ -132,3 +135,43 @@ def test_a_malformed_model_file_is_a_load_failure_and_the_batch_goes_on(tmp_path
     assert loads[0]["residual"] == f"{bad}:3: expected 4 entries, got 2"
     assert str(missing) in loads[1]["residual"]
     assert len(records) == 2 + 27
+
+
+REDUCIBLE_PAIR = "1 2 3 5\nA:\n2 2\n37/6 0\n1 13/6\nAstar:\n2 2\n101/10 -144/5\n0 29/10\n"
+
+
+def test_an_imported_reducible_pair_fails_model_irreducible(tmp_path, capsys):
+    # phi_1 = -144/5 passes the q-Dolan/Grady relations at d = 1, but the
+    # theta*_1-eigenvector of A* is the theta_0-eigenvector of A.
+    path = tmp_path / "reducible.model"
+    path.write_text(REDUCIBLE_PAIR)
+    out = tmp_path / "report.jsonl"
+    code = main(["verify", "--file", str(path), "--suite", "model", "--output", str(out), "--quiet"])
+    assert code == 1
+    records = {r["check"]: r for r in map(json.loads, out.read_text(encoding="utf-8").splitlines())}
+    assert records["model.irreducible"]["status"] == "fail"
+    assert records["model.qdg"]["status"] == "pass"
+    assert [c for c, r in records.items() if r["status"] != "pass"] == ["model.irreducible"]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1 2 3 5\nphi: 1\nA:\n2 2\n1 0\n0 1\nAstar:\n2 2\n5 0\n0 7\n",
+        "1 2 3 5\nphi: 1\nphi: 2\n",
+    ],
+    ids=["phi-and-blocks", "two-phi"],
+)
+def test_a_model_file_with_two_definitions_is_a_load_failure(tmp_path, capsys, body):
+    path = tmp_path / "conflict.model"
+    path.write_text(body)
+    out = tmp_path / "report.jsonl"
+    args = ["--file", str(path), "--d", "1", "--q", "2", "--a", "3", "--b", "5", "--phi", "1"]
+    assert main(["verify", *args, "--output", str(out), "--quiet"]) == 1
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    conflict = [r for r in records if r["target"] == str(path)]
+    assert [(r["check"], r["status"]) for r in conflict] == [("target.load", "fail")]
+    assert conflict[0]["residual"].startswith(f"{path}:3: ")
+    assert len(records) == 1 + 27
+    assert main(["import", str(path)]) == 2
+    assert f"{path}:3: " in capsys.readouterr().err
