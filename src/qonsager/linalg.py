@@ -24,7 +24,7 @@ reference counting, without waiting for the cycle collector.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul
 from weakref import ref
@@ -288,6 +288,10 @@ class Matrix:
         object.__setattr__(self, "_inverse", inv)
         return inv
 
+    def cached_inverse(self) -> "Matrix | None":
+        """The inverse if `inverse()` has computed it and it is still alive, else None; computes nothing."""
+        return _memo(self._inverse)
+
     def rank(self) -> int:
         return len(_gauss_jordan([list(r) for r in self.numerators], self.cols))
 
@@ -509,12 +513,13 @@ class Decomposition:
     """An ordered tuple of d+1 nonzero subspaces whose direct sum is the ambient space.
 
     The parts never change, so the inversion (the parts in reverse order) is
-    built once and keeps this decomposition as its own inversion, and `flag`
-    keeps the ascending partial sums on the instance; the descending ones are
-    those of the inversion.
+    built once and keeps this decomposition as its own inversion, `flag`
+    keeps the ascending partial sums on the instance (the descending ones are
+    those of the inversion), and the basis matrix P is built once. E_i is
+    the projector onto the i-th part along the others.
     """
 
-    __slots__ = ("parts", "_inversion", "_ascending", "__weakref__")
+    __slots__ = ("parts", "_inversion", "_ascending", "_basis", "__weakref__")
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -540,6 +545,7 @@ class Decomposition:
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_inversion", None)
         object.__setattr__(self, "_ascending", None)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Decomposition is immutable")
@@ -572,6 +578,43 @@ class Decomposition:
             object.__setattr__(inverted, "_inversion", ref(self))
             object.__setattr__(self, "_inversion", inverted)
         return inverted
+
+    def basis_matrix(self) -> Matrix:
+        """P: the integer numerators of the parts' stored basis rows, as columns in part order.
+
+        Scaling columns changes neither P D P^-1 for D constant on each part
+        nor which blocks of P^-1 X P are zero.
+        """
+        if self._basis is None:
+            columns = chain.from_iterable(part.numerators for part in self.parts)
+            object.__setattr__(self, "_basis", Matrix(list(zip(*columns)), 1))
+        return self._basis
+
+    def diagonal_map(self, values) -> Matrix:
+        """P diag P^-1: the map acting as values[i] on the i-th part."""
+        values = [Fraction(v) for v in values]
+        if len(values) != len(self.parts):
+            raise ShapeError(f"{len(values)} values for {len(self.parts)} parts")
+        den = lcm(*(v.denominator for v in values))
+        scales = [v.numerator * (den // v.denominator) for part, v in zip(self.parts, values) for _ in part.numerators]
+        p = self.basis_matrix()
+        scaled = Matrix([[e * s for e, s in zip(row, scales)] for row in p.numerators], p.denominator * den)
+        return scaled * p.inverse()
+
+    def projector(self, indices) -> Matrix:
+        """The projector onto the sum of the parts at `indices`, along the other parts."""
+        return self.diagonal_map([int(i in indices) for i in range(len(self.parts))])
+
+    def block_form(self, x: Matrix) -> Matrix:
+        """P^-1 X P: its block (i, j) is zero exactly when E_i X E_j = 0."""
+        p = self.basis_matrix()
+        return p.inverse() * x * p
+
+    def block_is_zero(self, y: Matrix, i: int, j: int) -> bool:
+        """Whether block (i, j) of y, the rows of part i by the columns of part j, is zero."""
+        start = list(accumulate((part.rank for part in self.parts), initial=0))
+        rows, cols = range(start[i], start[i + 1]), range(start[j], start[j + 1])
+        return not any(y.numerators[r][c] for r in rows for c in cols)
 
 
 def flag(dec: Decomposition, i: int, direction: str = "ascending") -> Subspace:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Decomposition, Matrix, commutator, kernel, q_commutator
+from .linalg import Decomposition, Matrix, commutator, flag, kernel, q_commutator
 from .model import TDModel
 from .scalars import ParameterError, q_poch, t_coeff, t_seq
 
@@ -58,12 +58,9 @@ def build_H(model: TDModel) -> LusztigData:
     against the exact matrix inverse.
     """
     p = model.params
-    t = tuple(t_seq(i, p) for i in range(model.dim))
-    h = Matrix.zero(model.dim)
-    h_inv = Matrix.zero(model.dim)
-    for ti, proj in zip(t, model.projectors_A):
-        h = h + proj.scale(ti)
-        h_inv = h_inv + proj.scale(1 / ti)
+    t = tuple(t_seq(i, p) for i in range(p.d + 1))
+    h = model.eigenspaces_A.diagonal_map(t)
+    h_inv = model.eigenspaces_A.diagonal_map([1 / ti for ti in t])
     if h_inv != h.inverse():
         raise AssertionError("eigenvalue form of H^-1 disagrees with matrix inversion")
     return LusztigData(
@@ -92,22 +89,28 @@ def check_L_conjugation(model: TDModel, lus: LusztigData):
 def check_L_entrywise(model: TDModel, lus: LusztigData):
     """E_i L(A*) E_j = t_ij E_i A* E_j for |i-j| <= 1, both sides zero beyond.
 
+    Both sides are read as blocks in the eigenbasis of A; a product
+    E_i X E_j is formed only as the witness of a nonzero block.
     Returns (passed, failures) with failures as (i, j, residual).
     """
     failures = []
     p = model.params
-    for i in range(model.dim):
-        for j in range(model.dim):
-            lhs = model.projectors_A[i] * lus.LAstar * model.projectors_A[j]
-            rhs = model.projectors_A[i] * model.Astar * model.projectors_A[j]
+    dec = model.eigenspaces_A
+    image, star = dec.block_form(lus.LAstar), dec.block_form(model.Astar)
+
+    def witness(i, j, x):
+        failures.append((i, j, dec.projector([i]) * x * dec.projector([j])))
+
+    for i in range(p.d + 1):
+        for j in range(p.d + 1):
             if abs(i - j) <= 1:
-                resid = lhs - rhs.scale(t_coeff(i, j, p))
-            else:
-                resid = lhs if not lhs.is_zero() else rhs
-                if lhs.is_zero() and rhs.is_zero():
-                    continue
-            if not resid.is_zero():
-                failures.append((i, j, resid))
+                t = t_coeff(i, j, p)
+                if not dec.block_is_zero(image - star.scale(t), i, j):
+                    witness(i, j, lus.LAstar - model.Astar.scale(t))
+            elif not dec.block_is_zero(image, i, j):
+                witness(i, j, lus.LAstar)
+            elif not dec.block_is_zero(star, i, j):
+                witness(i, j, model.Astar)
     return not failures, failures
 
 
@@ -172,29 +175,26 @@ def expand_H(model: TDModel, r: int, variant: str = "ascending", inverse: bool =
     return out.scale(prefactor)
 
 
-def flag_projector(model: TDModel, r: int, variant: str) -> Matrix:
-    """Exact projector onto V_r+...+V_d (ascending anchor) or V_0+...+V_r (descending)."""
-    indices = range(r, model.dim) if variant == "ascending" else range(r + 1)
-    out = Matrix.zero(model.dim)
-    for i in indices:
-        out = out + model.projectors_A[i]
-    return out
-
-
 def check_H_expansions(model: TDModel, lus: LusztigData):
     """All four expansion families agree with H or H^-1 on their stated flags.
 
-    The residual (expansion - H^(+-1)) is right-multiplied by the exact flag
-    projector; a zero product is a complete proof at these dimensions.
+    The residual (expansion - H^(+-1)) must kill the flag's basis, one
+    product per residual; a zero image is a complete proof at these
+    dimensions. A failing residual's witness is the residual times the
+    exact flag projector.
     Returns (passed, failures) as (variant, inverse, r, residual).
     """
     failures = []
+    dec = model.eigenspaces_A
+    d = model.d
     for variant in ("ascending", "descending"):
         for inverse in (False, True):
             target = lus.H_inv if inverse else lus.H
-            for r in range(model.dim):
-                poly = expand_H(model, r, variant, inverse)
-                resid = (poly - target) * flag_projector(model, r, variant)
-                if not resid.is_zero():
-                    failures.append((variant, inverse, r, resid))
+            for r in range(d + 1):
+                # the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
+                parts = range(r, d + 1) if variant == "ascending" else range(r + 1)
+                space = flag(dec, d - r, "descending") if variant == "ascending" else flag(dec, r, "ascending")
+                resid = expand_H(model, r, variant, inverse) - target
+                if not space.image_under(resid).is_zero():
+                    failures.append((variant, inverse, r, resid * dec.projector(parts)))
     return not failures, failures

@@ -58,34 +58,26 @@ def check_qdg(a: Matrix, astar: Matrix, q: Fraction):
     return all(r.is_zero() for r in residuals), residuals
 
 
-def lagrange_projectors(m: Matrix, eigs) -> tuple[Matrix, ...]:
-    """Spectral projectors of a diagonalizable matrix with the given distinct eigenvalues.
+def eigenspace_decomposition(m: Matrix, eigs) -> Decomposition:
+    """Decomposition of the ambient space into kernels of (m - eig I).
 
-    E_i = prod_(j != i) (m - eig_j I)/(eig_i - eig_j). Raises ModelError unless
-    (m - eig_i I) E_i = 0 and E_i != 0 for every i, which together certify that
-    m is diagonalizable with spectrum exactly the given list.
+    Raises ModelError unless the kernels are nonzero and fill the space, i.e.
+    m is diagonalizable with exactly the given eigenvalues.
     """
-    eigs = [Fraction(e) for e in eigs]
-    if len(set(eigs)) != len(eigs):
-        raise ParameterError("projector eigenvalues must be pairwise distinct")
-    n = m.rows
-    ident = Matrix.identity(n)
-    projectors = []
-    for i, ei in enumerate(eigs):
-        proj = ident
-        for j, ej in enumerate(eigs):
-            if j != i:
-                proj = (proj * (m - ident.scale(ej))).scale(1 / (ei - ej))
-        if proj.is_zero():
-            raise ModelError(f"eigenvalue {ei} does not occur in the spectrum")
-        resid = (m - ident.scale(ei)) * proj
-        if not resid.is_zero():
-            raise ModelError(
-                f"matrix is not diagonalizable with the stated spectrum at {ei}",
-                resid,
-            )
-        projectors.append(proj)
-    return tuple(projectors)
+    ident = Matrix.identity(m.rows)
+    parts = []
+    total = 0
+    for e in eigs:
+        space = kernel(m - ident.scale(Fraction(e)))
+        if space.is_zero():
+            raise ModelError(f"eigenvalue {e} has no eigenvector")
+        total += space.rank
+        parts.append(space)
+    if total != m.rows:
+        raise ModelError(
+            f"eigenspace dimensions sum to {total} != {m.rows}; not diagonalizable on this list"
+        )
+    return Decomposition(parts)
 
 
 @dataclass(frozen=True)
@@ -102,8 +94,6 @@ class TDModel:
     Astar: Matrix
     theta: tuple[Fraction, ...]
     theta_star: tuple[Fraction, ...]
-    projectors_A: tuple[Matrix, ...]
-    projectors_Astar: tuple[Matrix, ...]
     constructed: bool = True
 
     @property
@@ -116,17 +106,16 @@ class TDModel:
 
     @cached_property
     def eigenspaces_A(self) -> Decomposition:
-        ident = Matrix.identity(self.dim)
-        return Decomposition(
-            [kernel(self.A - ident.scale(th)) for th in self.theta]
-        )
+        return eigenspace_decomposition(self.A, self.theta)
 
     @cached_property
     def eigenspaces_Astar(self) -> Decomposition:
-        ident = Matrix.identity(self.dim)
-        return Decomposition(
-            [kernel(self.Astar - ident.scale(th)) for th in self.theta_star]
-        )
+        return eigenspace_decomposition(self.Astar, self.theta_star)
+
+    @cached_property
+    def tridiagonal_action(self):
+        """The `check_tridiagonal_action` verdict: (passed, failures)."""
+        return check_tridiagonal_action(self)
 
     @cached_property
     def irreducible(self) -> bool:
@@ -167,16 +156,8 @@ def build_model(p: ParamSet) -> TDModel:
             residuals[which - 1],
         )
 
-    model = TDModel(
-        params=p,
-        A=a,
-        Astar=astar,
-        theta=thetas,
-        theta_star=theta_stars,
-        projectors_A=lagrange_projectors(a, thetas),
-        projectors_Astar=lagrange_projectors(astar, theta_stars),
-    )
-    ok, failures = check_tridiagonal_action(model)
+    model = TDModel(params=p, A=a, Astar=astar, theta=thetas, theta_star=theta_stars)
+    ok, failures = model.tridiagonal_action
     if not ok:
         side, i, j, resid = failures[0]
         raise ModelError(f"tridiagonal action violated at {side} ({i},{j})", resid)
@@ -188,43 +169,40 @@ def build_model(p: ParamSet) -> TDModel:
 def assemble_imported(p: ParamSet, a: Matrix, astar: Matrix) -> TDModel:
     """Wrap an imported (A, A*) pair with the spectra implied by the header.
 
-    The pair is only bundled, never reshaped; projector construction fails if
-    either matrix is not diagonalizable with the stated q-Racah spectrum.
+    The pair is only bundled, never reshaped. Raises ModelError unless both
+    matrices are diagonalizable with the stated q-Racah spectra.
     """
     n = p.d + 1
     if a.rows != n or a.cols != n or astar.rows != n or astar.cols != n:
         raise ShapeError(f"imported matrices must be {n}x{n} for d={p.d}")
     thetas = tuple(theta(i, p) for i in range(n))
     theta_stars = tuple(theta_star(i, p) for i in range(n))
-    return TDModel(
-        params=p,
-        A=a,
-        Astar=astar,
-        theta=thetas,
-        theta_star=theta_stars,
-        projectors_A=lagrange_projectors(a, thetas),
-        projectors_Astar=lagrange_projectors(astar, theta_stars),
-        constructed=False,
-    )
+    model = TDModel(params=p, A=a, Astar=astar, theta=thetas, theta_star=theta_stars, constructed=False)
+    # Each decomposition raises ModelError unless its matrix is diagonalizable
+    # on the header's spectrum; the checks then share them.
+    model.eigenspaces_A
+    model.eigenspaces_Astar
+    return model
 
 
 def check_tridiagonal_action(model: TDModel):
     """E_i A* E_j = 0 and E*_i A E*_j = 0 whenever |i - j| > 1.
 
+    Each product is read as a block of A* (or A) in the eigenbasis of A (or
+    A*); the product itself is formed only as the witness of a nonzero block.
     Returns (passed, failures) with failures as (side, i, j, residual).
     """
+    sides = [("E_i A* E_j", model.eigenspaces_A, model.Astar), ("E*_i A E*_j", model.eigenspaces_Astar, model.A)]
+    forms = [dec.block_form(x) for _, dec, x in sides]
     failures = []
-    n = model.dim
+    n = model.d + 1
     for i in range(n):
         for j in range(n):
             if abs(i - j) <= 1:
                 continue
-            left = model.projectors_A[i] * model.Astar * model.projectors_A[j]
-            if not left.is_zero():
-                failures.append(("E_i A* E_j", i, j, left))
-            right = model.projectors_Astar[i] * model.A * model.projectors_Astar[j]
-            if not right.is_zero():
-                failures.append(("E*_i A E*_j", i, j, right))
+            for (side, dec, x), y in zip(sides, forms):
+                if not dec.block_is_zero(y, i, j):
+                    failures.append((side, i, j, dec.projector([i]) * x * dec.projector([j])))
     return not failures, failures
 
 

@@ -15,12 +15,11 @@ from .linalg import (
     Decomposition,
     Matrix,
     flag,
-    kernel,
     qweyl_bracket,
     subspace_intersect,
 )
 from .lusztig import LusztigData
-from .model import ModelError, TDModel
+from .model import ModelError, TDModel, eigenspace_decomposition
 from .scalars import ParameterError
 
 
@@ -29,36 +28,15 @@ def qweyl_eigenvalues(d: int, q: Fraction) -> tuple[Fraction, ...]:
     return tuple(q ** (d - 2 * i) for i in range(d + 1))
 
 
-def eigenspace_decomposition(m: Matrix, eigs) -> Decomposition:
-    """Decomposition of the ambient space into kernels of (m - eig I).
-
-    Raises ModelError unless the kernels are nonzero and fill the space, i.e.
-    m is diagonalizable with exactly the given eigenvalues.
-    """
-    ident = Matrix.identity(m.rows)
-    parts = []
-    total = 0
-    for e in eigs:
-        space = kernel(m - ident.scale(Fraction(e)))
-        if space.is_zero():
-            raise ModelError(f"eigenvalue {e} has no eigenvector")
-        total += space.rank
-        parts.append(space)
-    if total != m.rows:
-        raise ModelError(
-            f"eigenspace dimensions sum to {total} != {m.rows}; not diagonalizable on this list"
-        )
-    return Decomposition(parts)
-
-
 class LadderSpectra:
     """Eigenspace decompositions over the q-ladder q^d, ..., q^-d, one per distinct matrix.
 
     A matrix is looked up by its structural hash, so equal matrices built
     separately share one decomposition. The ladder is closed under
-    lam -> lam^-1 and ker(m^-1 - lam^-1 I) = ker(m - lam I), so decomposing m
-    also gives the decomposition of m^-1: the inversion of m's. A matrix that
-    is not diagonalizable on the ladder raises ModelError on every lookup.
+    lam -> lam^-1 and ker(m^-1 - lam^-1 I) = ker(m - lam I), so a matrix
+    whose inverse has already been computed and decomposed gets the
+    inversion of that decomposition; no inverse is computed here. A matrix
+    that is not diagonalizable on the ladder raises ModelError on every lookup.
     """
 
     def __init__(self, d: int, q: Fraction):
@@ -68,8 +46,10 @@ class LadderSpectra:
     def decomposition(self, m: Matrix) -> Decomposition:
         dec = self._decompositions.get(m)
         if dec is None:
-            dec = self._decompositions[m] = eigenspace_decomposition(m, self.eigenvalues)
-            self._decompositions[m.inverse()] = dec.inversion()
+            inverse = m.cached_inverse()
+            known = None if inverse is None else self._decompositions.get(inverse)
+            dec = known.inversion() if known is not None else eigenspace_decomposition(m, self.eigenvalues)
+            self._decompositions[m] = dec
         return dec
 
 
@@ -114,17 +94,8 @@ def split_from_decompositions(
 
 
 def map_from_decomposition(dec: Decomposition, q: Fraction) -> Matrix:
-    """The unique map acting as q^(d-2i) on the i-th part, via change of basis."""
-    d = len(dec) - 1
-    eigs = qweyl_eigenvalues(d, Fraction(q))
-    columns = []
-    diag = []
-    for i, part in enumerate(dec.parts):
-        for vec in part.basis:
-            columns.append(vec)
-            diag.append(eigs[i])
-    basis = Matrix(columns).transpose()
-    return basis * Matrix.diagonal(diag) * basis.inverse()
+    """The unique map acting as q^(d-2i) on the i-th part."""
+    return dec.diagonal_map(qweyl_eigenvalues(len(dec) - 1, Fraction(q)))
 
 
 @dataclass(frozen=True)

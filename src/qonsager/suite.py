@@ -19,7 +19,6 @@ from .model import (
     TDModel,
     build_model,
     check_qdg,
-    check_tridiagonal_action,
     recover_a,
     solve_phi,
     spectrum_graph,
@@ -136,11 +135,12 @@ def load_config(path: str) -> SuiteConfig:
         raise ConfigError(f"{path}: config must be an object with a 'targets' list")
     _reject_unknown_keys(path, data, CONFIG_KEYS)
     targets = [_target_from_spec(t, i) for i, t in enumerate(data["targets"])]
-    return SuiteConfig(
-        targets=targets,
-        suites=tuple(data.get("suites", ["all"])),
-        output=data.get("output"),
-    )
+    suites, output = data.get("suites", ["all"]), data.get("output")
+    if not isinstance(suites, list) or not all(isinstance(name, str) for name in suites):
+        raise ConfigError(f"{path}: 'suites' must be a list of suite names, got {suites!r}")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"{path}: 'output' must be a string, got {output!r}")
+    return SuiteConfig(targets=targets, suites=tuple(suites), output=output)
 
 
 def _first_witness(failures):
@@ -346,7 +346,7 @@ def _run_model(ctx: TargetContext, report: Report) -> None:
     report.run(
         "model.tridiagonal",
         "E_i A* E_j = 0 and E*_i A E*_j = 0 for |i-j| > 1",
-        _check(lambda: check_tridiagonal_action(model)),
+        _check(lambda: model.tridiagonal_action),
     )
     report.run(
         "model.irreducible",

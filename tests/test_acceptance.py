@@ -14,7 +14,7 @@ import pytest
 
 from qonsager import equitable, lusztig, splitmaps
 from qonsager.linalg import Matrix
-from qonsager.model import build_model, check_qdg, solve_phi
+from qonsager.model import build_model, check_qdg, eigenspace_decomposition, solve_phi
 from qonsager.scalars import ParameterError, ParamSet, check_chu_vandermonde
 from qonsager.suite import SuiteConfig, all_passed, make_param_target, run_suite
 
@@ -152,7 +152,7 @@ def test_criterion_8_equitable_triples(grid_structures):
         ok = ok and passed
         eigs = splitmaps.qweyl_eigenvalues(model.d, model.params.q)
         for mat in (s.M, s.N, s.Mdown, s.Ndown):
-            dec = splitmaps.eigenspace_decomposition(mat, eigs)  # raises if not diagonalizable
+            dec = eigenspace_decomposition(mat, eigs)  # raises if not diagonalizable
             ok = ok and len(dec) == model.dim
     _report(8, "all eight table rows and the q-ladder diagonalizability over G", ok)
 
@@ -181,7 +181,7 @@ def test_criterion_10_negative_controls_and_runtime():
     from qonsager.model import check_irreducible
 
     degenerate_star = Matrix([[F(101, 10), 0], [0, F(29, 10)]])
-    star_spaces = splitmaps.eigenspace_decomposition(degenerate_star, golden.theta_star)
+    star_spaces = eigenspace_decomposition(degenerate_star, golden.theta_star)
     controls["phi=0 pair reducible"] = not check_irreducible(
         golden.A, degenerate_star, golden.eigenspaces_A, star_spaces
     )

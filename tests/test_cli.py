@@ -102,10 +102,16 @@ def test_verify_file_target_wrong_spectrum(capsys, tmp_path):
         "A:\n2 2\n37/6 0\n1 13/6\n"
         "Astar:\n2 2\n10 1\n0 29/10\n"
     )
-    code = main(["verify", "--file", str(model_path), "--suite", "model", "--quiet"])
+    out = tmp_path / "report.jsonl"
+    code = main(["verify", "--file", str(model_path), "--suite", "model", "--output", str(out), "--quiet"])
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL" in captured.out
+    (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert (record["check"], record["status"]) == ("target.load", "fail")
+    assert record["detail"] == "model file semantic validation"
+    # theta*_0 = 101/10 is not an eigenvalue of this A*.
+    assert record["residual"] == "eigenvalue 101/10 has no eigenvector"
 
 
 def test_verify_reports_are_deterministic(tmp_path):
@@ -213,6 +219,29 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     assert main(["verify", "--config", str(path), "--quiet"]) == 2
     captured = capsys.readouterr()
     assert "unknown key 'suite'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        pytest.param({"output": 1}, "'output' must be a string, got 1", id="output-int"),
+        pytest.param({"output": ["r.jsonl"]}, "'output' must be a string, got ['r.jsonl']", id="output-list"),
+        pytest.param({"suites": "scalars"}, "'suites' must be a list of suite names, got 'scalars'", id="suites-str"),
+        pytest.param({"suites": ["scalars", 1]}, "'suites' must be a list of suite names, got ['scalars', 1]", id="suites-int"),
+        pytest.param({"suites": None}, "'suites' must be a list of suite names, got None", id="suites-null"),
+    ],
+)
+def test_load_config_rejects_mistyped_value(tmp_path, fields, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(_write_config(tmp_path, **fields)))
+
+
+def test_suites_as_a_string_exits_2_naming_the_key(capsys, tmp_path):
+    path = _write_config(tmp_path, suites="scalars")
+    assert main(["verify", "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert "'suites' must be a list of suite names" in captured.err
     assert captured.out == ""
 
 

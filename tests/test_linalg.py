@@ -23,6 +23,8 @@ from qonsager.linalg import (
 )
 from qonsager.scalars import q_int
 
+from projector_reference import lagrange_projectors
+
 
 def rand_matrix(n, rng, span=6):
     return Matrix(
@@ -94,6 +96,55 @@ def test_inverse_is_memoized_and_its_inverse_is_the_matrix():
         # An equal matrix built separately computes an equal inverse of its own.
         twin = Matrix(m.numerators, m.denominator)
         assert twin.inverse() == inv and twin.inverse() is not inv
+
+
+def test_cached_inverse_reads_the_memo_and_computes_nothing():
+    m = Matrix([[2, 1], [1, 1]])
+    assert m.cached_inverse() is None and m.cached_inverse() is None
+    inv = m.inverse()
+    assert m.cached_inverse() is inv and inv.cached_inverse() is m
+    assert Matrix([[2, 1], [1, 1]]).cached_inverse() is None
+
+
+def _random_decomposition(rng, ranks):
+    """Parts spanned by consecutive columns of a random invertible integer matrix P."""
+    n = sum(ranks)
+    while True:
+        p = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if p.rank() == n:
+            break
+    columns = list(zip(*p.numerators))
+    starts = [sum(ranks[:i]) for i in range(len(ranks) + 1)]
+    parts = [Subspace.from_vectors(n, columns[a:b]) for a, b in zip(starts, starts[1:])]
+    return Decomposition(parts), p
+
+
+def test_block_form_reads_the_projector_products():
+    """Block (i, j) of P^-1 X P is zero exactly when E_i X E_j = 0, on parts of any rank."""
+    rng = random.Random(29)
+    zero_blocks = set()
+    for ranks in ((1, 1, 1), (1, 2, 1), (2, 1, 3), (3,)):
+        dec, p = _random_decomposition(rng, ranks)
+        n, eigs = sum(ranks), list(range(1, len(ranks) + 1))
+        spectral = p * Matrix.diagonal([e for e, r in zip(eigs, ranks) for _ in range(r)]) * p.inverse()
+        projectors = lagrange_projectors(spectral, eigs)
+        assert dec.diagonal_map(eigs) == spectral
+        assert tuple(dec.projector([i]) for i in range(len(ranks))) == projectors
+        assert dec.projector(range(len(ranks))) == Matrix.identity(n)
+        for _ in range(4):
+            # X = P B P^-1 with random zero blocks in B
+            keep = {(i, j): rng.random() < 0.5 for i in range(len(ranks)) for j in range(len(ranks))}
+            part_of = [i for i, r in enumerate(ranks) for _ in range(r)]
+            b = [[rng.randint(-4, 4) if keep[part_of[r], part_of[c]] else 0 for c in range(n)] for r in range(n)]
+            x = p * Matrix(b) * p.inverse()
+            y = dec.block_form(x)
+            for (i, j) in keep:
+                got = dec.block_is_zero(y, i, j)
+                assert got == (projectors[i] * x * projectors[j]).is_zero(), (ranks, i, j)
+                zero_blocks.add(got)
+    assert zero_blocks == {True, False}
+    with pytest.raises(ShapeError):
+        dec.diagonal_map([1, 2])
 
 
 def test_memoized_inverse_and_inversion_form_no_reference_cycle():

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +12,16 @@ from qonsager.lusztig import (
     check_L_eigenstructure,
     check_L_entrywise,
     expand_H,
-    flag_projector,
     lusztig_image,
 )
 from qonsager.model import build_model, solve_phi
-from qonsager.scalars import ParamSet
+from qonsager.modelio import import_model
+from qonsager.scalars import ParamSet, t_coeff
+
+from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
+TWISTED = Path(__file__).resolve().parent / "golden" / "twisted_d2.model"
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +70,7 @@ def test_conjugation_identities(golden, d2):
 def test_conjugation_detects_perturbed_t(golden):
     model, lus = golden
     # Doubling t_1 inside H breaks the conjugation identity.
-    bad_h = model.projectors_A[0] + model.projectors_A[1].scale(18)
+    bad_h = model.eigenspaces_A.diagonal_map([1, 18])
     broken = type(lus)(
         model=model,
         H=bad_h,
@@ -128,7 +133,7 @@ def test_expand_H_single_term_at_top(golden):
     d = model.d
     poly = expand_H(model, d, "ascending", inverse=False)
     assert poly == Matrix.identity(model.dim).scale(lus.t[d])
-    resid = (poly - lus.H) * flag_projector(model, d, "ascending")
+    resid = (poly - lus.H) * model.eigenspaces_A.projector([d])
     assert resid.is_zero()
 
 
@@ -159,3 +164,67 @@ def test_inverse_twist_of_twisted_image_returns_Astar(golden, d2):
         y = lus.LAstar
         back = y + commutator(model.A, q_commutator(model.A, y, 1 / q)).scale(1 / denom)
         assert back == model.Astar
+
+
+def _projector_entrywise_failures(model, lus):
+    """Reference: the failures of the entrywise check formed with Lagrange projectors."""
+    e = lagrange_projectors(model.A, model.theta)
+    failures = []
+    for i in range(model.d + 1):
+        for j in range(model.d + 1):
+            lhs = e[i] * lus.LAstar * e[j]
+            rhs = e[i] * model.Astar * e[j]
+            if abs(i - j) <= 1:
+                resid = lhs - rhs.scale(t_coeff(i, j, model.params))
+            else:
+                resid = lhs if not lhs.is_zero() else rhs
+            if not resid.is_zero():
+                failures.append((i, j, resid))
+    return failures
+
+
+def _projector_expansion_failures(model, lus):
+    """Reference: the failures of the expansion check, residuals times sums of Lagrange projectors."""
+    e = lagrange_projectors(model.A, model.theta)
+    d = model.d
+    failures = []
+    for variant in ("ascending", "descending"):
+        for inverse in (False, True):
+            target = lus.H_inv if inverse else lus.H
+            for r in range(d + 1):
+                indices = range(r, d + 1) if variant == "ascending" else range(r + 1)
+                flag_proj = Matrix.zero(model.dim)
+                for i in indices:
+                    flag_proj = flag_proj + e[i]
+                resid = (expand_H(model, r, variant, inverse) - target) * flag_proj
+                if not resid.is_zero():
+                    failures.append((variant, inverse, r, resid))
+    return failures
+
+
+def test_entrywise_witnesses_match_the_projector_reference(golden, d2):
+    twisted = import_model(str(TWISTED))
+    lus = build_H(twisted)
+    ok, failures = check_L_entrywise(twisted, lus)
+    assert not ok and failures
+    assert failures == _projector_entrywise_failures(twisted, lus)
+    for model, lus in (golden, d2):
+        assert check_L_entrywise(model, lus) == (True, []) == (True, _projector_entrywise_failures(model, lus))
+
+
+def test_expansion_witnesses_match_the_projector_reference(golden, d2):
+    # Doubling t_1 inside H breaks every expansion whose flag contains V_1.
+    for model, lus in (golden, d2):
+        t = list(lus.t)
+        t[1] *= 2
+        bad_h = model.eigenspaces_A.diagonal_map(t)
+        broken = replace(lus, H=bad_h, H_inv=bad_h.inverse(), t=tuple(t))
+        ok, failures = check_H_expansions(model, broken)
+        assert not ok
+        assert {(variant, r) for variant, inverse, r, _ in failures} == (
+            {("ascending", r) for r in range(2)} | {("descending", r) for r in range(1, model.d + 1)}
+        )
+        assert failures == _projector_expansion_failures(model, broken)
+    twisted = import_model(str(TWISTED))
+    lus = build_H(twisted)
+    assert check_H_expansions(twisted, lus) == (True, []) == (True, _projector_expansion_failures(twisted, lus))

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +15,13 @@ from qonsager.model import (
     solve_phi,
     spectrum_graph,
 )
+from qonsager.modelio import import_model
 from qonsager.scalars import ParameterError, ParamSet, theta
 
+from projector_reference import lagrange_projectors
+
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
+TWISTED = Path(__file__).resolve().parent / "golden" / "twisted_d2.model"
 
 
 @pytest.fixture(scope="module")
@@ -36,35 +41,37 @@ def test_build_model_golden_matrices(golden_model):
 
 
 def test_build_model_golden_projectors(golden_model):
-    assert golden_model.projectors_A[0] == Matrix([[1, 0], [F(1, 4), 0]])
-    assert golden_model.projectors_A[1] == Matrix([[0, 0], [F(-1, 4), 1]])
+    expected = (Matrix([[1, 0], [F(1, 4), 0]]), Matrix([[0, 0], [F(-1, 4), 1]]))
+    assert tuple(golden_model.eigenspaces_A.projector([i]) for i in range(2)) == expected
+    assert lagrange_projectors(golden_model.A, golden_model.theta) == expected
 
 
 def test_projector_laws(golden_model, d2_model):
+    # E_i E_j = delta_ij E_i, sum E_i = I, X E_i = theta_i E_i, and each E_i
+    # is the Lagrange projector of the reference.
     for model in (golden_model, d2_model):
         n = model.dim
-        ident = Matrix.identity(n)
-        for projs, mat, eigs in (
-            (model.projectors_A, model.A, model.theta),
-            (model.projectors_Astar, model.Astar, model.theta_star),
+        for dec, mat, eigs in (
+            (model.eigenspaces_A, model.A, model.theta),
+            (model.eigenspaces_Astar, model.Astar, model.theta_star),
         ):
+            projs = [dec.projector([i]) for i in range(len(dec))]
+            assert tuple(projs) == lagrange_projectors(mat, eigs)
             total = Matrix.zero(n)
             for i, pi in enumerate(projs):
                 total = total + pi
                 assert mat * pi == pi.scale(eigs[i])
                 for j, pj in enumerate(projs):
-                    product = pi * pj
-                    assert product == (pi if i == j else Matrix.zero(n))
-            assert total == ident
+                    assert pi * pj == (pi if i == j else Matrix.zero(n))
+            assert total == Matrix.identity(n)
+            assert dec.diagonal_map(eigs) == mat
 
 
 def test_generated_eigenspaces_are_lines(golden_model, d2_model):
-    # Generated models have shape (1, ..., 1): every projector has rank 1.
-    from qonsager.linalg import column_space
-
+    # Generated models have shape (1, ..., 1): every eigenspace is a line.
     for model in (golden_model, d2_model):
-        for proj in model.projectors_A + model.projectors_Astar:
-            assert column_space(proj).rank == 1
+        for dec in (model.eigenspaces_A, model.eigenspaces_Astar):
+            assert [part.rank for part in dec.parts] == [1] * model.dim
 
 
 def test_check_qdg_golden_passes(golden_model):
@@ -117,12 +124,41 @@ def test_tridiagonal_action_d2(d2_model):
     assert ok
 
 
+def _projector_tridiagonal_failures(model):
+    """Reference: the failures of the tridiagonality check formed with Lagrange projectors."""
+    e = lagrange_projectors(model.A, model.theta)
+    e_star = lagrange_projectors(model.Astar, model.theta_star)
+    failures = []
+    n = model.d + 1
+    for i in range(n):
+        for j in range(n):
+            if abs(i - j) > 1:
+                for side, proj, x in (("E_i A* E_j", e, model.Astar), ("E*_i A E*_j", e_star, model.A)):
+                    resid = proj[i] * x * proj[j]
+                    if not resid.is_zero():
+                        failures.append((side, i, j, resid))
+    return failures
+
+
 def test_tridiagonal_action_dense_star_fails(d2_model):
-    dense = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    # P diag(theta*) P^-1 has the theta* spectrum but is not tridiagonal
+    # with respect to A.
+    p = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    dense = p * Matrix.diagonal(d2_model.theta_star) * p.inverse()
     broken = replace(d2_model, Astar=dense)
     ok, failures = check_tridiagonal_action(broken)
     assert not ok
-    assert failures
+    assert {side for side, *_ in failures} == {"E_i A* E_j", "E*_i A E*_j"}
+    assert failures == _projector_tridiagonal_failures(broken)
+
+
+def test_tridiagonal_witnesses_match_the_projector_reference(d2_model):
+    twisted = import_model(str(TWISTED))
+    ok, failures = check_tridiagonal_action(twisted)
+    assert not ok
+    assert failures == _projector_tridiagonal_failures(twisted)
+    assert twisted.tridiagonal_action == (ok, failures)
+    assert check_tridiagonal_action(d2_model) == (True, []) == (True, _projector_tridiagonal_failures(d2_model))
 
 
 def _eigenspaces(m: Matrix, eigs) -> Decomposition:

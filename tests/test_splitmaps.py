@@ -5,7 +5,7 @@ import pytest
 
 from qonsager.linalg import Matrix, Subspace
 from qonsager.lusztig import build_H
-from qonsager.model import ModelError, build_model, lagrange_projectors, solve_phi
+from qonsager.model import ModelError, build_model, solve_phi
 from qonsager.scalars import ParameterError, ParamSet
 from qonsager.splitmaps import (
     build_MN,
@@ -20,6 +20,8 @@ from qonsager.splitmaps import (
     qweyl_eigenvalues,
     split_decomposition,
 )
+
+from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
 

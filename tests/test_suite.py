@@ -15,6 +15,7 @@ import pytest
 
 from qonsager import equitable, lusztig, model, splitmaps, suite
 from qonsager.cli import main
+from qonsager.linalg import Matrix
 from qonsager.report import Report
 
 SPLIT_ERROR = Path(__file__).resolve().parent / "data" / "split_error_d2.model"
@@ -54,21 +55,40 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (lusztig, "build_H"),
             (splitmaps, "build_split_maps"),
             (splitmaps, "build_MN"),
-            (splitmaps, "eigenspace_decomposition"),
-            (model, "lagrange_projectors"),
+            (model, "eigenspace_decomposition"),
+            (model, "check_tridiagonal_action"),
             (model, "check_irreducible"),
         )
     }
+    looking_up, ladder_inverses = [], []
+    decomposition, inverse = splitmaps.LadderSpectra.decomposition, Matrix.inverse
+
+    def counted_decomposition(self, m):
+        looking_up.append(m)
+        try:
+            return decomposition(self, m)
+        finally:
+            looking_up.pop()
+
+    def counted_inverse(self):
+        if looking_up:
+            ladder_inverses.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(splitmaps.LadderSpectra, "decomposition", counted_decomposition)
+    monkeypatch.setattr(Matrix, "inverse", counted_inverse)
     report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), suite.SUITE_NAMES)
     assert report.all_passed and len(report.checks) == 27
     for name in ("build_model", "build_H", "build_split_maps", "build_MN"):
         assert len(calls[name]) == 1, name
-    # 24 distinct matrices go through the q-ladder, in 12 matrix/inverse pairs
-    # and 4 more matrices whose inverse decomposition is derived from theirs.
-    assert len(calls["eigenspace_decomposition"]) <= 16
-    # Both come from build_model; split.R_ladder uses K's eigenspaces.
-    assert len(calls["lagrange_projectors"]) == 2
-    # build_model rejects a reducible pair; model.irreducible reads its verdict.
+    # 24 distinct matrices go through the q-ladder; 8 of them take the
+    # reversed decomposition of an inverse that was already decomposed, and
+    # the ladder computes no inverse. The model decomposes A and A* once each.
+    assert len(calls["eigenspace_decomposition"]) <= 16 + 2
+    assert not ladder_inverses
+    # build_model rejects a pair that is not tridiagonal or is reducible;
+    # model.tridiagonal and model.irreducible read its verdicts.
+    assert len(calls["check_tridiagonal_action"]) == 1
     assert len(calls["check_irreducible"]) == 1
 
 
