@@ -11,6 +11,7 @@ reads one file, so there an unreadable or malformed file exits 2.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .model import ModelError, build_model, solve_phi
@@ -31,6 +32,30 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a negative fraction such as -3/2 as a value.
+
+    argparse reads a token starting with '-' as an option unless it matches
+    its negative-number pattern, which covers only -N and -N.M. The pattern
+    is widened to -P/Q; no option of this CLI looks like a number, so none
+    is shadowed. Subparsers are built with the parser's own class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
+def _positive_int(token: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {token!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_param_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--d", type=int, required=required, help="diameter (matrix size is d+1)")
     parser.add_argument("--q", required=required, help="rational q outside {0, 1, -1}, e.g. 2 or 3/2")
@@ -46,7 +71,7 @@ def _add_param_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qonsager",
         description="Exact verification of q-Onsager module identities over Q",
     )
@@ -67,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve-phi", help="find rational phi sequences for given parameters")
     _add_param_flags(solve, required=True)
-    solve.add_argument("--limit", type=int, default=3, help="maximum number of sequences to report")
+    solve.add_argument("--limit", type=_positive_int, default=3, help="maximum number of sequences to report (at least 1)")
 
     export = sub.add_parser("export", help="build a model and write it to a model file")
     _add_param_flags(export, required=True)

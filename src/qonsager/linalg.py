@@ -479,6 +479,50 @@ def kernel(m: Matrix) -> Subspace:
     return _span(m.cols, vectors)
 
 
+def _reduce(vec, rows, pivots):
+    """vec with each echelon row's pivot eliminated, in insertion order; divided by its gcd.
+
+    Each row is zero at the pivots of the rows before it, so eliminating a
+    later pivot never brings an earlier one back: the result is zero exactly
+    when vec lies in the span of the rows.
+    """
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            p = row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            vec = [a * x - b * y for x, y in zip(vec, row)]
+    g = gcd(*vec)
+    return [e // g for e in vec] if g > 1 else vec
+
+
+def invariant_closure(seed: Subspace, maps) -> Subspace:
+    """Smallest subspace containing seed and invariant under every map.
+
+    A worklist: each queued vector is reduced against an integer echelon
+    basis of the span so far, and only a vector that grows the span has its
+    images under the maps queued. The search stops once the span is the
+    whole space.
+    """
+    n = seed.ambient_dim
+    for m in maps:
+        if m.rows != n or m.cols != n:
+            raise ShapeError(f"closure under a {m.rows}x{m.cols} map in Q^{n}")
+    rows, pivots = [], []
+    queue = [list(v) for v in seed.numerators]
+    while queue and len(rows) < n:
+        vec = _reduce(queue.pop(), rows, pivots)
+        if not any(vec):
+            continue
+        rows.append(vec)
+        pivots.append(next(c for c, e in enumerate(vec) if e))
+        queue.extend([sum(map(mul, row, vec)) for row in m.numerators] for m in maps)
+    if len(rows) == n:
+        return Subspace.full(n)
+    return _span(n, rows)
+
+
 def column_space(m: Matrix) -> Subspace:
     """Column space of m as a subspace of Q^rows."""
     return _span(m.rows, zip(*m.numerators))

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .linalg import Decomposition, Matrix, commutator, flag, kernel, q_commutator
 from .model import TDModel
-from .scalars import ParameterError, q_poch, t_coeff, t_seq
+from .scalars import ONE, ParameterError, t_coeff
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def build_H(model: TDModel) -> LusztigData:
     H^-1 is assembled from the 1/t_i eigenvalue formula and cross-checked
     against the exact matrix inverse.
     """
-    p = model.params
-    t = tuple(t_seq(i, p) for i in range(p.d + 1))
+    t = model.params.ts
     h = model.eigenspaces_A.diagonal_map(t)
     h_inv = model.eigenspaces_A.diagonal_map([1 / ti for ti in t])
     if h_inv != h.inverse():
@@ -151,26 +150,25 @@ def expand_H(model: TDModel, r: int, variant: str = "ascending", inverse: bool =
         raise ParameterError(f"variant must be 'ascending' or 'descending', got {variant!r}")
     p = model.params
     q, a = p.q, p.a
-    q2 = q * q
     ident = Matrix.identity(model.dim)
-    tr = t_seq(r, p)
+    tr = p.ts[r]
     out = Matrix.zero(model.dim)
     running = ident  # the growing product of (A - theta I) factors
-    length = (d - r) if variant == "ascending" else r
+    coeff = ONE  # the growing power of the step below
+    if variant == "ascending":
+        length, step = d - r, a * q ** (d - 2 * r)
+    else:
+        length, step = r, q ** (2 * r - d) / a
+    if inverse:
+        step, poch = 1 / step, p.q2_inv_poch
+    else:
+        poch = p.q2_poch
     for i in range(length + 1):
         if i > 0:
             idx = (r + i - 1) if variant == "ascending" else (r - i + 1)
             running = running * (model.A - ident.scale(model.theta[idx]))
-        if variant == "ascending":
-            coeff = a**i * q ** (i * (d - 2 * r))
-        else:
-            coeff = a**-i * q ** (i * (2 * r - d))
-        if inverse:
-            coeff = 1 / coeff
-            denom = q_poch(1 / q2, 1 / q2, i)
-        else:
-            denom = q_poch(q2, q2, i)
-        out = out + running.scale(coeff / denom)
+            coeff *= step
+        out = out + running.scale(coeff / poch[i])
     prefactor = 1 / tr if inverse else tr
     return out.scale(prefactor)
 

@@ -18,12 +18,12 @@ from .linalg import (
     ShapeError,
     Subspace,
     commutator,
+    invariant_closure,
     kernel,
     q_commutator,
     subspace_intersect,
-    subspace_sum,
 )
-from .scalars import ONE, ParameterError, ParamSet, p_poly, theta, theta_star
+from .scalars import ONE, ParameterError, ParamSet, p_poly
 
 
 class ModelError(ValueError):
@@ -135,8 +135,7 @@ def build_model(p: ParamSet) -> TDModel:
             f"ParamSet needs a phi sequence of length d={p.d} to build a model"
         )
     n = p.d + 1
-    thetas = tuple(theta(i, p) for i in range(n))
-    theta_stars = tuple(theta_star(i, p) for i in range(n))
+    thetas, theta_stars = p.thetas, p.theta_stars
     a_rows = [[Fraction(0)] * n for _ in range(n)]
     astar_rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -175,9 +174,7 @@ def assemble_imported(p: ParamSet, a: Matrix, astar: Matrix) -> TDModel:
     n = p.d + 1
     if a.rows != n or a.cols != n or astar.rows != n or astar.cols != n:
         raise ShapeError(f"imported matrices must be {n}x{n} for d={p.d}")
-    thetas = tuple(theta(i, p) for i in range(n))
-    theta_stars = tuple(theta_star(i, p) for i in range(n))
-    model = TDModel(params=p, A=a, Astar=astar, theta=thetas, theta_star=theta_stars, constructed=False)
+    model = TDModel(params=p, A=a, Astar=astar, theta=p.thetas, theta_star=p.theta_stars, constructed=False)
     # Each decomposition raises ModelError unless its matrix is diagonalizable
     # on the header's spectrum; the checks then share them.
     model.eigenspaces_A
@@ -206,18 +203,6 @@ def check_tridiagonal_action(model: TDModel):
     return not failures, failures
 
 
-def _closure(seed: Subspace, maps) -> Subspace:
-    """Smallest subspace containing seed and invariant under every map."""
-    current = seed
-    while True:
-        grown = current
-        for m in maps:
-            grown = subspace_sum(grown, current.image_under(m))
-        if grown.rank == current.rank:
-            return current
-        current = grown
-
-
 def check_irreducible(
     a: Matrix, astar: Matrix, spaces_a: Decomposition, spaces_astar: Decomposition
 ) -> bool:
@@ -243,7 +228,7 @@ def check_irreducible(
     for space in spaces_a.parts + spaces_astar.parts:
         for vec in space.basis:
             seed = Subspace.from_vectors(n, [vec])
-            if _closure(seed, pair).rank < n:
+            if invariant_closure(seed, pair).rank < n:
                 return False
     return True
 
@@ -384,11 +369,13 @@ def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, candidates=None, li
 
     Scans the one-parameter candidate family over rational c values and keeps
     the sequences whose built model passes every construction check. Returns
-    up to ``limit`` distinct validated sequences ([] when none validate, which
-    signals the caller to vary parameters). When ``models`` is a list, the
-    built model of each returned sequence is appended to it, in order, so the
-    caller need not build it again.
+    up to ``limit`` (at least 1) distinct validated sequences ([] when none
+    validate, which signals the caller to vary parameters). When ``models``
+    is a list, the built model of each returned sequence is appended to it,
+    in order, so the caller need not build it again.
     """
+    if limit < 1:
+        raise ParameterError(f"limit must be at least 1, got {limit}")
     if models is None:
         models = []
     base = ParamSet(d, Fraction(q), Fraction(a), Fraction(b))  # validates the scalars

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 Scalar = Fraction
 
@@ -71,6 +72,10 @@ class ParamSet:
     {0, 1, -1}, a and b nonzero with a^2 (resp. b^2) avoiding
     q^(2d-2), q^(2d-4), ..., q^(2-2d) so both eigenvalue sequences are
     pairwise distinct, and every phi_i nonzero.
+
+    The q-Racah scalars of the instance are tables indexed 0..d, each built
+    once, on first use: `thetas`, `theta_stars`, `ts` and the two
+    Pochhammer rows `q2_poch` and `q2_inv_poch`.
     """
 
     d: int
@@ -110,19 +115,66 @@ class ParamSet:
     def with_phi(self, phi) -> "ParamSet":
         return ParamSet(self.d, self.q, self.a, self.b, tuple(phi))
 
+    def _eigenvalues(self, x: Fraction) -> tuple[Fraction, ...]:
+        """x q^(d-2i) + x^-1 q^(2i-d) for i = 0..d."""
+        return tuple(x * self.q ** (self.d - 2 * i) + self.q ** (2 * i - self.d) / x for i in range(self.d + 1))
+
+    @cached_property
+    def thetas(self) -> tuple[Fraction, ...]:
+        """theta_0..theta_d: theta_i = a q^(d-2i) + a^-1 q^(2i-d), the eigenvalues of A."""
+        return self._eigenvalues(self.a)
+
+    @cached_property
+    def theta_stars(self) -> tuple[Fraction, ...]:
+        """theta*_0..theta*_d: theta*_i = b q^(d-2i) + b^-1 q^(2i-d), the eigenvalues of A*."""
+        return self._eigenvalues(self.b)
+
+    @cached_property
+    def ts(self) -> tuple[Fraction, ...]:
+        """t_0..t_d: t_i = t_01 t_12 ... t_(i-1,i), with t_0 = 1.
+
+        Each t_i is compared with its closed form a^(2i) q^(2i(d-i)) as the
+        table is built; disagreement would mean a kernel bug, not bad input.
+        """
+        prod, out = ONE, [ONE]
+        for i in range(1, self.d + 1):
+            prod *= t_coeff(i - 1, i, self)
+            closed = self.a ** (2 * i) * self.q ** (2 * i * (self.d - i))
+            if prod != closed:
+                raise AssertionError(
+                    f"t_{i} product form {prod} != closed form {closed}; kernel bug"
+                )
+            out.append(prod)
+        return tuple(out)
+
+    @cached_property
+    def q2_poch(self) -> tuple[Fraction, ...]:
+        """(q^2;q^2)_i for i = 0..d."""
+        q2 = self.q * self.q
+        return tuple(q_poch(q2, q2, i) for i in range(self.d + 1))
+
+    @cached_property
+    def q2_inv_poch(self) -> tuple[Fraction, ...]:
+        """(q^-2;q^-2)_i for i = 0..d."""
+        q2 = self.q * self.q
+        return tuple(q_poch(1 / q2, 1 / q2, i) for i in range(self.d + 1))
+
+
+def _check_index(i: int, p: ParamSet) -> None:
+    if not 0 <= i <= p.d:
+        raise ParameterError(f"index {i} out of range 0..{p.d}")
+
 
 def theta(i: int, p: ParamSet) -> Fraction:
     """Eigenvalue theta_i = a q^(d-2i) + a^-1 q^(2i-d) of A."""
-    if not 0 <= i <= p.d:
-        raise ParameterError(f"index {i} out of range 0..{p.d}")
-    return p.a * p.q ** (p.d - 2 * i) + p.q ** (2 * i - p.d) / p.a
+    _check_index(i, p)
+    return p.thetas[i]
 
 
 def theta_star(i: int, p: ParamSet) -> Fraction:
     """Eigenvalue theta*_i = b q^(d-2i) + b^-1 q^(2i-d) of A*."""
-    if not 0 <= i <= p.d:
-        raise ParameterError(f"index {i} out of range 0..{p.d}")
-    return p.b * p.q ** (p.d - 2 * i) + p.q ** (2 * i - p.d) / p.b
+    _check_index(i, p)
+    return p.theta_stars[i]
 
 
 def p_poly(lam: Fraction, mu: Fraction, q: Fraction) -> Fraction:
@@ -138,7 +190,9 @@ def p_poly(lam: Fraction, mu: Fraction, q: Fraction) -> Fraction:
 
 def t_coeff(i: int, j: int, p: ParamSet) -> Fraction:
     """Conjugation coefficient t_ij = 1 + (th_i - th_j)(q th_i - q^-1 th_j) / ((q-q^-1)(q^2-q^-2))."""
-    ti, tj = theta(i, p), theta(j, p)
+    _check_index(i, p)
+    _check_index(j, p)
+    ti, tj = p.thetas[i], p.thetas[j]
     q = p.q
     return 1 + (ti - tj) * (q * ti - tj / q) / ((q - 1 / q) * (q * q - 1 / (q * q)))
 
@@ -146,31 +200,11 @@ def t_coeff(i: int, j: int, p: ParamSet) -> Fraction:
 def t_seq(i: int, p: ParamSet) -> Fraction:
     """Eigenvalue t_i of H: the product t_01 t_12 ... t_(i-1,i), with t_0 = 1.
 
-    Cross-checks the product against the closed form a^(2i) q^(2i(d-i));
-    disagreement would mean a kernel bug, not bad input.
+    Read from `p.ts`, which compares each t_i with its closed form
+    a^(2i) q^(2i(d-i)) when it is built.
     """
-    if not 0 <= i <= p.d:
-        raise ParameterError(f"index {i} out of range 0..{p.d}")
-    prod = ONE
-    for k in range(1, i + 1):
-        prod *= t_coeff(k - 1, k, p)
-    closed = p.a ** (2 * i) * p.q ** (2 * i * (p.d - i))
-    if prod != closed:
-        raise AssertionError(
-            f"t_{i} product form {prod} != closed form {closed}; kernel bug"
-        )
-    return prod
-
-
-def _rising_theta_product(s: int, r: int, i: int, p: ParamSet, descending: bool) -> Fraction:
-    """(th_s - th_r)(th_s - th_(r+1))...: the i-factor product in the summation identities."""
-    out = ONE
-    for k in range(i):
-        if descending:
-            out *= theta(r, p) - theta(s - k, p)
-        else:
-            out *= theta(s, p) - theta(r + k, p)
-    return out
+    _check_index(i, p)
+    return p.ts[i]
 
 
 def chu_vandermonde_sums(r: int, s: int, p: ParamSet) -> dict[str, tuple[Fraction, Fraction]]:
@@ -179,24 +213,28 @@ def chu_vandermonde_sums(r: int, s: int, p: ParamSet) -> dict[str, tuple[Fractio
     Returns a map from identity name to (sum value, expected t-ratio); the
     identity holds when the pair is equal. Names: "ascending" and
     "ascending_inv" sum products (th_s - th_(r+k)); "descending" and
-    "descending_inv" sum products (th_r - th_(s-k)).
+    "descending_inv" sum products (th_r - th_(s-k)). Each sum is evaluated
+    term by term, with running products of the theta factors and of the
+    powers (a q^(d-2r))^i and (a^-1 q^(2s-d))^i.
     """
     if not 0 <= r <= s <= p.d:
         raise ParameterError(f"need 0 <= r <= s <= d, got r={r}, s={s}, d={p.d}")
     q, a, d = p.q, p.a, p.d
-    q2 = q * q
-    asc = ZERO
-    asc_inv = ZERO
-    desc = ZERO
-    desc_inv = ZERO
+    th, poch, poch_inv = p.thetas, p.q2_poch, p.q2_inv_poch
+    up_step, down_step = a * q ** (d - 2 * r), q ** (2 * s - d) / a
+    up = down = up_power = down_power = ONE
+    asc = asc_inv = desc = desc_inv = ZERO
     for i in range(s - r + 1):
-        up = _rising_theta_product(s, r, i, p, descending=False)
-        down = _rising_theta_product(s, r, i, p, descending=True)
-        asc += a**i * q ** (i * (d - 2 * r)) * up / q_poch(q2, q2, i)
-        asc_inv += a**-i * q ** (i * (2 * r - d)) * up / q_poch(1 / q2, 1 / q2, i)
-        desc += a**-i * q ** (i * (2 * s - d)) * down / q_poch(q2, q2, i)
-        desc_inv += a**i * q ** (i * (d - 2 * s)) * down / q_poch(1 / q2, 1 / q2, i)
-    ts_tr = t_seq(s, p) / t_seq(r, p)
+        if i:
+            up *= th[s] - th[r + i - 1]
+            down *= th[r] - th[s - i + 1]
+            up_power *= up_step
+            down_power *= down_step
+        asc += up_power * up / poch[i]
+        asc_inv += up / (up_power * poch_inv[i])
+        desc += down_power * down / poch[i]
+        desc_inv += down / (down_power * poch_inv[i])
+    ts_tr = p.ts[s] / p.ts[r]
     return {
         "ascending": (asc, ts_tr),
         "ascending_inv": (asc_inv, 1 / ts_tr),

@@ -32,9 +32,6 @@ from .scalars import (
     p_poly,
     parse_scalar,
     t_coeff,
-    t_seq,
-    theta,
-    theta_star,
 )
 
 SUITE_NAMES = ("scalars", "model", "lusztig", "splitmaps", "equitable", "diagrams")
@@ -272,8 +269,7 @@ class TargetContext:
 def _run_scalars(ctx: TargetContext, report: Report) -> None:
     p = ctx.model.params
     d = p.d
-    thetas = [theta(i, p) for i in range(d + 1)]
-    stars = [theta_star(i, p) for i in range(d + 1)]
+    thetas, stars = p.thetas, p.theta_stars
     report.run(
         "scalars.distinct",
         "theta_i pairwise distinct and theta*_i pairwise distinct",
@@ -316,7 +312,7 @@ def _run_scalars(ctx: TargetContext, report: Report) -> None:
     report.run(
         "scalars.t_seq",
         "product form of t_i equals a^(2i) q^(2i(d-i)) and is nonzero",
-        lambda: (all(t_seq(i, p) != 0 for i in range(d + 1)), None),
+        lambda: (all(t != 0 for t in p.ts), None),
     )
 
     def chu():

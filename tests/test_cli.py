@@ -145,6 +145,40 @@ def test_solve_phi_invalid_params_exits_one(capsys):
     assert code == 1
 
 
+def test_solved_negative_phi_passes_back_through_verify(capsys):
+    params = ["--d", "2", "--q", "-2", "--a", "3", "--b", "5"]
+    assert main(["solve-phi", *params, "--limit", "1"]) == 0
+    phi = capsys.readouterr().out.split()
+    assert phi == ["-2883/16", "-867/16"]
+    assert main(["verify", *params, "--phi", *phi, "--quiet"]) == 0
+    assert "d=2 q=-2 a=3 b=5: PASS (27/27 checks passed)" in capsys.readouterr().out
+
+
+def test_negative_fraction_q_is_a_value(capsys):
+    assert main(["verify", "--d", "2", "--q", "-3/2", "--a", "3", "--b", "5", "--quiet"]) == 0
+    assert "d=2 q=-3/2 a=3 b=5: PASS (27/27 checks passed)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d", "2", "--qq", "-3/2", "--a", "3", "--b", "5"],
+    ["verify", "--d", "2", "--q", "-3/2x", "--a", "3", "--b", "5"],
+    ["solve-phi", "--d", "2", "--q", "2", "--a", "3", "--b", "5", "--limti", "1"],
+])
+def test_misspelt_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("d", ["1", "2"])
+@pytest.mark.parametrize("limit", ["0", "-1", "x"])
+def test_solve_phi_limit_below_one_is_a_usage_error(capsys, d, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-phi", "--d", d, "--q", "2", "--a", "3", "--b", "5", "--limit", limit])
+    assert exc.value.code == 2
+    assert "argument --limit" in capsys.readouterr().err
+
+
 def test_export_import_round_trip(capsys, tmp_path):
     path = tmp_path / "exported.model"
     code = main(["export", "--d", "1", "--q", "2", "--a", "3", "--b", "5", "--phi", "1", "--out", str(path)])

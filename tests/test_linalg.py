@@ -14,6 +14,7 @@ from qonsager.linalg import (
     column_space,
     commutator,
     flag,
+    invariant_closure,
     kernel,
     q_commutator,
     rref,
@@ -23,6 +24,7 @@ from qonsager.linalg import (
 )
 from qonsager.scalars import q_int
 
+from closure_reference import _closure as reference_closure
 from projector_reference import lagrange_projectors
 
 
@@ -390,3 +392,38 @@ def test_flag_rejects_unknown_direction():
     dec = Decomposition([standard_line(2, 0), standard_line(2, 1)])
     with pytest.raises(ValueError):
         flag(dec, 0, "sideways")
+
+
+def _block_triangular(n, k, rng):
+    """A random matrix with a zero lower-left block: it keeps the span of e_0..e_(k-1)."""
+    x = rand_matrix(n, rng)
+    return Matrix([[x[i, j] if i < k or j >= k else 0 for j in range(n)] for i in range(n)])
+
+
+def _invertible(n, rng):
+    while True:
+        p = rand_matrix(n, rng)
+        if p.rank() == n:
+            return p
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_invariant_closure_equals_the_round_based_reference(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    vectors = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2)]
+    seeds = [Subspace.zero(n), Subspace.from_vectors(n, vectors[:1]), Subspace.from_vectors(n, vectors)]
+    if seed % 2:
+        # A reducible pair: both maps keep the span of P's first k columns,
+        # so the closure of a seed inside it stops short of the whole space.
+        k = rng.randint(1, n - 1)
+        p = _invertible(n, rng)
+        maps = [p * _block_triangular(n, k, rng) * p.inverse() for _ in range(2)]
+        inside = Subspace.from_vectors(n, [p.apply([rng.randint(1, 3) if i < k else 0 for i in range(n)])])
+        assert 1 <= invariant_closure(inside, maps).rank <= k
+        seeds.append(inside)
+    else:
+        maps = [rand_matrix(n, rng), rand_matrix(n, rng)]
+    for s in seeds:
+        for some in (maps, maps[:1]):
+            assert invariant_closure(s, some) == reference_closure(s, some)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from qonsager.linalg import Decomposition, Matrix, kernel
+from qonsager import model
+from qonsager.linalg import Decomposition, Matrix, Subspace, kernel, subspace_intersect
 from qonsager.model import (
     ModelError,
     build_model,
@@ -188,6 +189,32 @@ def test_identity_pair_reducible():
     assert not check_irreducible(ident, ident, whole, whole)
 
 
+def _direct_sum(x: Matrix, y: Matrix) -> Matrix:
+    n, m = x.rows, y.rows
+    return Matrix([[x[i, j] if i < n and j < n else y[i - n, j - n] if i >= n and j >= n else 0
+                    for j in range(n + m)] for i in range(n + m)])
+
+
+def test_only_the_closure_catches_a_direct_sum_without_joint_eigenvectors(monkeypatch):
+    # The d = 1 pairs at (a, b) = (3, 5) and (5, 3) swap spectra: A has
+    # eigenvalues 37/6, 13/6, 101/10, 29/10, each once, and so has A*. The
+    # eigenlines of A and A* meet only in 0, so the joint-eigenvector step
+    # passes; each summand is a proper invariant subspace.
+    first = build_model(GOLDEN)
+    second = build_model(ParamSet(1, F(2), F(5), F(3), (F(1),)))
+    a, astar = _direct_sum(first.A, second.A), _direct_sum(first.Astar, second.Astar)
+    spectrum = first.theta + second.theta
+    assert set(spectrum) == set(first.theta_star + second.theta_star)
+    spaces_a, spaces_astar = _eigenspaces(a, spectrum), _eigenspaces(astar, spectrum)
+    assert all(subspace_intersect(u, v).is_zero() for u in spaces_a.parts for v in spaces_astar.parts)
+    assert not check_irreducible(a, astar, spaces_a, spaces_astar)
+    seed = Subspace.from_vectors(4, [spaces_a[0].basis[0]])
+    assert model.invariant_closure(seed, (a, astar)).rank == 2
+    # a closure that returned the whole space would call the pair irreducible
+    monkeypatch.setattr(model, "invariant_closure", lambda seed, maps: Subspace.full(seed.ambient_dim))
+    assert check_irreducible(a, astar, spaces_a, spaces_astar)
+
+
 def test_build_model_rejects_a_reducible_pair():
     # At d = 1 every nonzero phi_1 satisfies the q-Dolan/Grady relations, but
     # phi_1 = -144/5 puts the theta*_1-eigenvector of A* on the theta_0-line
@@ -261,6 +288,13 @@ def test_solve_phi_hands_back_the_models_it_built():
     d1_models = []
     assert solve_phi(1, F(2), F(3), F(5), models=d1_models) == [(F(1),)]
     assert d1_models == [build_model(GOLDEN)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("limit", [0, -1])
+def test_solve_phi_rejects_a_limit_below_one(d, limit):
+    with pytest.raises(ParameterError, match="limit must be at least 1"):
+        solve_phi(d, F(2), F(3), F(5), limit=limit)
 
 
 def test_solve_phi_rejects_invalid_parameters():

@@ -18,6 +18,8 @@ from qonsager.scalars import (
     theta_star,
 )
 
+from chu_vandermonde_reference import chu_vandermonde_sums as reference_sums
+
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
 
 
@@ -137,6 +139,41 @@ def test_chu_vandermonde_golden_two_term():
 def test_chu_vandermonde_full_grid():
     ok, failures = check_chu_vandermonde(ParamSet(3, F(3, 2), F(5), F(3)))
     assert ok, failures
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-2), F(1, 3)])
+def test_chu_vandermonde_sums_equal_the_term_by_term_reference(q):
+    for d in range(1, 9):
+        for a in (F(7), F(-2, 5)):
+            p = ParamSet(d, q, a, F(5, 7))
+            for r in range(d + 1):
+                for s in range(r, d + 1):
+                    assert chu_vandermonde_sums(r, s, p) == reference_sums(r, s, p), (d, a, r, s)
+
+
+def test_tables_hold_the_closed_forms_and_are_built_once():
+    p = ParamSet(4, F(3, 2), F(7), F(-2, 5))
+    q, a, b, d = p.q, p.a, p.b, p.d
+    assert p.thetas == tuple(a * q ** (d - 2 * i) + q ** (2 * i - d) / a for i in range(d + 1))
+    assert p.theta_stars == tuple(b * q ** (d - 2 * i) + q ** (2 * i - d) / b for i in range(d + 1))
+    assert p.ts == tuple(a ** (2 * i) * q ** (2 * i * (d - i)) for i in range(d + 1))
+    assert p.q2_poch == tuple(q_poch(q * q, q * q, i) for i in range(d + 1))
+    assert p.q2_inv_poch == tuple(q_poch(1 / (q * q), 1 / (q * q), i) for i in range(d + 1))
+    for name in ("thetas", "theta_stars", "ts", "q2_poch", "q2_inv_poch"):
+        assert getattr(p, name) is getattr(p, name), name
+    assert [theta(i, p) for i in range(d + 1)] == list(p.thetas)
+    assert [t_seq(i, p) for i in range(d + 1)] == list(p.ts)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: theta_star(3, p),
+    lambda p: t_seq(-1, p),
+    lambda p: t_coeff(0, 3, p),
+    lambda p: t_coeff(-1, 0, p),
+])
+def test_table_reads_keep_their_range_checks(call):
+    with pytest.raises(ParameterError, match="out of range"):
+        call(ParamSet(2, F(2), F(3), F(5)))
 
 
 def test_paramset_rejects_bad_q():

@@ -9,14 +9,16 @@ decompositions are not direct sums and `build_split_maps` raises.
 
 import json
 from fractions import Fraction as F
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from qonsager import equitable, lusztig, model, splitmaps, suite
+from qonsager import equitable, lusztig, model, scalars, splitmaps, suite
 from qonsager.cli import main
 from qonsager.linalg import Matrix
 from qonsager.report import Report
+from qonsager.scalars import ParamSet
 
 SPLIT_ERROR = Path(__file__).resolve().parent / "data" / "split_error_d2.model"
 NEEDS_SPLIT_MAPS = {
@@ -47,6 +49,24 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+TABLES = ("thetas", "theta_stars", "ts", "q2_poch", "q2_inv_poch")
+
+
+def _count_table_builds(monkeypatch, name):
+    """Wrap the builder of the cached `ParamSet` table `name` with a counter."""
+    original = vars(ParamSet)[name].func
+    builds = []
+
+    def counted(self):
+        builds.append(self)
+        return original(self)
+
+    table = cached_property(counted)
+    table.__set_name__(ParamSet, name)
+    monkeypatch.setattr(ParamSet, name, table)
+    return builds
+
+
 def test_each_structure_is_built_once_per_target(monkeypatch):
     calls = {
         name: _count_calls(monkeypatch, module, name)
@@ -75,6 +95,7 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             ladder_inverses.append(self)
         return inverse(self)
 
+    builds = {name: _count_table_builds(monkeypatch, name) for name in TABLES}
     monkeypatch.setattr(splitmaps.LadderSpectra, "decomposition", counted_decomposition)
     monkeypatch.setattr(Matrix, "inverse", counted_inverse)
     report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), suite.SUITE_NAMES)
@@ -90,6 +111,21 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     # model.tridiagonal and model.irreducible read its verdicts.
     assert len(calls["check_tridiagonal_action"]) == 1
     assert len(calls["check_irreducible"]) == 1
+    # the solved target's ParamSet builds each scalar table once
+    for name in TABLES:
+        assert len(builds[name]) == 1, name
+    assert builds["thetas"][0] is builds["ts"][0] is calls["build_model"][0][0]
+
+
+def test_a_t_table_that_disagrees_with_its_closed_form_is_a_kernel_bug_error(monkeypatch):
+    original = scalars.t_coeff
+    monkeypatch.setattr(scalars, "t_coeff", lambda i, j, p: original(i, j, p) + (i == 0 and j == 1))
+    report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), ("scalars", "lusztig"))
+    record = next(c for c in report.checks if c.name == "scalars.t_seq")
+    # t_01 = a^2 q^(2(d-1)) = 36, corrupted to 37
+    assert (record.status, record.residual) == ("error", "t_1 product form 37 != closed form 36; kernel bug")
+    # the table is not cached while it raises: H cannot be built either
+    assert {c.status for c in report.checks if c.name.startswith("lusztig.")} == {"error"}
 
 
 def test_a_raising_structure_is_an_error_and_the_batch_goes_on(tmp_path, capsys):
