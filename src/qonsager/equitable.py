@@ -15,7 +15,6 @@ from fractions import Fraction
 from .linalg import (
     Matrix,
     SingularMatrixError,
-    flag,
     is_qweyl_pair,
     qweyl_bracket,
     shifted_product_images,
@@ -115,6 +114,7 @@ def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: Ladde
     eigenvalue lam, and (ii) Y_0+...+Y_i = X_(d-i)+...+X_d for every i.
     Step (i) maps the basis vectors of X's eigenspaces, with no elimination
     unless a step fails; the witness is then the image of the eigenspace.
+    Step (ii) is read off the change of basis between the two eigenbases.
     Eigenspace decompositions come from `spectra`.
     Returns (passed, failures).
     """
@@ -135,9 +135,8 @@ def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: Ladde
     for lam, image in zip(eigs, images):
         if not image.is_zero():
             failures.append((f"ladder step from X-eigenvalue {lam}", image))
-    for i in range(d + 1):
-        if flag(y_dec, i, "ascending") != flag(x_dec, i, "descending"):
-            failures.append((f"crossing flags at {i}", "Y_0+...+Y_i != X_(d-i)+...+X_d"))
+    for i in y_dec.flag_mismatches(x_dec.inversion()):
+        failures.append((f"crossing flags at {i}", "Y_0+...+Y_i != X_(d-i)+...+X_d"))
     return not failures, failures
 
 
@@ -160,8 +159,10 @@ def verify_diagrams(
         analogues; those of (A, L^-1(A*)) are the inverses of a A - a^2 K,
         a^-1 A - a^-2 B and the down analogues.
       - Oriented 3-cycles: delegated to the eight table rows.
-    The M/N decompositions come from `spectra`, and the table verdict is
-    `table_check`, the `verify_triple_table` result on the model's table.
+    Each flag family is read off one change of basis between two eigenbases
+    (`Decomposition.flag_mismatches`). The M/N decompositions come from
+    `spectra`, and the table verdict is `table_check`, the
+    `verify_triple_table` result on the model's table.
     Returns (passed, failures) as (name, witness).
     """
     if s.M is None:
@@ -182,39 +183,20 @@ def verify_diagrams(
     vplus = lus.Vplus
     vminus = lus.Vminus
 
+    # (name, indices where the two flags differ, whether name i tests flag d - i)
+    families = [
+        ("N flag {}: ascending = V+ ascending", n_dec.flag_mismatches(vplus), False),
+        ("N flag {}: descending = V* ascending reversed", n_dec.inversion().flag_mismatches(vstar), True),
+        ("Ndown flag {}: ascending = V+ descending", ndown_dec.flag_mismatches(vplus.inversion()), False),
+        ("Ndown flag {}: descending = V* descending", ndown_dec.inversion().flag_mismatches(vstar.inversion()), False),
+        ("M flag {}: ascending = V* ascending", m_dec.flag_mismatches(vstar), False),
+        ("M flag {}: descending = V- ascending reversed", m_dec.inversion().flag_mismatches(vminus), True),
+        ("Mdown flag {}: ascending = V* descending", mdown_dec.flag_mismatches(vstar.inversion()), False),
+        ("Mdown flag {}: descending = V- descending", mdown_dec.inversion().flag_mismatches(vminus.inversion()), False),
+    ]
     for i in range(d + 1):
-        expect(
-            f"N flag {i}: ascending = V+ ascending",
-            flag(n_dec, i, "ascending") == flag(vplus, i, "ascending"),
-        )
-        expect(
-            f"N flag {i}: descending = V* ascending reversed",
-            flag(n_dec, d - i, "descending") == flag(vstar, d - i, "ascending"),
-        )
-        expect(
-            f"Ndown flag {i}: ascending = V+ descending",
-            flag(ndown_dec, i, "ascending") == flag(vplus, i, "descending"),
-        )
-        expect(
-            f"Ndown flag {i}: descending = V* descending",
-            flag(ndown_dec, i, "descending") == flag(vstar, i, "descending"),
-        )
-        expect(
-            f"M flag {i}: ascending = V* ascending",
-            flag(m_dec, i, "ascending") == flag(vstar, i, "ascending"),
-        )
-        expect(
-            f"M flag {i}: descending = V- ascending reversed",
-            flag(m_dec, d - i, "descending") == flag(vminus, d - i, "ascending"),
-        )
-        expect(
-            f"Mdown flag {i}: ascending = V* descending",
-            flag(mdown_dec, i, "ascending") == flag(vstar, i, "descending"),
-        )
-        expect(
-            f"Mdown flag {i}: descending = V- descending",
-            flag(mdown_dec, i, "descending") == flag(vminus, i, "descending"),
-        )
+        for name, mismatches, mirrored in families:
+            expect(name.format(i), (d - i if mirrored else i) not in mismatches)
 
     # Split maps of the twisted pair (A, L(A*)): conjugated forms, directly.
     a_dec = model.eigenspaces_A

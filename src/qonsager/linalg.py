@@ -15,10 +15,14 @@ the unique representation per subspace, so equality is structural too.
 
 The objects are immutable, so derived data is kept on them once computed:
 a matrix keeps its inverse (whose own inverse is the matrix), and a
-decomposition keeps its inversion and its ascending flag, which is the
-descending flag of the inversion. The derived object refers back to its
-origin weakly, so the two form no reference cycle and are freed by
-reference counting, without waiting for the cycle collector.
+decomposition keeps its inversion, its basis matrix P and its ascending
+flag, which is the descending flag of the inversion. The derived object
+refers back to its origin weakly, so the two form no reference cycle and are
+freed by reference counting, without waiting for the cycle collector.
+
+Two decompositions of one space are compared through the change of basis
+C = P_ref^-1 P_self: their flags and the meets of their flags are read off
+C's zero blocks and kernels, with no partial sum eliminated.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ class SingularMatrixError(ValueError):
 def _memo(slot):
     """The object a memo slot holds, following a weak back-reference; None if unset or freed."""
     return slot() if type(slot) is ref else slot
+
+
+def _link_inverses(m, inv) -> None:
+    """Keep `inv` on `m` as its inverse, and `m` on `inv` through a weak back-reference."""
+    object.__setattr__(inv, "_inverse", ref(m))
+    object.__setattr__(m, "_inverse", inv)
 
 
 def _integer_rows(rows):
@@ -228,11 +238,7 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = list(zip(*other.numerators))
-        return Matrix(
-            [[sum(map(mul, row, col)) for col in cols] for row in self.numerators],
-            self.denominator * other.denominator,
-        )
+        return Matrix(_numerator_product(self, other), self.denominator * other.denominator)
 
     def __pow__(self, n: int) -> "Matrix":
         if self.rows != self.cols:
@@ -284,8 +290,7 @@ class Matrix:
         den = lcm(*(row[i] for i, row in enumerate(aug)))
         scale = self.denominator
         inv = Matrix([[e * (scale * den // row[i]) for e in row[n:]] for i, row in enumerate(aug)], den)
-        object.__setattr__(inv, "_inverse", ref(self))
-        object.__setattr__(self, "_inverse", inv)
+        _link_inverses(self, inv)
         return inv
 
     def cached_inverse(self) -> "Matrix | None":
@@ -294,6 +299,12 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_gauss_jordan([list(r) for r in self.numerators], self.cols))
+
+
+def _numerator_product(x: Matrix, y: Matrix) -> list[list[int]]:
+    """The integer numerators of XY over x.denominator * y.denominator, not reduced."""
+    cols = list(zip(*y.numerators))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x.numerators]
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
@@ -462,21 +473,27 @@ def _span(ambient_dim: int, rows) -> Subspace:
     return Subspace(ambient_dim, *_reduced(rows, pivots))
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space of m as a subspace of Q^cols."""
-    rows = [list(r) for r in m.numerators]
-    pivots = _gauss_jordan(rows, m.cols)
-    # With R = reduced / den the reduced row-echelon form of m, free column f
-    # gives the vector with den at f and -den * R[i][f] at the i-th pivot column.
+def _null_vectors(rows, ncols: int) -> list[list[int]]:
+    """A basis of the null space of integer rows of length `ncols`, as integer vectors."""
+    rows = [list(r) for r in rows]
+    pivots = _gauss_jordan(rows, ncols)
+    # With R = reduced / den the reduced row-echelon form of the rows, free
+    # column f gives the vector with den at f and -den * R[i][f] at the i-th
+    # pivot column.
     reduced, den = _reduced(rows, pivots)
     vectors = []
-    for f in (j for j in range(m.cols) if j not in pivots):
-        vec = [0] * m.cols
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [0] * ncols
         vec[f] = den
         for row, c in zip(reduced, pivots):
             vec[c] = -row[f]
         vectors.append(vec)
-    return _span(m.cols, vectors)
+    return vectors
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Null space of m as a subspace of Q^cols."""
+    return _span(m.cols, _null_vectors(m.numerators, m.cols))
 
 
 def _reduce(vec, rows, pivots):
@@ -559,8 +576,9 @@ class Decomposition:
     The parts never change, so the inversion (the parts in reverse order) is
     built once and keeps this decomposition as its own inversion, `flag`
     keeps the ascending partial sums on the instance (the descending ones are
-    those of the inversion), and the basis matrix P is built once. E_i is
-    the projector onto the i-th part along the others.
+    those of the inversion), and the basis matrix P and its inverse are built
+    once; an inversion's P^-1 is the original's with its row blocks reversed.
+    E_i is the projector onto the i-th part along the others.
     """
 
     __slots__ = ("parts", "_inversion", "_ascending", "_basis", "__weakref__")
@@ -584,6 +602,17 @@ class Decomposition:
                 f"span has dimension {span}, ambient {ambient}"
             )
         self._set(parts)
+
+    @classmethod
+    def independent(cls, parts) -> "Decomposition":
+        """Nonzero parts the caller knows to be independent and to fill the space; nothing is eliminated.
+
+        Kernels of m - e I for pairwise distinct e are independent, so such
+        kernels qualify once their ranks sum to the ambient dimension.
+        """
+        dec = object.__new__(cls)
+        dec._set(tuple(parts))
+        return dec
 
     def _set(self, parts) -> None:
         object.__setattr__(self, "parts", parts)
@@ -613,12 +642,15 @@ class Decomposition:
     def ambient_dim(self) -> int:
         return self.parts[0].ambient_dim
 
+    def _offsets(self) -> list[int]:
+        """Where each part's columns start in P, then the ambient dimension."""
+        return list(accumulate((part.rank for part in self.parts), initial=0))
+
     def inversion(self) -> "Decomposition":
         """The parts in reverse order; the same parts are a direct sum, so they are not checked again."""
         inverted = _memo(self._inversion)
         if inverted is None:
-            inverted = object.__new__(Decomposition)
-            inverted._set(self.parts[::-1])
+            inverted = Decomposition.independent(self.parts[::-1])
             object.__setattr__(inverted, "_inversion", ref(self))
             object.__setattr__(self, "_inversion", inverted)
         return inverted
@@ -634,6 +666,89 @@ class Decomposition:
             object.__setattr__(self, "_basis", Matrix(list(zip(*columns)), 1))
         return self._basis
 
+    def _formed_inverse(self) -> Matrix | None:
+        """P^-1 when it is had without elimination: formed already, or read off the inversion's.
+
+        The inversion's P is this P with its column blocks reversed, so its
+        P^-1 is this P^-1 with its row blocks reversed.
+        """
+        if self._basis is not None and self._basis.cached_inverse() is not None:
+            return self._basis.cached_inverse()
+        other = _memo(self._inversion)
+        known = None if other is None or other._basis is None else other._basis.cached_inverse()
+        if known is None:
+            return None
+        start = other._offsets()
+        blocks = [known.numerators[lo:hi] for lo, hi in zip(start, start[1:])]
+        inv = Matrix(list(chain.from_iterable(reversed(blocks))), known.denominator)
+        _link_inverses(self.basis_matrix(), inv)
+        return inv
+
+    def basis_inverse(self) -> Matrix:
+        """P^-1, eliminated at most once for a decomposition and its inversion together."""
+        inv = self._formed_inverse()
+        return inv if inv is not None else self.basis_matrix().inverse()
+
+    def change_of_basis(self, ref: "Decomposition") -> list[list[int]]:
+        """C = P_ref^-1 P_self as integer rows, over a positive denominator left unstated.
+
+        Column j holds the j-th basis vector of this decomposition in ref's
+        basis. Zero blocks and kernels of C do not depend on the denominator,
+        so no `Matrix` is built.
+        """
+        if ref.ambient_dim != self.ambient_dim:
+            raise ShapeError(f"change of basis from Q^{self.ambient_dim} to Q^{ref.ambient_dim}")
+        return _numerator_product(ref.basis_inverse(), self.basis_matrix())
+
+    def _check_same_length(self, ref: "Decomposition") -> None:
+        if len(ref) != len(self):
+            raise ShapeError(f"flags of {len(self)} and {len(ref)} parts")
+
+    def flag_mismatches(self, ref: "Decomposition") -> list[int]:
+        """The indices i at which W_0+...+W_i differs from the same partial sum of `ref`.
+
+        Both sums are direct, so their dimensions are sums of part ranks, and
+        of two subspaces with one dimension one contains the other exactly
+        when they are equal. This sum lies in ref's when C is zero in the
+        columns of this decomposition's parts up to i and the rows of ref's
+        parts past i.
+        """
+        self._check_same_length(ref)
+        if ref._formed_inverse() is None and self._formed_inverse() is not None:
+            self, ref = ref, self  # flag equality is symmetric; use the P^-1 already formed
+        c = self.change_of_basis(ref)
+        # deepest[j]: the last row at which any of the first j + 1 columns of C is nonzero
+        lowest = (max(r for r, e in enumerate(col) if e) for col in zip(*c))
+        deepest = list(accumulate(lowest, max))
+        mine, theirs = self._offsets(), ref._offsets()
+        return [
+            i
+            for i in range(len(self))
+            if mine[i + 1] != theirs[i + 1] or deepest[mine[i + 1] - 1] >= theirs[i + 1]
+        ]
+
+    def flag_meets(self, ref: "Decomposition") -> list[Subspace]:
+        """(W_0+...+W_i) meet (V_i+...+V_d) for each i, where V_0..V_d are the parts of `ref`.
+
+        A vector P[:, parts <= i] x lies in V_i+...+V_d exactly when its ref
+        coordinates C[:, parts <= i] x vanish in the rows of ref's parts
+        before i, so the meet is P[:, parts <= i] times the kernel of that
+        block of C. At i = 0 the second sum is the whole space.
+        """
+        self._check_same_length(ref)
+        c = self.change_of_basis(ref)
+        n = self.ambient_dim
+        p = self.basis_matrix().numerators
+        mine, theirs = self._offsets(), ref._offsets()
+        meets = [self.parts[0]]
+        for i in range(1, len(self)):
+            k = mine[i + 1]
+            null = _null_vectors([row[:k] for row in c[: theirs[i]]], k)
+            # P[:, :k] x for each kernel vector x of length k
+            vectors = [[sum(map(mul, x, row)) for row in p] for x in null]
+            meets.append(_span(n, vectors) if vectors else Subspace.zero(n))
+        return meets
+
     def diagonal_map(self, values) -> Matrix:
         """P diag P^-1: the map acting as values[i] on the i-th part."""
         values = [Fraction(v) for v in values]
@@ -643,7 +758,22 @@ class Decomposition:
         scales = [v.numerator * (den // v.denominator) for part, v in zip(self.parts, values) for _ in part.numerators]
         p = self.basis_matrix()
         scaled = Matrix([[e * s for e, s in zip(row, scales)] for row in p.numerators], p.denominator * den)
-        return scaled * p.inverse()
+        return scaled * self.basis_inverse()
+
+    def acts_as(self, x: Matrix, values) -> bool:
+        """Whether X P = P diag(values), that is X acts as values[i] on the i-th part; no matrix is built."""
+        values = [Fraction(v) for v in values]
+        if len(values) != len(self.parts):
+            raise ShapeError(f"{len(values)} values for {len(self.parts)} parts")
+        p = self.basis_matrix()
+        image = _numerator_product(x, p)
+        # X P has numerators `image` over x.denominator (P is integral)
+        columns = [(v.numerator * x.denominator, v.denominator) for part, v in zip(self.parts, values) for _ in part.numerators]
+        return all(
+            e * den == num * f
+            for image_row, p_row in zip(image, p.numerators)
+            for e, f, (num, den) in zip(image_row, p_row, columns)
+        )
 
     def projector(self, indices) -> Matrix:
         """The projector onto the sum of the parts at `indices`, along the other parts."""
@@ -651,12 +781,11 @@ class Decomposition:
 
     def block_form(self, x: Matrix) -> Matrix:
         """P^-1 X P: its block (i, j) is zero exactly when E_i X E_j = 0."""
-        p = self.basis_matrix()
-        return p.inverse() * x * p
+        return self.basis_inverse() * x * self.basis_matrix()
 
     def block_is_zero(self, y: Matrix, i: int, j: int) -> bool:
         """Whether block (i, j) of y, the rows of part i by the columns of part j, is zero."""
-        start = list(accumulate((part.rank for part in self.parts), initial=0))
+        start = self._offsets()
         rows, cols = range(start[i], start[i + 1]), range(start[j], start[j + 1])
         return not any(y.numerators[r][c] for r in rows for c in cols)
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import mul
 
-from .linalg import Decomposition, Matrix, commutator, flag, kernel, q_commutator
+from .linalg import Decomposition, Matrix, commutator, kernel, q_commutator
 from .model import TDModel
 from .scalars import ONE, ParameterError, t_coeff
 
@@ -117,13 +119,19 @@ def check_L_eigenstructure(model: TDModel, lus: LusztigData):
     """Both twisted images are diagonalizable with the A*-spectrum on conjugated eigenspaces.
 
     For eps in {+1, -1}: eigenvalues of L^eps(A*) are the theta*_i, with
-    theta*_i-eigenspace H^(-eps) V*_i, checked by exact kernel computation.
+    theta*_i-eigenspace H^(-eps) V*_i. With P the basis matrix of the
+    conjugated eigenspaces, one product certifies L^eps(A*) P = P diag(theta*):
+    the conjugated eigenspaces are a checked direct sum and the theta*_i are
+    pairwise distinct, so that is the same statement. Kernels are computed
+    only to name a failure.
     Returns (passed, failures) as (eps, i, description) triples.
     """
     failures = []
     ident = Matrix.identity(model.dim)
     cases = [(1, lus.LAstar, lus.Vplus), (-1, lus.LinvAstar, lus.Vminus)]
     for eps, image, expected_parts in cases:
+        if expected_parts.acts_as(image, model.theta_star):
+            continue
         total = 0
         for i, th in enumerate(model.theta_star):
             eigenspace = kernel(image - ident.scale(th))
@@ -176,10 +184,11 @@ def expand_H(model: TDModel, r: int, variant: str = "ascending", inverse: bool =
 def check_H_expansions(model: TDModel, lus: LusztigData):
     """All four expansion families agree with H or H^-1 on their stated flags.
 
-    The residual (expansion - H^(+-1)) must kill the flag's basis, one
-    product per residual; a zero image is a complete proof at these
-    dimensions. A failing residual's witness is the residual times the
-    exact flag projector.
+    The residual (expansion - H^(+-1)) is multiplied by the flag's columns
+    of P, the eigenspace bases of its parts. Those columns are a basis of
+    the flag, so a zero product proves that the expansion equals H^(+-1)
+    on the whole flag. A failing residual's witness is the residual times
+    the exact flag projector.
     Returns (passed, failures) as (variant, inverse, r, residual).
     """
     failures = []
@@ -191,8 +200,8 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
             for r in range(d + 1):
                 # the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
                 parts = range(r, d + 1) if variant == "ascending" else range(r + 1)
-                space = flag(dec, d - r, "descending") if variant == "ascending" else flag(dec, r, "ascending")
+                columns = chain.from_iterable(dec[k].numerators for k in parts)
                 resid = expand_H(model, r, variant, inverse) - target
-                if not space.image_under(resid).is_zero():
+                if any(sum(map(mul, row, col)) for col in columns for row in resid.numerators):
                     failures.append((variant, inverse, r, resid * dec.projector(parts)))
     return not failures, failures

@@ -62,13 +62,18 @@ def eigenspace_decomposition(m: Matrix, eigs) -> Decomposition:
     """Decomposition of the ambient space into kernels of (m - eig I).
 
     Raises ModelError unless the kernels are nonzero and fill the space, i.e.
-    m is diagonalizable with exactly the given eigenvalues.
+    m is diagonalizable with exactly the given eigenvalues. The eigenvalues
+    are pairwise distinct, so the kernels are independent and their ranks
+    summing to the size makes them a direct sum; nothing more is eliminated.
     """
+    eigs = [Fraction(e) for e in eigs]
+    if len(set(eigs)) != len(eigs):
+        raise ModelError(f"eigenvalues {eigs} are not pairwise distinct")
     ident = Matrix.identity(m.rows)
     parts = []
     total = 0
     for e in eigs:
-        space = kernel(m - ident.scale(Fraction(e)))
+        space = kernel(m - ident.scale(e))
         if space.is_zero():
             raise ModelError(f"eigenvalue {e} has no eigenvector")
         total += space.rank
@@ -77,7 +82,7 @@ def eigenspace_decomposition(m: Matrix, eigs) -> Decomposition:
         raise ModelError(
             f"eigenspace dimensions sum to {total} != {m.rows}; not diagonalizable on this list"
         )
-    return Decomposition(parts)
+    return Decomposition.independent(parts)
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,12 @@ def export_model(model: TDModel, path: str) -> None:
 
 def import_model(path: str) -> TDModel:
     """Read a model file; rebuilds from phi or bundles an imported pair."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelIOError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     lines = list(_content_lines(text))
     if not lines:
         raise ModelIOError(path, 1, "empty model file")

@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .linalg import (
-    Decomposition,
-    Matrix,
-    flag,
-    qweyl_bracket,
-    subspace_intersect,
-)
+from .linalg import Decomposition, Matrix, qweyl_bracket
 from .lusztig import LusztigData
 from .model import ModelError, TDModel, eigenspace_decomposition
 from .scalars import ParameterError
@@ -32,16 +26,19 @@ class LadderSpectra:
     """Eigenspace decompositions over the q-ladder q^d, ..., q^-d, one per distinct matrix.
 
     A matrix is looked up by its structural hash, so equal matrices built
-    separately share one decomposition. The ladder is closed under
-    lam -> lam^-1 and ker(m^-1 - lam^-1 I) = ker(m - lam I), so a matrix
-    whose inverse has already been computed and decomposed gets the
-    inversion of that decomposition; no inverse is computed here. A matrix
-    that is not diagonalizable on the ladder raises ModelError on every lookup.
+    separately share one decomposition. `known` holds (matrix, decomposition)
+    pairs whose matrix was built as P diag(q^d, ..., q^-d) P^-1 from that
+    decomposition, such as the split maps; they are taken as they are. The
+    ladder is closed under lam -> lam^-1 and ker(m^-1 - lam^-1 I) =
+    ker(m - lam I), so a matrix whose inverse has already been computed and
+    decomposed gets the inversion of that decomposition; no inverse is
+    computed here. A matrix that is not diagonalizable on the ladder raises
+    ModelError on every lookup.
     """
 
-    def __init__(self, d: int, q: Fraction):
+    def __init__(self, d: int, q: Fraction, known=()):
         self.eigenvalues = qweyl_eigenvalues(d, q)
-        self._decompositions: dict[Matrix, Decomposition] = {}
+        self._decompositions: dict[Matrix, Decomposition] = dict(known)
 
     def decomposition(self, m: Matrix) -> Decomposition:
         dec = self._decompositions.get(m)
@@ -64,7 +61,9 @@ def split_decomposition(model: TDModel, star_order: str = "forward", a_order: st
 
     (forward, forward) gives U_i = (V*_0+...+V*_i) n (V_i+...+V_d); each
     reversal replaces the corresponding eigenspace list by its inversion.
-    A degenerate (zero) intersection signals a non-tridiagonal input pair.
+    Each U_i is read off the change of basis from the star eigenbasis to
+    the A eigenbasis (`Decomposition.flag_meets`). A degenerate (zero)
+    intersection signals a non-tridiagonal input pair.
     """
     return split_from_decompositions(
         model.eigenspaces_Astar, model.eigenspaces_A, star_order, a_order
@@ -81,15 +80,10 @@ def split_from_decompositions(
         star_dec = star_dec.inversion()
     if a_order == "reversed":
         a_dec = a_dec.inversion()
-    d = len(star_dec) - 1
-    parts = []
-    for i in range(d + 1):
-        u = subspace_intersect(
-            flag(star_dec, i, "ascending"), flag(a_dec, d - i, "descending")
-        )
+    parts = star_dec.flag_meets(a_dec)
+    for i, u in enumerate(parts):
         if u.is_zero():
             raise ModelError(f"split part U_{i} is zero; the pair is not tridiagonal")
-        parts.append(u)
     return Decomposition(parts)
 
 
@@ -138,7 +132,8 @@ def check_split_flags(model: TDModel, s: SplitMaps):
 
     Ascending U-flag = ascending flag of the (possibly inverted) A*-eigenspace
     list; descending U-flag = descending flag of the (possibly inverted)
-    A-eigenspace list. Returns (passed, failures).
+    A-eigenspace list. Both are read off changes of basis
+    (`Decomposition.flag_mismatches`). Returns (passed, failures).
     """
     star = model.eigenspaces_Astar
     a_dec = model.eigenspaces_A
@@ -151,10 +146,12 @@ def check_split_flags(model: TDModel, s: SplitMaps):
     failures = []
     d = model.d
     for name, dec, star_ref, a_ref in cases:
+        ascending = dec.flag_mismatches(star_ref)
+        descending = dec.inversion().flag_mismatches(a_ref.inversion())
         for i in range(d + 1):
-            if flag(dec, i, "ascending") != flag(star_ref, i, "ascending"):
+            if i in ascending:
                 failures.append((name, i, "ascending flag != star flag"))
-            if flag(dec, i, "descending") != flag(a_ref, i, "descending"):
+            if i in descending:
                 failures.append((name, i, "descending flag != A flag"))
     return not failures, failures
 

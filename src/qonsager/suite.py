@@ -105,8 +105,10 @@ def _target_from_spec(spec: dict, index: int) -> Target:
     phi = spec.get("phi", [])
     if not isinstance(phi, list):
         raise ConfigError(f"target {index}: 'phi' must be a list, got {type(phi).__name__}")
+    if "d" in spec and type(spec["d"]) is not int:  # a JSON integer; true and false are bools
+        raise ConfigError(f"target {index}: 'd' must be an integer, got {json.dumps(spec['d'])}")
     try:
-        d = int(spec["d"])
+        d = spec["d"]
         q = parse_scalar(str(spec["q"]))
         a = parse_scalar(str(spec["a"]))
         b = parse_scalar(str(spec["b"]))
@@ -126,6 +128,8 @@ def load_config(path: str) -> SuiteConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict) or "targets" not in data:
@@ -221,7 +225,6 @@ class TargetContext:
 
     def __init__(self, model: TDModel):
         self.model = model
-        self.spectra = splitmaps.LadderSpectra(model.d, model.params.q)
         self._built = {}
 
     def _once(self, name: str, build):
@@ -243,6 +246,17 @@ class TargetContext:
     def split_maps(self) -> splitmaps.SplitMaps:
         """K, B, Kdown, Bdown and their decompositions."""
         return self._once("split_maps", lambda: splitmaps.build_split_maps(self.model))
+
+    @property
+    def spectra(self) -> splitmaps.LadderSpectra:
+        """Decompositions on the q-ladder; K, B, Kdown and Bdown come with their split decompositions."""
+
+        def build():
+            s = self.split_maps
+            known = ((s.K, s.dec_K), (s.B, s.dec_B), (s.Kdown, s.dec_Kdown), (s.Bdown, s.dec_Bdown))
+            return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known)
+
+        return self._once("spectra", build)
 
     @property
     def completed_maps(self) -> splitmaps.SplitMaps:

@@ -295,3 +295,41 @@ def test_readme_config_example_loads(tmp_path):
     path.write_text(examples[0])
     cfg = load_config(str(path))
     assert cfg.targets and cfg.suites
+
+
+def test_undecodable_model_file_is_a_load_failure_and_import_exits_2(capsys, tmp_path):
+    path = tmp_path / "bin.model"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    out = tmp_path / "report.jsonl"
+    assert main(["verify", "--file", str(path), *GOLDEN_ARGS, "--output", str(out), "--quiet"]) == 1
+    summaries = capsys.readouterr().out.splitlines()
+    assert summaries == [f"{path}: FAIL (0/1 checks passed)", "d=1 q=2 a=3 b=5: PASS (27/27 checks passed)"]
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert (records[0]["check"], records[0]["status"]) == ("target.load", "fail")
+    assert records[0]["residual"] == f"{path}:1: not UTF-8 text"
+    assert len(records) == 1 + 27
+    assert main(["import", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: not UTF-8 text\n"
+
+
+def test_undecodable_config_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="not UTF-8 text"):
+        load_config(str(path))
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: not UTF-8 text\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("d, shown", [(2.7, "2.7"), (True, "true"), ("2.5", '"2.5"'), ("2", '"2"')])
+def test_config_d_must_be_a_json_integer(capsys, tmp_path, d, shown):
+    path = _write_config(tmp_path, targets=[{**PARAM_TARGET, "d": d}])
+    message = f"target 0: 'd' must be an integer, got {shown}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path))
+    assert main(["verify", "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

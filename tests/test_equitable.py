@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from qonsager.equitable import (
     verify_triple_table,
 )
 from qonsager.linalg import (
+    Decomposition,
     Matrix,
     ShapeError,
     Subspace,
@@ -305,9 +307,62 @@ def test_diagram_golden_eigenspace_identities(golden):
 
 def test_diagrams_detect_swapped_K_B(golden):
     model, lus, s = golden
-    from dataclasses import replace
-
     swapped = replace(s, K=s.B, B=s.K)
     ok, failures = verify_diagrams(model, lus, swapped, _spectra(model), _table_check(model, swapped))
     assert not ok
     assert failures
+
+
+@pytest.fixture(scope="module")
+def d3():
+    phi = solve_phi(3, F(2), F(3), F(5), limit=1)[0]
+    model = build_model(ParamSet(3, F(2), F(3), F(5), phi))
+    lus = build_H(model)
+    spectra = _spectra(model)
+    s = build_MN(model, build_split_maps(model), spectra)
+    return model, lus, s, spectra, _table_check(model, s)
+
+
+def _first_two_parts_swapped(dec):
+    return Decomposition((dec[1], dec[0]) + dec.parts[2:])
+
+
+# Swapping the first two parts changes an ascending flag only at 0 and a
+# descending flag only at d - 1, so each family names its own index; the
+# names and their order are those the partial-sum flags gave.
+@pytest.mark.parametrize(
+    "where, expected",
+    [
+        (
+            "Astar",
+            [
+                "M flag 0: ascending = V* ascending",
+                "Ndown flag 2: descending = V* descending",
+                "Mdown flag 2: ascending = V* descending",
+                "N flag 3: descending = V* ascending reversed",
+            ],
+        ),
+        (
+            "Vplus",
+            ["N flag 0: ascending = V+ ascending", "Ndown flag 2: ascending = V+ descending"]
+            + [f"(A, L(A*)) split map at {slot} slot" for slot in ("K", "B", "Kdown", "Bdown")],
+        ),
+        (
+            "Vminus",
+            ["Mdown flag 2: descending = V- descending", "M flag 3: descending = V- ascending reversed"]
+            + [f"(A, L^-1(A*)) split map at {slot} slot times its label" for slot in ("K", "B", "Kdown", "Bdown")],
+        ),
+    ],
+)
+def test_diagram_flag_failures_name_the_index_of_each_family(d3, where, expected):
+    model, lus, s, spectra, table = d3
+    if where == "Astar":
+        model = replace(model)
+        model.__dict__["eigenspaces_Astar"] = _first_two_parts_swapped(d3[0].eigenspaces_Astar)
+    else:
+        lus = replace(lus)
+        lus.__dict__[where] = _first_two_parts_swapped(getattr(d3[1], where))
+    ok, failures = verify_diagrams(model, lus, s, spectra, table)
+    assert not ok
+    assert [name for name, _ in failures] == expected
+    assert all(witness == "flag mismatch" for name, witness in failures if " flag " in name)

@@ -4,8 +4,8 @@ The reference below is the `Fraction` Gauss-Jordan kernel that `linalg` used
 before it moved to integer numerators over one denominator. It lives here
 only, as an oracle: every operation of the new kernel must agree with it
 exactly on random rational matrices, including rank-deficient ones and
-entries with large numerators and denominators. `rref`, `rank` and
-`inverse` are also checked against sympy when it is installed.
+entries with large numerators and denominators. `rref`, `rank`,
+`inverse` and `kernel` are also checked against sympy when it is installed.
 """
 
 import math
@@ -269,18 +269,19 @@ def test_image_under_matches_reference(case):
 # ---------------------------------------------------------------- sympy oracle
 
 
+def to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in rows])
+
+
+def from_sympy(sm):
+    return [[F(int(e.p), int(e.q)) for e in sm.row(i)] for i in range(sm.rows)]
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(matrices())
 def test_rref_rank_inverse_match_sympy(rows):
     sympy = pytest.importorskip("sympy")
-
-    def to_sympy(r):
-        return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in r])
-
-    def from_sympy(sm):
-        return [[F(int(e.p), int(e.q)) for e in sm.row(i)] for i in range(sm.rows)]
-
-    s = to_sympy(rows)
+    s = to_sympy(sympy, rows)
     reduced, _ = s.rref()
     assert as_rows(rref(Matrix(rows))) == from_sympy(reduced)
     assert Matrix(rows).rank() == s.rank()
@@ -290,6 +291,28 @@ def test_rref_rank_inverse_match_sympy(rows):
                 Matrix(rows).inverse()
         else:
             assert as_rows(Matrix(rows).inverse()) == from_sympy(s.inv())
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrices())
+def test_kernel_matches_sympy_nullspace(rows):
+    # sizes 1..8; a third of the draws are products of a thinner pair, rank-deficient by construction
+    sympy = pytest.importorskip("sympy")
+    ncols = len(rows[0])
+    null = [[F(int(e.p), int(e.q)) for e in v] for v in to_sympy(sympy, rows).nullspace()]
+    got = kernel(Matrix(rows))
+    assert got == Subspace.from_vectors(ncols, null)
+    assert got.rank == ncols - Matrix(rows).rank()
+
+
+def test_kernel_matches_sympy_on_rank_deficient_squares():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 9):
+        # rank n - 1: the last row is the sum of the others (the zero row when n = 1)
+        rows = [[F((i + 1) * (j + 2) % 5 - 2 + (i == j), j + 1) for j in range(n)] for i in range(n - 1)]
+        rows.append([sum((r[j] for r in rows), F(0)) for j in range(n)])
+        null = [[F(int(e.p), int(e.q)) for e in v] for v in to_sympy(sympy, rows).nullspace()]
+        assert null and kernel(Matrix(rows)) == Subspace.from_vectors(n, null)
 
 
 # ---------------------------------------------------------------- pickling

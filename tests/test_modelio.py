@@ -166,3 +166,11 @@ def test_import_rejects_a_second_definition(tmp_path, body, line, message):
         import_model(str(path))
     assert err.value.line == line
     assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+def test_import_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.model"
+    path.write_bytes("1 2 3 5\n# caf\u00e9\nphi: 1\n".encode("latin-1"))
+    with pytest.raises(ModelIOError, match="not UTF-8 text") as exc:
+        import_model(str(path))
+    assert exc.value.line == 2

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qonsager import equitable, lusztig, model, scalars, splitmaps, suite
+from qonsager import equitable, linalg, lusztig, model, scalars, splitmaps, suite
 from qonsager.cli import main
 from qonsager.linalg import Matrix
 from qonsager.report import Report
@@ -43,7 +43,7 @@ def _count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod in (model, lusztig, splitmaps, equitable, suite):
+    for mod in (linalg, model, lusztig, splitmaps, equitable, suite):
         if getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
@@ -78,6 +78,7 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (model, "eigenspace_decomposition"),
             (model, "check_tridiagonal_action"),
             (model, "check_irreducible"),
+            (linalg, "flag"),
         )
     }
     looking_up, ladder_inverses = [], []
@@ -102,11 +103,14 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     assert report.all_passed and len(report.checks) == 27
     for name in ("build_model", "build_H", "build_split_maps", "build_MN"):
         assert len(calls[name]) == 1, name
-    # 24 distinct matrices go through the q-ladder; 8 of them take the
-    # reversed decomposition of an inverse that was already decomposed, and
-    # the ladder computes no inverse. The model decomposes A and A* once each.
-    assert len(calls["eigenspace_decomposition"]) <= 16 + 2
+    # 24 distinct matrices go through the q-ladder: K, B, Kdown and Bdown come
+    # with their split decompositions, 8 take the reversed decomposition of
+    # an inverse that was already decomposed, and the ladder computes no
+    # inverse. The model decomposes A and A* once each.
+    assert len(calls["eigenspace_decomposition"]) <= 12 + 2
     assert not ladder_inverses
+    # every flag equality is read off a change of basis; no partial sum is built
+    assert not calls["flag"]
     # build_model rejects a pair that is not tridiagonal or is reducible;
     # model.tridiagonal and model.irreducible read its verdicts.
     assert len(calls["check_tridiagonal_action"]) == 1
