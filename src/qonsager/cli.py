@@ -149,14 +149,13 @@ def _cmd_solve_phi(args) -> int:
 def _cmd_export(args) -> int:
     q, a, b = parse_scalar(args.q), parse_scalar(args.a), parse_scalar(args.b)
     if args.phi:
-        phi = tuple(parse_scalar(t) for t in args.phi)
+        model = build_model(ParamSet(args.d, q, a, b, tuple(parse_scalar(t) for t in args.phi)))
     else:
-        found = solve_phi(args.d, q, a, b, limit=1)
-        if not found:
+        models = []
+        if not solve_phi(args.d, q, a, b, limit=1, models=models):
             print("no rational phi sequence found; supply --phi", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        phi = found[0]
-    model = build_model(ParamSet(args.d, q, a, b, phi))
+        model = models[0]
     export_model(model, args.out)
     print(f"wrote {args.out}")
     return EXIT_PASS

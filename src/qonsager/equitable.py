@@ -27,7 +27,8 @@ from .splitmaps import (
     SplitMaps,
     expect_zero,
     map_from_decomposition,
-    split_from_decompositions,
+    orientations,
+    split_decomposition,
 )
 
 
@@ -44,15 +45,17 @@ def check_qweyl(x: Matrix, y: Matrix, q: Fraction) -> bool:
 def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):
     """All three cyclic q-Weyl relations, with invertibility verified first.
 
+    Invertibility is certified by the memoized `Matrix.inverse()`.
     Returns (passed, failures) as (name, residual); a singular input is
     reported as a failure entry rather than raised. The residual matrix is
     built only for a relation that fails.
     """
     failures = []
     for name, mat in (("X", x), ("Y", y), ("Z", z)):
-        rank = mat.rank()
-        if rank < mat.rows:
-            failures.append((f"{name} invertible", str(SingularMatrixError(rank, mat.rows))))
+        try:
+            mat.inverse()
+        except SingularMatrixError as exc:
+            failures.append((f"{name} invertible", str(exc)))
     if failures:
         return False, failures
     for name, left, right in (("(X,Y)", x, y), ("(Y,Z)", y, z), ("(Z,X)", z, x)):
@@ -69,24 +72,28 @@ class TripleTable:
 
 
 def build_triple_table(model: TDModel, s: SplitMaps) -> TripleTable:
-    """Populate the eight equitable-triple rows from A and the split maps."""
+    """Populate the eight equitable-triple rows from the split maps and their H-conjugates.
+
+    Rows 1-4 are (H X^-1 H^-1, M^-1 or Mdown^-1, X) and rows 5-8 are
+    (X^-1, N^-1 or Ndown^-1, H^-1 X H) for X = K, B, Kdown, Bdown, with the
+    conjugates in their closed forms, such as a A - a^2 K for H K^-1 H^-1.
+    """
     if s.M is None:
         raise ParameterError("SplitMaps must be completed with build_MN first")
-    a = model.params.a
-    big_a = model.A
     m_inv = s.M.inverse()
     n_inv = s.N.inverse()
     md_inv = s.Mdown.inverse()
     nd_inv = s.Ndown.inverse()
+    conj, conj_inv = s.conjugated, s.conjugated_inverse
     rows = (
-        ("1", big_a.scale(a) - s.K.scale(a * a), m_inv, s.K),
-        ("2", big_a.scale(1 / a) - s.B.scale(1 / (a * a)), m_inv, s.B),
-        ("3", big_a.scale(a) - s.Kdown.scale(a * a), md_inv, s.Kdown),
-        ("4", big_a.scale(1 / a) - s.Bdown.scale(1 / (a * a)), md_inv, s.Bdown),
-        ("5", s.K.inverse(), n_inv, big_a.scale(1 / a) - s.K.inverse().scale(1 / (a * a))),
-        ("6", s.B.inverse(), n_inv, big_a.scale(a) - s.B.inverse().scale(a * a)),
-        ("7", s.Kdown.inverse(), nd_inv, big_a.scale(1 / a) - s.Kdown.inverse().scale(1 / (a * a))),
-        ("8", s.Bdown.inverse(), nd_inv, big_a.scale(a) - s.Bdown.inverse().scale(a * a)),
+        ("1", conj_inv["K"], m_inv, s.K),
+        ("2", conj_inv["B"], m_inv, s.B),
+        ("3", conj_inv["Kdown"], md_inv, s.Kdown),
+        ("4", conj_inv["Bdown"], md_inv, s.Bdown),
+        ("5", s.K.inverse(), n_inv, conj["K"]),
+        ("6", s.B.inverse(), n_inv, conj["B"]),
+        ("7", s.Kdown.inverse(), nd_inv, conj["Kdown"]),
+        ("8", s.Bdown.inverse(), nd_inv, conj["Bdown"]),
     )
     return TripleTable(rows)
 
@@ -157,7 +164,8 @@ def verify_diagrams(
       - Lower-half edges: the split maps of the pair (A, L(A*)) equal
         a^-1 A - a^-2 K^-1 (K slot), a A - a^2 B^-1 (B slot) and the down
         analogues; those of (A, L^-1(A*)) are the inverses of a A - a^2 K,
-        a^-1 A - a^-2 B and the down analogues.
+        a^-1 A - a^-2 B and the down analogues. These are the H-conjugates
+        kept on `s`.
       - Oriented 3-cycles: delegated to the eight table rows.
     Each flag family is read off one change of basis between two eigenbases
     (`Decomposition.flag_mismatches`). The M/N decompositions come from
@@ -168,7 +176,7 @@ def verify_diagrams(
     if s.M is None:
         raise ParameterError("SplitMaps must be completed with build_MN first")
     p = model.params
-    q, a, d = p.q, p.a, p.d
+    q, d = p.q, p.d
     failures = []
 
     def expect(name: str, condition: bool, witness="flag mismatch") -> None:
@@ -198,36 +206,22 @@ def verify_diagrams(
         for name, mismatches, mirrored in families:
             expect(name.format(i), (d - i if mirrored else i) not in mismatches)
 
-    # Split maps of the twisted pair (A, L(A*)): conjugated forms, directly.
+    # Split maps of the twisted pair (A, L(A*)): the H^-1 X H closed forms, directly.
     a_dec = model.eigenspaces_A
-    twisted_plus = [
-        ("K slot", "forward", "forward", model.A.scale(1 / a) - s.K.inverse().scale(1 / (a * a))),
-        ("B slot", "forward", "reversed", model.A.scale(a) - s.B.inverse().scale(a * a)),
-        ("Kdown slot", "reversed", "forward", model.A.scale(1 / a) - s.Kdown.inverse().scale(1 / (a * a))),
-        ("Bdown slot", "reversed", "reversed", model.A.scale(a) - s.Bdown.inverse().scale(a * a)),
-    ]
-    for name, star_order, a_order, expected in twisted_plus:
-        dec = split_from_decompositions(vplus, a_dec, star_order, a_order)
+    for name, star_ref, a_ref in orientations(vplus, a_dec):
         expect_zero(
             failures,
-            f"(A, L(A*)) split map at {name}",
-            map_from_decomposition(dec, q) - expected,
+            f"(A, L(A*)) split map at {name} slot",
+            map_from_decomposition(split_decomposition(star_ref, a_ref), q) - s.conjugated[name],
         )
 
-    # Split maps of the twisted pair (A, L^-1(A*)): inverses of the labels.
+    # Split maps of the twisted pair (A, L^-1(A*)): inverses of the H X^-1 H^-1 closed forms.
     ident = Matrix.identity(model.dim)
-    twisted_minus = [
-        ("K slot", "forward", "forward", model.A.scale(a) - s.K.scale(a * a)),
-        ("B slot", "forward", "reversed", model.A.scale(1 / a) - s.B.scale(1 / (a * a))),
-        ("Kdown slot", "reversed", "forward", model.A.scale(a) - s.Kdown.scale(a * a)),
-        ("Bdown slot", "reversed", "reversed", model.A.scale(1 / a) - s.Bdown.scale(1 / (a * a))),
-    ]
-    for name, star_order, a_order, label in twisted_minus:
-        dec = split_from_decompositions(vminus, a_dec, star_order, a_order)
+    for name, star_ref, a_ref in orientations(vminus, a_dec):
         expect_zero(
             failures,
-            f"(A, L^-1(A*)) split map at {name} times its label",
-            map_from_decomposition(dec, q) * label - ident,
+            f"(A, L^-1(A*)) split map at {name} slot times its label",
+            map_from_decomposition(split_decomposition(star_ref, a_ref), q) * s.conjugated_inverse[name] - ident,
         )
 
     # Oriented 3-cycles are equitable triples: the eight table rows.

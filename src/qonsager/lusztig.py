@@ -143,13 +143,16 @@ def check_L_eigenstructure(model: TDModel, lus: LusztigData):
     return not failures, failures
 
 
-def expand_H(model: TDModel, r: int, variant: str = "ascending", inverse: bool = False) -> Matrix:
-    """Evaluate one terminating polynomial expansion of H or H^-1 in A.
+def expand_H(model: TDModel, r: int, variant: str = "ascending") -> tuple[Matrix, Matrix]:
+    """Evaluate one terminating polynomial expansion of H and its H^-1 partner in A.
 
     ascending (anchor r): t_r sum_i a^i q^(i(d-2r)) (A-th_r)...(A-th_(r+i-1)) / (q^2;q^2)_i,
-    valid on V_r + ... + V_d; the inverse flips a -> 1/a, q -> 1/q and uses 1/t_r.
+    valid on V_r + ... + V_d.
     descending (anchor s=r): t_s sum_i a^-i q^(i(2s-d)) (A-th_s)...(A-th_(s-i+1)) / (q^2;q^2)_i,
-    valid on V_0 + ... + V_s; inverse analogous.
+    valid on V_0 + ... + V_s.
+    The H^-1 expansion flips a -> 1/a, q -> 1/q and uses 1/t_r; it sums the
+    same products of (A - theta I) factors, so both are built from one chain.
+    Returns (expansion of H, expansion of H^-1).
     """
     d = model.d
     if not 0 <= r <= d:
@@ -160,30 +163,27 @@ def expand_H(model: TDModel, r: int, variant: str = "ascending", inverse: bool =
     q, a = p.q, p.a
     ident = Matrix.identity(model.dim)
     tr = p.ts[r]
-    out = Matrix.zero(model.dim)
+    out, out_inv = Matrix.zero(model.dim), Matrix.zero(model.dim)
     running = ident  # the growing product of (A - theta I) factors
     coeff = ONE  # the growing power of the step below
     if variant == "ascending":
         length, step = d - r, a * q ** (d - 2 * r)
     else:
         length, step = r, q ** (2 * r - d) / a
-    if inverse:
-        step, poch = 1 / step, p.q2_inv_poch
-    else:
-        poch = p.q2_poch
     for i in range(length + 1):
         if i > 0:
             idx = (r + i - 1) if variant == "ascending" else (r - i + 1)
             running = running * (model.A - ident.scale(model.theta[idx]))
             coeff *= step
-        out = out + running.scale(coeff / poch[i])
-    prefactor = 1 / tr if inverse else tr
-    return out.scale(prefactor)
+        out = out + running.scale(coeff / p.q2_poch[i])
+        out_inv = out_inv + running.scale(1 / (coeff * p.q2_inv_poch[i]))
+    return out.scale(tr), out_inv.scale(1 / tr)
 
 
 def check_H_expansions(model: TDModel, lus: LusztigData):
     """All four expansion families agree with H or H^-1 on their stated flags.
 
+    Each call of `expand_H` gives the H and H^-1 expansions at one anchor.
     The residual (expansion - H^(+-1)) is multiplied by the flag's columns
     of P, the eigenspace bases of its parts. Those columns are a basis of
     the flag, so a zero product proves that the expansion equals H^(+-1)
@@ -195,13 +195,13 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
     dec = model.eigenspaces_A
     d = model.d
     for variant in ("ascending", "descending"):
-        for inverse in (False, True):
-            target = lus.H_inv if inverse else lus.H
+        expansions = [expand_H(model, r, variant) for r in range(d + 1)]
+        for inverse, target in ((False, lus.H), (True, lus.H_inv)):
             for r in range(d + 1):
                 # the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
                 parts = range(r, d + 1) if variant == "ascending" else range(r + 1)
                 columns = chain.from_iterable(dec[k].numerators for k in parts)
-                resid = expand_H(model, r, variant, inverse) - target
+                resid = expansions[r][inverse] - target
                 if any(sum(map(mul, row, col)) for col in columns for row in resid.numerators):
                     failures.append((variant, inverse, r, resid * dec.projector(parts)))
     return not failures, failures

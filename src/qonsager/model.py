@@ -369,7 +369,7 @@ def phi_candidate(d: int, q: Fraction, a: Fraction, b: Fraction, c: Fraction) ->
     )
 
 
-def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, candidates=None, limit: int = 3, models=None):
+def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, limit: int = 3, models=None):
     """Find rational phi sequences making the split-basis pair satisfy check_qdg.
 
     Scans the one-parameter candidate family over rational c values and keeps
@@ -390,7 +390,7 @@ def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, candidates=None, li
         return [(ONE,)]
     found = []
     seen = set()
-    for c in candidates if candidates is not None else DEFAULT_C_SCAN:
+    for c in DEFAULT_C_SCAN:
         phi = phi_candidate(d, base.q, base.a, base.b, Fraction(c))
         if any(p == 0 for p in phi) or phi in seen:
             continue

@@ -1,8 +1,10 @@
 """The four split decompositions, their corresponding maps, and the conjugation identities.
 
-Each split decomposition arises as ascending-star-flag meet descending-A-flag,
-with one or both eigenspace orders optionally inverted: K = (fwd, fwd),
-B = (fwd, rev), Kdown = (rev, fwd), Bdown = (rev, rev). The corresponding map
+Each split decomposition arises as ascending-star-flag meet descending-A-flag
+of two ordered eigenspace decompositions; an order is reversed by passing the
+decomposition's inversion. With V* and V the eigenspaces of A* and A:
+K from (V*, V), B from (V*, V reversed), Kdown from (V* reversed, V) and
+Bdown from (V* reversed, V reversed) (`orientations`). The corresponding map
 acts as q^(d-2i) on the i-th part.
 """
 
@@ -56,30 +58,14 @@ def expect_zero(failures: list, name: str, resid: Matrix) -> None:
         failures.append((name, resid))
 
 
-def split_decomposition(model: TDModel, star_order: str = "forward", a_order: str = "forward") -> Decomposition:
-    """U_i = (star-flag through i) meet (A-flag from i up), with optional order reversal.
+def split_decomposition(star_dec: Decomposition, a_dec: Decomposition) -> Decomposition:
+    """U_i = (W*_0+...+W*_i) meet (W_i+...+W_d), W* the parts of `star_dec` and W those of `a_dec`.
 
-    (forward, forward) gives U_i = (V*_0+...+V*_i) n (V_i+...+V_d); each
-    reversal replaces the corresponding eigenspace list by its inversion.
-    Each U_i is read off the change of basis from the star eigenbasis to
-    the A eigenbasis (`Decomposition.flag_meets`). A degenerate (zero)
-    intersection signals a non-tridiagonal input pair.
+    Both decompositions come in the order wanted; a reversed order is the
+    decomposition's inversion. Each U_i is read off the change of basis from
+    the star eigenbasis to the A eigenbasis (`Decomposition.flag_meets`). A
+    degenerate (zero) intersection signals a non-tridiagonal input pair.
     """
-    return split_from_decompositions(
-        model.eigenspaces_Astar, model.eigenspaces_A, star_order, a_order
-    )
-
-
-def split_from_decompositions(
-    star_dec: Decomposition, a_dec: Decomposition, star_order: str, a_order: str
-) -> Decomposition:
-    for name, value in (("star_order", star_order), ("a_order", a_order)):
-        if value not in ("forward", "reversed"):
-            raise ParameterError(f"{name} must be 'forward' or 'reversed', got {value!r}")
-    if star_order == "reversed":
-        star_dec = star_dec.inversion()
-    if a_order == "reversed":
-        a_dec = a_dec.inversion()
     parts = star_dec.flag_meets(a_dec)
     for i, u in enumerate(parts):
         if u.is_zero():
@@ -87,13 +73,30 @@ def split_from_decompositions(
     return Decomposition(parts)
 
 
+def orientations(star_dec: Decomposition, a_dec: Decomposition):
+    """(split map name, star order, A order) for K, B, Kdown and Bdown, in that order."""
+    star_rev, a_rev = star_dec.inversion(), a_dec.inversion()
+    return (("K", star_dec, a_dec), ("B", star_dec, a_rev), ("Kdown", star_rev, a_dec), ("Bdown", star_rev, a_rev))
+
+
 def map_from_decomposition(dec: Decomposition, q: Fraction) -> Matrix:
     """The unique map acting as q^(d-2i) on the i-th part."""
     return dec.diagonal_map(qweyl_eigenvalues(len(dec) - 1, Fraction(q)))
 
 
+def h_conjugates(big_a: Matrix, x: Matrix, c: Fraction) -> tuple[Matrix, Matrix]:
+    """The closed forms H^-1 X H = c A - c^2 X^-1 and H X^-1 H^-1 = c^-1 A - c^-2 X."""
+    return big_a.scale(c) - x.inverse().scale(c * c), big_a.scale(1 / c) - x.scale(1 / (c * c))
+
+
 @dataclass(frozen=True)
 class SplitMaps:
+    """K, B, Kdown, Bdown, their split decompositions, and the closed forms of
+    H^-1 X H (`conjugated[X]`) and H X^-1 H^-1 (`conjugated_inverse[X]`).
+
+    `dataclasses.replace` of a map leaves the closed forms, M and N as they were.
+    """
+
     K: Matrix
     B: Matrix
     Kdown: Matrix
@@ -102,6 +105,8 @@ class SplitMaps:
     dec_B: Decomposition
     dec_Kdown: Decomposition
     dec_Bdown: Decomposition
+    conjugated: dict[str, Matrix]
+    conjugated_inverse: dict[str, Matrix]
     M: Matrix | None = None
     N: Matrix | None = None
     Mdown: Matrix | None = None
@@ -109,21 +114,24 @@ class SplitMaps:
 
 
 def build_split_maps(model: TDModel) -> SplitMaps:
-    """Construct K, B, Kdown, Bdown from the four split decompositions."""
-    q = model.params.q
-    dec_k = split_decomposition(model, "forward", "forward")
-    dec_b = split_decomposition(model, "forward", "reversed")
-    dec_kd = split_decomposition(model, "reversed", "forward")
-    dec_bd = split_decomposition(model, "reversed", "reversed")
+    """Construct K, B, Kdown, Bdown from the four split decompositions, with their H-conjugates.
+
+    The conjugates are the closed forms of `h_conjugates`, with c = a^-1 for
+    K and Kdown and c = a for B and Bdown; every check that needs H^-1 X H
+    or H X^-1 H^-1 reads them here.
+    """
+    p = model.params
+    decs, maps, conjugated, conjugated_inverse = {}, {}, {}, {}
+    for name, star_dec, a_dec in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
+        decs[name] = split_decomposition(star_dec, a_dec)
+        maps[name] = map_from_decomposition(decs[name], p.q)
+        c = p.a if name.startswith("B") else 1 / p.a
+        conjugated[name], conjugated_inverse[name] = h_conjugates(model.A, maps[name], c)
     return SplitMaps(
-        K=map_from_decomposition(dec_k, q),
-        B=map_from_decomposition(dec_b, q),
-        Kdown=map_from_decomposition(dec_kd, q),
-        Bdown=map_from_decomposition(dec_bd, q),
-        dec_K=dec_k,
-        dec_B=dec_b,
-        dec_Kdown=dec_kd,
-        dec_Bdown=dec_bd,
+        **maps,
+        **{f"dec_{name}": dec for name, dec in decs.items()},
+        conjugated=conjugated,
+        conjugated_inverse=conjugated_inverse,
     )
 
 
@@ -135,17 +143,10 @@ def check_split_flags(model: TDModel, s: SplitMaps):
     A-eigenspace list. Both are read off changes of basis
     (`Decomposition.flag_mismatches`). Returns (passed, failures).
     """
-    star = model.eigenspaces_Astar
-    a_dec = model.eigenspaces_A
-    cases = [
-        ("K", s.dec_K, star, a_dec),
-        ("B", s.dec_B, star, a_dec.inversion()),
-        ("Kdown", s.dec_Kdown, star.inversion(), a_dec),
-        ("Bdown", s.dec_Bdown, star.inversion(), a_dec.inversion()),
-    ]
     failures = []
     d = model.d
-    for name, dec, star_ref, a_ref in cases:
+    for name, star_ref, a_ref in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
+        dec = getattr(s, f"dec_{name}")
         ascending = dec.flag_mismatches(star_ref)
         descending = dec.inversion().flag_mismatches(a_ref.inversion())
         for i in range(d + 1):
@@ -231,22 +232,22 @@ def check_H_conjugation_of_splits(model: TDModel, lus: LusztigData, s: SplitMaps
 
     H^-1 B H = a A - a^2 B^-1 and H^-1 K H = a^-1 A - a^-2 K^-1 (with the
     down analogues), plus the reformulations H B^-1 H^-1 = a^-1 A - a^-2 B
-    and H K^-1 H^-1 = a A - a^2 K (with the down analogues).
+    and H K^-1 H^-1 = a A - a^2 K (with the down analogues); the right-hand
+    sides are the closed forms kept on `s`.
     Returns (passed, failures) as (name, residual).
     """
-    a = model.params.a
     h, h_inv = lus.H, lus.H_inv
-    big_a = model.A
+    conj, conj_inv = s.conjugated, s.conjugated_inverse
     failures = []
     cases = [
-        ("H^-1 B H = a A - a^2 B^-1", h_inv * s.B * h, big_a.scale(a) - s.B.inverse().scale(a * a)),
-        ("H^-1 K H = a^-1 A - a^-2 K^-1", h_inv * s.K * h, big_a.scale(1 / a) - s.K.inverse().scale(1 / (a * a))),
-        ("H^-1 Bdown H = a A - a^2 Bdown^-1", h_inv * s.Bdown * h, big_a.scale(a) - s.Bdown.inverse().scale(a * a)),
-        ("H^-1 Kdown H = a^-1 A - a^-2 Kdown^-1", h_inv * s.Kdown * h, big_a.scale(1 / a) - s.Kdown.inverse().scale(1 / (a * a))),
-        ("H B^-1 H^-1 = a^-1 A - a^-2 B", h * s.B.inverse() * h_inv, big_a.scale(1 / a) - s.B.scale(1 / (a * a))),
-        ("H K^-1 H^-1 = a A - a^2 K", h * s.K.inverse() * h_inv, big_a.scale(a) - s.K.scale(a * a)),
-        ("H Bdown^-1 H^-1 = a^-1 A - a^-2 Bdown", h * s.Bdown.inverse() * h_inv, big_a.scale(1 / a) - s.Bdown.scale(1 / (a * a))),
-        ("H Kdown^-1 H^-1 = a A - a^2 Kdown", h * s.Kdown.inverse() * h_inv, big_a.scale(a) - s.Kdown.scale(a * a)),
+        ("H^-1 B H = a A - a^2 B^-1", h_inv * s.B * h, conj["B"]),
+        ("H^-1 K H = a^-1 A - a^-2 K^-1", h_inv * s.K * h, conj["K"]),
+        ("H^-1 Bdown H = a A - a^2 Bdown^-1", h_inv * s.Bdown * h, conj["Bdown"]),
+        ("H^-1 Kdown H = a^-1 A - a^-2 Kdown^-1", h_inv * s.Kdown * h, conj["Kdown"]),
+        ("H B^-1 H^-1 = a^-1 A - a^-2 B", h * s.B.inverse() * h_inv, conj_inv["B"]),
+        ("H K^-1 H^-1 = a A - a^2 K", h * s.K.inverse() * h_inv, conj_inv["K"]),
+        ("H Bdown^-1 H^-1 = a^-1 A - a^-2 Bdown", h * s.Bdown.inverse() * h_inv, conj_inv["Bdown"]),
+        ("H Kdown^-1 H^-1 = a A - a^2 Kdown", h * s.Kdown.inverse() * h_inv, conj_inv["Kdown"]),
     ]
     for name, lhs, rhs in cases:
         expect_zero(failures, name, lhs - rhs)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from . import equitable, lusztig, splitmaps
-from .linalg import Matrix, ShapeError, subspace_sum
+from .linalg import Matrix, ShapeError
 from .lusztig import LusztigData
 from .model import (
     ModelError,
@@ -386,17 +386,15 @@ def _run_model(ctx: TargetContext, report: Report) -> None:
     )
 
     def containment():
-        decomposition = model.eigenspaces_A
-        d = p.d
-        for i in range(d + 1):
-            lo, hi = max(i - 1, 0), min(i + 1, d)
-            window = decomposition[lo]
-            for j in range(lo + 1, hi + 1):
-                window = subspace_sum(window, decomposition[j])
-            image = decomposition[i].image_under(model.Astar)
-            if not window.contains(image):
-                return False, f"A* V_{i} escapes V_{i - 1}+V_{i}+V_{i + 1}"
-        return True, None
+        # A* V_j lies in V_(j-1)+V_j+V_(j+1) exactly when every block (i, j)
+        # of A* in A's eigenbasis with |i - j| > 1 is zero: the A* side of
+        # the tridiagonal-action verdict.
+        _, failures = model.tridiagonal_action
+        escaping = [j for side, _, j, _ in failures if side == "E_i A* E_j"]
+        if not escaping:
+            return True, None
+        j = min(escaping)
+        return False, f"A* V_{j} escapes V_{j - 1}+V_{j}+V_{j + 1}"
 
     report.run(
         "model.astar_containment",

@@ -21,13 +21,14 @@ from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace, flag, s
 from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParamSet
-from qonsager.splitmaps import split_decomposition, split_from_decompositions
+from qonsager.splitmaps import build_split_maps, split_decomposition
 
 import split_reference
 
 TESTS = Path(__file__).resolve().parent
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-ORDERS = list(product(("forward", "reversed"), repeat=2))
+# (reverse the star order, reverse the A order): K, B, Kdown and Bdown
+ORIENTATIONS = list(product((False, True), repeat=2))
 ENTRY = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
 
 
@@ -108,24 +109,29 @@ def test_flag_mismatches_cover_rank_above_one_and_disagreeing_flags():
 
 
 @SETTINGS
-@given(decomposition_pairs(), st.sampled_from(ORDERS))
-def test_split_parts_match_the_zassenhaus_reference(pair, orders):
+@given(decomposition_pairs(), st.sampled_from(ORIENTATIONS))
+def test_split_parts_match_the_zassenhaus_reference(pair, orientation):
     star, a_dec = pair
     d = len(star) - 1
     meets = star.flag_meets(a_dec)
     assert meets == [subspace_intersect(flag(star, i), flag(a_dec, d - i, "descending")) for i in range(d + 1)]
-    assert_same_split(star, a_dec, *orders)
+    assert_same_split(star, a_dec, *orientation)
 
 
-def assert_same_split(star, a_dec, star_order, a_order):
+def oriented(dec, reverse):
+    return dec.inversion() if reverse else dec
+
+
+def assert_same_split(star, a_dec, reverse_star, reverse_a):
+    star, a_dec = oriented(star, reverse_star), oriented(a_dec, reverse_a)
     try:
-        expected = split_reference.split_from_decompositions(star, a_dec, star_order, a_order)
-    except (ModelError, ValueError) as exc:
+        expected = split_reference.split_decomposition(star, a_dec)
+    except ValueError as exc:  # a zero part (ModelError) or parts that are no direct sum
         with pytest.raises(type(exc)) as got:
-            split_from_decompositions(star, a_dec, star_order, a_order)
+            split_decomposition(star, a_dec)
         assert str(got.value) == str(exc)
     else:
-        assert split_from_decompositions(star, a_dec, star_order, a_order) == expected
+        assert split_decomposition(star, a_dec) == expected
 
 
 def test_split_parts_of_rank_above_one():
@@ -139,15 +145,15 @@ def test_split_parts_of_rank_above_one():
         Subspace.from_vectors(4, [[1, 0, 1, 0], e[1]]),
         Subspace.from_vectors(4, [[1, 0, 1, 1]]),
     ]
-    for orders in ORDERS:
-        assert_same_split(star, a_dec, *orders)
+    for orientation in ORIENTATIONS:
+        assert_same_split(star, a_dec, *orientation)
     # star ranks 1, 1, 2 against A ranks 2, 1, 1: U_1 = (e0, e1) meet (e1+e3, e0+e2+e3) is zero
     lopsided = decomposition(e, [1, 1, 2])
     wide = decomposition([[1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]], [2, 1, 1])
     with pytest.raises(ModelError, match="split part U_1 is zero"):
-        split_from_decompositions(lopsided, wide, "forward", "forward")
-    for orders in ORDERS:
-        assert_same_split(lopsided, wide, *orders)
+        split_decomposition(lopsided, wide)
+    for orientation in ORIENTATIONS:
+        assert_same_split(lopsided, wide, *orientation)
 
 
 def _dense_import(model, seed):
@@ -170,10 +176,15 @@ def _models():
 
 @pytest.mark.parametrize("model", list(_models()), ids=lambda m: f"d{m.d}-{'built' if m.constructed else 'imported'}")
 def test_model_split_decompositions_match_the_reference(model):
-    for orders in ORDERS:
-        assert_same_split(model.eigenspaces_Astar, model.eigenspaces_A, *orders)
+    for orientation in ORIENTATIONS:
+        assert_same_split(model.eigenspaces_Astar, model.eigenspaces_A, *orientation)
     if model.constructed:
-        assert [len(split_decomposition(model, *o)) for o in ORDERS] == [model.d + 1] * 4
+        s = build_split_maps(model)
+        star, a_dec = model.eigenspaces_Astar, model.eigenspaces_A
+        assert [s.dec_K, s.dec_B, s.dec_Kdown, s.dec_Bdown] == [
+            split_reference.split_decomposition(oriented(star, reverse_star), oriented(a_dec, reverse_a))
+            for reverse_star, reverse_a in ORIENTATIONS
+        ]
 
 
 def test_an_inversion_reuses_the_inverse_basis(monkeypatch):

@@ -196,6 +196,22 @@ def test_export_without_phi_solves(capsys, tmp_path):
     assert main(["import", str(path)]) == 0
 
 
+def test_export_without_phi_builds_the_model_once(capsys, tmp_path, monkeypatch):
+    from qonsager import cli, model
+
+    original, calls = model.build_model, []
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(model, "build_model", counted)
+    monkeypatch.setattr(cli, "build_model", counted)
+    path = tmp_path / "solved.model"
+    assert main(["export", "--d", "4", "--q", "2", "--a", "3", "--b", "5", "--out", str(path)]) == 0
+    assert len(calls) == 1
+
+
 def test_import_missing_file_is_io_error(capsys):
     code = main(["import", "/nonexistent/file.model"])
     assert code == 2

@@ -122,7 +122,13 @@ def test_equitable_triple_reports_singular_input():
     ident = Matrix.identity(2)
     ok, failures = check_equitable_triple(Matrix.zero(2), ident, ident, F(2))
     assert not ok
-    assert any("invertible" in name for name, _ in failures)
+    assert failures == [("X invertible", "matrix is singular: rank 0 < 2")]
+    ok, failures = check_equitable_triple(ident, Matrix([[1, 2], [2, 4]]), Matrix.zero(2), F(2))
+    assert not ok
+    assert failures == [
+        ("Y invertible", "matrix is singular: rank 1 < 2"),
+        ("Z invertible", "matrix is singular: rank 0 < 2"),
+    ]
 
 
 def test_triple_table_all_rows(golden, d2):

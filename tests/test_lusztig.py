@@ -18,6 +18,7 @@ from qonsager.model import build_model, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParamSet, t_coeff
 
+import expansion_reference
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -117,24 +118,42 @@ def test_eigenvalue_multiset_via_trace_and_det(golden):
 
 def test_expand_H_full_space_at_anchor_zero(golden):
     model, lus = golden
-    assert expand_H(model, 0, "ascending", inverse=False) == lus.H
-    assert expand_H(model, 0, "ascending", inverse=True) == lus.H_inv
+    assert expand_H(model, 0, "ascending") == (lus.H, lus.H_inv)
 
 
 def test_expand_H_descending_full_space_at_top_anchor(golden):
     model, lus = golden
     d = model.d
-    assert expand_H(model, d, "descending", inverse=False) == lus.H
-    assert expand_H(model, d, "descending", inverse=True) == lus.H_inv
+    assert expand_H(model, d, "descending") == (lus.H, lus.H_inv)
 
 
 def test_expand_H_single_term_at_top(golden):
     model, lus = golden
     d = model.d
-    poly = expand_H(model, d, "ascending", inverse=False)
+    poly, poly_inv = expand_H(model, d, "ascending")
     assert poly == Matrix.identity(model.dim).scale(lus.t[d])
+    assert poly_inv == Matrix.identity(model.dim).scale(1 / lus.t[d])
     resid = (poly - lus.H) * model.eigenspaces_A.projector([d])
     assert resid.is_zero()
+
+
+EXPANSION_PARAMS = [
+    (d, q, a, b)
+    for d in range(1, 7)
+    for q, a, b in ((F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(3), F(5)))
+]
+
+
+@pytest.mark.parametrize("d, q, a, b", EXPANSION_PARAMS, ids=lambda v: str(v))
+def test_paired_expansions_match_the_reference(d, q, a, b):
+    """Both halves of every pair equal the one-expansion-per-call reference."""
+    models = []
+    assert solve_phi(d, q, a, b, limit=1, models=models)
+    model = models[0]
+    for variant in ("ascending", "descending"):
+        for r in range(d + 1):
+            pair = expand_H(model, r, variant)
+            assert pair == tuple(expansion_reference.expand_H(model, r, variant, inverse) for inverse in (False, True))
 
 
 def test_expansions_all_anchors(golden, d2):
@@ -196,7 +215,7 @@ def _projector_expansion_failures(model, lus):
                 flag_proj = Matrix.zero(model.dim)
                 for i in indices:
                     flag_proj = flag_proj + e[i]
-                resid = (expand_H(model, r, variant, inverse) - target) * flag_proj
+                resid = (expansion_reference.expand_H(model, r, variant, inverse) - target) * flag_proj
                 if not resid.is_zero():
                     failures.append((variant, inverse, r, resid))
     return failures

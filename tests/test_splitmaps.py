@@ -17,6 +17,7 @@ from qonsager.splitmaps import (
     check_R_ladder,
     check_split_flags,
     map_from_decomposition,
+    orientations,
     qweyl_eigenvalues,
     split_decomposition,
 )
@@ -53,24 +54,44 @@ def line(*coords):
 
 def test_split_decomposition_forward_forward(golden):
     model, _, _ = golden
-    dec = split_decomposition(model, "forward", "forward")
+    dec = split_decomposition(model.eigenspaces_Astar, model.eigenspaces_A)
     assert dec[0] == line(1, 0)
     assert dec[1] == line(0, 1)
 
 
 def test_split_decomposition_forward_reversed(golden):
     model, _, _ = golden
-    dec = split_decomposition(model, "forward", "reversed")
+    dec = split_decomposition(model.eigenspaces_Astar, model.eigenspaces_A.inversion())
     assert dec[0] == line(1, 0)
     assert dec[1] == line(4, 1)
 
 
 def test_split_decomposition_reversed_reversed(golden):
     model, _, _ = golden
-    dec = split_decomposition(model, "reversed", "reversed")
+    dec = split_decomposition(model.eigenspaces_Astar.inversion(), model.eigenspaces_A.inversion())
     # Parts hang off the V*_1 flag: U_0 = V*_1, U_1 = (V*_1 + V*_0) n V_0.
     assert dec[0] == model.eigenspaces_Astar[1]
     assert dec[1] == model.eigenspaces_A[0]
+
+
+def test_the_four_orientations_give_the_four_split_maps(golden, d2):
+    for model, _, s in (golden, d2):
+        names = [name for name, _, _ in orientations(model.eigenspaces_Astar, model.eigenspaces_A)]
+        assert names == ["K", "B", "Kdown", "Bdown"]
+        for name, star_dec, a_dec in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
+            dec = split_decomposition(star_dec, a_dec)
+            assert dec == getattr(s, f"dec_{name}")
+            assert map_from_decomposition(dec, model.params.q) == getattr(s, name)
+
+
+def test_conjugates_are_the_closed_forms(golden, d2):
+    """H^-1 X H = c A - c^2 X^-1 and H X^-1 H^-1 = c^-1 A - c^-2 X, c = a^-1 for K and a for B."""
+    for model, lus, s in (golden, d2):
+        a = model.params.a
+        for name, c in (("K", 1 / a), ("B", a), ("Kdown", 1 / a), ("Bdown", a)):
+            x = getattr(s, name)
+            assert s.conjugated[name] == lus.H_inv * x * lus.H == model.A.scale(c) - x.inverse().scale(c * c)
+            assert s.conjugated_inverse[name] == lus.H * x.inverse() * lus.H_inv == model.A.scale(1 / c) - x.scale(1 / (c * c))
 
 
 def test_split_maps_golden_values(golden):

@@ -21,6 +21,7 @@ from qonsager.report import Report
 from qonsager.scalars import ParamSet
 
 SPLIT_ERROR = Path(__file__).resolve().parent / "data" / "split_error_d2.model"
+CONTAINMENT_ESCAPE = Path(__file__).resolve().parent / "data" / "containment_escape_d3.model"
 NEEDS_SPLIT_MAPS = {
     "split.flags",
     "split.inversion",
@@ -79,6 +80,8 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (model, "check_tridiagonal_action"),
             (model, "check_irreducible"),
             (linalg, "flag"),
+            (splitmaps, "h_conjugates"),
+            (lusztig, "expand_H"),
         )
     }
     looking_up, ladder_inverses = [], []
@@ -99,10 +102,27 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     builds = {name: _count_table_builds(monkeypatch, name) for name in TABLES}
     monkeypatch.setattr(splitmaps.LadderSpectra, "decomposition", counted_decomposition)
     monkeypatch.setattr(Matrix, "inverse", counted_inverse)
+    contexts, context = [], suite.TargetContext
+
+    def recorded_context(m):
+        contexts.append(context(m))
+        return contexts[-1]
+
+    monkeypatch.setattr(suite, "TargetContext", recorded_context)
     report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), suite.SUITE_NAMES)
     assert report.all_passed and len(report.checks) == 27
     for name in ("build_model", "build_H", "build_split_maps", "build_MN"):
         assert len(calls[name]) == 1, name
+    # the eight H-conjugates: two closed forms for each of K, B, Kdown and
+    # Bdown, built with the split maps; the triple table holds those objects
+    assert len(calls["h_conjugates"]) == 4
+    ctx = contexts[0]
+    s, rows = ctx.completed_maps, ctx.triple_table.rows
+    names = ("K", "B", "Kdown", "Bdown")
+    assert all(row[1] is s.conjugated_inverse[x] for row, x in zip(rows[:4], names))
+    assert all(row[3] is s.conjugated[x] for row, x in zip(rows[4:], names))
+    # each expand_H call pairs the H and H^-1 expansions at one anchor and variant
+    assert len(calls["expand_H"]) == 2 * (2 + 1)
     # 24 distinct matrices go through the q-ladder: K, B, Kdown and Bdown come
     # with their split decompositions, 8 take the reversed decomposition of
     # an inverse that was already decomposed, and the ladder computes no
@@ -235,3 +255,21 @@ def test_a_model_file_with_two_definitions_is_a_load_failure(tmp_path, capsys, b
     assert len(records) == 1 + 27
     assert main(["import", str(path)]) == 2
     assert f"{path}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, witness",
+    [
+        (CONTAINMENT_ESCAPE, "A* V_2 escapes V_1+V_2+V_3"),
+        (Path(__file__).resolve().parent / "golden" / "twisted_d2.model", "A* V_0 escapes V_-1+V_0+V_1"),
+    ],
+    ids=["first-escape-at-2", "first-escape-at-0"],
+)
+def test_astar_containment_names_the_first_escaping_eigenspace(path, witness):
+    # Both imported pairs keep A*'s spectrum but break the band: the d = 3
+    # pair first maps V_2 into V_0, the d = 2 pair first maps V_0 into V_2.
+    report = suite.run_target(suite.make_file_target(str(path)), ("model",))
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["model.tridiagonal"] == statuses["model.astar_containment"] == "fail"
+    containment = next(c for c in report.checks if c.name == "model.astar_containment")
+    assert containment.residual == witness
