@@ -11,7 +11,6 @@ from .equitable import (
     TripleTable,
     build_triple_table,
     check_equitable_triple,
-    check_qweyl,
     check_qweyl_ladder,
     verify_diagrams,
     verify_triple_table,
@@ -25,6 +24,7 @@ from .linalg import (
     column_space,
     commutator,
     flag,
+    is_qweyl_pair,
     kernel,
     q_commutator,
     rref,

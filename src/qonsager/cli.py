@@ -18,6 +18,7 @@ from .model import ModelError, build_model, solve_phi
 from .modelio import ModelIOError, export_model, import_model
 from .scalars import ParameterError, ParamSet, format_scalar, parse_scalar
 from .suite import (
+    SUITE_NAMES,
     ConfigError,
     SuiteConfig,
     all_passed,
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         action="append",
         default=[],
-        help="suite name (repeatable): scalars, model, lusztig, splitmaps, equitable, diagrams, all",
+        help=f"suite name (repeatable): {', '.join(SUITE_NAMES + ('all',))}",
     )
     verify.add_argument("--output", help="write one JSON record per check to this path")
     verify.add_argument("--quiet", action="store_true", help="print only the per-target summaries")
@@ -104,17 +105,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _verify_config(args) -> SuiteConfig:
+    inline = (("--d", args.d), ("--q", args.q), ("--a", args.a), ("--b", args.b))
     if args.config:
+        flags = (("--file", args.file), *inline, ("--phi", args.phi), ("--suite", args.suite))
+        ignored = [flag for flag, val in (*flags, ("--output", args.output)) if val not in (None, [])]
+        if ignored:
+            raise ConfigError(f"--config sets targets, suites and output; {', '.join(ignored)} would be ignored")
         return load_config(args.config)
     targets = [make_file_target(path) for path in args.file]
-    if args.d is not None or args.q or args.a or args.b:
-        missing = [flag for flag, val in (("--d", args.d), ("--q", args.q), ("--a", args.a), ("--b", args.b)) if val is None]
+    if any(val is not None for _, val in inline):
+        missing = [flag for flag, val in inline if val is None]
         if missing:
             raise ConfigError(f"inline target needs {', '.join(missing)}")
         phi = tuple(parse_scalar(t) for t in args.phi) if args.phi else ()
         targets.append(
             make_param_target(args.d, parse_scalar(args.q), parse_scalar(args.a), parse_scalar(args.b), phi)
         )
+    elif args.phi:
+        raise ConfigError("--phi belongs to an inline target, which needs --d, --q, --a and --b")
     if not targets:
         raise ConfigError("verify needs --config, --file, or inline --d/--q/--a/--b")
     return SuiteConfig(

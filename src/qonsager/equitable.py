@@ -21,7 +21,6 @@ from .linalg import (
 )
 from .lusztig import LusztigData
 from .model import ModelError, TDModel
-from .scalars import ParameterError
 from .splitmaps import (
     LadderSpectra,
     SplitMaps,
@@ -35,11 +34,6 @@ from .splitmaps import (
 def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix:
     """(q XY - q^-1 YX)/(q - q^-1) - I."""
     return qweyl_bracket(x, y, q) - Matrix.identity(x.rows)
-
-
-def check_qweyl(x: Matrix, y: Matrix, q: Fraction) -> bool:
-    """True when the ordered pair (X, Y) satisfies the q-Weyl relation exactly."""
-    return is_qweyl_pair(x, y, q)
 
 
 def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):
@@ -78,13 +72,11 @@ def build_triple_table(model: TDModel, s: SplitMaps) -> TripleTable:
     (X^-1, N^-1 or Ndown^-1, H^-1 X H) for X = K, B, Kdown, Bdown, with the
     conjugates in their closed forms, such as a A - a^2 K for H K^-1 H^-1.
     """
-    if s.M is None:
-        raise ParameterError("SplitMaps must be completed with build_MN first")
     m_inv = s.M.inverse()
     n_inv = s.N.inverse()
     md_inv = s.Mdown.inverse()
     nd_inv = s.Ndown.inverse()
-    conj, conj_inv = s.conjugated, s.conjugated_inverse
+    conj, conj_inv = s.conjugates
     rows = (
         ("1", conj_inv["K"], m_inv, s.K),
         ("2", conj_inv["B"], m_inv, s.B),
@@ -127,7 +119,7 @@ def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: Ladde
     """
     q = Fraction(q)
     failures = []
-    if not check_qweyl(x, y, q):
+    if not is_qweyl_pair(x, y, q):
         failures.append(("precondition", "the pair does not satisfy the q-Weyl relation"))
     try:
         x_dec = spectra.decomposition(x)
@@ -173,8 +165,6 @@ def verify_diagrams(
     `verify_triple_table` result on the model's table.
     Returns (passed, failures) as (name, witness).
     """
-    if s.M is None:
-        raise ParameterError("SplitMaps must be completed with build_MN first")
     p = model.params
     q, d = p.q, p.d
     failures = []
@@ -208,11 +198,12 @@ def verify_diagrams(
 
     # Split maps of the twisted pair (A, L(A*)): the H^-1 X H closed forms, directly.
     a_dec = model.eigenspaces_A
+    conj, conj_inv = s.conjugates
     for name, star_ref, a_ref in orientations(vplus, a_dec):
         expect_zero(
             failures,
             f"(A, L(A*)) split map at {name} slot",
-            map_from_decomposition(split_decomposition(star_ref, a_ref), q) - s.conjugated[name],
+            map_from_decomposition(split_decomposition(star_ref, a_ref), q) - conj[name],
         )
 
     # Split maps of the twisted pair (A, L^-1(A*)): inverses of the H X^-1 H^-1 closed forms.
@@ -221,7 +212,7 @@ def verify_diagrams(
         expect_zero(
             failures,
             f"(A, L^-1(A*)) split map at {name} slot times its label",
-            map_from_decomposition(split_decomposition(star_ref, a_ref), q) * s.conjugated_inverse[name] - ident,
+            map_from_decomposition(split_decomposition(star_ref, a_ref), q) * conj_inv[name] - ident,
         )
 
     # Oriented 3-cycles are equitable triples: the eight table rows.

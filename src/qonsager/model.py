@@ -97,9 +97,15 @@ class TDModel:
     params: ParamSet
     A: Matrix
     Astar: Matrix
-    theta: tuple[Fraction, ...]
-    theta_star: tuple[Fraction, ...]
     constructed: bool = True
+
+    @property
+    def theta(self) -> tuple[Fraction, ...]:
+        return self.params.thetas
+
+    @property
+    def theta_star(self) -> tuple[Fraction, ...]:
+        return self.params.theta_stars
 
     @property
     def d(self) -> int:
@@ -160,7 +166,7 @@ def build_model(p: ParamSet) -> TDModel:
             residuals[which - 1],
         )
 
-    model = TDModel(params=p, A=a, Astar=astar, theta=thetas, theta_star=theta_stars)
+    model = TDModel(params=p, A=a, Astar=astar)
     ok, failures = model.tridiagonal_action
     if not ok:
         side, i, j, resid = failures[0]
@@ -179,7 +185,7 @@ def assemble_imported(p: ParamSet, a: Matrix, astar: Matrix) -> TDModel:
     n = p.d + 1
     if a.rows != n or a.cols != n or astar.rows != n or astar.cols != n:
         raise ShapeError(f"imported matrices must be {n}x{n} for d={p.d}")
-    model = TDModel(params=p, A=a, Astar=astar, theta=p.thetas, theta_star=p.theta_stars, constructed=False)
+    model = TDModel(params=p, A=a, Astar=astar, constructed=False)
     # Each decomposition raises ModelError unless its matrix is diagonalizable
     # on the header's spectrum; the checks then share them.
     model.eigenspaces_A

@@ -10,8 +10,9 @@ acts as q^(d-2i) on the i-th part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import Decomposition, Matrix, qweyl_bracket
 from .lusztig import LusztigData
@@ -89,14 +90,26 @@ def h_conjugates(big_a: Matrix, x: Matrix, c: Fraction) -> tuple[Matrix, Matrix]
     return big_a.scale(c) - x.inverse().scale(c * c), big_a.scale(1 / c) - x.scale(1 / (c * c))
 
 
+def _mn_scale(a: Fraction) -> Fraction:
+    """1/(a - a^-1), the scale of M and N."""
+    if a == 1 or a == -1:
+        raise ParameterError("a in {1, -1} makes the M, N denominators vanish")
+    return 1 / (a - 1 / a)
+
+
 @dataclass(frozen=True)
 class SplitMaps:
-    """K, B, Kdown, Bdown, their split decompositions, and the closed forms of
-    H^-1 X H (`conjugated[X]`) and H X^-1 H^-1 (`conjugated_inverse[X]`).
+    """K, B, Kdown, Bdown and their split decompositions, with the A and a of their pair.
 
-    `dataclasses.replace` of a map leaves the closed forms, M and N as they were.
+    The values below are derived from the four maps on first use, so
+    `dataclasses.replace` of a map derives them from the new maps:
+    M = (a K - a^-1 B)/(a - a^-1), N = (a^-1 K^-1 - a B^-1)/(a^-1 - a) and
+    the down analogues, and the closed forms of H^-1 X H and H X^-1 H^-1
+    (`conjugates`).
     """
 
+    A: Matrix
+    a: Fraction
     K: Matrix
     B: Matrix
     Kdown: Matrix
@@ -105,34 +118,44 @@ class SplitMaps:
     dec_B: Decomposition
     dec_Kdown: Decomposition
     dec_Bdown: Decomposition
-    conjugated: dict[str, Matrix]
-    conjugated_inverse: dict[str, Matrix]
-    M: Matrix | None = None
-    N: Matrix | None = None
-    Mdown: Matrix | None = None
-    Ndown: Matrix | None = None
+
+    @cached_property
+    def conjugates(self) -> tuple[dict[str, Matrix], dict[str, Matrix]]:
+        """H^-1 X H and H X^-1 H^-1 by X: `h_conjugates` with c = a^-1 for K, Kdown and c = a for B, Bdown."""
+        conjugated, conjugated_inverse = {}, {}
+        for name in ("K", "B", "Kdown", "Bdown"):
+            c = self.a if name.startswith("B") else 1 / self.a
+            conjugated[name], conjugated_inverse[name] = h_conjugates(self.A, getattr(self, name), c)
+        return conjugated, conjugated_inverse
+
+    @cached_property
+    def M(self) -> Matrix:
+        return (self.K.scale(self.a) - self.B.scale(1 / self.a)).scale(_mn_scale(self.a))
+
+    @cached_property
+    def N(self) -> Matrix:
+        return (self.K.inverse().scale(1 / self.a) - self.B.inverse().scale(self.a)).scale(-_mn_scale(self.a))
+
+    @cached_property
+    def Mdown(self) -> Matrix:
+        return (self.Kdown.scale(self.a) - self.Bdown.scale(1 / self.a)).scale(_mn_scale(self.a))
+
+    @cached_property
+    def Ndown(self) -> Matrix:
+        return (self.Kdown.inverse().scale(1 / self.a) - self.Bdown.inverse().scale(self.a)).scale(-_mn_scale(self.a))
 
 
 def build_split_maps(model: TDModel) -> SplitMaps:
-    """Construct K, B, Kdown, Bdown from the four split decompositions, with their H-conjugates.
+    """Construct K, B, Kdown, Bdown from the four split decompositions.
 
-    The conjugates are the closed forms of `h_conjugates`, with c = a^-1 for
-    K and Kdown and c = a for B and Bdown; every check that needs H^-1 X H
-    or H X^-1 H^-1 reads them here.
+    Every check that needs H^-1 X H or H X^-1 H^-1 reads the closed forms
+    the maps derive (`SplitMaps.conjugates`).
     """
-    p = model.params
-    decs, maps, conjugated, conjugated_inverse = {}, {}, {}, {}
+    decs, maps = {}, {}
     for name, star_dec, a_dec in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
         decs[name] = split_decomposition(star_dec, a_dec)
-        maps[name] = map_from_decomposition(decs[name], p.q)
-        c = p.a if name.startswith("B") else 1 / p.a
-        conjugated[name], conjugated_inverse[name] = h_conjugates(model.A, maps[name], c)
-    return SplitMaps(
-        **maps,
-        **{f"dec_{name}": dec for name, dec in decs.items()},
-        conjugated=conjugated,
-        conjugated_inverse=conjugated_inverse,
-    )
+        maps[name] = map_from_decomposition(decs[name], model.params.q)
+    return SplitMaps(A=model.A, a=model.params.a, **maps, **{f"dec_{name}": dec for name, dec in decs.items()})
 
 
 def check_split_flags(model: TDModel, s: SplitMaps):
@@ -237,7 +260,7 @@ def check_H_conjugation_of_splits(model: TDModel, lus: LusztigData, s: SplitMaps
     Returns (passed, failures) as (name, residual).
     """
     h, h_inv = lus.H, lus.H_inv
-    conj, conj_inv = s.conjugated, s.conjugated_inverse
+    conj, conj_inv = s.conjugates
     failures = []
     cases = [
         ("H^-1 B H = a A - a^2 B^-1", h_inv * s.B * h, conj["B"]),
@@ -285,25 +308,16 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     return not failures, failures
 
 
-def build_MN(model: TDModel, s: SplitMaps, spectra: LadderSpectra) -> SplitMaps:
-    """Complete a SplitMaps with M, N, Mdown, Ndown and verify their structure.
+def build_MN(s: SplitMaps, spectra: LadderSpectra) -> SplitMaps:
+    """Check that M, N, Mdown and Ndown of `s` are diagonalizable on the q-ladder; return `s`.
 
-    M = (a K - a^-1 B)/(a - a^-1), N = (a^-1 K^-1 - a B^-1)/(a^-1 - a), and the
-    down analogues. Each must be diagonalizable with eigenvalues exactly
-    q^d, ..., q^-d, and conjugation by H must carry M to N (and Mdown to Ndown).
-    The four eigenspace decompositions are left in `spectra`.
+    Each must have eigenvalues exactly q^d, ..., q^-d (ModelError otherwise;
+    ParameterError when a is 1 or -1). The four eigenspace decompositions
+    are left in `spectra`.
     """
-    a = model.params.a
-    if a == 1 or a == -1:
-        raise ParameterError("a in {1, -1} makes the M, N denominators vanish")
-    denom = a - 1 / a
-    m = (s.K.scale(a) - s.B.scale(1 / a)).scale(1 / denom)
-    n = (s.K.inverse().scale(1 / a) - s.B.inverse().scale(a)).scale(-1 / denom)
-    mdown = (s.Kdown.scale(a) - s.Bdown.scale(1 / a)).scale(1 / denom)
-    ndown = (s.Kdown.inverse().scale(1 / a) - s.Bdown.inverse().scale(a)).scale(-1 / denom)
-    for mat in (m, n, mdown, ndown):
+    for mat in (s.M, s.N, s.Mdown, s.Ndown):
         spectra.decomposition(mat)  # raises ModelError when not diagonalizable
-    return replace(s, M=m, N=n, Mdown=mdown, Ndown=ndown)
+    return s
 
 
 def check_MN_conjugation(model: TDModel, lus: LusztigData, s: SplitMaps):

@@ -1,15 +1,19 @@
 """Batch verification: run named check suites over parameter-set or file targets.
 
-Each target gets one `TargetContext`, which builds the structures its checks
-share (H, the split maps, M/N, the triple table, eigenspace decompositions)
-once, on first use. Targets run in declared order and the report is
-deterministic apart from timing fields.
+Every check is declared in one table, `SUITES`, which maps each suite name
+to its checks in report order; a check is (check id, detail, check), and
+check(ctx) returns (passed, witness) for one target's `TargetContext`.
+The context builds the structures its checks share (H, the split maps,
+M/N, the triple table, eigenspace decompositions) once, on first use.
+Targets run in declared order, suites in the order requested, and the
+report is deterministic apart from timing fields.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from . import equitable, lusztig, splitmaps
 from .linalg import Matrix, ShapeError
@@ -33,9 +37,6 @@ from .scalars import (
     parse_scalar,
     t_coeff,
 )
-
-SUITE_NAMES = ("scalars", "model", "lusztig", "splitmaps", "equitable", "diagrams")
-
 
 class ConfigError(ValueError):
     """Raised for unreadable or malformed suite configuration."""
@@ -154,13 +155,13 @@ def _first_witness(failures):
 
 
 def _check(fn):
-    """Adapt a (passed, failures-list) checker to the report runner protocol."""
+    """Adapt a (passed, failures-list) checker of the context to a check: (passed, first failure)."""
 
-    def run():
-        ok, failures = fn()
+    def check(ctx):
+        ok, failures = fn(ctx)
         return ok, None if ok else _first_witness(failures)
 
-    return run
+    return check
 
 
 def _resolve_model(target: Target, report: Report) -> TDModel | None:
@@ -240,7 +241,7 @@ class TargetContext:
 
     @property
     def lusztig(self) -> LusztigData:
-        return self._once("lusztig", lambda: lusztig.build_H(self.model))
+        return self._once("H", lambda: lusztig.build_H(self.model))
 
     @property
     def split_maps(self) -> splitmaps.SplitMaps:
@@ -259,17 +260,14 @@ class TargetContext:
         return self._once("spectra", build)
 
     @property
-    def completed_maps(self) -> splitmaps.SplitMaps:
-        """The split maps completed with M, N, Mdown and Ndown."""
-        return self._once(
-            "completed_maps",
-            lambda: splitmaps.build_MN(self.model, self.split_maps, self.spectra),
-        )
+    def mn_maps(self) -> splitmaps.SplitMaps:
+        """The split maps, once `build_MN` has decomposed M, N, Mdown and Ndown on the q-ladder."""
+        return self._once("mn_maps", lambda: splitmaps.build_MN(self.split_maps, self.spectra))
 
     @property
     def triple_table(self) -> equitable.TripleTable:
         return self._once(
-            "triple_table", lambda: equitable.build_triple_table(self.model, self.completed_maps)
+            "triple_table", lambda: equitable.build_triple_table(self.model, self.mn_maps)
         )
 
     @property
@@ -280,262 +278,229 @@ class TargetContext:
         )
 
 
-def _run_scalars(ctx: TargetContext, report: Report) -> None:
+def _distinct(ctx: TargetContext):
+    p = ctx.model.params
+    return len(set(p.thetas)) == p.d + 1 and len(set(p.theta_stars)) == p.d + 1, None
+
+
+def _adjacency(ctx: TargetContext):
+    p = ctx.model.params
+    thetas = p.thetas
+    return all(p_poly(thetas[i - 1], thetas[i], p.q) == 0 for i in range(1, p.d + 1)), None
+
+
+def _recurrence(ctx: TargetContext):
+    p = ctx.model.params
+    thetas = p.thetas
+    return (
+        all(thetas[i - 1] - (p.q**2 + p.q**-2) * thetas[i] + thetas[i + 1] == 0 for i in range(1, p.d)),
+        None,
+    )
+
+
+def _t_coeff(ctx: TargetContext):
     p = ctx.model.params
     d = p.d
-    thetas, stars = p.thetas, p.theta_stars
-    report.run(
-        "scalars.distinct",
-        "theta_i pairwise distinct and theta*_i pairwise distinct",
-        lambda: (len(set(thetas)) == d + 1 and len(set(stars)) == d + 1, None),
-    )
-    report.run(
-        "scalars.adjacency",
-        "P(theta_(i-1), theta_i) = 0 along the path",
-        lambda: (
-            all(p_poly(thetas[i - 1], thetas[i], p.q) == 0 for i in range(1, d + 1)),
-            None,
-        ),
-    )
-    report.run(
-        "scalars.recurrence",
-        "theta_(i-1) - (q^2+q^-2) theta_i + theta_(i+1) = 0",
-        lambda: (
-            all(
-                thetas[i - 1] - (p.q**2 + p.q**-2) * thetas[i] + thetas[i + 1] == 0
-                for i in range(1, d)
-            ),
-            None,
-        ),
-    )
-    report.run(
-        "scalars.t_coeff",
-        "t_ii = 1; t_ij t_ji = 1 for |i-j| = 1; t_(i-1,i) = a^2 q^(2(d-2i+1))",
-        lambda: (
-            all(t_coeff(i, i, p) == 1 for i in range(d + 1))
-            and all(
-                t_coeff(i - 1, i, p) * t_coeff(i, i - 1, p) == 1 for i in range(1, d + 1)
-            )
-            and all(
-                t_coeff(i - 1, i, p) == p.a**2 * p.q ** (2 * (d - 2 * i + 1))
-                for i in range(1, d + 1)
-            ),
-            None,
-        ),
-    )
-    report.run(
-        "scalars.t_seq",
-        "product form of t_i equals a^(2i) q^(2i(d-i)) and is nonzero",
-        lambda: (all(t != 0 for t in p.ts), None),
-    )
-
-    def chu():
-        ok, failures = check_chu_vandermonde(p)
-        witness = None
-        if failures:
-            name, r, s, got, want = failures[0]
-            witness = f"{name} at (r={r}, s={s}): {got} != {want}"
-        return ok, witness
-
-    report.run(
-        "scalars.chu_vandermonde",
-        "all four terminating summation identities over 0 <= r <= s <= d",
-        chu,
+    return (
+        all(t_coeff(i, i, p) == 1 for i in range(d + 1))
+        and all(t_coeff(i - 1, i, p) * t_coeff(i, i - 1, p) == 1 for i in range(1, d + 1))
+        and all(t_coeff(i - 1, i, p) == p.a**2 * p.q ** (2 * (d - 2 * i + 1)) for i in range(1, d + 1)),
+        None,
     )
 
 
-def _run_model(ctx: TargetContext, report: Report) -> None:
+def _chu_vandermonde(ctx: TargetContext):
+    ok, failures = check_chu_vandermonde(ctx.model.params)
+    witness = None
+    if failures:
+        name, r, s, got, want = failures[0]
+        witness = f"{name} at (r={r}, s={s}): {got} != {want}"
+    return ok, witness
+
+
+def _qdg(ctx: TargetContext):
     model = ctx.model
-    p = model.params
-
-    def qdg():
-        ok, residuals = check_qdg(model.A, model.Astar, p.q)
-        return ok, None if ok else next(r for r in residuals if not r.is_zero())
-
-    report.run("model.qdg", "both q-Dolan/Grady relations, zero residual", qdg)
-    report.run(
-        "model.tridiagonal",
-        "E_i A* E_j = 0 and E*_i A E*_j = 0 for |i-j| > 1",
-        _check(lambda: model.tridiagonal_action),
-    )
-    report.run(
-        "model.irreducible",
-        "no proper nonzero subspace invariant under both generators",
-        lambda: (model.irreducible, None),
-    )
-
-    def spectrum():
-        graph = spectrum_graph(model.theta, p.q)
-        ok = graph.kind == "path" and graph.order in (model.theta, model.theta[::-1])
-        return ok, None if ok else f"classified as {graph.kind}"
-
-    report.run(
-        "model.spectrum_path",
-        "adjacency graph of the A-spectrum is the theta path",
-        spectrum,
-    )
-
-    def recover():
-        got = recover_a(model.theta[0], model.theta[1], p.d, p.q, model.theta)
-        return got == p.a, None if got == p.a else f"recovered {got} != {p.a}"
-
-    report.run(
-        "model.recover_a",
-        "eigenvalue sequence returns the generating scalar a",
-        recover,
-    )
-
-    def containment():
-        # A* V_j lies in V_(j-1)+V_j+V_(j+1) exactly when every block (i, j)
-        # of A* in A's eigenbasis with |i - j| > 1 is zero: the A* side of
-        # the tridiagonal-action verdict.
-        _, failures = model.tridiagonal_action
-        escaping = [j for side, _, j, _ in failures if side == "E_i A* E_j"]
-        if not escaping:
-            return True, None
-        j = min(escaping)
-        return False, f"A* V_{j} escapes V_{j - 1}+V_{j}+V_{j + 1}"
-
-    report.run(
-        "model.astar_containment",
-        "A* V_i inside V_(i-1) + V_i + V_(i+1)",
-        containment,
-    )
+    ok, residuals = check_qdg(model.A, model.Astar, model.params.q)
+    return ok, None if ok else next(r for r in residuals if not r.is_zero())
 
 
-def _run_lusztig(ctx: TargetContext, report: Report) -> None:
+def _spectrum_path(ctx: TargetContext):
     model = ctx.model
-    report.run(
-        "lusztig.H_invertible",
-        "H H^-1 = I with H^-1 from the 1/t_i eigenvalue form",
-        lambda: (ctx.lusztig.H * ctx.lusztig.H_inv == Matrix.identity(model.dim), None),
-    )
-    report.run(
-        "lusztig.H_commutes_A",
-        "H A = A H",
-        lambda: ((ctx.lusztig.H * model.A - model.A * ctx.lusztig.H).is_zero(), None),
-    )
-
-    def conjugation():
-        ok, residuals = lusztig.check_L_conjugation(model, ctx.lusztig)
-        witness = None if ok else next(
-            f"{name}: nonzero residual" for name, r in residuals.items() if not r.is_zero()
-        )
-        return ok, witness
-
-    report.run(
-        "lusztig.conjugation",
-        "L(A*) = H^-1 A* H; L^-1(A*) = H A* H^-1; H^-1 A H = A",
-        conjugation,
-    )
-    report.run(
-        "lusztig.entrywise",
-        "E_i L(A*) E_j = t_ij E_i A* E_j within the tridiagonal band",
-        _check(lambda: lusztig.check_L_entrywise(model, ctx.lusztig)),
-    )
-    report.run(
-        "lusztig.eigenstructure",
-        "L^(+-1)(A*) diagonalizable with theta* spectrum on H^(-+1)-shifted eigenspaces",
-        _check(lambda: lusztig.check_L_eigenstructure(model, ctx.lusztig)),
-    )
-    report.run(
-        "lusztig.expansions",
-        "all four polynomial expansion families match H or H^-1 on their flags",
-        _check(lambda: lusztig.check_H_expansions(model, ctx.lusztig)),
-    )
+    graph = spectrum_graph(model.theta, model.params.q)
+    ok = graph.kind == "path" and graph.order in (model.theta, model.theta[::-1])
+    return ok, None if ok else f"classified as {graph.kind}"
 
 
-def _run_splitmaps(ctx: TargetContext, report: Report) -> None:
-    model = ctx.model
-    report.run(
-        "split.flags",
-        "each split decomposition satisfies both defining flag equalities",
-        _check(lambda: splitmaps.check_split_flags(model, ctx.split_maps)),
-    )
+def _recover_a(ctx: TargetContext):
+    model, p = ctx.model, ctx.model.params
+    got = recover_a(model.theta[0], model.theta[1], p.d, p.q, model.theta)
+    return got == p.a, None if got == p.a else f"recovered {got} != {p.a}"
 
-    def inversion_inverts():
-        s = ctx.split_maps
-        for name, dec, mat in (
-            ("K", s.dec_K, s.K),
-            ("B", s.dec_B, s.B),
-            ("Kdown", s.dec_Kdown, s.Kdown),
-            ("Bdown", s.dec_Bdown, s.Bdown),
-        ):
-            inverted = splitmaps.map_from_decomposition(dec.inversion(), model.params.q)
-            if inverted != mat.inverse():
-                return False, f"map of inverted {name} decomposition != {name}^-1"
+
+def _astar_containment(ctx: TargetContext):
+    # A* V_j lies in V_(j-1)+V_j+V_(j+1) exactly when every block (i, j)
+    # of A* in A's eigenbasis with |i - j| > 1 is zero: the A* side of
+    # the tridiagonal-action verdict.
+    _, failures = ctx.model.tridiagonal_action
+    escaping = [j for side, _, j, _ in failures if side == "E_i A* E_j"]
+    if not escaping:
         return True, None
-
-    report.run(
-        "split.inversion",
-        "inverting a decomposition inverts its map",
-        inversion_inverts,
-    )
-    report.run(
-        "split.KA_relations",
-        "the bracket relations and inverse-pair statements for K, B and the down pair",
-        _check(lambda: splitmaps.check_KA_relations(model, ctx.split_maps)),
-    )
-    report.run(
-        "split.H_conjugation",
-        "all eight H-conjugation identities for the split maps",
-        _check(lambda: splitmaps.check_H_conjugation_of_splits(model, ctx.lusztig, ctx.split_maps)),
-    )
-    report.run(
-        "split.R_ladder",
-        "R = A - aK - a^-1 K^-1 raises the K-decomposition, R^(d+1) = 0, RK = q^2 KR",
-        _check(lambda: splitmaps.check_R_ladder(model, ctx.split_maps, ctx.spectra)),
-    )
-    report.run(
-        "split.MN",
-        "M, N and down analogues diagonalizable on the q-ladder; H^-1 M H = N",
-        _check(lambda: splitmaps.check_MN_conjugation(model, ctx.lusztig, ctx.completed_maps)),
-    )
+    j = min(escaping)
+    return False, f"A* V_{j} escapes V_{j - 1}+V_{j}+V_{j + 1}"
 
 
-def _run_equitable(ctx: TargetContext, report: Report) -> None:
-    report.run(
-        "equitable.table",
-        "all eight rows pass the three cyclic q-Weyl relations",
-        _check(lambda: ctx.table_check),
+def _L_conjugation(ctx: TargetContext):
+    ok, residuals = lusztig.check_L_conjugation(ctx.model, ctx.lusztig)
+    witness = None if ok else next(
+        f"{name}: nonzero residual" for name, r in residuals.items() if not r.is_zero()
     )
-
-    def ladders():
-        q, d = ctx.model.params.q, ctx.model.params.d
-        for label, x, y, z in ctx.triple_table.rows:
-            for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
-                ok, failures = equitable.check_qweyl_ladder(left, right, q, d, ctx.spectra)
-                if not ok:
-                    return False, f"row {label} pair ({pair_name}): {failures[0][0]}"
-        return True, None
-
-    report.run(
-        "equitable.ladders",
-        "ladder steps and crossing flags for every q-Weyl pair in the table",
-        ladders,
-    )
+    return ok, witness
 
 
-def _run_diagrams(ctx: TargetContext, report: Report) -> None:
-    report.run(
-        "diagrams.verify",
-        "N/M flag equalities, twisted-pair split maps, and the 3-cycle triples",
-        _check(
-            lambda: equitable.verify_diagrams(
-                ctx.model, ctx.lusztig, ctx.completed_maps, ctx.spectra, ctx.table_check
-            )
+def _inversion_inverts(ctx: TargetContext):
+    s = ctx.split_maps
+    for name, dec, mat in (
+        ("K", s.dec_K, s.K),
+        ("B", s.dec_B, s.B),
+        ("Kdown", s.dec_Kdown, s.Kdown),
+        ("Bdown", s.dec_Bdown, s.Bdown),
+    ):
+        inverted = splitmaps.map_from_decomposition(dec.inversion(), ctx.model.params.q)
+        if inverted != mat.inverse():
+            return False, f"map of inverted {name} decomposition != {name}^-1"
+    return True, None
+
+
+def _ladders(ctx: TargetContext):
+    q, d = ctx.model.params.q, ctx.model.params.d
+    for label, x, y, z in ctx.triple_table.rows:
+        for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
+            ok, failures = equitable.check_qweyl_ladder(left, right, q, d, ctx.spectra)
+            if not ok:
+                return False, f"row {label} pair ({pair_name}): {failures[0][0]}"
+    return True, None
+
+
+# Every check, grouped by suite in report order: (check id, detail, check),
+# where check(ctx) returns (passed, witness) for one target's context.
+SUITES = {
+    "scalars": (
+        ("scalars.distinct", "theta_i pairwise distinct and theta*_i pairwise distinct", _distinct),
+        ("scalars.adjacency", "P(theta_(i-1), theta_i) = 0 along the path", _adjacency),
+        ("scalars.recurrence", "theta_(i-1) - (q^2+q^-2) theta_i + theta_(i+1) = 0", _recurrence),
+        (
+            "scalars.t_coeff",
+            "t_ii = 1; t_ij t_ji = 1 for |i-j| = 1; t_(i-1,i) = a^2 q^(2(d-2i+1))",
+            _t_coeff,
         ),
-    )
-
-
-_SUITE_RUNNERS = {
-    "scalars": _run_scalars,
-    "model": _run_model,
-    "lusztig": _run_lusztig,
-    "splitmaps": _run_splitmaps,
-    "equitable": _run_equitable,
-    "diagrams": _run_diagrams,
+        (
+            "scalars.t_seq",
+            "product form of t_i equals a^(2i) q^(2i(d-i)) and is nonzero",
+            lambda ctx: (all(t != 0 for t in ctx.model.params.ts), None),
+        ),
+        (
+            "scalars.chu_vandermonde",
+            "all four terminating summation identities over 0 <= r <= s <= d",
+            _chu_vandermonde,
+        ),
+    ),
+    "model": (
+        ("model.qdg", "both q-Dolan/Grady relations, zero residual", _qdg),
+        (
+            "model.tridiagonal",
+            "E_i A* E_j = 0 and E*_i A E*_j = 0 for |i-j| > 1",
+            _check(lambda ctx: ctx.model.tridiagonal_action),
+        ),
+        (
+            "model.irreducible",
+            "no proper nonzero subspace invariant under both generators",
+            lambda ctx: (ctx.model.irreducible, None),
+        ),
+        ("model.spectrum_path", "adjacency graph of the A-spectrum is the theta path", _spectrum_path),
+        ("model.recover_a", "eigenvalue sequence returns the generating scalar a", _recover_a),
+        ("model.astar_containment", "A* V_i inside V_(i-1) + V_i + V_(i+1)", _astar_containment),
+    ),
+    "lusztig": (
+        (
+            "lusztig.H_invertible",
+            "H H^-1 = I with H^-1 from the 1/t_i eigenvalue form",
+            lambda ctx: (ctx.lusztig.H * ctx.lusztig.H_inv == Matrix.identity(ctx.model.dim), None),
+        ),
+        (
+            "lusztig.H_commutes_A",
+            "H A = A H",
+            lambda ctx: ((ctx.lusztig.H * ctx.model.A - ctx.model.A * ctx.lusztig.H).is_zero(), None),
+        ),
+        ("lusztig.conjugation", "L(A*) = H^-1 A* H; L^-1(A*) = H A* H^-1; H^-1 A H = A", _L_conjugation),
+        (
+            "lusztig.entrywise",
+            "E_i L(A*) E_j = t_ij E_i A* E_j within the tridiagonal band",
+            _check(lambda ctx: lusztig.check_L_entrywise(ctx.model, ctx.lusztig)),
+        ),
+        (
+            "lusztig.eigenstructure",
+            "L^(+-1)(A*) diagonalizable with theta* spectrum on H^(-+1)-shifted eigenspaces",
+            _check(lambda ctx: lusztig.check_L_eigenstructure(ctx.model, ctx.lusztig)),
+        ),
+        (
+            "lusztig.expansions",
+            "all four polynomial expansion families match H or H^-1 on their flags",
+            _check(lambda ctx: lusztig.check_H_expansions(ctx.model, ctx.lusztig)),
+        ),
+    ),
+    "splitmaps": (
+        (
+            "split.flags",
+            "each split decomposition satisfies both defining flag equalities",
+            _check(lambda ctx: splitmaps.check_split_flags(ctx.model, ctx.split_maps)),
+        ),
+        ("split.inversion", "inverting a decomposition inverts its map", _inversion_inverts),
+        (
+            "split.KA_relations",
+            "the bracket relations and inverse-pair statements for K, B and the down pair",
+            _check(lambda ctx: splitmaps.check_KA_relations(ctx.model, ctx.split_maps)),
+        ),
+        (
+            "split.H_conjugation",
+            "all eight H-conjugation identities for the split maps",
+            _check(lambda ctx: splitmaps.check_H_conjugation_of_splits(ctx.model, ctx.lusztig, ctx.split_maps)),
+        ),
+        (
+            "split.R_ladder",
+            "R = A - aK - a^-1 K^-1 raises the K-decomposition, R^(d+1) = 0, RK = q^2 KR",
+            _check(lambda ctx: splitmaps.check_R_ladder(ctx.model, ctx.split_maps, ctx.spectra)),
+        ),
+        (
+            "split.MN",
+            "M, N and down analogues diagonalizable on the q-ladder; H^-1 M H = N",
+            _check(lambda ctx: splitmaps.check_MN_conjugation(ctx.model, ctx.lusztig, ctx.mn_maps)),
+        ),
+    ),
+    "equitable": (
+        (
+            "equitable.table",
+            "all eight rows pass the three cyclic q-Weyl relations",
+            _check(lambda ctx: ctx.table_check),
+        ),
+        (
+            "equitable.ladders",
+            "ladder steps and crossing flags for every q-Weyl pair in the table",
+            _ladders,
+        ),
+    ),
+    "diagrams": (
+        (
+            "diagrams.verify",
+            "N/M flag equalities, twisted-pair split maps, and the 3-cycle triples",
+            _check(
+                lambda ctx: equitable.verify_diagrams(
+                    ctx.model, ctx.lusztig, ctx.mn_maps, ctx.spectra, ctx.table_check
+                )
+            ),
+        ),
+    ),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_target(target: Target, suites) -> Report:
@@ -545,7 +510,8 @@ def run_target(target: Target, suites) -> Report:
         return report
     ctx = TargetContext(model)
     for name in suites:
-        _SUITE_RUNNERS[name](ctx, report)
+        for check_id, detail, check in SUITES[name]:
+            report.run(check_id, detail, partial(check, ctx))
     return report
 
 

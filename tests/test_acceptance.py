@@ -56,7 +56,7 @@ def grid_structures(grid):
     for model in models:
         lus = lusztig.build_H(model)
         spectra = splitmaps.LadderSpectra(model.d, model.params.q)
-        s = splitmaps.build_MN(model, splitmaps.build_split_maps(model), spectra)
+        s = splitmaps.build_MN(splitmaps.build_split_maps(model), spectra)
         out.append((model, lus, s, spectra))
     return out
 
@@ -80,7 +80,7 @@ def test_criterion_1_qdg_over_grid(grid):
 def test_criterion_2_golden_regression():
     model = build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     lus = lusztig.build_H(model)
-    s = splitmaps.build_MN(model, splitmaps.build_split_maps(model), splitmaps.LadderSpectra(1, F(2)))
+    s = splitmaps.build_MN(splitmaps.build_split_maps(model), splitmaps.LadderSpectra(1, F(2)))
     expect = {
         "theta": model.theta == (F(37, 6), F(13, 6)),
         "theta*": model.theta_star == (F(101, 10), F(29, 10)),
@@ -169,7 +169,7 @@ def test_criterion_9_diagrams(grid_structures):
 def test_criterion_10_negative_controls_and_runtime():
     golden = build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     lus = lusztig.build_H(golden)
-    s = splitmaps.build_MN(golden, splitmaps.build_split_maps(golden), splitmaps.LadderSpectra(1, F(2)))
+    s = splitmaps.build_MN(splitmaps.build_split_maps(golden), splitmaps.LadderSpectra(1, F(2)))
     controls = {}
 
     # phi = 0 is rejected as a parameter and the degenerate pair is reducible.

@@ -41,6 +41,24 @@ def test_verify_unknown_suite_is_config_error(capsys):
     assert code == 2
 
 
+def test_verify_config_with_target_flags_is_config_error(capsys, tmp_path):
+    # the config alone sets targets, suites and output; the flags would be ignored
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"targets": [{"d": 1, "q": "2", "a": "3", "b": "5", "phi": ["1"]}]}))
+    args = ["--config", str(cfg_path), "--file", "x.model", "--d", "2", "--suite", "model"]
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --config sets targets, suites and output; --file, --d, --suite would be ignored\n"
+
+
+def test_verify_phi_without_an_inline_target_is_config_error(capsys):
+    assert main(["verify", "--file", "x.model", "--phi", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --phi belongs to an inline target, which needs --d, --q, --a and --b\n"
+
+
 def test_verify_missing_config_file(capsys):
     code = main(["verify", "--config", "/nonexistent/config.json"])
     assert code == 2

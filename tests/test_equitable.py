@@ -9,7 +9,6 @@ from qonsager.equitable import (
     TripleTable,
     build_triple_table,
     check_equitable_triple,
-    check_qweyl,
     check_qweyl_ladder,
     qweyl_residual,
     verify_diagrams,
@@ -52,7 +51,7 @@ def _table_check(model, s):
 def golden():
     model = build_model(GOLDEN)
     lus = build_H(model)
-    s = build_MN(model, build_split_maps(model), _spectra(model))
+    s = build_MN(build_split_maps(model), _spectra(model))
     return model, lus, s
 
 
@@ -61,7 +60,7 @@ def d2():
     phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
     lus = build_H(model)
-    s = build_MN(model, build_split_maps(model), _spectra(model))
+    s = build_MN(build_split_maps(model), _spectra(model))
     return model, lus, s
 
 
@@ -71,7 +70,7 @@ def line(*coords):
 
 def test_qweyl_identity_pair():
     ident = Matrix.identity(2)
-    assert check_qweyl(ident, ident, F(2))
+    assert is_qweyl_pair(ident, ident, F(2))
 
 
 def test_qweyl_golden_ZX_pair(golden):
@@ -79,20 +78,20 @@ def test_qweyl_golden_ZX_pair(golden):
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     assert x == Matrix([[F(1, 2), 0], [3, 2]])
-    assert check_qweyl(s.K, x, F(2))  # the (Z, X) relation of row 1
+    assert is_qweyl_pair(s.K, x, F(2))  # the (Z, X) relation of row 1
 
 
 def test_qweyl_golden_XY_pair(golden):
     model, _, s = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
-    assert check_qweyl(x, s.M.inverse(), F(2))
+    assert is_qweyl_pair(x, s.M.inverse(), F(2))
 
 
 def test_qweyl_order_matters(golden):
     model, _, s = golden
     # (K, M^-1) in that order is not a q-Weyl pair at the golden parameters.
-    assert not check_qweyl(s.K, s.M.inverse(), F(2))
+    assert not is_qweyl_pair(s.K, s.M.inverse(), F(2))
 
 
 def test_equitable_triple_identity():
@@ -141,10 +140,15 @@ def test_triple_table_all_rows(golden, d2):
 
 def test_triple_table_detects_swapped_K_B(golden):
     model, _, s = golden
-    from dataclasses import replace
-
+    a = model.params.a
     swapped = replace(s, K=s.B, B=s.K)
     table = build_triple_table(model, swapped)
+    # the rows come from the swapped maps: row 1 is (a A - a^2 K, M^-1, K)
+    # and row 5 is (K^-1, N^-1, a^-1 A - a^-2 K^-1) with K = B and B = K
+    m = (s.B.scale(a) - s.K.scale(1 / a)).scale(1 / (a - 1 / a))
+    n = (s.B.inverse().scale(1 / a) - s.K.inverse().scale(a)).scale(1 / (1 / a - a))
+    assert table.rows[0] == ("1", model.A.scale(a) - s.B.scale(a * a), m.inverse(), s.B)
+    assert table.rows[4] == ("5", s.B.inverse(), n.inverse(), model.A.scale(1 / a) - s.B.inverse().scale(1 / (a * a)))
     ok, failures = verify_triple_table(model, table)
     assert not ok
     assert failures
@@ -264,7 +268,7 @@ def test_ladder_step_agrees_with_projector_reference():
         assert got == _projector_ladder_steps(x, y, q, d), seed
         assert images == [_subspace_ladder_step(x, y, lam, q, part) for lam, part in zip(eigs, x_dec.parts)], seed
         if seed % 2 == 0:
-            assert check_qweyl(x, y, q) and all(got), seed
+            assert is_qweyl_pair(x, y, q) and all(got), seed
         verdicts.update(got)
     assert verdicts == {True, False}  # the perturbed pairs break some steps
 
@@ -281,8 +285,8 @@ def test_a_perturbed_table_row_fails_each_equitable_check():
     perturbed = ((label, x, y + Matrix([[0, F(1, 5)], [0, 0]]), z),) + table.rows[1:]
     ctx._built["triple_table"] = TripleTable(perturbed)
     report = Report(target.label)
-    suite._run_equitable(ctx, report)
-    suite._run_diagrams(ctx, report)
+    for check_id, detail, check in suite.SUITES["equitable"] + suite.SUITES["diagrams"]:
+        report.run(check_id, detail, lambda: check(ctx))
     got = {c.name: (c.status, c.residual) for c in report.checks}
     assert got == {
         "equitable.table": ("fail", "('1', 'q-Weyl (X,Y)'): Matrix([[-1/5, 0], [0, 4/5]])"),
@@ -314,6 +318,13 @@ def test_diagram_golden_eigenspace_identities(golden):
 def test_diagrams_detect_swapped_K_B(golden):
     model, lus, s = golden
     swapped = replace(s, K=s.B, B=s.K)
+    a = model.params.a
+    # M, N and the H-conjugates the diagrams read come from the swapped maps
+    assert swapped.M == (s.B.scale(a) - s.K.scale(1 / a)).scale(1 / (a - 1 / a)) != s.M
+    assert swapped.N == (s.B.inverse().scale(1 / a) - s.K.inverse().scale(a)).scale(1 / (1 / a - a)) != s.N
+    conj, conj_inv = swapped.conjugates
+    assert conj["K"] == model.A.scale(1 / a) - s.B.inverse().scale(1 / (a * a))
+    assert conj_inv["B"] == model.A.scale(1 / a) - s.K.scale(1 / (a * a))
     ok, failures = verify_diagrams(model, lus, swapped, _spectra(model), _table_check(model, swapped))
     assert not ok
     assert failures
@@ -325,7 +336,7 @@ def d3():
     model = build_model(ParamSet(3, F(2), F(3), F(5), phi))
     lus = build_H(model)
     spectra = _spectra(model)
-    s = build_MN(model, build_split_maps(model), spectra)
+    s = build_MN(build_split_maps(model), spectra)
     return model, lus, s, spectra, _table_check(model, s)
 
 

@@ -35,7 +35,7 @@ def _spectra(model):
 def golden():
     model = build_model(GOLDEN)
     lus = build_H(model)
-    s = build_MN(model, build_split_maps(model), _spectra(model))
+    s = build_MN(build_split_maps(model), _spectra(model))
     return model, lus, s
 
 
@@ -44,7 +44,7 @@ def d2():
     phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
     lus = build_H(model)
-    s = build_MN(model, build_split_maps(model), _spectra(model))
+    s = build_MN(build_split_maps(model), _spectra(model))
     return model, lus, s
 
 
@@ -90,8 +90,9 @@ def test_conjugates_are_the_closed_forms(golden, d2):
         a = model.params.a
         for name, c in (("K", 1 / a), ("B", a), ("Kdown", 1 / a), ("Bdown", a)):
             x = getattr(s, name)
-            assert s.conjugated[name] == lus.H_inv * x * lus.H == model.A.scale(c) - x.inverse().scale(c * c)
-            assert s.conjugated_inverse[name] == lus.H * x.inverse() * lus.H_inv == model.A.scale(1 / c) - x.scale(1 / (c * c))
+            conj, conj_inv = s.conjugates
+            assert conj[name] == lus.H_inv * x * lus.H == model.A.scale(c) - x.inverse().scale(c * c)
+            assert conj_inv[name] == lus.H * x.inverse() * lus.H_inv == model.A.scale(1 / c) - x.scale(1 / (c * c))
 
 
 def test_split_maps_golden_values(golden):
@@ -264,17 +265,9 @@ def test_MN_conjugation(golden, d2):
 
 
 def test_build_MN_rejects_a_one():
-    # ParamSet already rejects a = 1, so exercise build_MN directly.
+    # ParamSet already rejects a = 1 and a = -1, so exercise build_MN directly.
     model = build_model(GOLDEN)
     s = build_split_maps(model)
-    from dataclasses import replace as dc_replace
-
-    bad_params = object.__new__(ParamSet)
-    object.__setattr__(bad_params, "d", 1)
-    object.__setattr__(bad_params, "q", F(2))
-    object.__setattr__(bad_params, "a", F(1))
-    object.__setattr__(bad_params, "b", F(5))
-    object.__setattr__(bad_params, "phi", (F(1),))
-    bad_model = dc_replace(model, params=bad_params)
-    with pytest.raises(ParameterError):
-        build_MN(bad_model, s, _spectra(model))
+    for a in (F(1), F(-1)):
+        with pytest.raises(ParameterError, match="M, N denominators vanish"):
+            build_MN(replace(s, a=a), _spectra(model))

@@ -8,6 +8,7 @@ decompositions are not direct sums and `build_split_maps` raises.
 """
 
 import json
+import re
 from fractions import Fraction as F
 from functools import cached_property
 from pathlib import Path
@@ -20,6 +21,7 @@ from qonsager.linalg import Matrix
 from qonsager.report import Report
 from qonsager.scalars import ParamSet
 
+REPO = Path(__file__).resolve().parents[1]
 SPLIT_ERROR = Path(__file__).resolve().parent / "data" / "split_error_d2.model"
 CONTAINMENT_ESCAPE = Path(__file__).resolve().parent / "data" / "containment_escape_d3.model"
 NEEDS_SPLIT_MAPS = {
@@ -114,13 +116,14 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     for name in ("build_model", "build_H", "build_split_maps", "build_MN"):
         assert len(calls[name]) == 1, name
     # the eight H-conjugates: two closed forms for each of K, B, Kdown and
-    # Bdown, built with the split maps; the triple table holds those objects
+    # Bdown, derived once from the split maps; the triple table holds those objects
     assert len(calls["h_conjugates"]) == 4
     ctx = contexts[0]
-    s, rows = ctx.completed_maps, ctx.triple_table.rows
+    rows = ctx.triple_table.rows
+    conj, conj_inv = ctx.mn_maps.conjugates
     names = ("K", "B", "Kdown", "Bdown")
-    assert all(row[1] is s.conjugated_inverse[x] for row, x in zip(rows[:4], names))
-    assert all(row[3] is s.conjugated[x] for row, x in zip(rows[4:], names))
+    assert all(row[1] is conj_inv[x] for row, x in zip(rows[:4], names))
+    assert all(row[3] is conj[x] for row, x in zip(rows[4:], names))
     # each expand_H call pairs the H and H^-1 expansions at one anchor and variant
     assert len(calls["expand_H"]) == 2 * (2 + 1)
     # 24 distinct matrices go through the q-ladder: K, B, Kdown and Bdown come
@@ -273,3 +276,57 @@ def test_astar_containment_names_the_first_escaping_eigenspace(path, witness):
     assert statuses["model.tridiagonal"] == statuses["model.astar_containment"] == "fail"
     containment = next(c for c in report.checks if c.name == "model.astar_containment")
     assert containment.residual == witness
+
+
+def _ids(name):
+    return [check_id for check_id, _, _ in suite.SUITES[name]]
+
+
+def test_check_ids_are_unique_and_prefixed_by_their_suite():
+    ids = [check_id for name in suite.SUITE_NAMES for check_id in _ids(name)]
+    assert len(ids) == len(set(ids)) == 27
+    prefix = {"splitmaps": "split"}
+    for name in suite.SUITE_NAMES:
+        assert {check_id.split(".")[0] for check_id in _ids(name)} == {prefix.get(name, name)}, name
+
+
+def _records(report):
+    return [{key: value for key, value in c.to_record().items() if key != "elapsed_ms"} for c in report.checks]
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        suite.make_param_target(2, F(2), F(3), F(5)),
+        suite.make_file_target(str(REPO / "tests" / "golden" / "twisted_d2.model")),
+        suite.make_file_target(str(SPLIT_ERROR)),
+    ],
+    ids=["passing", "failing", "raising"],
+)
+def test_each_suite_alone_reports_its_slice_of_an_all_run(target):
+    whole = _records(suite.run_target(target, suite.SUITE_NAMES))
+    start = 0
+    for name in suite.SUITE_NAMES:
+        alone = _records(suite.run_target(target, (name,)))
+        assert alone == whole[start : start + len(_ids(name))], name
+        start += len(alone)
+    assert start == len(whole) == 27
+
+
+def test_suites_report_in_the_order_requested(tmp_path, capsys):
+    out = tmp_path / "report.jsonl"
+    args = ["--d", "1", "--q", "2", "--a", "3", "--b", "5", "--phi", "1", "--suite", "diagrams", "--suite", "scalars"]
+    assert main(["verify", *args, "--output", str(out), "--quiet"]) == 0
+    checks = [json.loads(line)["check"] for line in out.read_text(encoding="utf-8").splitlines()]
+    assert checks == _ids("diagrams") + _ids("scalars")
+
+
+def test_readme_table_lists_each_suite_and_its_check_ids():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("The checks of each suite, in report order", 1)[1]
+    table = re.search(r"^\|.*?(?=\n\n)", section, flags=re.MULTILINE | re.DOTALL).group(0)
+    rows = []
+    for line in table.splitlines()[2:]:
+        name, ids = line.strip("|").split("|")
+        rows.append((name.strip().strip("`"), re.findall(r"`([^`]+)`", ids)))
+    assert rows == [(name, _ids(name)) for name in suite.SUITES]
