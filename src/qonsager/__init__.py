@@ -23,7 +23,6 @@ from .linalg import (
     Subspace,
     column_space,
     commutator,
-    flag,
     is_qweyl_pair,
     kernel,
     q_commutator,

@@ -65,7 +65,7 @@ class TripleTable:
     rows: tuple[tuple[str, Matrix, Matrix, Matrix], ...]
 
 
-def build_triple_table(model: TDModel, s: SplitMaps) -> TripleTable:
+def build_triple_table(s: SplitMaps) -> TripleTable:
     """Populate the eight equitable-triple rows from the split maps and their H-conjugates.
 
     Rows 1-4 are (H X^-1 H^-1, M^-1 or Mdown^-1, X) and rows 5-8 are
@@ -139,6 +139,24 @@ def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: Ladde
     return not failures, failures
 
 
+def _ladder_is_split(spectra: LadderSpectra, x: Matrix, star_ref, a_ref, inverted: bool = False) -> bool:
+    """Whether x's ladder decomposition W, inverted if asked, is the split decomposition of the two orders.
+
+    W's ascending flag equal to that of `star_ref` and its descending flag
+    equal to that of `a_ref` make both meets (star_0+...+star_i) meet
+    (a_i+...+a_d) sums of W-parts, so each is W_i: W is the split
+    decomposition, and its map is x (x^-1 if `inverted`). False when x has
+    no ladder decomposition or a flag differs.
+    """
+    try:
+        w = spectra.decomposition(x)
+    except ModelError:
+        return False
+    if inverted:
+        w = w.inversion()
+    return not w.flag_mismatches(star_ref) and not w.inversion().flag_mismatches(a_ref.inversion())
+
+
 def verify_diagrams(
     model: TDModel,
     lus: LusztigData,
@@ -157,11 +175,16 @@ def verify_diagrams(
         a^-1 A - a^-2 K^-1 (K slot), a A - a^2 B^-1 (B slot) and the down
         analogues; those of (A, L^-1(A*)) are the inverses of a A - a^2 K,
         a^-1 A - a^-2 B and the down analogues. These are the H-conjugates
-        kept on `s`.
+        kept on `s`. Each is proved from the conjugate's ladder
+        decomposition W in `spectra` (inverted for the L^-1 pair): when
+        W's ascending flag is the V+ (V-) flag and its descending flag is
+        the A flag, W is the split decomposition and the conjugate is its
+        map. Otherwise the split decomposition is built from flag meets and
+        its map compared, which gives the verdict and the witness.
       - Oriented 3-cycles: delegated to the eight table rows.
     Each flag family is read off one change of basis between two eigenbases
-    (`Decomposition.flag_mismatches`). The M/N decompositions come from
-    `spectra`, and the table verdict is `table_check`, the
+    (`Decomposition.flag_mismatches`). The M/N and conjugate decompositions
+    come from `spectra`, and the table verdict is `table_check`, the
     `verify_triple_table` result on the model's table.
     Returns (passed, failures) as (name, witness).
     """
@@ -200,20 +223,22 @@ def verify_diagrams(
     a_dec = model.eigenspaces_A
     conj, conj_inv = s.conjugates
     for name, star_ref, a_ref in orientations(vplus, a_dec):
-        expect_zero(
-            failures,
-            f"(A, L(A*)) split map at {name} slot",
-            map_from_decomposition(split_decomposition(star_ref, a_ref), q) - conj[name],
-        )
+        if not _ladder_is_split(spectra, conj[name], star_ref, a_ref):
+            expect_zero(
+                failures,
+                f"(A, L(A*)) split map at {name} slot",
+                map_from_decomposition(split_decomposition(star_ref, a_ref), q) - conj[name],
+            )
 
     # Split maps of the twisted pair (A, L^-1(A*)): inverses of the H X^-1 H^-1 closed forms.
     ident = Matrix.identity(model.dim)
     for name, star_ref, a_ref in orientations(vminus, a_dec):
-        expect_zero(
-            failures,
-            f"(A, L^-1(A*)) split map at {name} slot times its label",
-            map_from_decomposition(split_decomposition(star_ref, a_ref), q) * conj_inv[name] - ident,
-        )
+        if not _ladder_is_split(spectra, conj_inv[name], star_ref, a_ref, inverted=True):
+            expect_zero(
+                failures,
+                f"(A, L^-1(A*)) split map at {name} slot times its label",
+                map_from_decomposition(split_decomposition(star_ref, a_ref), q) * conj_inv[name] - ident,
+            )
 
     # Oriented 3-cycles are equitable triples: the eight table rows.
     ok, table_failures = table_check

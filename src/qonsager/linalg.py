@@ -15,8 +15,7 @@ the unique representation per subspace, so equality is structural too.
 
 The objects are immutable, so derived data is kept on them once computed:
 a matrix keeps its inverse (whose own inverse is the matrix), and a
-decomposition keeps its inversion, its basis matrix P and its ascending
-flag, which is the descending flag of the inversion. The derived object
+decomposition keeps its inversion and its basis matrix P. The derived object
 refers back to its origin weakly, so the two form no reference cycle and are
 freed by reference counting, without waiting for the cycle collector.
 
@@ -574,14 +573,13 @@ class Decomposition:
     """An ordered tuple of d+1 nonzero subspaces whose direct sum is the ambient space.
 
     The parts never change, so the inversion (the parts in reverse order) is
-    built once and keeps this decomposition as its own inversion, `flag`
-    keeps the ascending partial sums on the instance (the descending ones are
-    those of the inversion), and the basis matrix P and its inverse are built
-    once; an inversion's P^-1 is the original's with its row blocks reversed.
+    built once and keeps this decomposition as its own inversion, and the
+    basis matrix P and its inverse are built once; an inversion's P^-1 is
+    the original's with its row blocks reversed.
     E_i is the projector onto the i-th part along the others.
     """
 
-    __slots__ = ("parts", "_inversion", "_ascending", "_basis", "__weakref__")
+    __slots__ = ("parts", "_inversion", "_basis", "__weakref__")
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -617,7 +615,6 @@ class Decomposition:
     def _set(self, parts) -> None:
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_inversion", None)
-        object.__setattr__(self, "_ascending", None)
         object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
@@ -788,22 +785,3 @@ class Decomposition:
         start = self._offsets()
         rows, cols = range(start[i], start[i + 1]), range(start[j], start[j + 1])
         return not any(y.numerators[r][c] for r in rows for c in cols)
-
-
-def flag(dec: Decomposition, i: int, direction: str = "ascending") -> Subspace:
-    """Partial sums of a decomposition: ascending W_0+...+W_i, descending W_d+...+W_(d-i)."""
-    d = len(dec) - 1
-    if not 0 <= i <= d:
-        raise IndexError(f"flag index {i} out of range 0..{d}")
-    if direction not in ("ascending", "descending"):
-        raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
-    if direction == "descending":
-        dec = dec.inversion()
-    if dec._ascending is None:
-        sums, rows = [], ()
-        for part in dec.parts:
-            sums.append(_span(dec.ambient_dim, rows + part.numerators))
-            rows = sums[-1].numerators
-        object.__setattr__(dec, "_ascending", sums)
-    return dec._ascending[i]
-

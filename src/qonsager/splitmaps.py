@@ -29,28 +29,57 @@ class LadderSpectra:
     """Eigenspace decompositions over the q-ladder q^d, ..., q^-d, one per distinct matrix.
 
     A matrix is looked up by its structural hash, so equal matrices built
-    separately share one decomposition. `known` holds (matrix, decomposition)
-    pairs whose matrix was built as P diag(q^d, ..., q^-d) P^-1 from that
-    decomposition, such as the split maps; they are taken as they are. The
-    ladder is closed under lam -> lam^-1 and ker(m^-1 - lam^-1 I) =
-    ker(m - lam I), so a matrix whose inverse has already been computed and
-    decomposed gets the inversion of that decomposition; no inverse is
-    computed here. A matrix that is not diagonalizable on the ladder raises
-    ModelError on every lookup.
+    separately share one decomposition, obtained by the first of these that
+    applies:
+      - `known` holds (matrix, decomposition) pairs whose matrix was built as
+        P diag(q^d, ..., q^-d) P^-1 from that decomposition, such as the
+        split maps; they are taken as they are.
+      - The ladder is closed under lam -> lam^-1 and ker(m^-1 - lam^-1 I) =
+        ker(m - lam I), so a matrix whose inverse has already been computed
+        and decomposed gets the inversion of that decomposition; no inverse
+        is computed here.
+      - `transports` holds (m, g, S) triples with m = g S g^-1 expected, such
+        as H^-1 K H = a^-1 A - a^-2 K^-1 with g = H^-1 and S = K. The parts
+        g W_i of S's decomposition are taken once they are certified: all
+        nonzero, ranks summing to n, and m P = P diag(q^d, ..., q^-d)
+        (`Decomposition.acts_as`). Parts inside the eigenspaces of distinct
+        eigenvalues that fill the space are those eigenspaces, so the
+        decomposition is the one the kernels give. A relation is tried once.
+      - Otherwise the kernels of m - lam I are solved
+        (`eigenspace_decomposition`). A matrix that is not diagonalizable on
+        the ladder raises ModelError on every lookup.
     """
 
-    def __init__(self, d: int, q: Fraction, known=()):
+    def __init__(self, d: int, q: Fraction, known=(), transports=()):
         self.eigenvalues = qweyl_eigenvalues(d, q)
         self._decompositions: dict[Matrix, Decomposition] = dict(known)
+        self._transports = {m: (g, source) for m, g, source in transports}
 
     def decomposition(self, m: Matrix) -> Decomposition:
         dec = self._decompositions.get(m)
         if dec is None:
             inverse = m.cached_inverse()
             known = None if inverse is None else self._decompositions.get(inverse)
-            dec = known.inversion() if known is not None else eigenspace_decomposition(m, self.eigenvalues)
+            dec = known.inversion() if known is not None else self._transported(m)
+            if dec is None:
+                dec = eigenspace_decomposition(m, self.eigenvalues)
             self._decompositions[m] = dec
         return dec
+
+    def _transported(self, m: Matrix) -> Decomposition | None:
+        """The parts g W_i of the source's decomposition if they certify as m's, else None."""
+        relation = self._transports.pop(m, None)  # popped first, so a cycle of relations ends
+        if relation is None:
+            return None
+        g, source = relation
+        try:
+            parts = [w.image_under(g) for w in self.decomposition(source).parts]
+        except ModelError:
+            return None
+        if any(part.is_zero() for part in parts) or sum(part.rank for part in parts) != m.rows:
+            return None
+        dec = Decomposition.independent(parts)
+        return dec if dec.acts_as(m, self.eigenvalues) else None
 
 
 def expect_zero(failures: list, name: str, resid: Matrix) -> None:

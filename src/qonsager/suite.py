@@ -250,12 +250,27 @@ class TargetContext:
 
     @property
     def spectra(self) -> splitmaps.LadderSpectra:
-        """Decompositions on the q-ladder; K, B, Kdown and Bdown come with their split decompositions."""
+        """Decompositions on the q-ladder; K, B, Kdown and Bdown come with their split decompositions.
+
+        The H-conjugates and N, Ndown are registered as transports:
+        H^-1 X H from X and H X^-1 H^-1 from X^-1 for each split map X, and
+        N = H^-1 M H, Ndown = H^-1 Mdown H. Without H (its construction
+        raised) nothing is transported, and the kernels decide.
+        """
 
         def build():
             s = self.split_maps
             known = ((s.K, s.dec_K), (s.B, s.dec_B), (s.Kdown, s.dec_Kdown), (s.Bdown, s.dec_Bdown))
-            return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known)
+            try:
+                lus = self.lusztig
+            except CHECK_ERRORS:
+                return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known)
+            conj, conj_inv = s.conjugates
+            transports = [(s.N, lus.H_inv, s.M), (s.Ndown, lus.H_inv, s.Mdown)]
+            for name in ("K", "B", "Kdown", "Bdown"):
+                x = getattr(s, name)
+                transports += [(conj[name], lus.H_inv, x), (conj_inv[name], lus.H, x.inverse())]
+            return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known, transports)
 
         return self._once("spectra", build)
 
@@ -267,7 +282,7 @@ class TargetContext:
     @property
     def triple_table(self) -> equitable.TripleTable:
         return self._once(
-            "triple_table", lambda: equitable.build_triple_table(self.model, self.mn_maps)
+            "triple_table", lambda: equitable.build_triple_table(self.mn_maps)
         )
 
     @property

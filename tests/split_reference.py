@@ -8,8 +8,10 @@ change of basis. It shares no code with `Decomposition.flag_meets`. Like
 the order wanted; a reversed order is passed as the inversion.
 """
 
-from qonsager.linalg import Decomposition, flag, subspace_intersect
+from qonsager.linalg import Decomposition, subspace_intersect
 from qonsager.model import ModelError
+
+from flag_reference import flag
 
 
 def split_decomposition(star_dec, a_dec):

@@ -147,7 +147,7 @@ def test_criterion_7_split_conjugation_and_ladder(grid_structures):
 def test_criterion_8_equitable_triples(grid_structures):
     ok = True
     for model, _, s, _ in grid_structures:
-        table = equitable.build_triple_table(model, s)
+        table = equitable.build_triple_table(s)
         passed, _failures = equitable.verify_triple_table(model, table)
         ok = ok and passed
         eigs = splitmaps.qweyl_eigenvalues(model.d, model.params.q)
@@ -160,7 +160,7 @@ def test_criterion_8_equitable_triples(grid_structures):
 def test_criterion_9_diagrams(grid_structures):
     ok = True
     for model, lus, s, spectra in grid_structures:
-        table_check = equitable.verify_triple_table(model, equitable.build_triple_table(model, s))
+        table_check = equitable.verify_triple_table(model, equitable.build_triple_table(s))
         passed, _failures = equitable.verify_diagrams(model, lus, s, spectra, table_check)
         ok = ok and passed
     _report(9, "flag equalities and twisted-pair split maps over G", ok)

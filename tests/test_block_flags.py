@@ -2,7 +2,7 @@
 
 `Decomposition.flag_mismatches` and `Decomposition.flag_meets` read flag
 equalities and split parts off C = P_ref^-1 P_self. They are checked against
-`flag()` and `subspace_intersect` on the partial sums, and the split
+`flag_reference.flag` and `subspace_intersect` on the partial sums, and the split
 decompositions against the Zassenhaus construction kept in
 `split_reference.py`: on random decompositions with parts of any rank, on
 flags that agree and flags that do not, and on models of the engine.
@@ -17,13 +17,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qonsager import linalg
-from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace, flag, subspace_intersect
+from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace, subspace_intersect
 from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParamSet
 from qonsager.splitmaps import build_split_maps, split_decomposition
 
 import split_reference
+from flag_reference import flag
 
 TESTS = Path(__file__).resolve().parent
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -44,7 +44,7 @@ def _spectra(model):
 
 
 def _table_check(model, s):
-    return verify_triple_table(model, build_triple_table(model, s))
+    return verify_triple_table(model, build_triple_table(s))
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +132,7 @@ def test_equitable_triple_reports_singular_input():
 
 def test_triple_table_all_rows(golden, d2):
     for model, _, s in (golden, d2):
-        table = build_triple_table(model, s)
+        table = build_triple_table(s)
         assert len(table.rows) == 8
         ok, failures = verify_triple_table(model, table)
         assert ok, [(label, name) for label, name, _ in failures]
@@ -142,7 +142,7 @@ def test_triple_table_detects_swapped_K_B(golden):
     model, _, s = golden
     a = model.params.a
     swapped = replace(s, K=s.B, B=s.K)
-    table = build_triple_table(model, swapped)
+    table = build_triple_table(swapped)
     # the rows come from the swapped maps: row 1 is (a A - a^2 K, M^-1, K)
     # and row 5 is (K^-1, N^-1, a^-1 A - a^-2 K^-1) with K = B and B = K
     m = (s.B.scale(a) - s.K.scale(1 / a)).scale(1 / (a - 1 / a))
@@ -173,7 +173,7 @@ def test_qweyl_ladder_flags_at_top_are_everything(golden):
     x = model.A.scale(a) - s.K.scale(a * a)
     # At i = d both flags are the whole space by the direct-sum property;
     # the ladder check passing covers it, and the flag is full rank.
-    from qonsager.linalg import flag
+    from flag_reference import flag
 
     dec = eigenspace_decomposition(x, qweyl_eigenvalues(model.d, F(2)))
     assert flag(dec, model.d, "ascending").rank == model.dim
@@ -383,3 +383,22 @@ def test_diagram_flag_failures_name_the_index_of_each_family(d3, where, expected
     assert not ok
     assert [name for name, _ in failures] == expected
     assert all(witness == "flag mismatch" for name, witness in failures if " flag " in name)
+
+
+def test_twisted_split_maps_are_proved_from_the_ladder_without_meets(d3, monkeypatch):
+    model, lus, s, spectra, table = d3
+    meets, flag_meets = [], Decomposition.flag_meets
+
+    def counted(self, ref):
+        meets.append(self)
+        return flag_meets(self, ref)
+
+    monkeypatch.setattr(Decomposition, "flag_meets", counted)
+    ok, _ = verify_diagrams(model, lus, s, spectra, table)
+    assert ok and not meets
+    # with V+ perturbed, each (A, L(A*)) slot falls back to the meets, which give its witness
+    lus = replace(lus)
+    lus.__dict__["Vplus"] = _first_two_parts_swapped(d3[1].Vplus)
+    ok, failures = verify_diagrams(model, lus, s, spectra, table)
+    assert not ok and len(meets) == 4
+    assert all(not isinstance(witness, str) for name, witness in failures if "split map" in name)

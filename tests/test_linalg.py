@@ -13,7 +13,6 @@ from qonsager.linalg import (
     Subspace,
     column_space,
     commutator,
-    flag,
     invariant_closure,
     kernel,
     q_commutator,
@@ -25,6 +24,7 @@ from qonsager.linalg import (
 from qonsager.scalars import q_int
 
 from closure_reference import _closure as reference_closure
+from flag_reference import flag
 from projector_reference import lagrange_projectors
 
 

@@ -23,12 +23,13 @@ from qonsager.linalg import (
     SingularMatrixError,
     Subspace,
     column_space,
-    flag,
     kernel,
     rref,
     subspace_intersect,
     subspace_sum,
 )
+
+from flag_reference import flag
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

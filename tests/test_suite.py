@@ -81,7 +81,6 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (model, "eigenspace_decomposition"),
             (model, "check_tridiagonal_action"),
             (model, "check_irreducible"),
-            (linalg, "flag"),
             (splitmaps, "h_conjugates"),
             (lusztig, "expand_H"),
         )
@@ -101,7 +100,14 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             ladder_inverses.append(self)
         return inverse(self)
 
+    meets, flag_meets = [], linalg.Decomposition.flag_meets
+
+    def counted_meets(self, ref):
+        meets.append(self)
+        return flag_meets(self, ref)
+
     builds = {name: _count_table_builds(monkeypatch, name) for name in TABLES}
+    monkeypatch.setattr(linalg.Decomposition, "flag_meets", counted_meets)
     monkeypatch.setattr(splitmaps.LadderSpectra, "decomposition", counted_decomposition)
     monkeypatch.setattr(Matrix, "inverse", counted_inverse)
     contexts, context = [], suite.TargetContext
@@ -128,12 +134,14 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     assert len(calls["expand_H"]) == 2 * (2 + 1)
     # 24 distinct matrices go through the q-ladder: K, B, Kdown and Bdown come
     # with their split decompositions, 8 take the reversed decomposition of
-    # an inverse that was already decomposed, and the ladder computes no
-    # inverse. The model decomposes A and A* once each.
-    assert len(calls["eigenspace_decomposition"]) <= 12 + 2
+    # an inverse that was already decomposed, the 8 H-conjugates and N, Ndown
+    # are transported by H, and the ladder computes no inverse. Only M and
+    # Mdown are left to the kernels; the model decomposes A and A* once each.
+    assert len(calls["eigenspace_decomposition"]) <= 2 + 2
     assert not ladder_inverses
-    # every flag equality is read off a change of basis; no partial sum is built
-    assert not calls["flag"]
+    # the four split decompositions of the model are flag meets; those of the
+    # twisted pairs are the conjugates' ladder decompositions, certified by flags
+    assert len(meets) == 4
     # build_model rejects a pair that is not tridiagonal or is reducible;
     # model.tridiagonal and model.irreducible read its verdicts.
     assert len(calls["check_tridiagonal_action"]) == 1

@@ -1,0 +1,159 @@
+"""Ladder decompositions transported by H, against the kernels.
+
+`TargetContext.spectra` registers ten relations m = g S g^-1 with the
+source S already decomposed: H^-1 X H from X and H X^-1 H^-1 from X^-1 for
+X = K, B, Kdown, Bdown, and N = H^-1 M H, Ndown = H^-1 Mdown H. A transport
+is taken only after one product certifies it, so it must be the
+decomposition the kernels give; a wrong conjugator must fail the
+certificate and fall back to the kernels. Only M and Mdown are left to
+the kernels.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from qonsager import lusztig, model, splitmaps, suite
+from qonsager.linalg import Matrix
+from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
+from qonsager.modelio import import_model
+from qonsager.scalars import ParameterError, ParamSet
+
+TESTS = Path(__file__).resolve().parent
+NAMES = ("K", "B", "Kdown", "Bdown")
+
+
+def _built(d, q, a=F(3), b=F(5)):
+    if d == 1:
+        return build_model(ParamSet(1, q, a, b, (F(1),)))
+    models = []
+    assert solve_phi(d, q, a, b, limit=1, models=models)
+    return models[0]
+
+
+def _seeded_import(d, seed):
+    """A built model's pair conjugated by a seeded dense integer matrix."""
+    base = _built(d, F(2))
+    rng = random.Random(seed)
+    n = base.dim
+    while True:
+        p = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if p.rank() == n:
+            break
+    return assemble_imported(base.params, p * base.A * p.inverse(), p * base.Astar * p.inverse())
+
+
+def _targets():
+    for q in (F(2), F(3, 2), F(-2)):
+        for d in range(1, 7):
+            yield f"d{d}-q{q}", lambda d=d, q=q: _built(d, q)
+    yield "dense_d3", lambda: import_model(str(TESTS / "golden" / "dense_d3.model"))
+    yield "seeded-import-d4", lambda: _seeded_import(4, 11)
+
+
+TARGETS = dict(_targets())
+
+
+def _ladder_matrices(s):
+    """M and Mdown, which have no H-relative, then the ten transported matrices."""
+    conj, conj_inv = s.conjugates
+    return (
+        [("M", s.M), ("Mdown", s.Mdown), ("N", s.N), ("Ndown", s.Ndown)]
+        + [(f"H^-1 {x} H", conj[x]) for x in NAMES]
+        + [(f"H {x}^-1 H^-1", conj_inv[x]) for x in NAMES]
+    )
+
+
+def _count_kernels(monkeypatch):
+    """Record each matrix the ladder hands to the kernels."""
+    calls, original = [], model.eigenspace_decomposition
+
+    def counted(m, eigs):
+        calls.append(m)
+        return original(m, eigs)
+
+    monkeypatch.setattr(splitmaps, "eigenspace_decomposition", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_transported_decompositions_are_the_kernels(name, monkeypatch):
+    ctx = suite.TargetContext(TARGETS[name]())
+    s = ctx.split_maps
+    kernels = _count_kernels(monkeypatch)
+    spectra = ctx.spectra
+    for label, m in _ladder_matrices(s):
+        assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
+    assert len(kernels) == 2 and set(kernels) == {s.M, s.Mdown}
+
+
+def test_a_wrong_conjugator_fails_the_certificate_and_falls_back(monkeypatch):
+    target = _built(3, F(2))
+    original = lusztig.build_H
+
+    def sheared_H(m):
+        # H (I + E_01): still invertible, but it conjugates nothing into its closed form
+        lus = original(m)
+        e01 = Matrix([[int((i, j) == (0, 1)) for j in range(m.dim)] for i in range(m.dim)])
+        wrong = lus.H * (Matrix.identity(m.dim) + e01)
+        return replace(lus, H=wrong, H_inv=wrong.inverse())
+
+    monkeypatch.setattr(lusztig, "build_H", sheared_H)
+    ctx = suite.TargetContext(target)
+    s = ctx.split_maps
+    kernels = _count_kernels(monkeypatch)
+    spectra = ctx.spectra
+    for label, m in _ladder_matrices(s):
+        assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
+    # every transport failed its certificate, so all twelve went to the kernels
+    assert len(kernels) == 12
+
+
+def test_spectra_do_not_inherit_an_H_that_raises(monkeypatch):
+    def no_H(m):
+        raise ParameterError("no H for this model")
+
+    monkeypatch.setattr(lusztig, "build_H", no_H)
+    target = suite.make_param_target(3, F(2), F(3), F(5))
+    report = suite.run_target(target, ("splitmaps", "equitable", "diagrams"))
+    records = {c.name: (c.status, c.residual) for c in report.checks}
+    # the records the engine gave before transports existed
+    assert records["split.R_ladder"] == ("pass", None)
+    assert records["split.MN"] == ("error", "no H for this model")
+    assert records["equitable.ladders"] == ("pass", None)
+    assert records["diagrams.verify"] == ("error", "no H for this model")
+    ctx = suite.TargetContext(_built(3, F(2)))
+    kernels = _count_kernels(monkeypatch)
+    spectra = ctx.spectra
+    for label, m in _ladder_matrices(ctx.split_maps):
+        assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
+    assert len(kernels) == 12
+
+
+def test_a_cycle_of_relations_ends_in_the_kernels(monkeypatch):
+    target = _built(2, F(2))
+    s = suite.TargetContext(target).split_maps
+    kernels = _count_kernels(monkeypatch)
+    ident = Matrix.identity(target.dim)
+    spectra = splitmaps.LadderSpectra(target.d, F(2), transports=((s.M, ident, s.N), (s.N, ident, s.M)))
+    assert spectra.decomposition(s.M) == model.eigenspace_decomposition(s.M, spectra.eigenvalues)
+    assert spectra.decomposition(s.N) == model.eigenspace_decomposition(s.N, spectra.eigenvalues)
+    # M's relation sends it to N, whose relation back to M is already used up:
+    # the lookups end, and neither transport certifies
+    assert set(kernels) == {s.M, s.N}
+
+
+def test_a_failed_transport_raises_what_the_kernels_raise():
+    target = _built(2, F(2))
+    s = suite.TargetContext(target).split_maps
+    off_ladder = s.K.scale(2)
+    # the source's decomposition transported to 2K does not certify: 2K acts as 2 q^(d-2i)
+    transports = ((off_ladder, Matrix.identity(target.dim), s.K),)
+    spectra = splitmaps.LadderSpectra(target.d, F(2), ((s.K, s.dec_K),), transports)
+    with pytest.raises(ModelError, match="has no eigenvector"):
+        spectra.decomposition(off_ladder)
+    with pytest.raises(ModelError, match="has no eigenvector"):
+        spectra.decomposition(off_ladder)
