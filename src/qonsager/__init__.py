@@ -8,7 +8,6 @@ equitable triples, and the flag identities of the comparison diagrams.
 """
 
 from .equitable import (
-    TripleTable,
     build_triple_table,
     check_equitable_triple,
     check_qweyl_ladder,
@@ -21,15 +20,11 @@ from .linalg import (
     ShapeError,
     SingularMatrixError,
     Subspace,
-    column_space,
     commutator,
     is_qweyl_pair,
     kernel,
     q_commutator,
     rref,
-    subspace_equal,
-    subspace_intersect,
-    subspace_sum,
 )
 from .lusztig import (
     LusztigData,
@@ -43,7 +38,6 @@ from .lusztig import (
 )
 from .model import (
     ModelError,
-    SpectrumGraph,
     TDModel,
     build_model,
     check_irreducible,
@@ -51,19 +45,17 @@ from .model import (
     check_tridiagonal_action,
     recover_a,
     solve_phi,
-    spectrum_graph,
+    spectrum_path,
 )
 from .modelio import ModelIOError, export_model, import_model
 from .report import CheckResult, Report
 from .scalars import (
     ParameterError,
     ParamSet,
-    Scalar,
     check_chu_vandermonde,
     format_scalar,
     p_poly,
     parse_scalar,
-    q_int,
     q_poch,
     t_coeff,
     t_seq,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from fractions import Fraction
 
 from .model import ModelError, build_model, solve_phi
 from .modelio import ModelIOError, export_model, import_model
@@ -57,14 +58,22 @@ def _positive_int(token: str) -> int:
     return value
 
 
+def _scalar(token: str) -> Fraction:
+    try:
+        return parse_scalar(token)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_param_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--d", type=int, required=required, help="diameter (matrix size is d+1)")
-    parser.add_argument("--q", required=required, help="rational q outside {0, 1, -1}, e.g. 2 or 3/2")
-    parser.add_argument("--a", required=required, help="rational eigenvalue scalar a")
-    parser.add_argument("--b", required=required, help="rational eigenvalue scalar b")
+    parser.add_argument("--q", type=_scalar, required=required, help="rational q outside {0, 1, -1}, e.g. 2 or 3/2")
+    parser.add_argument("--a", type=_scalar, required=required, help="rational eigenvalue scalar a")
+    parser.add_argument("--b", type=_scalar, required=required, help="rational eigenvalue scalar b")
     parser.add_argument(
         "--phi",
         nargs="+",
+        type=_scalar,
         default=None,
         metavar="PHI",
         help="split sequence phi_1..phi_d; found automatically when omitted",
@@ -117,10 +126,7 @@ def _verify_config(args) -> SuiteConfig:
         missing = [flag for flag, val in inline if val is None]
         if missing:
             raise ConfigError(f"inline target needs {', '.join(missing)}")
-        phi = tuple(parse_scalar(t) for t in args.phi) if args.phi else ()
-        targets.append(
-            make_param_target(args.d, parse_scalar(args.q), parse_scalar(args.a), parse_scalar(args.b), phi)
-        )
+        targets.append(make_param_target(args.d, args.q, args.a, args.b, args.phi or ()))
     elif args.phi:
         raise ConfigError("--phi belongs to an inline target, which needs --d, --q, --a and --b")
     if not targets:
@@ -144,8 +150,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_phi(args) -> int:
-    q, a, b = parse_scalar(args.q), parse_scalar(args.a), parse_scalar(args.b)
-    sequences = solve_phi(args.d, q, a, b, limit=args.limit)
+    sequences = solve_phi(args.d, args.q, args.a, args.b, limit=args.limit)
     if not sequences:
         print("no rational phi sequence found in the scanned family; vary parameters")
         return EXIT_CHECK_FAILED
@@ -155,12 +160,11 @@ def _cmd_solve_phi(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    q, a, b = parse_scalar(args.q), parse_scalar(args.a), parse_scalar(args.b)
     if args.phi:
-        model = build_model(ParamSet(args.d, q, a, b, tuple(parse_scalar(t) for t in args.phi)))
+        model = build_model(ParamSet(args.d, args.q, args.a, args.b, args.phi))
     else:
         models = []
-        if not solve_phi(args.d, q, a, b, limit=1, models=models):
+        if not solve_phi(args.d, args.q, args.a, args.b, limit=1, models=models):
             print("no rational phi sequence found; supply --phi", file=sys.stderr)
             return EXIT_CHECK_FAILED
         model = models[0]

@@ -9,7 +9,6 @@ analogues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
@@ -58,15 +57,8 @@ def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):
     return not failures, failures
 
 
-@dataclass(frozen=True)
-class TripleTable:
-    """The eight (X, Y, Z) rows built from a model's split maps."""
-
-    rows: tuple[tuple[str, Matrix, Matrix, Matrix], ...]
-
-
-def build_triple_table(s: SplitMaps) -> TripleTable:
-    """Populate the eight equitable-triple rows from the split maps and their H-conjugates.
+def build_triple_table(s: SplitMaps) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+    """The eight equitable-triple rows (label, X, Y, Z) from the split maps and their H-conjugates.
 
     Rows 1-4 are (H X^-1 H^-1, M^-1 or Mdown^-1, X) and rows 5-8 are
     (X^-1, N^-1 or Ndown^-1, H^-1 X H) for X = K, B, Kdown, Bdown, with the
@@ -77,7 +69,7 @@ def build_triple_table(s: SplitMaps) -> TripleTable:
     md_inv = s.Mdown.inverse()
     nd_inv = s.Ndown.inverse()
     conj, conj_inv = s.conjugates
-    rows = (
+    return (
         ("1", conj_inv["K"], m_inv, s.K),
         ("2", conj_inv["B"], m_inv, s.B),
         ("3", conj_inv["Kdown"], md_inv, s.Kdown),
@@ -87,28 +79,28 @@ def build_triple_table(s: SplitMaps) -> TripleTable:
         ("7", s.Kdown.inverse(), nd_inv, conj["Kdown"]),
         ("8", s.Bdown.inverse(), nd_inv, conj["Bdown"]),
     )
-    return TripleTable(rows)
 
 
-def verify_triple_table(model: TDModel, table: TripleTable):
-    """Every row passes all three cyclic q-Weyl relations exactly.
+def verify_triple_table(model: TDModel, table):
+    """Every row (label, X, Y, Z) of `table` passes all three cyclic q-Weyl relations exactly.
 
     Returns (passed, failures) as (row label, name, residual).
     """
     q = model.params.q
     failures = []
-    for label, x, y, z in table.rows:
+    for label, x, y, z in table:
         ok, row_failures = check_equitable_triple(x, y, z, q)
         if not ok:
             failures.extend((label, name, resid) for name, resid in row_failures)
     return not failures, failures
 
 
-def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, d: int, spectra: LadderSpectra):
+def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra):
     """The ladder and crossing-flag consequences of a q-Weyl pair.
 
     Preconditions reported distinctly: (X, Y) satisfies the q-Weyl relation
-    and both are diagonalizable with eigenvalues q^d, ..., q^-d. Then
+    and both are diagonalizable with the eigenvalues q^d, ..., q^-d of
+    `spectra`. Then
     (i) (X - q^-2 lam I)(Y - lam^-1 I) kills the lam-eigenspace of X for each
     eigenvalue lam, and (ii) Y_0+...+Y_i = X_(d-i)+...+X_d for every i.
     Step (i) maps the basis vectors of X's eigenspaces, with no elimination

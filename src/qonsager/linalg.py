@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over Q: matrices, kernels, and the subspace lattice.
+"""Dense exact linear algebra over Q: matrices, kernels, subspaces and decompositions.
 
 A matrix is held as integer numerators over one positive common denominator,
 in lowest terms (the gcd of all numerators and the denominator is 1), so
@@ -152,9 +152,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    def __reduce__(self):
-        return Matrix, (self.numerators, self.denominator)
-
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], 1)
@@ -224,11 +221,6 @@ class Matrix:
             c = Fraction(c)
         p = c.numerator
         return Matrix([[p * e for e in row] for row in self.numerators], self.denominator * c.denominator)
-
-    def __rmul__(self, c) -> "Matrix":
-        if isinstance(c, Matrix):
-            return NotImplemented
-        return self.scale(c)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -399,9 +391,6 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    def __reduce__(self):
-        return Subspace, (self.ambient_dim, self.numerators, self.denominator)
-
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
         rows, _ = _integer_rows(vectors)
@@ -447,16 +436,6 @@ class Subspace:
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.basis)
         return f"Subspace(dim {self.rank} of Q^{self.ambient_dim}: {body})"
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return subspace_sum(self, other).rank == self.rank
-
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeError(
-                f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}"
-            )
 
     def image_under(self, m: Matrix) -> "Subspace":
         """The subspace m(self); basis vectors are mapped as column vectors."""
@@ -539,36 +518,6 @@ def invariant_closure(seed: Subspace, maps) -> Subspace:
     return _span(n, rows)
 
 
-def column_space(m: Matrix) -> Subspace:
-    """Column space of m as a subspace of Q^rows."""
-    return _span(m.rows, zip(*m.numerators))
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    s._check_ambient(t)
-    return _span(s.ambient_dim, s.numerators + t.numerators)
-
-
-def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection by the Zassenhaus block trick on the stacked bases.
-
-    Eliminating [[S, S], [T, 0]] on its left half leaves rows with a zero
-    left half whose right halves span the intersection.
-    """
-    s._check_ambient(t)
-    n = s.ambient_dim
-    if s.is_zero() or t.is_zero():
-        return Subspace.zero(n)
-    block = [list(row) + list(row) for row in s.numerators]
-    block += [list(row) + [0] * n for row in t.numerators]
-    rank = len(_gauss_jordan(block, n))
-    return _span(n, [row[n:] for row in block[rank:]])
-
-
-def subspace_equal(s: Subspace, t: Subspace) -> bool:
-    return s == t
-
-
 class Decomposition:
     """An ordered tuple of d+1 nonzero subspaces whose direct sum is the ambient space.
 
@@ -619,9 +568,6 @@ class Decomposition:
 
     def __setattr__(self, name, value):
         raise AttributeError("Decomposition is immutable")
-
-    def __reduce__(self):
-        return Decomposition, (self.parts,)
 
     def __len__(self):
         return len(self.parts)

@@ -21,7 +21,6 @@ from .linalg import (
     invariant_closure,
     kernel,
     q_commutator,
-    subspace_intersect,
 )
 from .scalars import ONE, ParameterError, ParamSet, p_poly
 
@@ -221,20 +220,16 @@ def check_irreducible(
 
     `spaces_a` and `spaces_astar` are the eigenspace decompositions of the
     two maps. Any joint invariant subspace contains an eigenvector of each
-    map, so it suffices to (i) reject joint eigenvectors outright and (ii)
-    close every eigenspace basis vector of either map under the pair and
-    demand full rank. Complete whenever either map has all eigenspaces
-    one-dimensional (true for every generated model).
+    map, so it suffices to close every eigenspace basis vector of either map
+    under the pair and demand full rank. Complete whenever either map has
+    all eigenspaces one-dimensional, which holds for every model: both are
+    diagonalizable with d + 1 distinct eigenvalues on Q^(d+1). A joint
+    eigenvector then needs no separate pass: it spans one of those lines,
+    whose basis vector closes to that line alone.
     """
     if a.rows != a.cols or a.rows != astar.rows or a.cols != astar.cols:
         raise ShapeError("irreducibility check needs square matrices of equal shape")
     n = a.rows
-    if n == 1:
-        return True
-    for va in spaces_a.parts:
-        for vs in spaces_astar.parts:
-            if not subspace_intersect(va, vs).is_zero():
-                return False  # a joint eigenvector spans an invariant line
     pair = (a, astar)
     for space in spaces_a.parts + spaces_astar.parts:
         for vec in space.basis:
@@ -244,59 +239,16 @@ def check_irreducible(
     return True
 
 
-@dataclass(frozen=True)
-class SpectrumGraph:
-    """Classification of the adjacency graph on a set of eigenvalues."""
+def spectrum_path(eigs, q: Fraction) -> bool:
+    """Whether the graph with edges {lam, mu}, P(lam, mu) = 0, is the path eigs[0], ..., eigs[-1].
 
-    kind: str  # "path" | "cycle" | "disconnected" | "branching"
-    order: tuple[Fraction, ...] | None = None
-
-
-def spectrum_graph(eigs, q: Fraction) -> SpectrumGraph:
-    """Classify the graph with edges {lam != mu, P(lam, mu) = 0} on the given eigenvalues.
-
-    A valid q-Racah spectrum yields a path, returned with one of its two
-    traversal orders (starting from the endpoint earliest in the input).
-    Over Q the "cycle" and "branching" outcomes cannot actually arise (a
-    cycle forces q to be a root of unity and P is quadratic in each slot,
-    capping vertex degree at 2); they are kept for the classification
-    contract on arbitrary inputs.
+    For pairwise distinct eigenvalues this holds exactly when
+    P(eigs[i], eigs[j]) = 0 for j = i + 1 and for no other i < j.
     """
-    eigs = [Fraction(e) for e in eigs]
-    if len(set(eigs)) != len(eigs):
-        raise ParameterError("eigenvalues must be pairwise distinct")
-    if len(eigs) < 2:
-        raise ParameterError("at least two eigenvalues are required")
     n = len(eigs)
-    adj = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if p_poly(eigs[i], eigs[j], q) == 0:
-                adj[i].append(j)
-                adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) < n:
-        return SpectrumGraph("disconnected")
-    if any(len(adj[v]) > 2 for v in range(n)):
-        return SpectrumGraph("branching")
-    endpoints = [v for v in range(n) if len(adj[v]) == 1]
-    if not endpoints:
-        return SpectrumGraph("cycle")
-    start = min(endpoints)
-    order = [start]
-    prev = None
-    while len(order) < n:
-        nxt = next(w for w in adj[order[-1]] if w != prev)
-        prev = order[-1]
-        order.append(nxt)
-    return SpectrumGraph("path", tuple(eigs[i] for i in order))
+    return all(
+        (p_poly(eigs[i], eigs[j], q) == 0) == (j == i + 1) for i in range(n) for j in range(i + 1, n)
+    )
 
 
 def recover_a(theta0: Fraction, theta1: Fraction, d: int, q: Fraction, spectrum=None) -> Fraction:

@@ -10,8 +10,8 @@ comments are ignored.
 
 from __future__ import annotations
 
-from .linalg import Matrix, ShapeError
-from .model import ModelError, TDModel, assemble_imported, build_model
+from .linalg import Matrix
+from .model import TDModel, assemble_imported, build_model
 from .scalars import ParameterError, ParamSet, format_scalar, parse_scalar
 
 

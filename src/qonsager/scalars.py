@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -44,12 +42,6 @@ def format_scalar(x: Fraction) -> str:
 def _require_valid_q(q: Fraction) -> None:
     if q == 0 or q == 1 or q == -1:
         raise ParameterError(f"q must lie outside {{0, 1, -1}}, got {q}")
-
-
-def q_int(n: int, q: Fraction) -> Fraction:
-    """q-bracket [n]_q = (q^n - q^-n)/(q - q^-1)."""
-    _require_valid_q(q)
-    return (q**n - q**-n) / (q - 1 / q)
 
 
 def q_poch(z: Fraction, t: Fraction, n: int) -> Fraction:

@@ -279,7 +279,7 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
     return not failures, failures
 
 
-def check_H_conjugation_of_splits(model: TDModel, lus: LusztigData, s: SplitMaps):
+def check_H_conjugation_of_splits(lus: LusztigData, s: SplitMaps):
     """The eight conjugation identities for the split maps under H.
 
     H^-1 B H = a A - a^2 B^-1 and H^-1 K H = a^-1 A - a^-2 K^-1 (with the
@@ -349,7 +349,7 @@ def build_MN(s: SplitMaps, spectra: LadderSpectra) -> SplitMaps:
     return s
 
 
-def check_MN_conjugation(model: TDModel, lus: LusztigData, s: SplitMaps):
+def check_MN_conjugation(lus: LusztigData, s: SplitMaps):
     """H^-1 M H = N and H^-1 Mdown H = Ndown, exactly."""
     failures = []
     for name, m, n in (("H^-1 M H = N", s.M, s.N), ("H^-1 Mdown H = Ndown", s.Mdown, s.Ndown)):

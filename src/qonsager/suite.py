@@ -25,7 +25,7 @@ from .model import (
     check_qdg,
     recover_a,
     solve_phi,
-    spectrum_graph,
+    spectrum_path,
 )
 from .modelio import ModelIOError, import_model
 from .report import CHECK_ERRORS, Report
@@ -69,6 +69,8 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if not self.targets:
             raise ConfigError("config needs at least one target")
+        if not self.suites:
+            raise ConfigError("config needs at least one suite; 'suites' is empty")
         expanded = []
         for name in self.suites:
             if name == "all":
@@ -101,7 +103,9 @@ def _target_from_spec(spec: dict, index: int) -> Target:
         raise ConfigError(f"target {index}: must be an object")
     if "file" in spec:
         _reject_unknown_keys(f"target {index} (a file target)", spec, ("file",))
-        return make_file_target(str(spec["file"]))
+        if not isinstance(spec["file"], str):
+            raise ConfigError(f"target {index}: 'file' must be a string, got {spec['file']!r}")
+        return make_file_target(spec["file"])
     _reject_unknown_keys(f"target {index}", spec, PARAM_TARGET_KEYS)
     phi = spec.get("phi", [])
     if not isinstance(phi, list):
@@ -136,6 +140,8 @@ def load_config(path: str) -> SuiteConfig:
     if not isinstance(data, dict) or "targets" not in data:
         raise ConfigError(f"{path}: config must be an object with a 'targets' list")
     _reject_unknown_keys(path, data, CONFIG_KEYS)
+    if not isinstance(data["targets"], list):
+        raise ConfigError(f"{path}: 'targets' must be a list of target objects, got {data['targets']!r}")
     targets = [_target_from_spec(t, i) for i, t in enumerate(data["targets"])]
     suites, output = data.get("suites", ["all"]), data.get("output")
     if not isinstance(suites, list) or not all(isinstance(name, str) for name in suites):
@@ -280,7 +286,8 @@ class TargetContext:
         return self._once("mn_maps", lambda: splitmaps.build_MN(self.split_maps, self.spectra))
 
     @property
-    def triple_table(self) -> equitable.TripleTable:
+    def triple_table(self):
+        """The eight (label, X, Y, Z) rows of `equitable.build_triple_table`."""
         return self._once(
             "triple_table", lambda: equitable.build_triple_table(self.mn_maps)
         )
@@ -339,13 +346,6 @@ def _qdg(ctx: TargetContext):
     return ok, None if ok else next(r for r in residuals if not r.is_zero())
 
 
-def _spectrum_path(ctx: TargetContext):
-    model = ctx.model
-    graph = spectrum_graph(model.theta, model.params.q)
-    ok = graph.kind == "path" and graph.order in (model.theta, model.theta[::-1])
-    return ok, None if ok else f"classified as {graph.kind}"
-
-
 def _recover_a(ctx: TargetContext):
     model, p = ctx.model, ctx.model.params
     got = recover_a(model.theta[0], model.theta[1], p.d, p.q, model.theta)
@@ -387,10 +387,10 @@ def _inversion_inverts(ctx: TargetContext):
 
 
 def _ladders(ctx: TargetContext):
-    q, d = ctx.model.params.q, ctx.model.params.d
-    for label, x, y, z in ctx.triple_table.rows:
+    q = ctx.model.params.q
+    for label, x, y, z in ctx.triple_table:
         for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
-            ok, failures = equitable.check_qweyl_ladder(left, right, q, d, ctx.spectra)
+            ok, failures = equitable.check_qweyl_ladder(left, right, q, ctx.spectra)
             if not ok:
                 return False, f"row {label} pair ({pair_name}): {failures[0][0]}"
     return True, None
@@ -431,7 +431,11 @@ SUITES = {
             "no proper nonzero subspace invariant under both generators",
             lambda ctx: (ctx.model.irreducible, None),
         ),
-        ("model.spectrum_path", "adjacency graph of the A-spectrum is the theta path", _spectrum_path),
+        (
+            "model.spectrum_path",
+            "adjacency graph of the A-spectrum is the theta path",
+            lambda ctx: (spectrum_path(ctx.model.theta, ctx.model.params.q), None),
+        ),
         ("model.recover_a", "eigenvalue sequence returns the generating scalar a", _recover_a),
         ("model.astar_containment", "A* V_i inside V_(i-1) + V_i + V_(i+1)", _astar_containment),
     ),
@@ -478,7 +482,7 @@ SUITES = {
         (
             "split.H_conjugation",
             "all eight H-conjugation identities for the split maps",
-            _check(lambda ctx: splitmaps.check_H_conjugation_of_splits(ctx.model, ctx.lusztig, ctx.split_maps)),
+            _check(lambda ctx: splitmaps.check_H_conjugation_of_splits(ctx.lusztig, ctx.split_maps)),
         ),
         (
             "split.R_ladder",
@@ -488,7 +492,7 @@ SUITES = {
         (
             "split.MN",
             "M, N and down analogues diagonalizable on the q-ladder; H^-1 M H = N",
-            _check(lambda ctx: splitmaps.check_MN_conjugation(ctx.model, ctx.lusztig, ctx.mn_maps)),
+            _check(lambda ctx: splitmaps.check_MN_conjugation(ctx.lusztig, ctx.mn_maps)),
         ),
     ),
     "equitable": (

@@ -5,7 +5,9 @@ re-eliminates the sum, until a round adds nothing. It shares no code with
 the worklist beyond `Subspace` arithmetic.
 """
 
-from qonsager.linalg import Subspace, subspace_sum
+from qonsager.linalg import Subspace
+
+from linalg_reference import subspace_sum
 
 
 def _closure(seed: Subspace, maps) -> Subspace:

@@ -8,10 +8,11 @@ change of basis. It shares no code with `Decomposition.flag_meets`. Like
 the order wanted; a reversed order is passed as the inversion.
 """
 
-from qonsager.linalg import Decomposition, subspace_intersect
+from qonsager.linalg import Decomposition
 from qonsager.model import ModelError
 
 from flag_reference import flag
+from linalg_reference import subspace_intersect
 
 
 def split_decomposition(star_dec, a_dec):

@@ -137,8 +137,8 @@ def test_criterion_6_split_relations(grid_structures):
 def test_criterion_7_split_conjugation_and_ladder(grid_structures):
     ok = True
     for model, lus, s, spectra in grid_structures:
-        conj_ok, _ = splitmaps.check_H_conjugation_of_splits(model, lus, s)
-        mn_ok, _ = splitmaps.check_MN_conjugation(model, lus, s)
+        conj_ok, _ = splitmaps.check_H_conjugation_of_splits(lus, s)
+        mn_ok, _ = splitmaps.check_MN_conjugation(lus, s)
         ladder_ok, _ = splitmaps.check_R_ladder(model, s, spectra)
         ok = ok and conj_ok and mn_ok and ladder_ok
     _report(7, "eight conjugation identities, M/N conjugation, R-ladder over G", ok)
@@ -193,7 +193,7 @@ def test_criterion_10_negative_controls_and_runtime():
 
     # H replaced by the identity breaks the conjugation identities.
     broken_lus = replace(lus, H=Matrix.identity(2), H_inv=Matrix.identity(2))
-    ok_h, failures_h = splitmaps.check_H_conjugation_of_splits(golden, broken_lus, s)
+    ok_h, failures_h = splitmaps.check_H_conjugation_of_splits(broken_lus, s)
     controls["H->I fails"] = (not ok_h) and not failures_h[0][1].is_zero()
 
     # A broken eigenvalue leaves a nonzero q-Dolan/Grady residual.

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qonsager import linalg
-from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace, subspace_intersect
+from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace
 from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParamSet
@@ -25,6 +25,7 @@ from qonsager.splitmaps import build_split_maps, split_decomposition
 
 import split_reference
 from flag_reference import flag
+from linalg_reference import subspace_intersect
 
 TESTS = Path(__file__).resolve().parent
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])

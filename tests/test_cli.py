@@ -367,3 +367,42 @@ def test_config_d_must_be_a_json_integer(capsys, tmp_path, d, shown):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        pytest.param({"targets": 5}, "'targets' must be a list of target objects, got 5", id="targets-int"),
+        pytest.param({"targets": None}, "'targets' must be a list of target objects, got None", id="targets-null"),
+        pytest.param({"targets": "ab"}, "'targets' must be a list of target objects, got 'ab'", id="targets-str"),
+        pytest.param({"suites": []}, "config needs at least one suite; 'suites' is empty", id="suites-empty"),
+        pytest.param({"targets": [{"file": 5}]}, "target 0: 'file' must be a string, got 5", id="file-int"),
+    ],
+)
+def test_malformed_config_exits_2_naming_the_key(capsys, tmp_path, fields, message):
+    path = _write_config(tmp_path, **fields)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path))
+    assert main(["verify", "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["verify", "--d", "2", "--q", "abc", "--a", "3", "--b", "5"], "--q", id="verify-q"),
+        pytest.param(["verify", "--d", "2", "--q", "2", "--a", "3", "--b", "5", "--phi", "1", "x"], "--phi", id="verify-phi"),
+        pytest.param(["solve-phi", "--d", "2", "--q", "2", "--a", "3/0", "--b", "5"], "--a", id="solve-phi-a"),
+        pytest.param(["export", *GOLDEN_ARGS[:-1], "1", "x", "--out", "m.model"], "--phi", id="export-phi"),
+        pytest.param(["export", "--d", "1", "--q", "2", "--a", "3", "--b", "1/0", "--out", "m.model"], "--b", id="export-b"),
+    ],
+)
+def test_malformed_inline_scalar_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: bad scalar token" in capsys.readouterr().err
+    assert not (tmp_path / "m.model").exists()

@@ -6,7 +6,6 @@ import pytest
 
 from qonsager import suite
 from qonsager.equitable import (
-    TripleTable,
     build_triple_table,
     check_equitable_triple,
     check_qweyl_ladder,
@@ -133,7 +132,7 @@ def test_equitable_triple_reports_singular_input():
 def test_triple_table_all_rows(golden, d2):
     for model, _, s in (golden, d2):
         table = build_triple_table(s)
-        assert len(table.rows) == 8
+        assert len(table) == 8
         ok, failures = verify_triple_table(model, table)
         assert ok, [(label, name) for label, name, _ in failures]
 
@@ -147,8 +146,8 @@ def test_triple_table_detects_swapped_K_B(golden):
     # and row 5 is (K^-1, N^-1, a^-1 A - a^-2 K^-1) with K = B and B = K
     m = (s.B.scale(a) - s.K.scale(1 / a)).scale(1 / (a - 1 / a))
     n = (s.B.inverse().scale(1 / a) - s.K.inverse().scale(a)).scale(1 / (1 / a - a))
-    assert table.rows[0] == ("1", model.A.scale(a) - s.B.scale(a * a), m.inverse(), s.B)
-    assert table.rows[4] == ("5", s.B.inverse(), n.inverse(), model.A.scale(1 / a) - s.B.inverse().scale(1 / (a * a)))
+    assert table[0] == ("1", model.A.scale(a) - s.B.scale(a * a), m.inverse(), s.B)
+    assert table[4] == ("5", s.B.inverse(), n.inverse(), model.A.scale(1 / a) - s.B.inverse().scale(1 / (a * a)))
     ok, failures = verify_triple_table(model, table)
     assert not ok
     assert failures
@@ -159,7 +158,7 @@ def test_qweyl_ladder_golden(golden):
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     y = s.M.inverse()
-    ok, failures = check_qweyl_ladder(x, y, F(2), model.d, _spectra(model))
+    ok, failures = check_qweyl_ladder(x, y, F(2), _spectra(model))
     assert ok, failures
     # Y_0 = span(e_0 - 2 e_1) = X_1: the crossing at the golden parameters.
     y0 = kernel(y - Matrix.identity(2).scale(F(2)))
@@ -184,14 +183,14 @@ def test_qweyl_ladder_detects_perturbed_partner(golden):
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     perturbed = s.M.inverse() + Matrix([[0, F(1, 5)], [0, 0]])
-    ok, failures = check_qweyl_ladder(x, perturbed, F(2), model.d, _spectra(model))
+    ok, failures = check_qweyl_ladder(x, perturbed, F(2), _spectra(model))
     assert not ok
     assert failures
 
 
 def test_qweyl_ladder_reports_missing_eigenvalue():
     ident = Matrix.identity(2)
-    ok, failures = check_qweyl_ladder(ident, ident, F(2), 1, LadderSpectra(1, F(2)))
+    ok, failures = check_qweyl_ladder(ident, ident, F(2), LadderSpectra(1, F(2)))
     assert not ok
     assert any("precondition" in name for name, _ in failures)
 
@@ -281,9 +280,9 @@ def test_a_perturbed_table_row_fails_each_equitable_check():
     target = suite.make_param_target(1, F(2), F(3), F(5), (F(1),))
     ctx = suite.TargetContext(build_model(GOLDEN))
     table = ctx.triple_table
-    label, x, y, z = table.rows[0]
-    perturbed = ((label, x, y + Matrix([[0, F(1, 5)], [0, 0]]), z),) + table.rows[1:]
-    ctx._built["triple_table"] = TripleTable(perturbed)
+    label, x, y, z = table[0]
+    perturbed = ((label, x, y + Matrix([[0, F(1, 5)], [0, 0]]), z),) + table[1:]
+    ctx._built["triple_table"] = perturbed
     report = Report(target.label)
     for check_id, detail, check in suite.SUITES["equitable"] + suite.SUITES["diagrams"]:
         report.run(check_id, detail, lambda: check(ctx))

@@ -11,20 +11,16 @@ from qonsager.linalg import (
     ShapeError,
     SingularMatrixError,
     Subspace,
-    column_space,
     commutator,
     invariant_closure,
     kernel,
     q_commutator,
     rref,
-    subspace_equal,
-    subspace_intersect,
-    subspace_sum,
 )
-from qonsager.scalars import q_int
 
 from closure_reference import _closure as reference_closure
 from flag_reference import flag
+from linalg_reference import subspace_intersect, subspace_sum
 from projector_reference import lagrange_projectors
 
 
@@ -193,7 +189,7 @@ def test_q_commutator_of_identity():
 def test_nested_q_commutator_matches_cubic_expansion():
     rng = random.Random(9)
     q = F(2)
-    three = q_int(3, q)
+    three = q * q + 1 + 1 / (q * q)  # [3]_q
     for _ in range(3):
         x, y = rand_matrix(3, rng), rand_matrix(3, rng)
         nested = commutator(x, q_commutator(x, q_commutator(x, y, q), 1 / q))
@@ -227,7 +223,7 @@ def test_rank_nullity():
     rng = random.Random(13)
     for _ in range(5):
         m = rand_matrix(4, rng)
-        assert kernel(m).rank + column_space(m).rank == 4
+        assert kernel(m).rank + m.rank() == 4
 
 
 def test_rref_idempotent():
@@ -239,7 +235,7 @@ def test_rref_idempotent():
 def test_subspace_canonical_equality():
     s = Subspace.from_vectors(3, [[1, 2, 3], [0, 1, 1]])
     t = Subspace.from_vectors(3, [[1, 3, 4], [0, 2, 2]])
-    assert subspace_equal(s, t)
+    assert s == t
     assert s.basis == t.basis
 
 
@@ -283,8 +279,8 @@ def test_modular_law_dimensions():
         xz = subspace_intersect(x, z)
         left = subspace_intersect(x, subspace_sum(y, xz))
         right = subspace_sum(subspace_intersect(x, y), xz)
-        assert left.contains(right)
-        if y.contains(x) or x.contains(y):
+        assert subspace_sum(left, right) == left
+        if subspace_sum(x, y) in (x, y):
             assert left == right
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from qonsager import model
-from qonsager.linalg import Decomposition, Matrix, Subspace, kernel, subspace_intersect
+from qonsager.linalg import Decomposition, Matrix, Subspace, kernel
 from qonsager.model import (
     ModelError,
     build_model,
@@ -14,11 +14,13 @@ from qonsager.model import (
     check_tridiagonal_action,
     recover_a,
     solve_phi,
-    spectrum_graph,
+    spectrum_path,
 )
 from qonsager.modelio import import_model
 from qonsager.scalars import ParameterError, ParamSet, theta
 
+from linalg_reference import subspace_intersect
+from model_reference import spectrum_graph
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -198,8 +200,8 @@ def _direct_sum(x: Matrix, y: Matrix) -> Matrix:
 def test_only_the_closure_catches_a_direct_sum_without_joint_eigenvectors(monkeypatch):
     # The d = 1 pairs at (a, b) = (3, 5) and (5, 3) swap spectra: A has
     # eigenvalues 37/6, 13/6, 101/10, 29/10, each once, and so has A*. The
-    # eigenlines of A and A* meet only in 0, so the joint-eigenvector step
-    # passes; each summand is a proper invariant subspace.
+    # eigenlines of A and A* meet only in 0, so there is no joint
+    # eigenvector; each summand is a proper invariant subspace.
     first = build_model(GOLDEN)
     second = build_model(ParamSet(1, F(2), F(5), F(3), (F(1),)))
     a, astar = _direct_sum(first.A, second.A), _direct_sum(first.Astar, second.Astar)
@@ -227,11 +229,20 @@ def test_spectrum_graph_golden_path():
     graph = spectrum_graph([F(37, 6), F(13, 6)], F(2))
     assert graph.kind == "path"
     assert graph.order == (F(37, 6), F(13, 6))
+    assert spectrum_path([F(37, 6), F(13, 6)], F(2))
 
 
 def test_spectrum_graph_detects_disconnected():
     graph = spectrum_graph([F(37, 6), F(13, 6), F(100)], F(2))
     assert graph.kind == "disconnected"
+    assert not spectrum_path([F(37, 6), F(13, 6), F(100)], F(2))
+
+
+def test_spectrum_path_rejects_the_path_out_of_order():
+    p = ParamSet(3, F(3, 2), F(5), F(3))
+    thetas = p.thetas
+    assert spectrum_path(thetas, p.q) and spectrum_path(thetas[::-1], p.q)
+    assert not spectrum_path((thetas[1], thetas[0], thetas[2], thetas[3]), p.q)
 
 
 def test_spectrum_graph_rejects_single_eigenvalue():
@@ -250,6 +261,7 @@ def test_spectrum_graph_d3_path_matches_theta_order():
     graph = spectrum_graph(thetas, p.q)
     assert graph.kind == "path"
     assert graph.order in (tuple(thetas), tuple(reversed(thetas)))
+    assert spectrum_path(thetas, p.q)
 
 
 def test_recover_a_golden():

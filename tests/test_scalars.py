@@ -10,7 +10,6 @@ from qonsager.scalars import (
     format_scalar,
     p_poly,
     parse_scalar,
-    q_int,
     q_poch,
     t_coeff,
     t_seq,
@@ -36,19 +35,6 @@ def test_parse_rejects_zero_denominator():
         parse_scalar("1/0")
     with pytest.raises(ParameterError):
         parse_scalar("abc")
-
-
-def test_q_int_values():
-    assert q_int(0, F(2)) == 0
-    assert q_int(1, F(2)) == 1
-    assert q_int(3, F(2)) == F(21, 4)
-    assert q_int(-3, F(2)) == -F(21, 4)
-
-
-def test_q_int_rejects_forbidden_q():
-    for bad in (F(0), F(1), F(-1)):
-        with pytest.raises(ParameterError):
-            q_int(2, bad)
 
 
 def test_q_poch_values():

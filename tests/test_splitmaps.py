@@ -160,7 +160,7 @@ def test_H_conjugation_reformulated_value(golden):
 
 def test_H_conjugation_all_eight(golden, d2):
     for model, lus, s in (golden, d2):
-        ok, failures = check_H_conjugation_of_splits(model, lus, s)
+        ok, failures = check_H_conjugation_of_splits(lus, s)
         assert ok, [name for name, _ in failures]
 
 
@@ -170,7 +170,7 @@ def test_H_conjugation_fails_with_identity_H(golden):
 
     ident = Matrix.identity(model.dim)
     broken = replace(lus, H=ident, H_inv=ident)
-    ok, failures = check_H_conjugation_of_splits(model, broken, s)
+    ok, failures = check_H_conjugation_of_splits(broken, s)
     assert not ok
     assert failures
 
@@ -260,7 +260,7 @@ def test_MN_eigenvalues_golden(golden):
 
 def test_MN_conjugation(golden, d2):
     for model, lus, s in (golden, d2):
-        ok, failures = check_MN_conjugation(model, lus, s)
+        ok, failures = check_MN_conjugation(lus, s)
         assert ok, failures
 
 

@@ -125,7 +125,7 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     # Bdown, derived once from the split maps; the triple table holds those objects
     assert len(calls["h_conjugates"]) == 4
     ctx = contexts[0]
-    rows = ctx.triple_table.rows
+    rows = ctx.triple_table
     conj, conj_inv = ctx.mn_maps.conjugates
     names = ("K", "B", "Kdown", "Bdown")
     assert all(row[1] is conj_inv[x] for row, x in zip(rows[:4], names))
