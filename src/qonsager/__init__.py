@@ -65,7 +65,6 @@ from .scalars import (
 from .splitmaps import (
     LadderSpectra,
     SplitMaps,
-    build_MN,
     build_split_maps,
     check_H_conjugation_of_splits,
     check_KA_relations,

@@ -20,14 +20,7 @@ from .linalg import (
 )
 from .lusztig import LusztigData
 from .model import ModelError, TDModel
-from .splitmaps import (
-    LadderSpectra,
-    SplitMaps,
-    expect_zero,
-    map_from_decomposition,
-    orientations,
-    split_decomposition,
-)
+from .splitmaps import LadderSpectra, SplitMaps, orientations, split_mismatches
 
 
 def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix:
@@ -96,11 +89,21 @@ def verify_triple_table(model: TDModel, table):
 
 
 def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra):
-    """The ladder and crossing-flag consequences of a q-Weyl pair.
+    """The ladder and crossing-flag consequences of a q-Weyl pair (`qweyl_ladder`), after its precondition.
 
-    Preconditions reported distinctly: (X, Y) satisfies the q-Weyl relation
-    and both are diagonalizable with the eigenvalues q^d, ..., q^-d of
-    `spectra`. Then
+    The precondition that (X, Y) satisfies the q-Weyl relation is reported
+    as a failure of its own. Returns (passed, failures).
+    """
+    if not is_qweyl_pair(x, y, q):
+        return False, [("precondition", "the pair does not satisfy the q-Weyl relation")]
+    return qweyl_ladder(x, y, q, spectra)
+
+
+def qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra):
+    """The ladder and crossing-flag consequences of the q-Weyl pair (X, Y).
+
+    Precondition, reported distinctly: both are diagonalizable with the
+    eigenvalues q^d, ..., q^-d of `spectra`. Then
     (i) (X - q^-2 lam I)(Y - lam^-1 I) kills the lam-eigenspace of X for each
     eigenvalue lam, and (ii) Y_0+...+Y_i = X_(d-i)+...+X_d for every i.
     Step (i) maps the basis vectors of X's eigenspaces, with no elimination
@@ -110,17 +113,12 @@ def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra
     Returns (passed, failures).
     """
     q = Fraction(q)
-    failures = []
-    if not is_qweyl_pair(x, y, q):
-        failures.append(("precondition", "the pair does not satisfy the q-Weyl relation"))
     try:
         x_dec = spectra.decomposition(x)
         y_dec = spectra.decomposition(y)
     except ModelError as exc:
-        failures.append(("precondition", f"eigenvalue ladder missing: {exc}"))
-        return False, failures
-    if failures:
-        return False, failures
+        return False, [("precondition", f"eigenvalue ladder missing: {exc}")]
+    failures = []
     eigs = spectra.eigenvalues
     images = shifted_product_images(x_dec, x, y, [lam / (q * q) for lam in eigs], [1 / lam for lam in eigs])
     for lam, image in zip(eigs, images):
@@ -129,24 +127,6 @@ def check_qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra
     for i in y_dec.flag_mismatches(x_dec.inversion()):
         failures.append((f"crossing flags at {i}", "Y_0+...+Y_i != X_(d-i)+...+X_d"))
     return not failures, failures
-
-
-def _ladder_is_split(spectra: LadderSpectra, x: Matrix, star_ref, a_ref, inverted: bool = False) -> bool:
-    """Whether x's ladder decomposition W, inverted if asked, is the split decomposition of the two orders.
-
-    W's ascending flag equal to that of `star_ref` and its descending flag
-    equal to that of `a_ref` make both meets (star_0+...+star_i) meet
-    (a_i+...+a_d) sums of W-parts, so each is W_i: W is the split
-    decomposition, and its map is x (x^-1 if `inverted`). False when x has
-    no ladder decomposition or a flag differs.
-    """
-    try:
-        w = spectra.decomposition(x)
-    except ModelError:
-        return False
-    if inverted:
-        w = w.inversion()
-    return not w.flag_mismatches(star_ref) and not w.inversion().flag_mismatches(a_ref.inversion())
 
 
 def verify_diagrams(
@@ -167,70 +147,61 @@ def verify_diagrams(
         a^-1 A - a^-2 K^-1 (K slot), a A - a^2 B^-1 (B slot) and the down
         analogues; those of (A, L^-1(A*)) are the inverses of a A - a^2 K,
         a^-1 A - a^-2 B and the down analogues. These are the H-conjugates
-        kept on `s`. Each is proved from the conjugate's ladder
-        decomposition W in `spectra` (inverted for the L^-1 pair): when
-        W's ascending flag is the V+ (V-) flag and its descending flag is
-        the A flag, W is the split decomposition and the conjugate is its
-        map. Otherwise the split decomposition is built from flag meets and
-        its map compared, which gives the verdict and the witness.
+        kept on `s`. A slot holds when the conjugate's ladder decomposition
+        W in `spectra` (inverted for the L^-1 pair) is the split
+        decomposition of the V+ (V-) and A orders: its map is then the
+        conjugate. A slot fails with "flag mismatch", or with the text of
+        the ModelError when the conjugate has no ladder decomposition.
       - Oriented 3-cycles: delegated to the eight table rows.
-    Each flag family is read off one change of basis between two eigenbases
-    (`Decomposition.flag_mismatches`). The M/N and conjugate decompositions
-    come from `spectra`, and the table verdict is `table_check`, the
-    `verify_triple_table` result on the model's table.
+    N, Ndown, M and Mdown are the split decompositions of (V+, V* reversed),
+    (V+ reversed, V*), (V*, V- reversed) and (V* reversed, V-), so every
+    claim is one `split_mismatches` test. The M/N and conjugate
+    decompositions come from `spectra`, and the table verdict is
+    `table_check`, the `verify_triple_table` result on the model's table.
     Returns (passed, failures) as (name, witness).
     """
-    p = model.params
-    q, d = p.q, p.d
+    d = model.d
     failures = []
 
-    def expect(name: str, condition: bool, witness="flag mismatch") -> None:
+    def expect(name: str, condition: bool) -> None:
         if not condition:
-            failures.append((name, witness))
+            failures.append((name, "flag mismatch"))
 
-    n_dec = spectra.decomposition(s.N)
-    ndown_dec = spectra.decomposition(s.Ndown)
-    m_dec = spectra.decomposition(s.M)
-    mdown_dec = spectra.decomposition(s.Mdown)
-    vstar = model.eigenspaces_Astar
-    vplus = lus.Vplus
-    vminus = lus.Vminus
-
-    # (name, indices where the two flags differ, whether name i tests flag d - i)
-    families = [
-        ("N flag {}: ascending = V+ ascending", n_dec.flag_mismatches(vplus), False),
-        ("N flag {}: descending = V* ascending reversed", n_dec.inversion().flag_mismatches(vstar), True),
-        ("Ndown flag {}: ascending = V+ descending", ndown_dec.flag_mismatches(vplus.inversion()), False),
-        ("Ndown flag {}: descending = V* descending", ndown_dec.inversion().flag_mismatches(vstar.inversion()), False),
-        ("M flag {}: ascending = V* ascending", m_dec.flag_mismatches(vstar), False),
-        ("M flag {}: descending = V- ascending reversed", m_dec.inversion().flag_mismatches(vminus), True),
-        ("Mdown flag {}: ascending = V* descending", mdown_dec.flag_mismatches(vstar.inversion()), False),
-        ("Mdown flag {}: descending = V- descending", mdown_dec.inversion().flag_mismatches(vminus.inversion()), False),
+    vstar, vplus, vminus = model.eigenspaces_Astar, lus.Vplus, lus.Vminus
+    # (matrix, star order, A order, ascending name, descending name, whether descending name i tests flag d - i)
+    claims = [
+        (s.N, vplus, vstar.inversion(), "N flag {}: ascending = V+ ascending",
+         "N flag {}: descending = V* ascending reversed", True),
+        (s.Ndown, vplus.inversion(), vstar, "Ndown flag {}: ascending = V+ descending",
+         "Ndown flag {}: descending = V* descending", False),
+        (s.M, vstar, vminus.inversion(), "M flag {}: ascending = V* ascending",
+         "M flag {}: descending = V- ascending reversed", True),
+        (s.Mdown, vstar.inversion(), vminus, "Mdown flag {}: ascending = V* descending",
+         "Mdown flag {}: descending = V- descending", False),
     ]
+    families = []
+    for mat, star_ref, a_ref, ascending_name, descending_name, mirrored in claims:
+        ascending, descending = split_mismatches(spectra.decomposition(mat), star_ref, a_ref)
+        families += [(ascending_name, ascending, False), (descending_name, descending, mirrored)]
     for i in range(d + 1):
         for name, mismatches, mirrored in families:
             expect(name.format(i), (d - i if mirrored else i) not in mismatches)
 
-    # Split maps of the twisted pair (A, L(A*)): the H^-1 X H closed forms, directly.
-    a_dec = model.eigenspaces_A
+    # Split maps of the twisted pairs: the H^-1 X H closed forms for (A, L(A*)),
+    # the inverses of the H X^-1 H^-1 closed forms for (A, L^-1(A*)).
     conj, conj_inv = s.conjugates
-    for name, star_ref, a_ref in orientations(vplus, a_dec):
-        if not _ladder_is_split(spectra, conj[name], star_ref, a_ref):
-            expect_zero(
-                failures,
-                f"(A, L(A*)) split map at {name} slot",
-                map_from_decomposition(split_decomposition(star_ref, a_ref), q) - conj[name],
-            )
-
-    # Split maps of the twisted pair (A, L^-1(A*)): inverses of the H X^-1 H^-1 closed forms.
-    ident = Matrix.identity(model.dim)
-    for name, star_ref, a_ref in orientations(vminus, a_dec):
-        if not _ladder_is_split(spectra, conj_inv[name], star_ref, a_ref, inverted=True):
-            expect_zero(
-                failures,
-                f"(A, L^-1(A*)) split map at {name} slot times its label",
-                map_from_decomposition(split_decomposition(star_ref, a_ref), q) * conj_inv[name] - ident,
-            )
+    for slot_name, twisted, labels, inverted in (
+        ("(A, L(A*)) split map at {} slot", vplus, conj, False),
+        ("(A, L^-1(A*)) split map at {} slot times its label", vminus, conj_inv, True),
+    ):
+        for name, star_ref, a_ref in orientations(twisted, model.eigenspaces_A):
+            try:
+                w = spectra.decomposition(labels[name])
+            except ModelError as exc:
+                failures.append((slot_name.format(name), str(exc)))
+                continue
+            ascending, descending = split_mismatches(w.inversion() if inverted else w, star_ref, a_ref)
+            expect(slot_name.format(name), not ascending and not descending)
 
     # Oriented 3-cycles are equitable triples: the eight table rows.
     ok, table_failures = table_check

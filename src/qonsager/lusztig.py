@@ -9,7 +9,6 @@ on ascending/descending eigenflags of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import mul
@@ -24,21 +23,22 @@ class LusztigData:
     model: TDModel
     H: Matrix
     H_inv: Matrix
-    t: tuple[Fraction, ...]
     LAstar: Matrix
     LinvAstar: Matrix
 
+    # H is invertible (`build_H` checks H^-1 against the inverse), so it maps
+    # the direct sum of the A*-eigenspaces to a direct sum of nonzero parts.
     @cached_property
     def Vplus(self) -> Decomposition:
         """Eigenspaces of L(A*): images of the A*-eigenspaces under H^-1."""
-        return Decomposition(
+        return Decomposition.independent(
             [s.image_under(self.H_inv) for s in self.model.eigenspaces_Astar.parts]
         )
 
     @cached_property
     def Vminus(self) -> Decomposition:
         """Eigenspaces of L^-1(A*): images of the A*-eigenspaces under H."""
-        return Decomposition(
+        return Decomposition.independent(
             [s.image_under(self.H) for s in self.model.eigenspaces_Astar.parts]
         )
 
@@ -68,7 +68,6 @@ def build_H(model: TDModel) -> LusztigData:
         model=model,
         H=h,
         H_inv=h_inv,
-        t=t,
         LAstar=lusztig_image(model, +1),
         LinvAstar=lusztig_image(model, -1),
     )

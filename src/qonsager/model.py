@@ -123,6 +123,11 @@ class TDModel:
         return eigenspace_decomposition(self.Astar, self.theta_star)
 
     @cached_property
+    def qdg(self):
+        """The `check_qdg` verdict: (passed, residuals)."""
+        return check_qdg(self.A, self.Astar, self.params.q)
+
+    @cached_property
     def tridiagonal_action(self):
         """The `check_tridiagonal_action` verdict: (passed, failures)."""
         return check_tridiagonal_action(self)
@@ -154,18 +159,14 @@ def build_model(p: ParamSet) -> TDModel:
     for i in range(p.d):
         a_rows[i + 1][i] = ONE
         astar_rows[i][i + 1] = p.phi[i]
-    a = Matrix(a_rows)
-    astar = Matrix(astar_rows)
-
-    passed, residuals = check_qdg(a, astar, p.q)
+    model = TDModel(params=p, A=Matrix(a_rows), Astar=Matrix(astar_rows))
+    passed, residuals = model.qdg
     if not passed:
         which = 1 if not residuals[0].is_zero() else 2
         raise ModelError(
             f"q-Dolan/Grady relation {which} violated by phi={p.phi}",
             residuals[which - 1],
         )
-
-    model = TDModel(params=p, A=a, Astar=astar)
     ok, failures = model.tridiagonal_action
     if not ok:
         side, i, j, resid = failures[0]

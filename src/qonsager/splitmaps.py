@@ -103,6 +103,18 @@ def split_decomposition(star_dec: Decomposition, a_dec: Decomposition) -> Decomp
     return Decomposition(parts)
 
 
+def split_mismatches(w: Decomposition, star_ref: Decomposition, a_ref: Decomposition) -> tuple[list[int], list[int]]:
+    """Where W fails to be the split decomposition of (star_ref, a_ref): (ascending, descending) flag indices.
+
+    W is that split decomposition exactly when both lists are empty: its
+    ascending flag is star_ref's and its descending flag is a_ref's
+    (`Decomposition.flag_mismatches`), so each meet
+    (star_0+...+star_i) meet (a_i+...+a_d) is the sum of the W-parts in
+    both, which is W_i.
+    """
+    return w.flag_mismatches(star_ref), w.inversion().flag_mismatches(a_ref.inversion())
+
+
 def orientations(star_dec: Decomposition, a_dec: Decomposition):
     """(split map name, star order, A order) for K, B, Kdown and Bdown, in that order."""
     star_rev, a_rev = star_dec.inversion(), a_dec.inversion()
@@ -192,15 +204,12 @@ def check_split_flags(model: TDModel, s: SplitMaps):
 
     Ascending U-flag = ascending flag of the (possibly inverted) A*-eigenspace
     list; descending U-flag = descending flag of the (possibly inverted)
-    A-eigenspace list. Both are read off changes of basis
-    (`Decomposition.flag_mismatches`). Returns (passed, failures).
+    A-eigenspace list (`split_mismatches`). Returns (passed, failures).
     """
     failures = []
     d = model.d
     for name, star_ref, a_ref in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
-        dec = getattr(s, f"dec_{name}")
-        ascending = dec.flag_mismatches(star_ref)
-        descending = dec.inversion().flag_mismatches(a_ref.inversion())
+        ascending, descending = split_mismatches(getattr(s, f"dec_{name}"), star_ref, a_ref)
         for i in range(d + 1):
             if i in ascending:
                 failures.append((name, i, "ascending flag != star flag"))
@@ -337,20 +346,14 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     return not failures, failures
 
 
-def build_MN(s: SplitMaps, spectra: LadderSpectra) -> SplitMaps:
-    """Check that M, N, Mdown and Ndown of `s` are diagonalizable on the q-ladder; return `s`.
+def check_MN_conjugation(lus: LusztigData, s: SplitMaps, spectra: LadderSpectra):
+    """M, N, Mdown and Ndown are diagonalizable on the q-ladder; H^-1 M H = N and H^-1 Mdown H = Ndown, exactly.
 
-    Each must have eigenvalues exactly q^d, ..., q^-d (ModelError otherwise;
-    ParameterError when a is 1 or -1). The four eigenspace decompositions
-    are left in `spectra`.
+    The four decompositions are left in `spectra`; a matrix off the ladder
+    raises ModelError (ParameterError when a is 1 or -1).
     """
     for mat in (s.M, s.N, s.Mdown, s.Ndown):
-        spectra.decomposition(mat)  # raises ModelError when not diagonalizable
-    return s
-
-
-def check_MN_conjugation(lus: LusztigData, s: SplitMaps):
-    """H^-1 M H = N and H^-1 Mdown H = Ndown, exactly."""
+        spectra.decomposition(mat)
     failures = []
     for name, m, n in (("H^-1 M H = N", s.M, s.N), ("H^-1 Mdown H = Ndown", s.Mdown, s.Ndown)):
         expect_zero(failures, name, lus.H_inv * m * lus.H - n)

@@ -56,7 +56,7 @@ def grid_structures(grid):
     for model in models:
         lus = lusztig.build_H(model)
         spectra = splitmaps.LadderSpectra(model.d, model.params.q)
-        s = splitmaps.build_MN(splitmaps.build_split_maps(model), spectra)
+        s = splitmaps.build_split_maps(model)
         out.append((model, lus, s, spectra))
     return out
 
@@ -80,11 +80,11 @@ def test_criterion_1_qdg_over_grid(grid):
 def test_criterion_2_golden_regression():
     model = build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     lus = lusztig.build_H(model)
-    s = splitmaps.build_MN(splitmaps.build_split_maps(model), splitmaps.LadderSpectra(1, F(2)))
+    s = splitmaps.build_split_maps(model)
     expect = {
         "theta": model.theta == (F(37, 6), F(13, 6)),
         "theta*": model.theta_star == (F(101, 10), F(29, 10)),
-        "t": lus.t == (F(1), F(9)),
+        "t": model.params.ts == (F(1), F(9)),
         "H": lus.H == Matrix([[1, 0], [-2, 9]]),
         "K": s.K == Matrix.diagonal([2, F(1, 2)]),
         "B": s.B == Matrix([[2, -6], [0, F(1, 2)]]),
@@ -138,7 +138,7 @@ def test_criterion_7_split_conjugation_and_ladder(grid_structures):
     ok = True
     for model, lus, s, spectra in grid_structures:
         conj_ok, _ = splitmaps.check_H_conjugation_of_splits(lus, s)
-        mn_ok, _ = splitmaps.check_MN_conjugation(lus, s)
+        mn_ok, _ = splitmaps.check_MN_conjugation(lus, s, spectra)
         ladder_ok, _ = splitmaps.check_R_ladder(model, s, spectra)
         ok = ok and conj_ok and mn_ok and ladder_ok
     _report(7, "eight conjugation identities, M/N conjugation, R-ladder over G", ok)
@@ -169,7 +169,7 @@ def test_criterion_9_diagrams(grid_structures):
 def test_criterion_10_negative_controls_and_runtime():
     golden = build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     lus = lusztig.build_H(golden)
-    s = splitmaps.build_MN(splitmaps.build_split_maps(golden), splitmaps.LadderSpectra(1, F(2)))
+    s = splitmaps.build_split_maps(golden)
     controls = {}
 
     # phi = 0 is rejected as a parameter and the degenerate pair is reducible.

@@ -1,14 +1,18 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from qonsager import suite
+from qonsager import splitmaps, suite
 from qonsager.equitable import (
     build_triple_table,
     check_equitable_triple,
     check_qweyl_ladder,
+    qweyl_ladder,
     qweyl_residual,
     verify_diagrams,
     verify_triple_table,
@@ -23,12 +27,11 @@ from qonsager.linalg import (
     shifted_product_images,
 )
 from qonsager.lusztig import build_H
-from qonsager.model import build_model, eigenspace_decomposition, solve_phi
+from qonsager.model import ModelError, assemble_imported, build_model, eigenspace_decomposition, solve_phi
 from qonsager.report import Report
 from qonsager.scalars import ParamSet
 from qonsager.splitmaps import (
     LadderSpectra,
-    build_MN,
     build_split_maps,
     qweyl_eigenvalues,
 )
@@ -50,7 +53,7 @@ def _table_check(model, s):
 def golden():
     model = build_model(GOLDEN)
     lus = build_H(model)
-    s = build_MN(build_split_maps(model), _spectra(model))
+    s = build_split_maps(model)
     return model, lus, s
 
 
@@ -59,7 +62,7 @@ def d2():
     phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
     lus = build_H(model)
-    s = build_MN(build_split_maps(model), _spectra(model))
+    s = build_split_maps(model)
     return model, lus, s
 
 
@@ -294,6 +297,24 @@ def test_a_perturbed_table_row_fails_each_equitable_check():
     }
 
 
+def test_ladders_test_the_qweyl_relation_in_a_row_with_a_singular_member():
+    """The table tests no q-Weyl relation in such a row, so the ladders test it before the steps.
+
+    Y conjugated by a shear keeps the ladder spectrum but breaks its q-Weyl
+    relation with X, so the steps alone would name a ladder step.
+    """
+    ctx = suite.TargetContext(build_model(GOLDEN))
+    label, x, y, z = ctx.triple_table[0]
+    shear = Matrix([[1, 1], [0, 1]])
+    sheared = shear * y * shear.inverse()
+    ctx._built["triple_table"] = ((label, x, sheared, Matrix.zero(2)),) + ctx.triple_table[1:]
+    assert ctx.table_check == (False, [("1", "Z invertible", "matrix is singular: rank 0 < 2")])
+    ok, failures = qweyl_ladder(x, sheared, F(2), ctx.spectra)
+    assert not ok and failures[0][0].startswith("ladder step")
+    check = next(check for check_id, _, check in suite.SUITES["equitable"] if check_id == "equitable.ladders")
+    assert check(ctx) == (False, "row 1 pair (X,Y): precondition")
+
+
 def test_verify_diagrams(golden, d2):
     for model, lus, s in (golden, d2):
         ok, failures = verify_diagrams(model, lus, s, _spectra(model), _table_check(model, s))
@@ -335,7 +356,7 @@ def d3():
     model = build_model(ParamSet(3, F(2), F(3), F(5), phi))
     lus = build_H(model)
     spectra = _spectra(model)
-    s = build_MN(build_split_maps(model), spectra)
+    s = build_split_maps(model)
     return model, lus, s, spectra, _table_check(model, s)
 
 
@@ -368,20 +389,27 @@ def _first_two_parts_swapped(dec):
             ["Mdown flag 2: descending = V- descending", "M flag 3: descending = V- ascending reversed"]
             + [f"(A, L^-1(A*)) split map at {slot} slot times its label" for slot in ("K", "B", "Kdown", "Bdown")],
         ),
+        (
+            # only the A orders change, so each twisted slot fails on its descending flag alone
+            "A",
+            [f"(A, L(A*)) split map at {slot} slot" for slot in ("K", "B", "Kdown", "Bdown")]
+            + [f"(A, L^-1(A*)) split map at {slot} slot times its label" for slot in ("K", "B", "Kdown", "Bdown")],
+        ),
     ],
 )
 def test_diagram_flag_failures_name_the_index_of_each_family(d3, where, expected):
     model, lus, s, spectra, table = d3
-    if where == "Astar":
+    if where in ("Astar", "A"):
         model = replace(model)
-        model.__dict__["eigenspaces_Astar"] = _first_two_parts_swapped(d3[0].eigenspaces_Astar)
+        name = f"eigenspaces_{where}"
+        model.__dict__[name] = _first_two_parts_swapped(getattr(d3[0], name))
     else:
         lus = replace(lus)
         lus.__dict__[where] = _first_two_parts_swapped(getattr(d3[1], where))
     ok, failures = verify_diagrams(model, lus, s, spectra, table)
     assert not ok
     assert [name for name, _ in failures] == expected
-    assert all(witness == "flag mismatch" for name, witness in failures if " flag " in name)
+    assert all(witness == "flag mismatch" for name, witness in failures if " flag " in name or "split map" in name)
 
 
 def test_twisted_split_maps_are_proved_from_the_ladder_without_meets(d3, monkeypatch):
@@ -395,9 +423,69 @@ def test_twisted_split_maps_are_proved_from_the_ladder_without_meets(d3, monkeyp
     monkeypatch.setattr(Decomposition, "flag_meets", counted)
     ok, _ = verify_diagrams(model, lus, s, spectra, table)
     assert ok and not meets
-    # with V+ perturbed, each (A, L(A*)) slot falls back to the meets, which give its witness
+    # with V+ perturbed, each (A, L(A*)) slot fails on its flags, still with no meets
     lus = replace(lus)
     lus.__dict__["Vplus"] = _first_two_parts_swapped(d3[1].Vplus)
     ok, failures = verify_diagrams(model, lus, s, spectra, table)
-    assert not ok and len(meets) == 4
-    assert all(not isinstance(witness, str) for name, witness in failures if "split map" in name)
+    assert not ok and not meets
+    slots = [(name, witness) for name, witness in failures if "split map" in name]
+    assert slots == [(f"(A, L(A*)) split map at {slot} slot", "flag mismatch") for slot in ("K", "B", "Kdown", "Bdown")]
+
+
+@lru_cache(maxsize=None)
+def _solved(d, q, a, b):
+    models = []
+    assert solve_phi(d, q, a, b, limit=1, models=models)
+    return models[0]
+
+
+@st.composite
+def perturbed_imports(draw):
+    """(P A P^-1, P A*' P^-1) imported at d <= 4; A*' is the split-basis A* with one entry above the diagonal changed.
+
+    A*' stays upper triangular on the theta* diagonal, so the import keeps
+    its spectrum; the pair is in general no longer tridiagonal.
+    """
+    d = draw(st.integers(1, 4))
+    q, a, b = draw(st.sampled_from([(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]))
+    base = build_model(ParamSet(1, q, a, b, (F(1),))) if d == 1 else _solved(d, q, a, b)
+    i = draw(st.integers(0, d - 1))
+    j = draw(st.integers(i + 1, d))
+    rows = [list(row) for row in base.Astar.entries]
+    rows[i][j] += draw(st.sampled_from([F(1), F(-2), F(1, 3), F(7, 2)]))
+    # P = (I + strictly lower) (I + strictly upper) is dense, integral and unimodular
+    n = d + 1
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    lower = Matrix([[1 if r == c else entries[r * n + c] if r > c else 0 for c in range(n)] for r in range(n)])
+    upper = Matrix([[1 if r == c else entries[r * n + c] if r < c else 0 for c in range(n)] for r in range(n)])
+    p = lower * upper
+    p_inv = p.inverse()
+    return assemble_imported(base.params, p * base.A * p_inv, p * Matrix(rows) * p_inv)
+
+
+# Each twisted slot of verify_diagrams against the H-conjugation identity of its map
+TWISTED_SLOTS = {
+    **{f"(A, L(A*)) split map at {x} slot": f"H^-1 {x} H" for x in ("K", "B", "Kdown", "Bdown")},
+    **{f"(A, L^-1(A*)) split map at {x} slot times its label": f"H {x}^-1 H^-1" for x in ("K", "B", "Kdown", "Bdown")},
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(perturbed_imports())
+def test_a_twisted_slot_fails_exactly_when_its_H_conjugation_fails(model):
+    """H fixes each eigenspace of A, so split(V+-, V) = H^-+1 split(V*, V): a slot holds iff its identity does.
+
+    And once the split maps exist, M, N, Mdown and Ndown are triangular on
+    the V* flag or its reverse with the ladder on the diagonal, so the
+    M/N check never raises.
+    """
+    ctx = suite.TargetContext(model)
+    try:
+        s = ctx.split_maps
+    except (ModelError, ValueError):
+        assume(False)
+    ok, failures = verify_diagrams(model, ctx.lusztig, s, ctx.spectra, ctx.table_check)
+    failing_slots = {TWISTED_SLOTS[name] for name, _ in failures if name in TWISTED_SLOTS}
+    _, conjugation_failures = splitmaps.check_H_conjugation_of_splits(ctx.lusztig, s)
+    assert failing_slots == {name.split(" = ")[0] for name, _ in conjugation_failures}
+    splitmaps.check_MN_conjugation(ctx.lusztig, s, ctx.spectra)

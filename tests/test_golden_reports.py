@@ -9,8 +9,11 @@ with residual witnesses. The all-suite reports of that pair and of the two
 failing pairs under `tests/data/` (split parts that are not a direct sum,
 and an A* that escapes the tridiagonal band) were captured before the ladder
 decompositions were transported by H. These inputs fail H-conjugation or
-the split construction, so they pin the witnesses that the fallback paths
-produce.
+the split construction, so they pin the witnesses of failing checks: the
+kernels that decide when a transport fails its certificate, the error of a
+structure that cannot be built, and the first failing claim of
+`diagrams.verify`, which is an N/M flag wherever one fails and never a
+twisted split-map slot.
 """
 
 import json

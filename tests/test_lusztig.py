@@ -40,7 +40,7 @@ def d2():
 
 def test_build_H_golden(golden):
     model, lus = golden
-    assert lus.t == (F(1), F(9))
+    assert model.params.ts == (F(1), F(9))
     assert lus.H == Matrix([[1, 0], [-2, 9]])
     assert lus.H_inv == Matrix([[1, 0], [F(2, 9), F(1, 9)]])
 
@@ -76,7 +76,6 @@ def test_conjugation_detects_perturbed_t(golden):
         model=model,
         H=bad_h,
         H_inv=bad_h.inverse(),
-        t=(F(1), F(18)),
         LAstar=lus.LAstar,
         LinvAstar=lus.LinvAstar,
     )
@@ -131,8 +130,8 @@ def test_expand_H_single_term_at_top(golden):
     model, lus = golden
     d = model.d
     poly, poly_inv = expand_H(model, d, "ascending")
-    assert poly == Matrix.identity(model.dim).scale(lus.t[d])
-    assert poly_inv == Matrix.identity(model.dim).scale(1 / lus.t[d])
+    assert poly == Matrix.identity(model.dim).scale(model.params.ts[d])
+    assert poly_inv == Matrix.identity(model.dim).scale(1 / model.params.ts[d])
     resid = (poly - lus.H) * model.eigenspaces_A.projector([d])
     assert resid.is_zero()
 
@@ -234,10 +233,10 @@ def test_entrywise_witnesses_match_the_projector_reference(golden, d2):
 def test_expansion_witnesses_match_the_projector_reference(golden, d2):
     # Doubling t_1 inside H breaks every expansion whose flag contains V_1.
     for model, lus in (golden, d2):
-        t = list(lus.t)
+        t = list(model.params.ts)
         t[1] *= 2
         bad_h = model.eigenspaces_A.diagonal_map(t)
-        broken = replace(lus, H=bad_h, H_inv=bad_h.inverse(), t=tuple(t))
+        broken = replace(lus, H=bad_h, H_inv=bad_h.inverse())
         ok, failures = check_H_expansions(model, broken)
         assert not ok
         assert {(variant, r) for variant, inverse, r, _ in failures} == (

@@ -8,7 +8,6 @@ from qonsager.lusztig import build_H
 from qonsager.model import ModelError, build_model, solve_phi
 from qonsager.scalars import ParameterError, ParamSet
 from qonsager.splitmaps import (
-    build_MN,
     LadderSpectra,
     build_split_maps,
     check_H_conjugation_of_splits,
@@ -35,7 +34,7 @@ def _spectra(model):
 def golden():
     model = build_model(GOLDEN)
     lus = build_H(model)
-    s = build_MN(build_split_maps(model), _spectra(model))
+    s = build_split_maps(model)
     return model, lus, s
 
 
@@ -44,7 +43,7 @@ def d2():
     phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
     lus = build_H(model)
-    s = build_MN(build_split_maps(model), _spectra(model))
+    s = build_split_maps(model)
     return model, lus, s
 
 
@@ -244,7 +243,7 @@ def test_R_ladder_K_off_the_ladder_raises(golden):
         check_R_ladder(model, replace(s, K=s.K.scale(3)), _spectra(model))
 
 
-def test_build_MN_golden_values(golden):
+def test_MN_golden_values(golden):
     _, _, s = golden
     assert s.M == Matrix([[2, F(3, 4)], [0, F(1, 2)]])
     assert s.N == Matrix([[F(1, 2), F(27, 4)], [0, 2]])
@@ -260,14 +259,14 @@ def test_MN_eigenvalues_golden(golden):
 
 def test_MN_conjugation(golden, d2):
     for model, lus, s in (golden, d2):
-        ok, failures = check_MN_conjugation(lus, s)
+        ok, failures = check_MN_conjugation(lus, s, _spectra(model))
         assert ok, failures
 
 
-def test_build_MN_rejects_a_one():
-    # ParamSet already rejects a = 1 and a = -1, so exercise build_MN directly.
-    model = build_model(GOLDEN)
-    s = build_split_maps(model)
+def test_MN_rejects_a_one():
+    # ParamSet already rejects a = 1 and a = -1, so exercise the split maps directly.
+    s = build_split_maps(build_model(GOLDEN))
     for a in (F(1), F(-1)):
-        with pytest.raises(ParameterError, match="M, N denominators vanish"):
-            build_MN(replace(s, a=a), _spectra(model))
+        for name in ("M", "N", "Mdown", "Ndown"):
+            with pytest.raises(ParameterError, match="M, N denominators vanish"):
+                getattr(replace(s, a=a), name)

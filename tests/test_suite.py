@@ -77,12 +77,13 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (model, "build_model"),
             (lusztig, "build_H"),
             (splitmaps, "build_split_maps"),
-            (splitmaps, "build_MN"),
             (model, "eigenspace_decomposition"),
             (model, "check_tridiagonal_action"),
             (model, "check_irreducible"),
             (splitmaps, "h_conjugates"),
             (lusztig, "expand_H"),
+            (linalg, "is_qweyl_pair"),
+            (model, "qdg_residuals"),
         )
     }
     looking_up, ladder_inverses = [], []
@@ -119,19 +120,23 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     monkeypatch.setattr(suite, "TargetContext", recorded_context)
     report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), suite.SUITE_NAMES)
     assert report.all_passed and len(report.checks) == 27
-    for name in ("build_model", "build_H", "build_split_maps", "build_MN"):
+    for name in ("build_model", "build_H", "build_split_maps"):
         assert len(calls[name]) == 1, name
     # the eight H-conjugates: two closed forms for each of K, B, Kdown and
     # Bdown, derived once from the split maps; the triple table holds those objects
     assert len(calls["h_conjugates"]) == 4
     ctx = contexts[0]
     rows = ctx.triple_table
-    conj, conj_inv = ctx.mn_maps.conjugates
+    conj, conj_inv = ctx.split_maps.conjugates
     names = ("K", "B", "Kdown", "Bdown")
     assert all(row[1] is conj_inv[x] for row, x in zip(rows[:4], names))
     assert all(row[3] is conj[x] for row, x in zip(rows[4:], names))
     # each expand_H call pairs the H and H^-1 expansions at one anchor and variant
     assert len(calls["expand_H"]) == 2 * (2 + 1)
+    # the table tests each of its 24 pairs once and the ladders read its verdicts;
+    # build_model and model.qdg share one evaluation of the q-Dolan/Grady residuals
+    assert len(calls["is_qweyl_pair"]) == 24
+    assert len(calls["qdg_residuals"]) == 1
     # 24 distinct matrices go through the q-ladder: K, B, Kdown and Bdown come
     # with their split decompositions, 8 take the reversed decomposition of
     # an inverse that was already decomposed, the 8 H-conjugates and N, Ndown
@@ -302,19 +307,28 @@ def _records(report):
     return [{key: value for key, value in c.to_record().items() if key != "elapsed_ms"} for c in report.checks]
 
 
+SLICE_TARGETS = {
+    "passing": suite.make_param_target(2, F(2), F(3), F(5)),
+    "failing": suite.make_file_target(str(REPO / "tests" / "golden" / "twisted_d2.model")),
+    "escaping": suite.make_file_target(str(CONTAINMENT_ESCAPE)),
+    "raising": suite.make_file_target(str(SPLIT_ERROR)),
+}
+
+
 @pytest.mark.parametrize(
-    "target",
+    "target, order",
     [
-        suite.make_param_target(2, F(2), F(3), F(5)),
-        suite.make_file_target(str(REPO / "tests" / "golden" / "twisted_d2.model")),
-        suite.make_file_target(str(SPLIT_ERROR)),
+        pytest.param(target, order, id=name + suffix)
+        for suffix, order in (("", suite.SUITE_NAMES), ("-reversed", suite.SUITE_NAMES[::-1]))
+        for name, target in SLICE_TARGETS.items()
     ],
-    ids=["passing", "failing", "raising"],
 )
-def test_each_suite_alone_reports_its_slice_of_an_all_run(target):
-    whole = _records(suite.run_target(target, suite.SUITE_NAMES))
+def test_each_suite_alone_reports_its_slice_of_an_all_run(target, order):
+    # Suites share structures that the first check to need them builds, so
+    # each suite must report the same records whichever suites ran before it.
+    whole = _records(suite.run_target(target, order))
     start = 0
-    for name in suite.SUITE_NAMES:
+    for name in order:
         alone = _records(suite.run_target(target, (name,)))
         assert alone == whole[start : start + len(_ids(name))], name
         start += len(alone)
