@@ -109,10 +109,10 @@ def qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra):
     Step (i) maps the basis vectors of X's eigenspaces, with no elimination
     unless a step fails; the witness is then the image of the eigenspace.
     Step (ii) is read off the change of basis between the two eigenbases.
-    Eigenspace decompositions come from `spectra`.
+    Eigenspace decompositions and the shifts lam q^-2 and lam^-1 come from
+    `spectra`, whose q is the pair's.
     Returns (passed, failures).
     """
-    q = Fraction(q)
     try:
         x_dec = spectra.decomposition(x)
         y_dec = spectra.decomposition(y)
@@ -120,7 +120,7 @@ def qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra):
         return False, [("precondition", f"eigenvalue ladder missing: {exc}")]
     failures = []
     eigs = spectra.eigenvalues
-    images = shifted_product_images(x_dec, x, y, [lam / (q * q) for lam in eigs], [1 / lam for lam in eigs])
+    images = shifted_product_images(x_dec, x, y, spectra.lowered, spectra.inverted)
     for lam, image in zip(eigs, images):
         if not image.is_zero():
             failures.append((f"ladder step from X-eigenvalue {lam}", image))
@@ -192,7 +192,7 @@ def verify_diagrams(
     conj, conj_inv = s.conjugates
     for slot_name, twisted, labels, inverted in (
         ("(A, L(A*)) split map at {} slot", vplus, conj, False),
-        ("(A, L^-1(A*)) split map at {} slot times its label", vminus, conj_inv, True),
+        ("(A, L^-1(A*)) split map at {} slot", vminus, conj_inv, True),
     ):
         for name, star_ref, a_ref in orientations(twisted, model.eigenspaces_A):
             try:

@@ -22,14 +22,21 @@ freed by reference counting, without waiting for the cycle collector.
 Two decompositions of one space are compared through the change of basis
 C = P_ref^-1 P_self: their flags and the meets of their flags are read off
 C's zero blocks and kernels, with no partial sum eliminated.
+
+An identity sum_t c_t X_t1 X_t2 ... = 0 is tested by `Products`: each
+product is formed once, on integer numerators over the product of its
+factors' denominators, the terms are summed over one common denominator,
+and a `Matrix` is built only when the sum is nonzero, as the witness.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 from weakref import ref
 
 
@@ -292,10 +299,81 @@ class Matrix:
         return len(_gauss_jordan([list(r) for r in self.numerators], self.cols))
 
 
-def _numerator_product(x: Matrix, y: Matrix) -> list[list[int]]:
+def _numerator_product(x: Matrix | Numerators, y: Matrix | Numerators) -> list[list[int]]:
     """The integer numerators of XY over x.denominator * y.denominator, not reduced."""
     cols = list(zip(*y.numerators))
     return [[sum(map(mul, row, col)) for col in cols] for row in x.numerators]
+
+
+class Numerators(NamedTuple):
+    """A rational matrix as integer numerator rows over a positive denominator, not reduced.
+
+    It serves as a factor of `Products` wherever a `Matrix` does, as a
+    subspace basis taken as columns or a combination used in further products.
+    """
+
+    numerators: Sequence[Sequence[int]]
+    denominator: int
+
+
+class Products:
+    """Linear combinations sum_t c_t X_t1 X_t2 ... of matrix products, on integer numerators.
+
+    A term is (c, (X_1, ..., X_k)) with c rational and each X a `Matrix` or
+    `Numerators`; the empty product is the n x n identity. Each product is
+    formed once per `Products`, from the right: X_1 X_2 ... X_k is X_1 times
+    the product of the rest, shared with every other chain ending in those
+    factors. It is held as integer numerators over the product of the
+    factors' denominators, not reduced: dividing by the content gcd cost
+    more than it saved on the chains of at most d + 1 factors the checks
+    form. Factors are known by identity and kept alive by the memo.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._memo = {}
+
+    def product(self, factors) -> Numerators:
+        """X_1 X_2 ... X_k for factors (X_1, ..., X_k), formed once per `Products`."""
+        key = tuple(map(id, factors))
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit[0]
+        if not factors:
+            form = Numerators([[int(i == j) for j in range(self.n)] for i in range(self.n)], 1)
+        elif len(factors) == 1:
+            form = Numerators(factors[0].numerators, factors[0].denominator)
+        else:
+            x, rest = factors[0], self.product(factors[1:])
+            if len(x.numerators[0]) != len(rest.numerators):
+                raise ShapeError(f"cannot multiply {len(x.numerators[0])} columns by {len(rest.numerators)} rows")
+            form = Numerators(_numerator_product(x, rest), x.denominator * rest.denominator)
+        self._memo[key] = form, factors
+        return form
+
+    def combination(self, terms) -> Numerators:
+        """sum_t c_t X_t1 X_t2 ... over one common denominator, not reduced."""
+        forms, scales = [], []
+        for c, factors in terms:
+            form = self.product(factors)
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
+            forms.append(form.numerators)
+            scales.append((c.numerator, c.denominator * form.denominator))
+        shapes = {(len(rows), len(rows[0])) for rows in forms}
+        if len(shapes) != 1:
+            raise ShapeError(f"combination of products of shapes {sorted(shapes)}")
+        den = lcm(*(d for _, d in scales))
+        f = [num * (den // d) for num, d in scales]
+        # row i of the sum: for each column, the f-weighted sum of the terms' (i, j) entries
+        return Numerators([[sum(map(mul, f, col)) for col in zip(*rows)] for rows in zip(*forms)], den)
+
+    def residual(self, terms) -> Matrix | None:
+        """The combination of `terms` as a Matrix, or None when it is zero; no Matrix is built for a zero sum."""
+        total = self.combination(terms)
+        if not any(map(any, total.numerators)):
+            return None
+        return Matrix(*total)
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
@@ -338,7 +416,7 @@ def is_qweyl_pair(x: Matrix, y: Matrix, q) -> bool:
 def shifted_product_images(dec: Decomposition, x: Matrix, y: Matrix, x_shifts, y_shifts) -> list[Subspace]:
     """The image of each part W_i of `dec` under (X - c_i I)(Y - b_i I).
 
-    c_i and b_i are the i-th entries of `x_shifts` and `y_shifts`. Each
+    c_i and b_i are the i-th entries of `x_shifts` and `y_shifts`, Fractions. Each
     basis vector p of W_i is mapped on integer numerators: with b = b_n/b_d,
     c = c_n/c_d, X = X_n/d_x and Y = Y_n/d_y, the vector w = b_d Y_n p - b_n d_y p
     is a nonzero multiple of (Y - b I) p, and c_d X_n w - c_n d_x w one of
@@ -348,7 +426,7 @@ def shifted_product_images(dec: Decomposition, x: Matrix, y: Matrix, x_shifts, y
         raise ShapeError(f"shifted product of {x.rows}x{x.cols} and {y.rows}x{y.cols} on Q^{dec.ambient_dim}")
     n, dx, dy = x.rows, x.denominator, y.denominator
     images = []
-    for part, c, b in zip(dec.parts, map(Fraction, x_shifts), map(Fraction, y_shifts)):
+    for part, c, b in zip(dec.parts, x_shifts, y_shifts):
         vectors = []
         for p in part.numerators:
             w = [b.denominator * sum(map(mul, row, p)) - b.numerator * dy * e for row, e in zip(y.numerators, p)]
@@ -726,8 +804,11 @@ class Decomposition:
         """P^-1 X P: its block (i, j) is zero exactly when E_i X E_j = 0."""
         return self.basis_inverse() * x * self.basis_matrix()
 
-    def block_is_zero(self, y: Matrix, i: int, j: int) -> bool:
-        """Whether block (i, j) of y, the rows of part i by the columns of part j, is zero."""
+    def block_cells(self, i: int, j: int) -> list[tuple[int, int]]:
+        """The (row, column) positions of block (i, j): the rows of part i by the columns of part j."""
         start = self._offsets()
-        rows, cols = range(start[i], start[i + 1]), range(start[j], start[j + 1])
-        return not any(y.numerators[r][c] for r in rows for c in cols)
+        return [(r, c) for r in range(start[i], start[i + 1]) for c in range(start[j], start[j + 1])]
+
+    def block_is_zero(self, y: Matrix | Numerators, i: int, j: int) -> bool:
+        """Whether block (i, j) of y is zero."""
+        return not any(y.numerators[r][c] for r, c in self.block_cells(i, j))

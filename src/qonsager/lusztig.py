@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import mul
 
-from .linalg import Decomposition, Matrix, commutator, kernel, q_commutator
+from .linalg import Decomposition, Matrix, Numerators, Products, commutator, kernel, q_commutator
 from .model import TDModel
-from .scalars import ONE, ParameterError, t_coeff
+from .scalars import ONE, ParameterError
 
 
 @dataclass(frozen=True)
@@ -76,36 +75,50 @@ def build_H(model: TDModel) -> LusztigData:
 def check_L_conjugation(model: TDModel, lus: LusztigData):
     """L(A*) = H^-1 A* H, L^-1(A*) = H A* H^-1, and H^-1 A H = A, all exactly.
 
-    Returns (passed, residuals) keyed by identity name.
+    Each identity is one combination of products (`Products`).
+    Returns (passed, residuals) with the nonzero residuals keyed by identity name.
     """
-    residuals = {
-        "L(A*) = H^-1 A* H": lus.LAstar - lus.H_inv * model.Astar * lus.H,
-        "L^-1(A*) = H A* H^-1": lus.LinvAstar - lus.H * model.Astar * lus.H_inv,
-        "H^-1 A H = A": lus.H_inv * model.A * lus.H - model.A,
-    }
-    return all(r.is_zero() for r in residuals.values()), residuals
+    products = Products(model.dim)
+    h, h_inv = lus.H, lus.H_inv
+    identities = (
+        ("L(A*) = H^-1 A* H", [(1, (lus.LAstar,)), (-1, (h_inv, model.Astar, h))]),
+        ("L^-1(A*) = H A* H^-1", [(1, (lus.LinvAstar,)), (-1, (h, model.Astar, h_inv))]),
+        ("H^-1 A H = A", [(1, (h_inv, model.A, h)), (-1, (model.A,))]),
+    )
+    residuals = {}
+    for name, terms in identities:
+        resid = products.residual(terms)
+        if resid is not None:
+            residuals[name] = resid
+    return not residuals, residuals
 
 
 def check_L_entrywise(model: TDModel, lus: LusztigData):
     """E_i L(A*) E_j = t_ij E_i A* E_j for |i-j| <= 1, both sides zero beyond.
 
-    Both sides are read as blocks in the eigenbasis of A; a product
-    E_i X E_j is formed only as the witness of a nonzero block.
+    Both sides are read as blocks of P^-1 X P, for P the eigenbasis of A,
+    formed on integer numerators (`Products`); within the band the two
+    blocks are compared entry by entry with t_ij from `ParamSet.t_band`. A
+    product E_i X E_j is formed only as the witness of a failing block.
     Returns (passed, failures) with failures as (i, j, residual).
     """
     failures = []
-    p = model.params
+    band = model.params.t_band
     dec = model.eigenspaces_A
-    image, star = dec.block_form(lus.LAstar), dec.block_form(model.Astar)
+    basis, basis_inv = dec.basis_matrix(), dec.basis_inverse()
+    products = Products(model.dim)
+    image, star = (products.product((basis_inv, x, basis)) for x in (lus.LAstar, model.Astar))
 
     def witness(i, j, x):
         failures.append((i, j, dec.projector([i]) * x * dec.projector([j])))
 
-    for i in range(p.d + 1):
-        for j in range(p.d + 1):
+    for i in range(model.d + 1):
+        for j in range(model.d + 1):
             if abs(i - j) <= 1:
-                t = t_coeff(i, j, p)
-                if not dec.block_is_zero(image - star.scale(t), i, j):
+                t = band[i, j]
+                # image / D_image = t * star / D_star, on the numerators of block (i, j)
+                f, g = star.denominator * t.denominator, t.numerator * image.denominator
+                if any(f * image.numerators[r][c] != g * star.numerators[r][c] for r, c in dec.block_cells(i, j)):
                     witness(i, j, lus.LAstar - model.Astar.scale(t))
             elif not dec.block_is_zero(image, i, j):
                 witness(i, j, lus.LAstar)
@@ -182,25 +195,47 @@ def expand_H(model: TDModel, r: int, variant: str = "ascending") -> tuple[Matrix
 def check_H_expansions(model: TDModel, lus: LusztigData):
     """All four expansion families agree with H or H^-1 on their stated flags.
 
-    Each call of `expand_H` gives the H and H^-1 expansions at one anchor.
-    The residual (expansion - H^(+-1)) is multiplied by the flag's columns
-    of P, the eigenspace bases of its parts. Those columns are a basis of
-    the flag, so a zero product proves that the expansion equals H^(+-1)
-    on the whole flag. A failing residual's witness is the residual times
-    the exact flag projector.
+    At each anchor both expansions are applied to the flag's columns of P,
+    the eigenspace bases of its parts: one product per factor (A - theta I),
+    shared by the H and H^-1 expansions (`Products`), then compared with H
+    and H^-1 applied to the same columns. Those columns are a basis of the
+    flag, so a zero residual proves that the expansion equals H^(+-1) on the
+    whole flag. Only a failing anchor builds its expansions (`expand_H`),
+    whose witness is (expansion - H^(+-1)) times the exact flag projector.
     Returns (passed, failures) as (variant, inverse, r, residual).
     """
-    failures = []
-    dec = model.eigenspaces_A
     d = model.d
+    p = model.params
+    q, a = p.q, p.a
+    dec = model.eigenspaces_A
+    products = Products(model.dim)
+    factors = [products.combination([(1, (model.A,)), (-th, ())]) for th in model.theta]
+    failing = {}  # (variant, inverse, r) -> the flag's parts
     for variant in ("ascending", "descending"):
-        expansions = [expand_H(model, r, variant) for r in range(d + 1)]
-        for inverse, target in ((False, lus.H), (True, lus.H_inv)):
-            for r in range(d + 1):
-                # the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
-                parts = range(r, d + 1) if variant == "ascending" else range(r + 1)
-                columns = chain.from_iterable(dec[k].numerators for k in parts)
-                resid = expansions[r][inverse] - target
-                if any(sum(map(mul, row, col)) for col in columns for row in resid.numerators):
-                    failures.append((variant, inverse, r, resid * dec.projector(parts)))
+        for r in range(d + 1):
+            # the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
+            parts = range(r, d + 1) if variant == "ascending" else range(r + 1)
+            flag = Numerators(list(zip(*chain.from_iterable(dec[k].numerators for k in parts))), 1)
+            if variant == "ascending":
+                order, step = range(r, d), a * q ** (d - 2 * r)
+            else:
+                order, step = range(r, 0, -1), q ** (2 * r - d) / a
+            # the i-th chain applies i factors (A - theta I) to the flag; the i-th coefficient is step^i
+            chains, coeffs = [(flag,)], [ONE]
+            for idx in order:
+                chains.append((factors[idx],) + chains[-1])
+                coeffs.append(coeffs[-1] * step)
+            tr = p.ts[r]
+            expansion = [(tr * c / p.q2_poch[i], x) for i, (c, x) in enumerate(zip(coeffs, chains))]
+            expansion_inv = [(1 / (tr * c * p.q2_inv_poch[i]), x) for i, (c, x) in enumerate(zip(coeffs, chains))]
+            for inverse, terms, target in ((False, expansion, lus.H), (True, expansion_inv, lus.H_inv)):
+                if products.residual(terms + [(-1, (target, flag))]) is not None:
+                    failing[variant, inverse, r] = parts
+    # sorted is report order: ascending before descending, H before H^-1, then by anchor
+    failures, expansions = [], {}
+    for variant, inverse, r in sorted(failing):
+        if (variant, r) not in expansions:
+            expansions[variant, r] = expand_H(model, r, variant)
+        resid = expansions[variant, r][inverse] - (lus.H_inv if inverse else lus.H)
+        failures.append((variant, inverse, r, resid * dec.projector(failing[variant, inverse, r])))
     return not failures, failures

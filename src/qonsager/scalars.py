@@ -66,8 +66,9 @@ class ParamSet:
     pairwise distinct, and every phi_i nonzero.
 
     The q-Racah scalars of the instance are tables indexed 0..d, each built
-    once, on first use: `thetas`, `theta_stars`, `ts` and the two
-    Pochhammer rows `q2_poch` and `q2_inv_poch`.
+    once, on first use: `thetas`, `theta_stars`, `ts`, the band `t_band` of
+    t_ij for |i - j| <= 1 and the two Pochhammer rows `q2_poch` and
+    `q2_inv_poch`.
     """
 
     d: int
@@ -130,7 +131,7 @@ class ParamSet:
         """
         prod, out = ONE, [ONE]
         for i in range(1, self.d + 1):
-            prod *= t_coeff(i - 1, i, self)
+            prod *= self.t_band[i - 1, i]
             closed = self.a ** (2 * i) * self.q ** (2 * i * (self.d - i))
             if prod != closed:
                 raise AssertionError(
@@ -138,6 +139,12 @@ class ParamSet:
                 )
             out.append(prod)
         return tuple(out)
+
+    @cached_property
+    def t_band(self) -> dict[tuple[int, int], Fraction]:
+        """`t_coeff` t_ij for |i - j| <= 1, keyed by (i, j)."""
+        n = self.d + 1
+        return {(i, j): t_coeff(i, j, self) for i in range(n) for j in range(max(i - 1, 0), min(i + 2, n))}
 
     @cached_property
     def q2_poch(self) -> tuple[Fraction, ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Decomposition, Matrix, qweyl_bracket
+from .linalg import Decomposition, Matrix, Numerators, Products
 from .lusztig import LusztigData
 from .model import ModelError, TDModel, eigenspace_decomposition
 from .scalars import ParameterError
@@ -52,6 +52,9 @@ class LadderSpectra:
 
     def __init__(self, d: int, q: Fraction, known=(), transports=()):
         self.eigenvalues = qweyl_eigenvalues(d, q)
+        # the shifts of a q-Weyl ladder step (`equitable.qweyl_ladder`): lam q^-2 and lam^-1
+        self.lowered = tuple(lam / (q * q) for lam in self.eigenvalues)
+        self.inverted = tuple(1 / lam for lam in self.eigenvalues)
         self._decompositions: dict[Matrix, Decomposition] = dict(known)
         self._transports = {m: (g, source) for m, g, source in transports}
 
@@ -82,9 +85,9 @@ class LadderSpectra:
         return dec if dec.acts_as(m, self.eigenvalues) else None
 
 
-def expect_zero(failures: list, name: str, resid: Matrix) -> None:
-    """Record (name, resid) as a failure unless the residual is the zero matrix."""
-    if not resid.is_zero():
+def expect_zero(failures: list, name: str, resid: Matrix | None) -> None:
+    """Record (name, resid) as a failure unless there is no residual (`Products.residual` gave None)."""
+    if resid is not None:
         failures.append((name, resid))
 
 
@@ -229,62 +232,58 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
       (q A B^-1 - q^-1 B^-1 A)/(q - q^-1) = a B^-2 + a^-1 I
       a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0
     with c1 = (a^-1 q - a q^-1)/(q - q^-1), c2 = (a q - a^-1 q^-1)/(q - q^-1),
-    plus the two inverse-pair statements built from KB cross terms.
+    plus the two inverse-pair statements built from KB cross terms. Each
+    relation is one combination of products (`Products`), shared within a pair.
     Returns (passed, failures) as (name, residual).
     """
     p = model.params
     q, a = p.q, p.a
-    ident = Matrix.identity(model.dim)
+    big_a = (model.A,)
     c1 = (q / a - a / q) / (q - 1 / q)
     c2 = (a * q - 1 / (a * q)) / (q - 1 / q)
+    w = 1 / (q - 1 / q)
+
+    def qweyl(x, y):
+        """The terms of (q XY - q^-1 YX)/(q - q^-1)."""
+        return [(q * w, x + y), (-w / q, y + x)]
+
+    def inverse_pair(x, alpha, beta, y, gamma, delta):
+        """The terms of (alpha X - beta I)(gamma Y - delta I) - I."""
+        return [(alpha * gamma, x + y), (-alpha * delta, x), (-beta * gamma, y), (beta * delta - 1, ())]
+
+    # The inverse pairs: (K^-1 B, B K^-1) scaled by (al, ga) and shifted by
+    # (be, de); (B^-1 K, K B^-1) by (al2, ga2) and (de, be).
+    inv_a, a_inv = 1 / a - a, a - 1 / a
+    al, be = (q - 1 / q) / (a * inv_a), (q / a - a / q) / inv_a
+    ga, de = (q - 1 / q) / (a * a_inv), (a * q - 1 / (a * q)) / a_inv
+    al2, ga2 = a * (q - 1 / q) / a_inv, a * (q - 1 / q) / inv_a
     failures = []
     for tag, k, b in (("", s.K, s.B), ("down:", s.Kdown, s.Bdown)):
-        k_inv = k.inverse()
-        b_inv = b.inverse()
-        expect_zero(
-            failures,
-            f"{tag}qweyl[K,A] = a K^2 + a^-1 I",
-            qweyl_bracket(k, model.A, q) - (k * k).scale(a) - ident.scale(1 / a),
-        )
-        expect_zero(
-            failures,
-            f"{tag}qweyl[B,A] = a^-1 B^2 + a I",
-            qweyl_bracket(b, model.A, q) - (b * b).scale(1 / a) - ident.scale(a),
-        )
-        expect_zero(
-            failures,
-            f"{tag}a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
-            (k * k).scale(a) - (k * b).scale(c1) - (b * k).scale(c2) + (b * b).scale(1 / a),
-        )
-        expect_zero(
-            failures,
-            f"{tag}qweyl[A,K^-1] = a^-1 K^-2 + a I",
-            qweyl_bracket(model.A, k_inv, q) - (k_inv * k_inv).scale(1 / a) - ident.scale(a),
-        )
-        expect_zero(
-            failures,
-            f"{tag}qweyl[A,B^-1] = a B^-2 + a^-1 I",
-            qweyl_bracket(model.A, b_inv, q) - (b_inv * b_inv).scale(a) - ident.scale(1 / a),
-        )
-        expect_zero(
-            failures,
-            f"{tag}a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0",
-            (k_inv * k_inv).scale(1 / a)
-            - (k_inv * b_inv).scale(c1)
-            - (b_inv * k_inv).scale(c2)
-            + (b_inv * b_inv).scale(a),
-        )
-        # Two inverse-pair reformulations of the KB relations.
-        inv_a = 1 / a - a
-        a_inv = a - 1 / a
-        p1 = (k_inv * b).scale((q - 1 / q) / (a * inv_a)) - ident.scale((q / a - a / q) / inv_a)
-        q1 = (b * k_inv).scale((q - 1 / q) / (a * a_inv)) - ident.scale((a * q - 1 / (a * q)) / a_inv)
-        expect_zero(failures, f"{tag}inverse pair (K^-1 B, B K^-1): left product", p1 * q1 - ident)
-        expect_zero(failures, f"{tag}inverse pair (K^-1 B, B K^-1): right product", q1 * p1 - ident)
-        p2 = (b_inv * k).scale(a * (q - 1 / q) / a_inv) - ident.scale((a * q - 1 / (a * q)) / a_inv)
-        q2 = (k * b_inv).scale(a * (q - 1 / q) / inv_a) - ident.scale((q / a - a / q) / inv_a)
-        expect_zero(failures, f"{tag}inverse pair (B^-1 K, K B^-1): left product", p2 * q2 - ident)
-        expect_zero(failures, f"{tag}inverse pair (B^-1 K, K B^-1): right product", q2 * p2 - ident)
+        k1, b1 = (k,), (b,)
+        ki, bi = (k.inverse(),), (b.inverse(),)
+        products = Products(model.dim)
+        # the cross products of the inverse pairs, each taken as one factor
+        kib, bki, bik, kbi = ((products.product(x + y),) for x, y in ((ki, b1), (b1, ki), (bi, k1), (k1, bi)))
+        relations = [
+            ("qweyl[K,A] = a K^2 + a^-1 I", qweyl(k1, big_a) + [(-a, k1 + k1), (-1 / a, ())]),
+            ("qweyl[B,A] = a^-1 B^2 + a I", qweyl(b1, big_a) + [(-1 / a, b1 + b1), (-a, ())]),
+            (
+                "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
+                [(a, k1 + k1), (-c1, k1 + b1), (-c2, b1 + k1), (1 / a, b1 + b1)],
+            ),
+            ("qweyl[A,K^-1] = a^-1 K^-2 + a I", qweyl(big_a, ki) + [(-1 / a, ki + ki), (-a, ())]),
+            ("qweyl[A,B^-1] = a B^-2 + a^-1 I", qweyl(big_a, bi) + [(-a, bi + bi), (-1 / a, ())]),
+            (
+                "a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0",
+                [(1 / a, ki + ki), (-c1, ki + bi), (-c2, bi + ki), (a, bi + bi)],
+            ),
+            ("inverse pair (K^-1 B, B K^-1): left product", inverse_pair(kib, al, be, bki, ga, de)),
+            ("inverse pair (K^-1 B, B K^-1): right product", inverse_pair(bki, ga, de, kib, al, be)),
+            ("inverse pair (B^-1 K, K B^-1): left product", inverse_pair(bik, al2, de, kbi, ga2, be)),
+            ("inverse pair (B^-1 K, K B^-1): right product", inverse_pair(kbi, ga2, be, bik, al2, de)),
+        ]
+        for name, terms in relations:
+            expect_zero(failures, tag + name, products.residual(terms))
     return not failures, failures
 
 
@@ -299,19 +298,20 @@ def check_H_conjugation_of_splits(lus: LusztigData, s: SplitMaps):
     """
     h, h_inv = lus.H, lus.H_inv
     conj, conj_inv = s.conjugates
+    products = Products(h.rows)
     failures = []
     cases = [
-        ("H^-1 B H = a A - a^2 B^-1", h_inv * s.B * h, conj["B"]),
-        ("H^-1 K H = a^-1 A - a^-2 K^-1", h_inv * s.K * h, conj["K"]),
-        ("H^-1 Bdown H = a A - a^2 Bdown^-1", h_inv * s.Bdown * h, conj["Bdown"]),
-        ("H^-1 Kdown H = a^-1 A - a^-2 Kdown^-1", h_inv * s.Kdown * h, conj["Kdown"]),
-        ("H B^-1 H^-1 = a^-1 A - a^-2 B", h * s.B.inverse() * h_inv, conj_inv["B"]),
-        ("H K^-1 H^-1 = a A - a^2 K", h * s.K.inverse() * h_inv, conj_inv["K"]),
-        ("H Bdown^-1 H^-1 = a^-1 A - a^-2 Bdown", h * s.Bdown.inverse() * h_inv, conj_inv["Bdown"]),
-        ("H Kdown^-1 H^-1 = a A - a^2 Kdown", h * s.Kdown.inverse() * h_inv, conj_inv["Kdown"]),
+        ("H^-1 B H = a A - a^2 B^-1", (h_inv, s.B, h), conj["B"]),
+        ("H^-1 K H = a^-1 A - a^-2 K^-1", (h_inv, s.K, h), conj["K"]),
+        ("H^-1 Bdown H = a A - a^2 Bdown^-1", (h_inv, s.Bdown, h), conj["Bdown"]),
+        ("H^-1 Kdown H = a^-1 A - a^-2 Kdown^-1", (h_inv, s.Kdown, h), conj["Kdown"]),
+        ("H B^-1 H^-1 = a^-1 A - a^-2 B", (h, s.B.inverse(), h_inv), conj_inv["B"]),
+        ("H K^-1 H^-1 = a A - a^2 K", (h, s.K.inverse(), h_inv), conj_inv["K"]),
+        ("H Bdown^-1 H^-1 = a^-1 A - a^-2 Bdown", (h, s.Bdown.inverse(), h_inv), conj_inv["Bdown"]),
+        ("H Kdown^-1 H^-1 = a A - a^2 Kdown", (h, s.Kdown.inverse(), h_inv), conj_inv["Kdown"]),
     ]
     for name, lhs, rhs in cases:
-        expect_zero(failures, name, lhs - rhs)
+        expect_zero(failures, name, products.residual([(1, lhs), (-1, (rhs,))]))
     return not failures, failures
 
 
@@ -322,27 +322,32 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     `spectra`. With U_i's basis as the columns of a matrix:
     a K + a^-1 K^-1 acts as theta_i on U_i; R maps U_i into U_(i+1), that is
     (K - q^(d-2i-2) I) R kills U_i; R kills U_d. Then R^(d+1) = 0 and
-    RK = q^2 KR. Returns (passed, failures) as (name, residual).
+    RK = q^2 KR. R is formed once, on integer numerators (`Products`).
+    Returns (passed, failures) as (name, residual).
     """
     p = model.params
     q, a, d = p.q, p.a, p.d
-    parts = spectra.decomposition(s.K).parts
+    k = s.K
+    parts = spectra.decomposition(k).parts
     eigs = spectra.eigenvalues
-    theta_map = s.K.scale(a) + s.K.inverse().scale(1 / a)
-    r = model.A - theta_map
+    products = Products(model.dim)
+    theta_map = [(a, (k,)), (1 / a, (k.inverse(),))]
+    r = products.combination([(1, (model.A,))] + [(-c, x) for c, x in theta_map])
     failures = []
     for i, part in enumerate(parts):
-        u = Matrix(part.basis).transpose()
+        u = Numerators(list(zip(*part.numerators)), part.denominator)
         expect_zero(
-            failures, f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}", theta_map * u - u.scale(model.theta[i])
+            failures,
+            f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}",
+            products.residual([(c, x + (u,)) for c, x in theta_map] + [(-model.theta[i], (u,))]),
         )
-        ru = r * u
         if i < d:
-            expect_zero(failures, f"R U_{i} inside U_{i + 1}", s.K * ru - ru.scale(eigs[i + 1]))
+            step = products.residual([(1, (k, r, u)), (-eigs[i + 1], (r, u))])
+            expect_zero(failures, f"R U_{i} inside U_{i + 1}", step)
         else:
-            expect_zero(failures, "R kills the top part", ru)
-    expect_zero(failures, f"R^{d + 1} = 0", r ** (d + 1))
-    expect_zero(failures, "R K = q^2 K R", r * s.K - (s.K * r).scale(q * q))
+            expect_zero(failures, "R kills the top part", products.residual([(1, (r, u))]))
+    expect_zero(failures, f"R^{d + 1} = 0", products.residual([(1, (r,) * (d + 1))]))
+    expect_zero(failures, "R K = q^2 K R", products.residual([(1, (r, k)), (-q * q, (k, r))]))
     return not failures, failures
 
 
@@ -354,7 +359,8 @@ def check_MN_conjugation(lus: LusztigData, s: SplitMaps, spectra: LadderSpectra)
     """
     for mat in (s.M, s.N, s.Mdown, s.Ndown):
         spectra.decomposition(mat)
+    products = Products(s.M.rows)
     failures = []
     for name, m, n in (("H^-1 M H = N", s.M, s.N), ("H^-1 Mdown H = Ndown", s.Mdown, s.Ndown)):
-        expect_zero(failures, name, lus.H_inv * m * lus.H - n)
+        expect_zero(failures, name, products.residual([(1, (lus.H_inv, m, lus.H)), (-1, (n,))]))
     return not failures, failures

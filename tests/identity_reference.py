@@ -1,0 +1,245 @@
+"""The identity checks as chains of `Matrix` operators: the reference oracle.
+
+The functions below are verbatim copies of the checks before they evaluated
+each identity as one combination of products on integer numerators
+(`linalg.Products`): every step here builds a lowest-terms `Matrix`.
+`expect_zero` is the helper they used, which took the residual matrix.
+`check_L_conjugation` returns every residual, zero or not. `H_invertible`
+and `H_commutes_A` are the `lusztig.H_invertible` and `lusztig.H_commutes_A`
+checks of the suite, as functions of the model and H.
+"""
+
+from itertools import chain
+from operator import mul
+
+from qonsager.linalg import Matrix, qweyl_bracket
+from qonsager.lusztig import LusztigData, expand_H
+from qonsager.model import TDModel
+from qonsager.scalars import t_coeff
+from qonsager.splitmaps import LadderSpectra, SplitMaps
+
+
+def H_invertible(model, lus):
+    return lus.H * lus.H_inv == Matrix.identity(model.dim)
+
+
+def H_commutes_A(model, lus):
+    return (lus.H * model.A - model.A * lus.H).is_zero()
+
+
+def expect_zero(failures: list, name: str, resid: Matrix) -> None:
+    """Record (name, resid) as a failure unless the residual is the zero matrix."""
+    if not resid.is_zero():
+        failures.append((name, resid))
+
+
+def check_KA_relations(model: TDModel, s: SplitMaps):
+    """The defining relations tying A to each split-map pair, all exact.
+
+    For (K, B) with parameter a (and the same with Kdown, Bdown):
+      (q KA - q^-1 AK)/(q - q^-1) = a K^2 + a^-1 I
+      (q BA - q^-1 AB)/(q - q^-1) = a^-1 B^2 + a I
+      a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0
+      (q A K^-1 - q^-1 K^-1 A)/(q - q^-1) = a^-1 K^-2 + a I
+      (q A B^-1 - q^-1 B^-1 A)/(q - q^-1) = a B^-2 + a^-1 I
+      a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0
+    with c1 = (a^-1 q - a q^-1)/(q - q^-1), c2 = (a q - a^-1 q^-1)/(q - q^-1),
+    plus the two inverse-pair statements built from KB cross terms.
+    Returns (passed, failures) as (name, residual).
+    """
+    p = model.params
+    q, a = p.q, p.a
+    ident = Matrix.identity(model.dim)
+    c1 = (q / a - a / q) / (q - 1 / q)
+    c2 = (a * q - 1 / (a * q)) / (q - 1 / q)
+    failures = []
+    for tag, k, b in (("", s.K, s.B), ("down:", s.Kdown, s.Bdown)):
+        k_inv = k.inverse()
+        b_inv = b.inverse()
+        expect_zero(
+            failures,
+            f"{tag}qweyl[K,A] = a K^2 + a^-1 I",
+            qweyl_bracket(k, model.A, q) - (k * k).scale(a) - ident.scale(1 / a),
+        )
+        expect_zero(
+            failures,
+            f"{tag}qweyl[B,A] = a^-1 B^2 + a I",
+            qweyl_bracket(b, model.A, q) - (b * b).scale(1 / a) - ident.scale(a),
+        )
+        expect_zero(
+            failures,
+            f"{tag}a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
+            (k * k).scale(a) - (k * b).scale(c1) - (b * k).scale(c2) + (b * b).scale(1 / a),
+        )
+        expect_zero(
+            failures,
+            f"{tag}qweyl[A,K^-1] = a^-1 K^-2 + a I",
+            qweyl_bracket(model.A, k_inv, q) - (k_inv * k_inv).scale(1 / a) - ident.scale(a),
+        )
+        expect_zero(
+            failures,
+            f"{tag}qweyl[A,B^-1] = a B^-2 + a^-1 I",
+            qweyl_bracket(model.A, b_inv, q) - (b_inv * b_inv).scale(a) - ident.scale(1 / a),
+        )
+        expect_zero(
+            failures,
+            f"{tag}a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0",
+            (k_inv * k_inv).scale(1 / a)
+            - (k_inv * b_inv).scale(c1)
+            - (b_inv * k_inv).scale(c2)
+            + (b_inv * b_inv).scale(a),
+        )
+        # Two inverse-pair reformulations of the KB relations.
+        inv_a = 1 / a - a
+        a_inv = a - 1 / a
+        p1 = (k_inv * b).scale((q - 1 / q) / (a * inv_a)) - ident.scale((q / a - a / q) / inv_a)
+        q1 = (b * k_inv).scale((q - 1 / q) / (a * a_inv)) - ident.scale((a * q - 1 / (a * q)) / a_inv)
+        expect_zero(failures, f"{tag}inverse pair (K^-1 B, B K^-1): left product", p1 * q1 - ident)
+        expect_zero(failures, f"{tag}inverse pair (K^-1 B, B K^-1): right product", q1 * p1 - ident)
+        p2 = (b_inv * k).scale(a * (q - 1 / q) / a_inv) - ident.scale((a * q - 1 / (a * q)) / a_inv)
+        q2 = (k * b_inv).scale(a * (q - 1 / q) / inv_a) - ident.scale((q / a - a / q) / inv_a)
+        expect_zero(failures, f"{tag}inverse pair (B^-1 K, K B^-1): left product", p2 * q2 - ident)
+        expect_zero(failures, f"{tag}inverse pair (B^-1 K, K B^-1): right product", q2 * p2 - ident)
+    return not failures, failures
+
+
+def check_H_conjugation_of_splits(lus: LusztigData, s: SplitMaps):
+    """The eight conjugation identities for the split maps under H.
+
+    H^-1 B H = a A - a^2 B^-1 and H^-1 K H = a^-1 A - a^-2 K^-1 (with the
+    down analogues), plus the reformulations H B^-1 H^-1 = a^-1 A - a^-2 B
+    and H K^-1 H^-1 = a A - a^2 K (with the down analogues); the right-hand
+    sides are the closed forms kept on `s`.
+    Returns (passed, failures) as (name, residual).
+    """
+    h, h_inv = lus.H, lus.H_inv
+    conj, conj_inv = s.conjugates
+    failures = []
+    cases = [
+        ("H^-1 B H = a A - a^2 B^-1", h_inv * s.B * h, conj["B"]),
+        ("H^-1 K H = a^-1 A - a^-2 K^-1", h_inv * s.K * h, conj["K"]),
+        ("H^-1 Bdown H = a A - a^2 Bdown^-1", h_inv * s.Bdown * h, conj["Bdown"]),
+        ("H^-1 Kdown H = a^-1 A - a^-2 Kdown^-1", h_inv * s.Kdown * h, conj["Kdown"]),
+        ("H B^-1 H^-1 = a^-1 A - a^-2 B", h * s.B.inverse() * h_inv, conj_inv["B"]),
+        ("H K^-1 H^-1 = a A - a^2 K", h * s.K.inverse() * h_inv, conj_inv["K"]),
+        ("H Bdown^-1 H^-1 = a^-1 A - a^-2 Bdown", h * s.Bdown.inverse() * h_inv, conj_inv["Bdown"]),
+        ("H Kdown^-1 H^-1 = a A - a^2 Kdown", h * s.Kdown.inverse() * h_inv, conj_inv["Kdown"]),
+    ]
+    for name, lhs, rhs in cases:
+        expect_zero(failures, name, lhs - rhs)
+    return not failures, failures
+
+
+def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
+    """The raising-ladder properties of R = A - a K - a^-1 K^-1.
+
+    U_0, ..., U_d are the eigenspaces of K for q^d, ..., q^-d, taken from
+    `spectra`. With U_i's basis as the columns of a matrix:
+    a K + a^-1 K^-1 acts as theta_i on U_i; R maps U_i into U_(i+1), that is
+    (K - q^(d-2i-2) I) R kills U_i; R kills U_d. Then R^(d+1) = 0 and
+    RK = q^2 KR. Returns (passed, failures) as (name, residual).
+    """
+    p = model.params
+    q, a, d = p.q, p.a, p.d
+    parts = spectra.decomposition(s.K).parts
+    eigs = spectra.eigenvalues
+    theta_map = s.K.scale(a) + s.K.inverse().scale(1 / a)
+    r = model.A - theta_map
+    failures = []
+    for i, part in enumerate(parts):
+        u = Matrix(part.basis).transpose()
+        expect_zero(
+            failures, f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}", theta_map * u - u.scale(model.theta[i])
+        )
+        ru = r * u
+        if i < d:
+            expect_zero(failures, f"R U_{i} inside U_{i + 1}", s.K * ru - ru.scale(eigs[i + 1]))
+        else:
+            expect_zero(failures, "R kills the top part", ru)
+    expect_zero(failures, f"R^{d + 1} = 0", r ** (d + 1))
+    expect_zero(failures, "R K = q^2 K R", r * s.K - (s.K * r).scale(q * q))
+    return not failures, failures
+
+
+def check_MN_conjugation(lus: LusztigData, s: SplitMaps, spectra: LadderSpectra):
+    """M, N, Mdown and Ndown are diagonalizable on the q-ladder; H^-1 M H = N and H^-1 Mdown H = Ndown, exactly.
+
+    The four decompositions are left in `spectra`; a matrix off the ladder
+    raises ModelError (ParameterError when a is 1 or -1).
+    """
+    for mat in (s.M, s.N, s.Mdown, s.Ndown):
+        spectra.decomposition(mat)
+    failures = []
+    for name, m, n in (("H^-1 M H = N", s.M, s.N), ("H^-1 Mdown H = Ndown", s.Mdown, s.Ndown)):
+        expect_zero(failures, name, lus.H_inv * m * lus.H - n)
+    return not failures, failures
+
+
+
+def check_L_conjugation(model: TDModel, lus: LusztigData):
+    """L(A*) = H^-1 A* H, L^-1(A*) = H A* H^-1, and H^-1 A H = A, all exactly.
+
+    Returns (passed, residuals) keyed by identity name.
+    """
+    residuals = {
+        "L(A*) = H^-1 A* H": lus.LAstar - lus.H_inv * model.Astar * lus.H,
+        "L^-1(A*) = H A* H^-1": lus.LinvAstar - lus.H * model.Astar * lus.H_inv,
+        "H^-1 A H = A": lus.H_inv * model.A * lus.H - model.A,
+    }
+    return all(r.is_zero() for r in residuals.values()), residuals
+
+
+def check_L_entrywise(model: TDModel, lus: LusztigData):
+    """E_i L(A*) E_j = t_ij E_i A* E_j for |i-j| <= 1, both sides zero beyond.
+
+    Both sides are read as blocks in the eigenbasis of A; a product
+    E_i X E_j is formed only as the witness of a nonzero block.
+    Returns (passed, failures) with failures as (i, j, residual).
+    """
+    failures = []
+    p = model.params
+    dec = model.eigenspaces_A
+    image, star = dec.block_form(lus.LAstar), dec.block_form(model.Astar)
+
+    def witness(i, j, x):
+        failures.append((i, j, dec.projector([i]) * x * dec.projector([j])))
+
+    for i in range(p.d + 1):
+        for j in range(p.d + 1):
+            if abs(i - j) <= 1:
+                t = t_coeff(i, j, p)
+                if not dec.block_is_zero(image - star.scale(t), i, j):
+                    witness(i, j, lus.LAstar - model.Astar.scale(t))
+            elif not dec.block_is_zero(image, i, j):
+                witness(i, j, lus.LAstar)
+            elif not dec.block_is_zero(star, i, j):
+                witness(i, j, model.Astar)
+    return not failures, failures
+
+
+def check_H_expansions(model: TDModel, lus: LusztigData):
+    """All four expansion families agree with H or H^-1 on their stated flags.
+
+    Each call of `expand_H` gives the H and H^-1 expansions at one anchor.
+    The residual (expansion - H^(+-1)) is multiplied by the flag's columns
+    of P, the eigenspace bases of its parts. Those columns are a basis of
+    the flag, so a zero product proves that the expansion equals H^(+-1)
+    on the whole flag. A failing residual's witness is the residual times
+    the exact flag projector.
+    Returns (passed, failures) as (variant, inverse, r, residual).
+    """
+    failures = []
+    dec = model.eigenspaces_A
+    d = model.d
+    for variant in ("ascending", "descending"):
+        expansions = [expand_H(model, r, variant) for r in range(d + 1)]
+        for inverse, target in ((False, lus.H), (True, lus.H_inv)):
+            for r in range(d + 1):
+                # the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
+                parts = range(r, d + 1) if variant == "ascending" else range(r + 1)
+                columns = chain.from_iterable(dec[k].numerators for k in parts)
+                resid = expansions[r][inverse] - target
+                if any(sum(map(mul, row, col)) for col in columns for row in resid.numerators):
+                    failures.append((variant, inverse, r, resid * dec.projector(parts)))
+    return not failures, failures
+

@@ -387,13 +387,13 @@ def _first_two_parts_swapped(dec):
         (
             "Vminus",
             ["Mdown flag 2: descending = V- descending", "M flag 3: descending = V- ascending reversed"]
-            + [f"(A, L^-1(A*)) split map at {slot} slot times its label" for slot in ("K", "B", "Kdown", "Bdown")],
+            + [f"(A, L^-1(A*)) split map at {slot} slot" for slot in ("K", "B", "Kdown", "Bdown")],
         ),
         (
             # only the A orders change, so each twisted slot fails on its descending flag alone
             "A",
             [f"(A, L(A*)) split map at {slot} slot" for slot in ("K", "B", "Kdown", "Bdown")]
-            + [f"(A, L^-1(A*)) split map at {slot} slot times its label" for slot in ("K", "B", "Kdown", "Bdown")],
+            + [f"(A, L^-1(A*)) split map at {slot} slot" for slot in ("K", "B", "Kdown", "Bdown")],
         ),
     ],
 )
@@ -466,7 +466,7 @@ def perturbed_imports(draw):
 # Each twisted slot of verify_diagrams against the H-conjugation identity of its map
 TWISTED_SLOTS = {
     **{f"(A, L(A*)) split map at {x} slot": f"H^-1 {x} H" for x in ("K", "B", "Kdown", "Bdown")},
-    **{f"(A, L^-1(A*)) split map at {x} slot times its label": f"H {x}^-1 H^-1" for x in ("K", "B", "Kdown", "Bdown")},
+    **{f"(A, L^-1(A*)) split map at {x} slot": f"H {x}^-1 H^-1" for x in ("K", "B", "Kdown", "Bdown")},
 }
 
 

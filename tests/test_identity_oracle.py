@@ -1,0 +1,125 @@
+"""The identity checks evaluated with `linalg.Products` against their `Matrix`-chain forms.
+
+Each converted check must return what its verbatim old form in
+`identity_reference` returns, witnesses included: on built models, which
+pass; on seeded imports with one A* entry changed, which fail most of the
+identities; and with H or K corrupted, which fails the expansions and the
+R ladder. A check that raises must raise the same error in both forms.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from qonsager import lusztig, splitmaps, suite
+from qonsager.linalg import Matrix
+from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
+from qonsager.scalars import ParamSet
+
+import identity_reference as ref
+
+
+def _built(d, q, a=F(3), b=F(5)):
+    if d == 1:
+        return build_model(ParamSet(1, q, a, b, (F(1),)))
+    models = []
+    assert solve_phi(d, q, a, b, limit=1, models=models)
+    return models[0]
+
+
+def _perturbed_import(seed):
+    """(P A P^-1, P A*' P^-1) at d = 2..4: A*' is the split-basis A* with one entry above the diagonal changed.
+
+    P = (I + strictly lower)(I + strictly upper) is dense, integral and unimodular.
+    """
+    rng = random.Random(seed)
+    d = rng.randint(2, 4)
+    q, a, b = rng.choice([(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))])
+    base = _built(d, q, a, b)
+    i = rng.randint(0, d - 1)
+    j = rng.randint(i + 1, d)
+    rows = [list(row) for row in base.Astar.entries]
+    rows[i][j] += rng.choice([F(1), F(-2), F(1, 3), F(7, 2)])
+    n = d + 1
+    e = [rng.randint(-2, 2) for _ in range(n * n)]
+    lower = Matrix([[1 if r == c else e[r * n + c] if r > c else 0 for c in range(n)] for r in range(n)])
+    upper = Matrix([[1 if r == c else e[r * n + c] if r < c else 0 for c in range(n)] for r in range(n)])
+    p = lower * upper
+    p_inv = p.inverse()
+    return assemble_imported(base.params, p * base.A * p_inv, p * Matrix(rows) * p_inv)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ModelError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _pairs(ctx):
+    """(name, new check, old check, arguments) for every check that `Products` evaluates."""
+    model, lus = ctx.model, ctx.lusztig
+    pairs = [
+        ("H_invertible", lambda m, h: suite._H_invertible(ctx)[0], ref.H_invertible, (model, lus)),
+        ("H_commutes_A", lambda m, h: suite._H_commutes_A(ctx)[0], ref.H_commutes_A, (model, lus)),
+        ("L_conjugation", lusztig.check_L_conjugation, _nonzero_L_conjugation, (model, lus)),
+        ("L_entrywise", lusztig.check_L_entrywise, ref.check_L_entrywise, (model, lus)),
+        ("H_expansions", lusztig.check_H_expansions, ref.check_H_expansions, (model, lus)),
+    ]
+    try:
+        s = ctx.split_maps
+    except (ModelError, ValueError):
+        return pairs
+    return pairs + [
+        ("KA_relations", splitmaps.check_KA_relations, ref.check_KA_relations, (model, s)),
+        ("H_conjugation", splitmaps.check_H_conjugation_of_splits, ref.check_H_conjugation_of_splits, (lus, s)),
+        ("R_ladder", splitmaps.check_R_ladder, ref.check_R_ladder, (model, s, ctx.spectra)),
+        ("MN", splitmaps.check_MN_conjugation, ref.check_MN_conjugation, (lus, s, ctx.spectra)),
+    ]
+
+
+def _nonzero_L_conjugation(model, lus):
+    """The old check, keeping only the nonzero residuals, as the new one returns them."""
+    ok, residuals = ref.check_L_conjugation(model, lus)
+    return ok, {name: r for name, r in residuals.items() if not r.is_zero()}
+
+
+def _assert_agree(ctx):
+    verdicts = {}
+    for name, new, old, args in _pairs(ctx):
+        got, want = _outcome(new, *args), _outcome(old, *args)
+        assert got == want, name
+        verdicts[name] = got[0] if isinstance(got, tuple) else got
+    return verdicts
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-2)])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_built_models_agree_and_pass(d, q):
+    verdicts = _assert_agree(suite.TargetContext(_built(d, q)))
+    assert len(verdicts) == 9 and all(v is True for v in verdicts.values())
+
+
+def test_perturbed_imports_agree_witness_for_witness():
+    failed = set()
+    for seed in range(12):
+        verdicts = _assert_agree(suite.TargetContext(_perturbed_import(seed)))
+        failed |= {name for name, ok in verdicts.items() if ok is not True}
+    # the changed A* entry breaks every identity that involves A* or the split maps
+    assert {"L_conjugation", "L_entrywise", "KA_relations", "H_conjugation", "MN"} <= failed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_corrupted_H_and_K_agree_witness_for_witness(d):
+    ctx = suite.TargetContext(_built(d, F(2)))
+    t = list(ctx.model.params.ts)
+    t[1] *= 2
+    bad_h = ctx.model.eigenspaces_A.diagonal_map(t)
+    ctx._built["H"] = replace(ctx.lusztig, H=bad_h, H_inv=bad_h.inverse())
+    s = ctx.split_maps
+    shear = Matrix([[int(r == c or (r, c) == (0, d)) for c in range(d + 1)] for r in range(d + 1)])
+    ctx._built["split_maps"] = replace(s, K=shear * s.K * shear.inverse())
+    verdicts = _assert_agree(ctx)
+    assert verdicts["H_expansions"] is False and verdicts["R_ladder"] is False

@@ -9,8 +9,9 @@ decompositions are not direct sums and `build_split_maps` raises.
 
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction as F
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import pytest
@@ -52,7 +53,7 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-TABLES = ("thetas", "theta_stars", "ts", "q2_poch", "q2_inv_poch")
+TABLES = ("thetas", "theta_stars", "ts", "t_band", "q2_poch", "q2_inv_poch")
 
 
 def _count_table_builds(monkeypatch, name):
@@ -131,8 +132,8 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     names = ("K", "B", "Kdown", "Bdown")
     assert all(row[1] is conj_inv[x] for row, x in zip(rows[:4], names))
     assert all(row[3] is conj[x] for row, x in zip(rows[4:], names))
-    # each expand_H call pairs the H and H^-1 expansions at one anchor and variant
-    assert len(calls["expand_H"]) == 2 * (2 + 1)
+    # the expansions are applied to flag bases; expand_H only forms a failing anchor's witness
+    assert not calls["expand_H"]
     # the table tests each of its 24 pairs once and the ladders read its verdicts;
     # build_model and model.qdg share one evaluation of the q-Dolan/Grady residuals
     assert len(calls["is_qweyl_pair"]) == 24
@@ -155,6 +156,59 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     for name in TABLES:
         assert len(builds[name]) == 1, name
     assert builds["thetas"][0] is builds["ts"][0] is calls["build_model"][0][0]
+
+
+def _solved_model(d):
+    models = []
+    assert model.solve_phi(d, F(2), F(3), F(5), limit=1, models=models)
+    return models[0]
+
+
+def test_expand_H_is_called_once_per_failing_anchor(monkeypatch):
+    calls = _count_calls(monkeypatch, lusztig, "expand_H")
+    ctx = suite.TargetContext(_solved_model(2))
+    lus = ctx.lusztig
+    # doubling t_1 in H and H^-1 breaks both expansions at every anchor whose flag holds V_1
+    t = list(ctx.model.params.ts)
+    t[1] *= 2
+    bad_h = ctx.model.eigenspaces_A.diagonal_map(t)
+    ok, failures = lusztig.check_H_expansions(ctx.model, replace(lus, H=bad_h, H_inv=bad_h.inverse()))
+    anchors = [("ascending", 0), ("ascending", 1), ("descending", 1), ("descending", 2)]
+    assert not ok
+    assert sorted((variant, r) for variant, inverse, r, _ in failures) == sorted(anchors * 2)
+    assert sorted((variant, r) for _, r, variant in calls) == sorted(anchors)
+
+
+# The checks that evaluate their identities with `linalg.Products`
+PRODUCT_CHECKS = (
+    "lusztig.H_invertible",
+    "lusztig.H_commutes_A",
+    "lusztig.conjugation",
+    "lusztig.entrywise",
+    "lusztig.expansions",
+    "split.KA_relations",
+    "split.H_conjugation",
+    "split.R_ladder",
+    "split.MN",
+)
+
+
+def test_a_passing_product_check_builds_no_matrix(monkeypatch):
+    """Once the context holds a check's inputs, a passing check builds no `Matrix` of its own."""
+    ctx = suite.TargetContext(_solved_model(3))
+    checks = {check_id: check for name in suite.SUITE_NAMES for check_id, _, check in suite.SUITES[name]}
+    for check in checks.values():
+        assert check(ctx)[0]
+    built, init = [], Matrix.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
+    for check_id in PRODUCT_CHECKS:
+        assert checks[check_id](ctx) == (True, None), check_id
+        assert not built, check_id
 
 
 def test_a_t_table_that_disagrees_with_its_closed_form_is_a_kernel_bug_error(monkeypatch):
@@ -352,3 +406,55 @@ def test_readme_table_lists_each_suite_and_its_check_ids():
         name, ids = line.strip("|").split("|")
         rows.append((name.strip().strip("`"), re.findall(r"`([^`]+)`", ids)))
     assert rows == [(name, _ids(name)) for name in suite.SUITES]
+
+
+def _e01(n):
+    return Matrix([[int((r, c) == (0, 1)) for c in range(n)] for r in range(n)])
+
+
+def _sheared_H(ctx):
+    """H -> H (I + E_01): no longer H_inv's inverse, no longer commuting with A, no longer its expansions."""
+    lus = ctx.lusztig
+    ctx._built["H"] = replace(lus, H=lus.H * (Matrix.identity(ctx.model.dim) + _e01(ctx.model.dim)))
+
+
+def _shifted_LAstar(ctx):
+    """L(A*) -> L(A*) + E_01: no longer H^-1 A* H, and no longer diagonal on H^-1 V*."""
+    lus = ctx.lusztig
+    ctx._built["H"] = replace(lus, LAstar=lus.LAstar + _e01(ctx.model.dim))
+
+
+def _doubled_t01(ctx):
+    """t_01 doubled in the band table, after H has been built from the t_i."""
+    p = ctx.model.params
+    assert ctx.lusztig
+    band = dict(p.t_band)
+    band[0, 1] *= 2
+    p.__dict__["t_band"] = band
+
+
+# Each lusztig id, a perturbation that flips it, and its failing record at
+# d = 2, q = 2, a = 3, b = 5; the witnesses are those the Matrix-chain checks gave.
+LUSZTIG_CONTROLS = [
+    ("lusztig.H_invertible", _sheared_H, None),
+    ("lusztig.H_commutes_A", _sheared_H, None),
+    ("lusztig.conjugation", _shifted_LAstar, "L(A*) = H^-1 A* H: nonzero residual"),
+    (
+        "lusztig.entrywise",
+        _doubled_t01,
+        "(0, 1): Matrix([[-22707/35, 22707/4, 0], [-90828/1225, 22707/35, 0], [-45414/6125, 22707/350, 0]])",
+    ),
+    ("lusztig.eigenstructure", _shifted_LAstar, "(1, 0): eigenspace differs from conjugated V*_i"),
+    ("lusztig.expansions", _sheared_H, "('ascending', False, 0): Matrix([[0, -1, 0], [0, 4, 0], [0, -16/5, 0]])"),
+]
+
+
+@pytest.mark.parametrize("check_id, perturb, witness", LUSZTIG_CONTROLS, ids=[c[0] for c in LUSZTIG_CONTROLS])
+def test_each_lusztig_id_flips_under_its_perturbation(check_id, perturb, witness):
+    ctx = suite.TargetContext(_solved_model(2))
+    detail, check = next((detail, check) for cid, detail, check in suite.SUITES["lusztig"] if cid == check_id)
+    assert check(ctx) == (True, None)
+    perturb(ctx)
+    record = Report("t").run(check_id, detail, partial(check, ctx)).to_record()
+    assert record["status"] == "fail"
+    assert record.get("residual") == witness
