@@ -20,10 +20,8 @@ from .linalg import (
     ShapeError,
     SingularMatrixError,
     Subspace,
-    commutator,
     is_qweyl_pair,
     kernel,
-    q_commutator,
     rref,
 )
 from .lusztig import (

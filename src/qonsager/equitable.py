@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix,
+    Products,
     SingularMatrixError,
     is_qweyl_pair,
-    qweyl_bracket,
     shifted_product_images,
 )
 from .lusztig import LusztigData
@@ -23,9 +23,11 @@ from .model import ModelError, TDModel
 from .splitmaps import LadderSpectra, SplitMaps, orientations, split_mismatches
 
 
-def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix:
-    """(q XY - q^-1 YX)/(q - q^-1) - I."""
-    return qweyl_bracket(x, y, q) - Matrix.identity(x.rows)
+def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix | None:
+    """(q XY - q^-1 YX)/(q - q^-1) - I as one combination of products (`Products`); None when zero."""
+    q = Fraction(q)
+    w = 1 / (q - 1 / q)
+    return Products(x.rows).residual([(q * w, (x, y)), (-w / q, (y, x)), (-1, ())])
 
 
 def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):

@@ -376,23 +376,6 @@ class Products:
         return Matrix(*total)
 
 
-def commutator(x: Matrix, y: Matrix) -> Matrix:
-    """[X, Y] = XY - YX."""
-    return x * y - y * x
-
-
-def q_commutator(x: Matrix, y: Matrix, q) -> Matrix:
-    """[X, Y]_q = q XY - q^-1 YX."""
-    q = Fraction(q)
-    return (x * y).scale(q) - (y * x).scale(1 / q)
-
-
-def qweyl_bracket(x: Matrix, y: Matrix, q) -> Matrix:
-    """(q XY - q^-1 YX)/(q - q^-1); the pair (X, Y) is q-Weyl when this is I."""
-    q = Fraction(q)
-    return q_commutator(x, y, q).scale(1 / (q - 1 / q))
-
-
 def is_qweyl_pair(x: Matrix, y: Matrix, q) -> bool:
     """True when (q XY - q^-1 YX)/(q - q^-1) = I, tested on integer numerators.
 
@@ -800,15 +783,11 @@ class Decomposition:
         """The projector onto the sum of the parts at `indices`, along the other parts."""
         return self.diagonal_map([int(i in indices) for i in range(len(self.parts))])
 
-    def block_form(self, x: Matrix) -> Matrix:
-        """P^-1 X P: its block (i, j) is zero exactly when E_i X E_j = 0."""
-        return self.basis_inverse() * x * self.basis_matrix()
-
     def block_cells(self, i: int, j: int) -> list[tuple[int, int]]:
         """The (row, column) positions of block (i, j): the rows of part i by the columns of part j."""
         start = self._offsets()
         return [(r, c) for r in range(start[i], start[i + 1]) for c in range(start[j], start[j + 1])]
 
     def block_is_zero(self, y: Matrix | Numerators, i: int, j: int) -> bool:
-        """Whether block (i, j) of y is zero."""
+        """Whether block (i, j) of y is zero; for y = P^-1 X P, exactly when E_i X E_j = 0."""
         return not any(y.numerators[r][c] for r, c in self.block_cells(i, j))

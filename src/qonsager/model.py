@@ -15,12 +15,11 @@ from functools import cached_property
 from .linalg import (
     Decomposition,
     Matrix,
+    Products,
     ShapeError,
     Subspace,
-    commutator,
     invariant_closure,
     kernel,
-    q_commutator,
 )
 from .scalars import ONE, ParameterError, ParamSet, p_poly
 
@@ -33,28 +32,35 @@ class ModelError(ValueError):
         self.residual = residual
 
 
-def qdg_residuals(a: Matrix, astar: Matrix, q: Fraction) -> tuple[Matrix, Matrix]:
-    """Residuals of the two q-Dolan/Grady relations, in order.
+def qdg_residuals(a: Matrix, astar: Matrix, q: Fraction) -> tuple[Matrix | None, Matrix | None]:
+    """Residuals of the two q-Dolan/Grady relations, in order; None for a relation that holds.
 
-    Relation 1: [A,[A,[A,A*]_q]_(q^-1)] - (q^2-q^-2)^2 [A*,A].
+    Relation 1: [A,[A,[A,A*]_q]_(q^-1)] - (q^2-q^-2)^2 [A*,A], expanded as
+    A^3 A* - [3]_q A^2 A* A + [3]_q A A* A^2 - A* A^3 + (q^2-q^-2)^2 (A A* - A* A)
+    with [3]_q = q^2 + 1 + q^-2, one combination of products (`Products`).
     Relation 2: the same with A and A* interchanged.
     """
     if a.rows != a.cols or a.rows != astar.rows or a.cols != astar.cols:
         raise ShapeError("q-Dolan/Grady check needs square matrices of equal shape")
     q = Fraction(q)
+    three = q * q + 1 + 1 / (q * q)
     scale = (q * q - 1 / (q * q)) ** 2
-    res1 = commutator(a, q_commutator(a, q_commutator(a, astar, q), 1 / q)) - commutator(astar, a).scale(scale)
-    res2 = commutator(astar, q_commutator(astar, q_commutator(astar, a, q), 1 / q)) - commutator(a, astar).scale(scale)
-    return res1, res2
+    products = Products(a.rows)
+
+    def residual(x, y):
+        cubic = [(1, (x, x, x, y)), (-three, (x, x, y, x)), (three, (x, y, x, x)), (-1, (y, x, x, x))]
+        return products.residual(cubic + [(scale, (x, y)), (-scale, (y, x))])
+
+    return residual(a, astar), residual(astar, a)
 
 
 def check_qdg(a: Matrix, astar: Matrix, q: Fraction):
     """Check both q-Dolan/Grady relations exactly.
 
-    Returns (passed, residuals); each residual is the zero matrix on pass.
+    Returns (passed, residuals); a residual is None when its relation holds.
     """
     residuals = qdg_residuals(a, astar, q)
-    return all(r.is_zero() for r in residuals), residuals
+    return all(r is None for r in residuals), residuals
 
 
 def eigenspace_decomposition(m: Matrix, eigs) -> Decomposition:
@@ -162,7 +168,7 @@ def build_model(p: ParamSet) -> TDModel:
     model = TDModel(params=p, A=Matrix(a_rows), Astar=Matrix(astar_rows))
     passed, residuals = model.qdg
     if not passed:
-        which = 1 if not residuals[0].is_zero() else 2
+        which = 1 if residuals[0] is not None else 2
         raise ModelError(
             f"q-Dolan/Grady relation {which} violated by phi={p.phi}",
             residuals[which - 1],
@@ -196,12 +202,14 @@ def assemble_imported(p: ParamSet, a: Matrix, astar: Matrix) -> TDModel:
 def check_tridiagonal_action(model: TDModel):
     """E_i A* E_j = 0 and E*_i A E*_j = 0 whenever |i - j| > 1.
 
-    Each product is read as a block of A* (or A) in the eigenbasis of A (or
-    A*); the product itself is formed only as the witness of a nonzero block.
-    Returns (passed, failures) with failures as (side, i, j, residual).
+    Each product is read as a block of P^-1 A* P (or P*^-1 A P*), for P the
+    eigenbasis of A (or P* that of A*), formed on integer numerators
+    (`Products`); the product itself is formed only as the witness of a
+    nonzero block. Returns (passed, failures) with failures as (side, i, j, residual).
     """
     sides = [("E_i A* E_j", model.eigenspaces_A, model.Astar), ("E*_i A E*_j", model.eigenspaces_Astar, model.A)]
-    forms = [dec.block_form(x) for _, dec, x in sides]
+    products = Products(model.dim)
+    forms = [products.product((dec.basis_inverse(), x, dec.basis_matrix())) for _, dec, x in sides]
     failures = []
     n = model.d + 1
     for i in range(n):

@@ -335,7 +335,7 @@ def _chu_vandermonde(ctx: TargetContext):
 
 def _qdg(ctx: TargetContext):
     ok, residuals = ctx.model.qdg
-    return ok, None if ok else next(r for r in residuals if not r.is_zero())
+    return ok, None if ok else next(r for r in residuals if r is not None)
 
 
 def _recover_a(ctx: TargetContext):

