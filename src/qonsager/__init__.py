@@ -10,7 +10,8 @@ equitable triples, and the flag identities of the comparison diagrams.
 from .equitable import (
     build_triple_table,
     check_equitable_triple,
-    check_qweyl_ladder,
+    qweyl_ladder,
+    qweyl_residual,
     verify_diagrams,
     verify_triple_table,
 )
@@ -20,7 +21,6 @@ from .linalg import (
     ShapeError,
     SingularMatrixError,
     Subspace,
-    is_qweyl_pair,
     kernel,
     rref,
 )
@@ -31,8 +31,7 @@ from .lusztig import (
     check_L_conjugation,
     check_L_eigenstructure,
     check_L_entrywise,
-    expand_H,
-    lusztig_image,
+    lusztig_images,
 )
 from .model import (
     ModelError,

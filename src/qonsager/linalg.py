@@ -376,26 +376,6 @@ class Products:
         return Matrix(*total)
 
 
-def is_qweyl_pair(x: Matrix, y: Matrix, q) -> bool:
-    """True when (q XY - q^-1 YX)/(q - q^-1) = I, tested on integer numerators.
-
-    With q = u/v, X = X_n/d_x and Y = Y_n/d_y this is
-    u^2 X_n Y_n - v^2 Y_n X_n = (u^2 - v^2) d_x d_y I; no matrix is built.
-    """
-    if not x.rows == x.cols == y.rows == y.cols:
-        raise ShapeError(f"q-Weyl test of {x.rows}x{x.cols} and {y.rows}x{y.cols}: need one square size")
-    q = Fraction(q)
-    u2, v2 = q.numerator**2, q.denominator**2
-    diagonal = (u2 - v2) * x.denominator * y.denominator
-    x_cols, y_cols = list(zip(*x.numerators)), list(zip(*y.numerators))
-    for i, (x_row, y_row) in enumerate(zip(x.numerators, y.numerators)):
-        for j, (x_col, y_col) in enumerate(zip(x_cols, y_cols)):
-            entry = u2 * sum(map(mul, x_row, y_col)) - v2 * sum(map(mul, y_row, x_col))
-            if entry != (diagonal if i == j else 0):
-                return False
-    return True
-
-
 def shifted_product_images(dec: Decomposition, x: Matrix, y: Matrix, x_shifts, y_shifts) -> list[Subspace]:
     """The image of each part W_i of `dec` under (X - c_i I)(Y - b_i I).
 

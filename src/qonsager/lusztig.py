@@ -1,9 +1,11 @@
-"""The conjugating operator H and its polynomial expansions.
+"""The conjugating operator H, the twisted images of A*, and the polynomial expansions of H.
 
 H = sum_i t_i E_i acts on a model so that conjugation by H realizes the
 algebra automorphism fixing A and shifting A*; its inverse is the same sum
-with 1/t_i. Four terminating polynomial expansions of H and H^-1 in A hold
-on ascending/descending eigenflags of A.
+with 1/t_i. L(A*) and L^-1(A*) share their products (`lusztig_images`).
+Four terminating polynomial expansions of H and H^-1 in A hold on
+ascending/descending eigenflags of A; `check_H_expansions` evaluates them
+on the flags' bases, witnesses included.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import chain
 
 from .linalg import Decomposition, Matrix, Numerators, Products, kernel
 from .model import TDModel
-from .scalars import ONE, ParameterError
+from .scalars import ONE
 
 
 @dataclass(frozen=True)
@@ -43,25 +45,27 @@ class LusztigData:
         )
 
 
-def lusztig_image(model: TDModel, direction: int) -> Matrix:
-    """A* + [A, [A, A*]_(q^eps)] / ((q - q^-1)(q^2 - q^-2)) for eps = +1 or -1.
+def lusztig_images(model: TDModel) -> tuple[Matrix, Matrix]:
+    """L(A*) and L^-1(A*): A* + [A, [A, A*]_(q^eps)] / ((q - q^-1)(q^2 - q^-2)) for eps = +1, -1.
 
     With qe = q^eps the bracket expands to qe A A A* - (qe + qe^-1) A A* A + qe^-1 A* A A;
-    the sum is one combination of products (`Products`), built as one `Matrix`.
+    both sums combine the same three products, formed once (`Products`), and
+    each is built as one `Matrix`.
     """
-    if direction not in (1, -1):
-        raise ParameterError(f"direction must be +1 or -1, got {direction}")
     q = model.params.q
-    qeps = q if direction == 1 else 1 / q
     denom = (q - 1 / q) * (q * q - 1 / (q * q))
     big_a, star = model.A, model.Astar
-    terms = [
-        (1, (star,)),
-        (qeps / denom, (big_a, big_a, star)),
-        (-(qeps + 1 / qeps) / denom, (big_a, star, big_a)),
-        (1 / (qeps * denom), (star, big_a, big_a)),
-    ]
-    return Matrix(*Products(model.dim).combination(terms))
+    products = Products(model.dim)
+    images = []
+    for qeps in (q, 1 / q):
+        terms = [
+            (1, (star,)),
+            (qeps / denom, (big_a, big_a, star)),
+            (-(qeps + 1 / qeps) / denom, (big_a, star, big_a)),
+            (1 / (qeps * denom), (star, big_a, big_a)),
+        ]
+        images.append(Matrix(*products.combination(terms)))
+    return images[0], images[1]
 
 
 def build_H(model: TDModel) -> LusztigData:
@@ -73,13 +77,8 @@ def build_H(model: TDModel) -> LusztigData:
     t = model.params.ts
     h = model.eigenspaces_A.diagonal_map(t)
     h_inv = model.eigenspaces_A.diagonal_map([1 / ti for ti in t])
-    return LusztigData(
-        model=model,
-        H=h,
-        H_inv=h_inv,
-        LAstar=lusztig_image(model, +1),
-        LinvAstar=lusztig_image(model, -1),
-    )
+    l_astar, linv_astar = lusztig_images(model)
+    return LusztigData(model=model, H=h, H_inv=h_inv, LAstar=l_astar, LinvAstar=linv_astar)
 
 
 def check_L_conjugation(model: TDModel, lus: LusztigData):
@@ -165,67 +164,37 @@ def check_L_eigenstructure(model: TDModel, lus: LusztigData):
     return not failures, failures
 
 
-def expand_H(model: TDModel, r: int, variant: str = "ascending") -> tuple[Matrix, Matrix]:
-    """Evaluate one terminating polynomial expansion of H and its H^-1 partner in A.
+def check_H_expansions(model: TDModel, lus: LusztigData):
+    """All four expansion families agree with H or H^-1 on their stated flags.
 
     ascending (anchor r): t_r sum_i a^i q^(i(d-2r)) (A-th_r)...(A-th_(r+i-1)) / (q^2;q^2)_i,
     valid on V_r + ... + V_d.
     descending (anchor s=r): t_s sum_i a^-i q^(i(2s-d)) (A-th_s)...(A-th_(s-i+1)) / (q^2;q^2)_i,
     valid on V_0 + ... + V_s.
-    The H^-1 expansion flips a -> 1/a, q -> 1/q and uses 1/t_r; it sums the
-    same products of (A - theta I) factors, so both are built from one chain.
-    Returns (expansion of H, expansion of H^-1).
-    """
-    d = model.d
-    if not 0 <= r <= d:
-        raise ParameterError(f"anchor index {r} out of range 0..{d}")
-    if variant not in ("ascending", "descending"):
-        raise ParameterError(f"variant must be 'ascending' or 'descending', got {variant!r}")
-    p = model.params
-    q, a = p.q, p.a
-    ident = Matrix.identity(model.dim)
-    tr = p.ts[r]
-    out, out_inv = Matrix.zero(model.dim), Matrix.zero(model.dim)
-    running = ident  # the growing product of (A - theta I) factors
-    coeff = ONE  # the growing power of the step below
-    if variant == "ascending":
-        length, step = d - r, a * q ** (d - 2 * r)
-    else:
-        length, step = r, q ** (2 * r - d) / a
-    for i in range(length + 1):
-        if i > 0:
-            idx = (r + i - 1) if variant == "ascending" else (r - i + 1)
-            running = running * (model.A - ident.scale(model.theta[idx]))
-            coeff *= step
-        out = out + running.scale(coeff / p.q2_poch[i])
-        out_inv = out_inv + running.scale(1 / (coeff * p.q2_inv_poch[i]))
-    return out.scale(tr), out_inv.scale(1 / tr)
-
-
-def check_H_expansions(model: TDModel, lus: LusztigData):
-    """All four expansion families agree with H or H^-1 on their stated flags.
-
+    The H^-1 expansion flips a -> 1/a, q -> 1/q and uses 1/t_r.
     At each anchor both expansions are applied to the flag's columns of P,
     the eigenspace bases of its parts: one product per factor (A - theta I),
     shared by the H and H^-1 expansions (`Products`), then compared with H
     and H^-1 applied to the same columns. Those columns are a basis of the
     flag, so a zero residual proves that the expansion equals H^(+-1) on the
-    whole flag. Only a failing anchor builds its expansions (`expand_H`),
-    whose witness is (expansion - H^(+-1)) times the exact flag projector.
+    whole flag. The flag projector is the flag's columns of P times its rows
+    of P^-1, so a failing residual times those rows is the witness
+    (expansion - H^(+-1)) times the exact flag projector.
     Returns (passed, failures) as (variant, inverse, r, residual).
     """
-    d = model.d
+    d, n = model.d, model.dim
     p = model.params
     q, a = p.q, p.a
     dec = model.eigenspaces_A
-    products = Products(model.dim)
+    products = Products(n)
     factors = [products.combination([(1, (model.A,)), (-th, ())]) for th in model.theta]
-    failing = {}  # (variant, inverse, r) -> the flag's parts
+    failures = []
     for variant in ("ascending", "descending"):
         for r in range(d + 1):
             # the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
             parts = range(r, d + 1) if variant == "ascending" else range(r + 1)
-            flag = Numerators(list(zip(*chain.from_iterable(dec[k].numerators for k in parts))), 1)
+            columns = list(chain.from_iterable(dec[k].numerators for k in parts))
+            flag = Numerators(list(zip(*columns)), 1)
             if variant == "ascending":
                 order, step = range(r, d), a * q ** (d - 2 * r)
             else:
@@ -239,13 +208,13 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
             expansion = [(tr * c / p.q2_poch[i], x) for i, (c, x) in enumerate(zip(coeffs, chains))]
             expansion_inv = [(1 / (tr * c * p.q2_inv_poch[i]), x) for i, (c, x) in enumerate(zip(coeffs, chains))]
             for inverse, terms, target in ((False, expansion, lus.H), (True, expansion_inv, lus.H_inv)):
-                if products.residual(terms + [(-1, (target, flag))]) is not None:
-                    failing[variant, inverse, r] = parts
-    # sorted is report order: ascending before descending, H before H^-1, then by anchor
-    failures, expansions = [], {}
-    for variant, inverse, r in sorted(failing):
-        if (variant, r) not in expansions:
-            expansions[variant, r] = expand_H(model, r, variant)
-        resid = expansions[variant, r][inverse] - (lus.H_inv if inverse else lus.H)
-        failures.append((variant, inverse, r, resid * dec.projector(failing[variant, inverse, r])))
+                resid = products.residual(terms + [(-1, (target, flag))])
+                if resid is not None:
+                    # the flag's parts come first (descending) or last (ascending) among the rows of P^-1
+                    p_inv = dec.basis_inverse()
+                    k = len(columns)
+                    rows = p_inv.numerators[n - k:] if variant == "ascending" else p_inv.numerators[:k]
+                    failures.append((variant, inverse, r, resid * Matrix(rows, p_inv.denominator)))
+    # report order: ascending before descending, H before H^-1, then by anchor
+    failures.sort(key=lambda failure: failure[:3])
     return not failures, failures

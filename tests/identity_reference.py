@@ -9,7 +9,10 @@ they were written in. `qdg_residuals` returns both residuals, zero or not,
 and so does `check_L_conjugation`. `check_tridiagonal_action` reads
 `Decomposition.block_form`, P^-1 X P, inlined here. `H_invertible` and
 `H_commutes_A` are the `lusztig.H_invertible` and `lusztig.H_commutes_A`
-checks of the suite, as functions of the model and H.
+checks of the suite, as functions of the model and H. `is_qweyl_pair` is
+the integer q-Weyl verdict `linalg` had beside `equitable.qweyl_residual`,
+and `expand_H` is the `Matrix`-operator evaluator of the H expansions that
+`lusztig` kept to form a failing anchor's witness.
 """
 
 from fractions import Fraction
@@ -17,9 +20,9 @@ from itertools import chain
 from operator import mul
 
 from qonsager.linalg import Matrix, ShapeError
-from qonsager.lusztig import LusztigData, expand_H
+from qonsager.lusztig import LusztigData
 from qonsager.model import TDModel
-from qonsager.scalars import ParameterError, t_coeff
+from qonsager.scalars import ONE, ParameterError, t_coeff
 from qonsager.splitmaps import LadderSpectra, SplitMaps
 
 
@@ -38,6 +41,26 @@ def qweyl_bracket(x: Matrix, y: Matrix, q) -> Matrix:
     """(q XY - q^-1 YX)/(q - q^-1); the pair (X, Y) is q-Weyl when this is I."""
     q = Fraction(q)
     return q_commutator(x, y, q).scale(1 / (q - 1 / q))
+
+
+def is_qweyl_pair(x: Matrix, y: Matrix, q) -> bool:
+    """True when (q XY - q^-1 YX)/(q - q^-1) = I, tested on integer numerators.
+
+    With q = u/v, X = X_n/d_x and Y = Y_n/d_y this is
+    u^2 X_n Y_n - v^2 Y_n X_n = (u^2 - v^2) d_x d_y I; no matrix is built.
+    """
+    if not x.rows == x.cols == y.rows == y.cols:
+        raise ShapeError(f"q-Weyl test of {x.rows}x{x.cols} and {y.rows}x{y.cols}: need one square size")
+    q = Fraction(q)
+    u2, v2 = q.numerator**2, q.denominator**2
+    diagonal = (u2 - v2) * x.denominator * y.denominator
+    x_cols, y_cols = list(zip(*x.numerators)), list(zip(*y.numerators))
+    for i, (x_row, y_row) in enumerate(zip(x.numerators, y.numerators)):
+        for j, (x_col, y_col) in enumerate(zip(x_cols, y_cols)):
+            entry = u2 * sum(map(mul, x_row, y_col)) - v2 * sum(map(mul, y_row, x_col))
+            if entry != (diagonal if i == j else 0):
+                return False
+    return True
 
 
 def qdg_residuals(a: Matrix, astar: Matrix, q: Fraction) -> tuple[Matrix, Matrix]:
@@ -282,6 +305,43 @@ def check_L_entrywise(model: TDModel, lus: LusztigData):
             elif not dec.block_is_zero(star, i, j):
                 witness(i, j, model.Astar)
     return not failures, failures
+
+
+def expand_H(model: TDModel, r: int, variant: str = "ascending") -> tuple[Matrix, Matrix]:
+    """Evaluate one terminating polynomial expansion of H and its H^-1 partner in A.
+
+    ascending (anchor r): t_r sum_i a^i q^(i(d-2r)) (A-th_r)...(A-th_(r+i-1)) / (q^2;q^2)_i,
+    valid on V_r + ... + V_d.
+    descending (anchor s=r): t_s sum_i a^-i q^(i(2s-d)) (A-th_s)...(A-th_(s-i+1)) / (q^2;q^2)_i,
+    valid on V_0 + ... + V_s.
+    The H^-1 expansion flips a -> 1/a, q -> 1/q and uses 1/t_r; it sums the
+    same products of (A - theta I) factors, so both are built from one chain.
+    Returns (expansion of H, expansion of H^-1).
+    """
+    d = model.d
+    if not 0 <= r <= d:
+        raise ParameterError(f"anchor index {r} out of range 0..{d}")
+    if variant not in ("ascending", "descending"):
+        raise ParameterError(f"variant must be 'ascending' or 'descending', got {variant!r}")
+    p = model.params
+    q, a = p.q, p.a
+    ident = Matrix.identity(model.dim)
+    tr = p.ts[r]
+    out, out_inv = Matrix.zero(model.dim), Matrix.zero(model.dim)
+    running = ident  # the growing product of (A - theta I) factors
+    coeff = ONE  # the growing power of the step below
+    if variant == "ascending":
+        length, step = d - r, a * q ** (d - 2 * r)
+    else:
+        length, step = r, q ** (2 * r - d) / a
+    for i in range(length + 1):
+        if i > 0:
+            idx = (r + i - 1) if variant == "ascending" else (r - i + 1)
+            running = running * (model.A - ident.scale(model.theta[idx]))
+            coeff *= step
+        out = out + running.scale(coeff / p.q2_poch[i])
+        out_inv = out_inv + running.scale(1 / (coeff * p.q2_inv_poch[i]))
+    return out.scale(tr), out_inv.scale(1 / tr)
 
 
 def check_H_expansions(model: TDModel, lus: LusztigData):

@@ -11,7 +11,6 @@ from qonsager import splitmaps, suite
 from qonsager.equitable import (
     build_triple_table,
     check_equitable_triple,
-    check_qweyl_ladder,
     qweyl_ladder,
     qweyl_residual,
     verify_diagrams,
@@ -22,7 +21,6 @@ from qonsager.linalg import (
     Matrix,
     ShapeError,
     Subspace,
-    is_qweyl_pair,
     kernel,
     shifted_product_images,
 )
@@ -36,7 +34,7 @@ from qonsager.splitmaps import (
     qweyl_eigenvalues,
 )
 
-from identity_reference import qweyl_bracket
+from identity_reference import is_qweyl_pair, qweyl_bracket
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -73,7 +71,7 @@ def line(*coords):
 
 def test_qweyl_identity_pair():
     ident = Matrix.identity(2)
-    assert is_qweyl_pair(ident, ident, F(2))
+    assert qweyl_residual(ident, ident, F(2)) is None
 
 
 def test_qweyl_golden_ZX_pair(golden):
@@ -81,20 +79,20 @@ def test_qweyl_golden_ZX_pair(golden):
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     assert x == Matrix([[F(1, 2), 0], [3, 2]])
-    assert is_qweyl_pair(s.K, x, F(2))  # the (Z, X) relation of row 1
+    assert qweyl_residual(s.K, x, F(2)) is None  # the (Z, X) relation of row 1
 
 
 def test_qweyl_golden_XY_pair(golden):
     model, _, s = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
-    assert is_qweyl_pair(x, s.M.inverse(), F(2))
+    assert qweyl_residual(x, s.M.inverse(), F(2)) is None
 
 
 def test_qweyl_order_matters(golden):
     model, _, s = golden
     # (K, M^-1) in that order is not a q-Weyl pair at the golden parameters.
-    assert not is_qweyl_pair(s.K, s.M.inverse(), F(2))
+    assert qweyl_residual(s.K, s.M.inverse(), F(2)) is not None
 
 
 def test_equitable_triple_identity():
@@ -121,15 +119,24 @@ def test_equitable_triple_reversed_order_fails(golden):
 
 
 def test_equitable_triple_reports_singular_input():
+    """The invertibility failures come first; the q-Weyl relations of the row are tested too."""
     ident = Matrix.identity(2)
+    minus_ident = Matrix([[-1, 0], [0, -1]])
     ok, failures = check_equitable_triple(Matrix.zero(2), ident, ident, F(2))
     assert not ok
-    assert failures == [("X invertible", "matrix is singular: rank 0 < 2")]
+    assert failures == [
+        ("X invertible", "matrix is singular: rank 0 < 2"),
+        ("q-Weyl (X,Y)", minus_ident),
+        ("q-Weyl (Z,X)", minus_ident),
+    ]
     ok, failures = check_equitable_triple(ident, Matrix([[1, 2], [2, 4]]), Matrix.zero(2), F(2))
     assert not ok
     assert failures == [
         ("Y invertible", "matrix is singular: rank 1 < 2"),
         ("Z invertible", "matrix is singular: rank 0 < 2"),
+        ("q-Weyl (X,Y)", Matrix([[0, 2], [2, 3]])),
+        ("q-Weyl (Y,Z)", minus_ident),
+        ("q-Weyl (Z,X)", minus_ident),
     ]
 
 
@@ -162,7 +169,7 @@ def test_qweyl_ladder_golden(golden):
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     y = s.M.inverse()
-    ok, failures = check_qweyl_ladder(x, y, F(2), _spectra(model))
+    ok, failures = qweyl_ladder(x, y, F(2), _spectra(model))
     assert ok, failures
     # Y_0 = span(e_0 - 2 e_1) = X_1: the crossing at the golden parameters.
     y0 = kernel(y - Matrix.identity(2).scale(F(2)))
@@ -187,14 +194,15 @@ def test_qweyl_ladder_detects_perturbed_partner(golden):
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     perturbed = s.M.inverse() + Matrix([[0, F(1, 5)], [0, 0]])
-    ok, failures = check_qweyl_ladder(x, perturbed, F(2), _spectra(model))
+    assert qweyl_residual(x, perturbed, F(2)) is not None
+    ok, failures = qweyl_ladder(x, perturbed, F(2), _spectra(model))
     assert not ok
     assert failures
 
 
 def test_qweyl_ladder_reports_missing_eigenvalue():
     ident = Matrix.identity(2)
-    ok, failures = check_qweyl_ladder(ident, ident, F(2), LadderSpectra(1, F(2)))
+    ok, failures = qweyl_ladder(ident, ident, F(2), LadderSpectra(1, F(2)))
     assert not ok
     assert any("precondition" in name for name, _ in failures)
 
@@ -251,9 +259,9 @@ def test_integer_qweyl_test_agrees_with_the_residual():
             assert is_qweyl_pair(x, y, q), seed
     assert verdicts == {True, False}
     ident = Matrix.identity(2)
-    assert is_qweyl_pair(ident, ident, F(2)) and is_qweyl_pair(ident, ident, F(1, 3))
+    assert qweyl_residual(ident, ident, F(2)) is qweyl_residual(ident, ident, F(1, 3)) is None
     with pytest.raises(ShapeError):
-        is_qweyl_pair(ident, Matrix.identity(3), F(2))
+        qweyl_residual(ident, Matrix.identity(3), F(2))
 
 
 def _subspace_ladder_step(x, y, lam, q, part):
@@ -301,21 +309,39 @@ def test_a_perturbed_table_row_fails_each_equitable_check():
 
 
 def test_ladders_test_the_qweyl_relation_in_a_row_with_a_singular_member():
-    """The table tests no q-Weyl relation in such a row, so the ladders test it before the steps.
+    """The table tests the q-Weyl relations of such a row too, and the ladders read its verdicts.
 
     Y conjugated by a shear keeps the ladder spectrum but breaks its q-Weyl
-    relation with X, so the steps alone would name a ladder step.
+    relation with X, so the steps alone would name a ladder step. The
+    records are those the checks gave when the ladders tested the relation
+    of such a row themselves.
     """
+    target = suite.make_param_target(1, F(2), F(3), F(5), (F(1),))
     ctx = suite.TargetContext(build_model(GOLDEN))
     label, x, y, z = ctx.triple_table[0]
     shear = Matrix([[1, 1], [0, 1]])
     sheared = shear * y * shear.inverse()
     ctx._built["triple_table"] = ((label, x, sheared, Matrix.zero(2)),) + ctx.triple_table[1:]
-    assert ctx.table_check == (False, [("1", "Z invertible", "matrix is singular: rank 0 < 2")])
+    minus_ident = Matrix([[-1, 0], [0, -1]])
+    assert ctx.table_check == (
+        False,
+        [
+            ("1", "Z invertible", "matrix is singular: rank 0 < 2"),
+            ("1", "q-Weyl (X,Y)", Matrix([[F(-3, 2), 0], [0, 6]])),
+            ("1", "q-Weyl (Y,Z)", minus_ident),
+            ("1", "q-Weyl (Z,X)", minus_ident),
+        ],
+    )
     ok, failures = qweyl_ladder(x, sheared, F(2), ctx.spectra)
     assert not ok and failures[0][0].startswith("ladder step")
-    check = next(check for check_id, _, check in suite.SUITES["equitable"] if check_id == "equitable.ladders")
-    assert check(ctx) == (False, "row 1 pair (X,Y): precondition")
+    report = Report(target.label)
+    for check_id, detail, check in suite.SUITES["equitable"] + suite.SUITES["diagrams"]:
+        report.run(check_id, detail, lambda: check(ctx))
+    assert {c.name: (c.status, c.residual) for c in report.checks} == {
+        "equitable.table": ("fail", "('1', 'Z invertible'): matrix is singular: rank 0 < 2"),
+        "equitable.ladders": ("fail", "row 1 pair (X,Y): precondition"),
+        "diagrams.verify": ("fail", "('3-cycle row 1: Z invertible',): matrix is singular: rank 0 < 2"),
+    }
 
 
 def test_verify_diagrams(golden, d2):

@@ -10,9 +10,11 @@ the tridiagonal action on a pair whose A* escapes the band.
 
 `split.KA_relations` no longer tests the inverse forms
 qweyl[A,X^-1] = ... for X = K, B: their residuals are X^-1 R X^-1 for the
-residual R of qweyl[X,A], so the old form's failures are compared with
-those two names left out, and a test shows that leaving them out loses
-no failure and changes no first witness.
+residual R of qweyl[X,A]. Nor does it test the right products QP = I of
+its two inverse pairs: for square P and Q, PQ = I exactly when QP = I, and
+the left product PQ = I is listed first. The old form's failures are
+compared with those names left out, and tests show that leaving them out
+loses no failure and changes no first witness.
 """
 
 import random
@@ -113,8 +115,16 @@ def _reference_qdg(a, astar, q):
     return all(r is None for r in residuals), residuals
 
 
+# Each inverse-pair relation no longer tested, QP = I, and its tested partner PQ = I
+DROPPED_RIGHT = {
+    "inverse pair (K^-1 B, B K^-1): right product": "inverse pair (K^-1 B, B K^-1): left product",
+    "inverse pair (B^-1 K, K B^-1): right product": "inverse pair (B^-1 K, K B^-1): left product",
+}
+
+
 def _without_dropped(failures):
-    return [(name, r) for name, r in failures if name.removeprefix("down:") not in DROPPED_KA]
+    dropped = DROPPED_KA.keys() | DROPPED_RIGHT.keys()
+    return [(name, r) for name, r in failures if name.removeprefix("down:") not in dropped]
 
 
 def _kept_KA_relations(model, s):
@@ -129,8 +139,7 @@ def _assert_agree(ctx):
         got, want = _outcome(new, *args), _outcome(old, *args)
         assert got == want, name
         verdicts[name] = got[0] if isinstance(got, tuple) else got
-    for eps in (1, -1):
-        assert lusztig.lusztig_image(ctx.model, eps) == ref.lusztig_image(ctx.model, eps), eps
+    assert lusztig.lusztig_images(ctx.model) == tuple(ref.lusztig_image(ctx.model, eps) for eps in (1, -1))
     return verdicts
 
 
@@ -175,6 +184,24 @@ def test_the_dropped_KA_relations_lose_nothing():
         # the first failure, the report's witness, is not a dropped relation
         assert new[:1] == old[:1], seed
     assert shown
+
+
+def test_a_right_product_fails_exactly_when_its_left_product_does():
+    """On the seeded imports each dropped QP = I residual is nonzero exactly when its PQ = I one is."""
+    failing = pairs = 0
+    for seed in range(12):
+        ctx = suite.TargetContext(_perturbed_import(seed))
+        try:
+            s = ctx.split_maps
+        except (ModelError, ValueError):
+            continue
+        failed = {name for name, _ in ref.check_KA_relations(ctx.model, s)[1]}
+        for tag in ("", "down:"):
+            for right, left in DROPPED_RIGHT.items():
+                assert (tag + right in failed) == (tag + left in failed), (seed, tag, right)
+                failing += tag + left in failed
+                pairs += 1
+    assert pairs and failing
 
 
 def test_qdg_residuals_agree_on_dense_pairs():

@@ -11,14 +11,14 @@ from qonsager.lusztig import (
     check_L_conjugation,
     check_L_eigenstructure,
     check_L_entrywise,
-    expand_H,
-    lusztig_image,
+    lusztig_images,
 )
 from qonsager.model import build_model, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParamSet, t_coeff
 
 import expansion_reference
+from identity_reference import expand_H
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -52,14 +52,30 @@ def test_H_commutes_with_A(golden, d2):
 
 def test_lusztig_image_golden(golden):
     model, lus = golden
-    img = lusztig_image(model, +1)
+    img, _ = lusztig_images(model)
     assert img == Matrix([[F(81, 10), 9], [F(52, 45), F(49, 10)]])
     assert img.trace() == model.Astar.trace() == 13
 
 
 def test_lusztig_image_inverse_direction_is_H_conjugate(golden):
     model, lus = golden
-    assert lusztig_image(model, -1) == lus.H * model.Astar * lus.H_inv
+    assert lusztig_images(model)[1] == lus.H * model.Astar * lus.H_inv
+
+
+def test_both_images_form_their_three_products_once(d2, monkeypatch):
+    """A A A*, A A* A and A* A A take two integer products each, shared by L(A*) and L^-1(A*)."""
+    from qonsager import linalg
+
+    model, lus = d2
+    products, original = [], linalg._numerator_product
+
+    def counted(x, y):
+        products.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(linalg, "_numerator_product", counted)
+    assert lusztig_images(model) == (lus.LAstar, lus.LinvAstar)
+    assert len(products) == 6
 
 
 def test_conjugation_identities(golden, d2):
@@ -175,7 +191,7 @@ def test_inverse_twist_of_twisted_image_returns_Astar(golden, d2):
     # Applying the inverse-direction combination to L(A*) recovers A* because
     # A commutes with H: Y + [A,[A,Y]_(q^-1)]/((q-q^-1)(q^2-q^-2)) at Y = L(A*).
     for model, lus in (golden, d2):
-        assert lusztig_image(replace(model, Astar=lus.LAstar), -1) == model.Astar
+        assert lusztig_images(replace(model, Astar=lus.LAstar))[1] == model.Astar
 
 
 def _projector_entrywise_failures(model, lus):

@@ -22,6 +22,8 @@ from qonsager.linalg import Matrix
 from qonsager.report import Report
 from qonsager.scalars import ParamSet
 
+from identity_reference import expand_H
+
 REPO = Path(__file__).resolve().parents[1]
 SPLIT_ERROR = Path(__file__).resolve().parent / "data" / "split_error_d2.model"
 CONTAINMENT_ESCAPE = Path(__file__).resolve().parent / "data" / "containment_escape_d3.model"
@@ -82,8 +84,7 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (model, "check_tridiagonal_action"),
             (model, "check_irreducible"),
             (splitmaps, "h_conjugates"),
-            (lusztig, "expand_H"),
-            (linalg, "is_qweyl_pair"),
+            (equitable, "qweyl_residual"),
             (model, "qdg_residuals"),
         )
     }
@@ -132,11 +133,9 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     names = ("K", "B", "Kdown", "Bdown")
     assert all(row[1] is conj_inv[x] for row, x in zip(rows[:4], names))
     assert all(row[3] is conj[x] for row, x in zip(rows[4:], names))
-    # the expansions are applied to flag bases; expand_H only forms a failing anchor's witness
-    assert not calls["expand_H"]
     # the table tests each of its 24 pairs once and the ladders read its verdicts;
     # build_model and model.qdg share one evaluation of the q-Dolan/Grady residuals
-    assert len(calls["is_qweyl_pair"]) == 24
+    assert len(calls["qweyl_residual"]) == 24
     assert len(calls["qdg_residuals"]) == 1
     # 24 distinct matrices go through the q-ladder: K, B, Kdown and Bdown come
     # with their split decompositions, 8 take the reversed decomposition of
@@ -164,19 +163,25 @@ def _solved_model(d):
     return models[0]
 
 
-def test_expand_H_is_called_once_per_failing_anchor(monkeypatch):
-    calls = _count_calls(monkeypatch, lusztig, "expand_H")
+def test_corrupted_H_witnesses_equal_the_oracle_expansions_at_every_failing_anchor():
+    """Each witness is (expansion - H^(+-1)) E_flag, with the expansion from the `Matrix`-operator oracle."""
     ctx = suite.TargetContext(_solved_model(2))
-    lus = ctx.lusztig
+    m, lus = ctx.model, ctx.lusztig
     # doubling t_1 in H and H^-1 breaks both expansions at every anchor whose flag holds V_1
-    t = list(ctx.model.params.ts)
+    t = list(m.params.ts)
     t[1] *= 2
-    bad_h = ctx.model.eigenspaces_A.diagonal_map(t)
-    ok, failures = lusztig.check_H_expansions(ctx.model, replace(lus, H=bad_h, H_inv=bad_h.inverse()))
+    bad_h = m.eigenspaces_A.diagonal_map(t)
+    ok, failures = lusztig.check_H_expansions(m, replace(lus, H=bad_h, H_inv=bad_h.inverse()))
     anchors = [("ascending", 0), ("ascending", 1), ("descending", 1), ("descending", 2)]
     assert not ok
-    assert sorted((variant, r) for variant, inverse, r, _ in failures) == sorted(anchors * 2)
-    assert sorted((variant, r) for _, r, variant in calls) == sorted(anchors)
+    assert [(variant, inverse, r) for variant, inverse, r, _ in failures] == sorted(
+        (variant, inverse, r) for variant, r in anchors for inverse in (False, True)
+    )
+    for variant, inverse, r, witness in failures:
+        parts = range(r, m.d + 1) if variant == "ascending" else range(r + 1)
+        target = bad_h.inverse() if inverse else bad_h
+        want = (expand_H(m, r, variant)[inverse] - target) * m.eigenspaces_A.projector(parts)
+        assert witness == want and not want.is_zero(), (variant, inverse, r)
 
 
 # The checks that evaluate their identities with `linalg.Products`
