@@ -4,19 +4,20 @@ H = sum_i t_i E_i acts on a model so that conjugation by H realizes the
 algebra automorphism fixing A and shifting A*; its inverse is the same sum
 with 1/t_i. L(A*) and L^-1(A*) share their products (`lusztig_images`).
 Four terminating polynomial expansions of H and H^-1 in A hold on
-ascending/descending eigenflags of A; `check_H_expansions` evaluates them
-on the flags' bases, witnesses included.
+ascending/descending eigenflags of A; on an eigenvector of A each is a
+scalar, a Chu-Vandermonde sum, so `check_H_expansions` compares H P and
+H^-1 P with the eigenbasis P scaled by those sums, witnesses included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
-from .linalg import Decomposition, Matrix, Numerators, Products, kernel
+from .linalg import Decomposition, Matrix, Products, kernel
 from .model import TDModel
-from .scalars import ONE
+from .scalars import chu_vandermonde_sums
 
 
 @dataclass(frozen=True)
@@ -172,49 +173,46 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
     descending (anchor s=r): t_s sum_i a^-i q^(i(2s-d)) (A-th_s)...(A-th_(s-i+1)) / (q^2;q^2)_i,
     valid on V_0 + ... + V_s.
     The H^-1 expansion flips a -> 1/a, q -> 1/q and uses 1/t_r.
-    At each anchor both expansions are applied to the flag's columns of P,
-    the eigenspace bases of its parts: one product per factor (A - theta I),
-    shared by the H and H^-1 expansions (`Products`), then compared with H
-    and H^-1 applied to the same columns. Those columns are a basis of the
-    flag, so a zero residual proves that the expansion equals H^(+-1) on the
-    whole flag. The flag projector is the flag's columns of P times its rows
-    of P^-1, so a failing residual times those rows is the witness
+    On a column of P, the eigenbasis of A, in V_s each factor A - th_k acts
+    as th_s - th_k, so the expansion at anchor r acts as t_r^(+-1) times the
+    sum `chu_vandermonde_sums` gives at (min(r, s), max(r, s)). H P and
+    H^-1 P are formed once each (`Products`), and a flag's columns of them
+    are compared with P's scaled by those values; the columns are a basis
+    of the flag. The flag projector is those columns of P times its rows of
+    P^-1, so a failing residual times those rows is the witness
     (expansion - H^(+-1)) times the exact flag projector.
     Returns (passed, failures) as (variant, inverse, r, residual).
     """
-    d, n = model.d, model.dim
-    p = model.params
-    q, a = p.q, p.a
+    d, n, p = model.d, model.dim, model.params
     dec = model.eigenspaces_A
-    products = Products(n)
-    factors = [products.combination([(1, (model.A,)), (-th, ())]) for th in model.theta]
+    basis = dec.basis_matrix()  # integral: its denominator is 1
+    part_of = [s for s in range(d + 1) for _ in dec[s].numerators]  # the V_s of each column of P
+    sums = {(r, s): chu_vandermonde_sums(r, s, p) for r in range(d + 1) for s in range(r, d + 1)}
+    images = [Products(n).product((target, basis)) for target in (lus.H, lus.H_inv)]
     failures = []
-    for variant in ("ascending", "descending"):
-        for r in range(d + 1):
-            # the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
-            parts = range(r, d + 1) if variant == "ascending" else range(r + 1)
-            columns = list(chain.from_iterable(dec[k].numerators for k in parts))
-            flag = Numerators(list(zip(*columns)), 1)
-            if variant == "ascending":
-                order, step = range(r, d), a * q ** (d - 2 * r)
-            else:
-                order, step = range(r, 0, -1), q ** (2 * r - d) / a
-            # the i-th chain applies i factors (A - theta I) to the flag; the i-th coefficient is step^i
-            chains, coeffs = [(flag,)], [ONE]
-            for idx in order:
-                chains.append((factors[idx],) + chains[-1])
-                coeffs.append(coeffs[-1] * step)
-            tr = p.ts[r]
-            expansion = [(tr * c / p.q2_poch[i], x) for i, (c, x) in enumerate(zip(coeffs, chains))]
-            expansion_inv = [(1 / (tr * c * p.q2_inv_poch[i]), x) for i, (c, x) in enumerate(zip(coeffs, chains))]
-            for inverse, terms, target in ((False, expansion, lus.H), (True, expansion_inv, lus.H_inv)):
-                resid = products.residual(terms + [(-1, (target, flag))])
-                if resid is not None:
-                    # the flag's parts come first (descending) or last (ascending) among the rows of P^-1
-                    p_inv = dec.basis_inverse()
-                    k = len(columns)
-                    rows = p_inv.numerators[n - k:] if variant == "ascending" else p_inv.numerators[:k]
-                    failures.append((variant, inverse, r, resid * Matrix(rows, p_inv.denominator)))
     # report order: ascending before descending, H before H^-1, then by anchor
-    failures.sort(key=lambda failure: failure[:3])
+    for variant in ("ascending", "descending"):
+        for inverse in (False, True):
+            image, den = images[inverse]
+            family = variant + "_inv" * inverse
+            for r in range(d + 1):
+                scale = 1 / p.ts[r] if inverse else p.ts[r]
+                # the value on each column c of the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
+                values = {
+                    c: scale * sums[min(r, s), max(r, s)][family][0]
+                    for c, s in enumerate(part_of)
+                    if (s >= r if variant == "ascending" else s <= r)
+                }
+                if all(
+                    image[i][c] * v.denominator == v.numerator * den * basis.numerators[i][c]
+                    for c, v in values.items()
+                    for i in range(n)
+                ):
+                    continue
+                resid = [
+                    [v * basis.numerators[i][c] - Fraction(image[i][c], den) for c, v in values.items()] for i in range(n)
+                ]
+                p_inv = dec.basis_inverse()
+                rows = [p_inv.numerators[c] for c in values]
+                failures.append((variant, inverse, r, Matrix(resid) * Matrix(rows, p_inv.denominator)))
     return not failures, failures

@@ -17,8 +17,7 @@ from qonsager.model import build_model, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParamSet, t_coeff
 
-import expansion_reference
-from identity_reference import expand_H
+import identity_reference
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -131,27 +130,6 @@ def test_eigenvalue_multiset_via_trace_and_det(golden):
     assert det == F(101, 10) * F(29, 10)
 
 
-def test_expand_H_full_space_at_anchor_zero(golden):
-    model, lus = golden
-    assert expand_H(model, 0, "ascending") == (lus.H, lus.H_inv)
-
-
-def test_expand_H_descending_full_space_at_top_anchor(golden):
-    model, lus = golden
-    d = model.d
-    assert expand_H(model, d, "descending") == (lus.H, lus.H_inv)
-
-
-def test_expand_H_single_term_at_top(golden):
-    model, lus = golden
-    d = model.d
-    poly, poly_inv = expand_H(model, d, "ascending")
-    assert poly == Matrix.identity(model.dim).scale(model.params.ts[d])
-    assert poly_inv == Matrix.identity(model.dim).scale(1 / model.params.ts[d])
-    resid = (poly - lus.H) * model.eigenspaces_A.projector([d])
-    assert resid.is_zero()
-
-
 EXPANSION_PARAMS = [
     (d, q, a, b)
     for d in range(1, 7)
@@ -159,16 +137,32 @@ EXPANSION_PARAMS = [
 ]
 
 
+def _with_doubled_t1(model, lus):
+    """H and H^-1 rebuilt with t_1 doubled: every expansion whose flag contains V_1 fails."""
+    t = list(model.params.ts)
+    t[1] *= 2
+    bad_h = model.eigenspaces_A.diagonal_map(t)
+    return replace(lus, H=bad_h, H_inv=bad_h.inverse())
+
+
+def _with_sheared_H(model, lus):
+    """H -> H (I + E_0d): H^-1 is left as it was, so only the expansions of H fail."""
+    n = model.dim
+    shear = Matrix([[int(r == c or (r, c) == (0, n - 1)) for c in range(n)] for r in range(n)])
+    return replace(lus, H=lus.H * shear)
+
+
 @pytest.mark.parametrize("d, q, a, b", EXPANSION_PARAMS, ids=lambda v: str(v))
 def test_paired_expansions_match_the_reference(d, q, a, b):
-    """Both halves of every pair equal the one-expansion-per-call reference."""
+    """The H and H^-1 expansions of every anchor fail and witness as in the `Matrix`-operator reference check."""
     models = []
     assert solve_phi(d, q, a, b, limit=1, models=models)
     model = models[0]
-    for variant in ("ascending", "descending"):
-        for r in range(d + 1):
-            pair = expand_H(model, r, variant)
-            assert pair == tuple(expansion_reference.expand_H(model, r, variant, inverse) for inverse in (False, True))
+    lus = build_H(model)
+    cases = (lus, _with_doubled_t1(model, lus), _with_sheared_H(model, lus))
+    outcomes = [check_H_expansions(model, h) for h in cases]
+    assert outcomes == [identity_reference.check_H_expansions(model, h) for h in cases]
+    assert [ok for ok, _ in outcomes] == [True, False, False]
 
 
 def test_expansions_all_anchors(golden, d2):
@@ -177,14 +171,20 @@ def test_expansions_all_anchors(golden, d2):
         assert ok, [(v, i, r) for v, i, r, _ in failures]
 
 
-def test_expand_H_rejects_bad_anchor(golden):
-    model, _ = golden
-    from qonsager.scalars import ParameterError
+def test_expansions_form_two_products_on_a_passing_target(d2, monkeypatch):
+    """H P and H^-1 P, for P the eigenbasis of A; every expansion is a scalar on each column of P."""
+    from qonsager import linalg
 
-    with pytest.raises(ParameterError):
-        expand_H(model, model.d + 1, "ascending")
-    with pytest.raises(ParameterError):
-        expand_H(model, 0, "sideways")
+    model, lus = d2
+    products, original = [], linalg._numerator_product
+
+    def counted(x, y):
+        products.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(linalg, "_numerator_product", counted)
+    assert check_H_expansions(model, lus) == (True, [])
+    assert len(products) == 2
 
 
 def test_inverse_twist_of_twisted_image_returns_Astar(golden, d2):
@@ -224,7 +224,7 @@ def _projector_expansion_failures(model, lus):
                 flag_proj = Matrix.zero(model.dim)
                 for i in indices:
                     flag_proj = flag_proj + e[i]
-                resid = (expansion_reference.expand_H(model, r, variant, inverse) - target) * flag_proj
+                resid = (identity_reference.expand_H(model, r, variant)[inverse] - target) * flag_proj
                 if not resid.is_zero():
                     failures.append((variant, inverse, r, resid))
     return failures

@@ -11,10 +11,12 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction as F
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qonsager import equitable, linalg, lusztig, model, scalars, splitmaps, suite
 from qonsager.cli import main
@@ -569,9 +571,8 @@ TABLE_CONTROLS = [
 ]
 
 
-@pytest.mark.parametrize("check_id, perturb, flipped", TABLE_CONTROLS, ids=[c[0] for c in TABLE_CONTROLS])
-def test_each_table_id_flips_under_its_perturbation(check_id, perturb, flipped):
-    suite_name = check_id.split(".")[0]
+def _failing_after(suite_name, perturb):
+    """{check id: (status, witness)} for the ids of the suite that no longer pass once `perturb` has run."""
     ctx = suite.TargetContext(_solved_model(2))
     for cid, _, check in suite.SUITES[suite_name]:
         assert check(ctx) == (True, None), cid  # the tables are built and cached before the change
@@ -581,5 +582,63 @@ def test_each_table_id_flips_under_its_perturbation(check_id, perturb, flipped):
         record = Report("t").run(cid, detail, partial(check, ctx)).to_record()
         if record["status"] != "pass":
             failing[cid] = (record["status"], record.get("residual"))
+    return failing
+
+
+@pytest.mark.parametrize("check_id, perturb, flipped", TABLE_CONTROLS, ids=[c[0] for c in TABLE_CONTROLS])
+def test_each_table_id_flips_under_its_perturbation(check_id, perturb, flipped):
+    failing = _failing_after(check_id.split(".")[0], perturb)
     assert check_id in failing
     assert failing == flipped
+
+
+# (q^2;q^2)_1 or (q^-2;q^-2)_1 doubled: H is unchanged, but the Chu-Vandermonde
+# sums that give the expansions of H (or of H^-1) on the eigenvectors of A move
+POCHHAMMER_CONTROLS = [
+    ("q2_poch", "('ascending', False, 0): Matrix([[0, 0, 0], [2, -35/2, 0], [0, 2, -20]])"),
+    ("q2_inv_poch", "('ascending', True, 0): Matrix([[0, 0, 0], [-1/18, 35/72, 0], [0, -1/18, 5/9]])"),
+]
+
+
+@pytest.mark.parametrize("table, witness", POCHHAMMER_CONTROLS, ids=[c[0] for c in POCHHAMMER_CONTROLS])
+def test_the_expansions_flip_under_a_doubled_pochhammer_entry(table, witness):
+    failing = _failing_after("lusztig", _replaced_table(table, lambda t: (t[0], 2 * t[1]) + t[2:]))
+    assert failing == {"lusztig.expansions": ("fail", witness)}
+
+
+@cache
+def _base_model(d, q, a, b):
+    if d == 1:
+        return model.build_model(ParamSet(1, q, a, b, (F(1),)))
+    models = []
+    assert model.solve_phi(d, q, a, b, limit=1, models=models)
+    return models[0]
+
+
+@st.composite
+def conjugated_pairs(draw):
+    """(P A P^-1, P A* P^-1) imported at d <= 3 for a built pair (A, A*) and a dense unimodular integral P."""
+    d = draw(st.integers(1, 3))
+    q, a, b = draw(st.sampled_from([(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]))
+    base = _base_model(d, q, a, b)
+    # P = (I + strictly lower) (I + strictly upper)
+    n = d + 1
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    lower = Matrix([[1 if r == c else entries[r * n + c] if r > c else 0 for c in range(n)] for r in range(n)])
+    upper = Matrix([[1 if r == c else entries[r * n + c] if r < c else 0 for c in range(n)] for r in range(n)])
+    p = lower * upper
+    p_inv = p.inverse()
+    return model.assemble_imported(base.params, p * base.A * p_inv, p * base.Astar * p_inv)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(conjugated_pairs())
+def test_an_isomorphic_copy_of_a_built_pair_passes_every_check(pair):
+    """Each check states a basis-free property of (A, A*), so conjugating the pair by any invertible P keeps it."""
+    ctx = suite.TargetContext(pair)
+    report = Report("conjugated")
+    for name in suite.SUITE_NAMES:
+        for check_id, detail, check in suite.SUITES[name]:
+            report.run(check_id, detail, partial(check, ctx))
+    assert len(report.checks) == 27
+    assert [(c.name, c.status, c.residual) for c in report.checks if not c.passed] == []
