@@ -45,10 +45,11 @@ def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix | None:
     return Matrix(rows, diagonal)
 
 
-def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):
+def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra: LadderSpectra | None = None):
     """Invertibility of each member, then all three cyclic q-Weyl relations.
 
-    Invertibility is certified by the memoized `Matrix.inverse()`; a
+    A member that `spectra` decomposes on the ladder is invertible, as no
+    ladder value is zero; any other is inverted (`Matrix.inverse()`). A
     singular input is reported as a failure entry rather than raised, and
     the q-Weyl relations are tested in that row too. Returns
     (passed, failures) as (name, residual), the invertibility failures first.
@@ -56,7 +57,8 @@ def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):
     failures = []
     for name, mat in (("X", x), ("Y", y), ("Z", z)):
         try:
-            mat.inverse()
+            if spectra is None or not spectra.holds(mat):
+                mat.inverse()
         except SingularMatrixError as exc:
             failures.append((f"{name} invertible", str(exc)))
     for name, left, right in (("(X,Y)", x, y), ("(Y,Z)", y, z), ("(Z,X)", z, x)):
@@ -66,17 +68,17 @@ def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):
     return not failures, failures
 
 
-def build_triple_table(s: SplitMaps) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+def build_triple_table(s: SplitMaps, spectra: LadderSpectra | None = None) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
     """The eight equitable-triple rows (label, X, Y, Z) from the split maps and their H-conjugates.
 
     Rows 1-4 are (H X^-1 H^-1, M^-1 or Mdown^-1, X) and rows 5-8 are
     (X^-1, N^-1 or Ndown^-1, H^-1 X H) for X = K, B, Kdown, Bdown, with the
     conjugates in their closed forms, such as a A - a^2 K for H K^-1 H^-1.
+    X^-1 is kept on X (`build_split_maps`); M^-1, N^-1 and the down
+    analogues are read from `spectra` where given (`LadderSpectra.inverse`).
     """
-    m_inv = s.M.inverse()
-    n_inv = s.N.inverse()
-    md_inv = s.Mdown.inverse()
-    nd_inv = s.Ndown.inverse()
+    invert = Matrix.inverse if spectra is None else spectra.inverse
+    m_inv, n_inv, md_inv, nd_inv = (invert(x) for x in (s.M, s.N, s.Mdown, s.Ndown))
     conj, conj_inv = s.conjugates
     return (
         ("1", conj_inv["K"], m_inv, s.K),
@@ -90,15 +92,15 @@ def build_triple_table(s: SplitMaps) -> tuple[tuple[str, Matrix, Matrix, Matrix]
     )
 
 
-def verify_triple_table(model: TDModel, table):
-    """Every row (label, X, Y, Z) of `table` passes all three cyclic q-Weyl relations exactly.
+def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = None):
+    """Every row (label, X, Y, Z) of `table` passes `check_equitable_triple` with `spectra`.
 
     Returns (passed, failures) as (row label, name, residual).
     """
     q = model.params.q
     failures = []
     for label, x, y, z in table:
-        ok, row_failures = check_equitable_triple(x, y, z, q)
+        ok, row_failures = check_equitable_triple(x, y, z, q, spectra)
         if not ok:
             failures.extend((label, name, resid) for name, resid in row_failures)
     return not failures, failures

@@ -58,8 +58,8 @@ def _memo(slot):
     return slot() if type(slot) is ref else slot
 
 
-def _link_inverses(m, inv) -> None:
-    """Keep `inv` on `m` as its inverse, and `m` on `inv` through a weak back-reference."""
+def link_inverses(m, inv) -> None:
+    """Keep `inv` on `m` as its inverse, and `m` on `inv` through a weak back-reference; `inv` must be m^-1."""
     object.__setattr__(inv, "_inverse", ref(m))
     object.__setattr__(m, "_inverse", inv)
 
@@ -288,7 +288,7 @@ class Matrix:
         den = lcm(*(row[i] for i, row in enumerate(aug)))
         scale = self.denominator
         inv = Matrix([[e * (scale * den // row[i]) for e in row[n:]] for i, row in enumerate(aug)], den)
-        _link_inverses(self, inv)
+        link_inverses(self, inv)
         return inv
 
     def cached_inverse(self) -> "Matrix | None":
@@ -665,7 +665,7 @@ class Decomposition:
         start = other._offsets()
         blocks = [known.numerators[lo:hi] for lo, hi in zip(start, start[1:])]
         inv = Matrix(list(chain.from_iterable(reversed(blocks))), known.denominator)
-        _link_inverses(self.basis_matrix(), inv)
+        link_inverses(self.basis_matrix(), inv)
         return inv
 
     def basis_inverse(self) -> Matrix:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .linalg import Decomposition, Matrix, Products, kernel
 from .model import TDModel
-from .scalars import chu_vandermonde_sums
+from .scalars import chu_vandermonde_table
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
     The H^-1 expansion flips a -> 1/a, q -> 1/q and uses 1/t_r.
     On a column of P, the eigenbasis of A, in V_s each factor A - th_k acts
     as th_s - th_k, so the expansion at anchor r acts as t_r^(+-1) times the
-    sum `chu_vandermonde_sums` gives at (min(r, s), max(r, s)). H P and
+    sum `chu_vandermonde_table` holds at (min(r, s), max(r, s)). H P and
     H^-1 P are formed once each (`Products`), and a flag's columns of them
     are compared with P's scaled by those values; the columns are a basis
     of the flag. The flag projector is those columns of P times its rows of
@@ -187,7 +187,7 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
     dec = model.eigenspaces_A
     basis = dec.basis_matrix()  # integral: its denominator is 1
     part_of = [s for s in range(d + 1) for _ in dec[s].numerators]  # the V_s of each column of P
-    sums = {(r, s): chu_vandermonde_sums(r, s, p) for r in range(d + 1) for s in range(r, d + 1)}
+    sums = chu_vandermonde_table(p)
     images = [Products(n).product((target, basis)) for target in (lus.H, lus.H_inv)]
     failures = []
     # report order: ascending before descending, H before H^-1, then by anchor
@@ -197,20 +197,22 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
             family = variant + "_inv" * inverse
             for r in range(d + 1):
                 scale = 1 / p.ts[r] if inverse else p.ts[r]
+                row = [sums[min(r, s), max(r, s)][family] for s in range(d + 1)]
                 # the value on each column c of the flag V_r+...+V_d (ascending) or V_0+...+V_r (descending)
                 values = {
-                    c: scale * sums[min(r, s), max(r, s)][family][0]
+                    c: (scale.numerator * row[s][0], scale.denominator * row[s][1])
                     for c, s in enumerate(part_of)
                     if (s >= r if variant == "ascending" else s <= r)
                 }
                 if all(
-                    image[i][c] * v.denominator == v.numerator * den * basis.numerators[i][c]
-                    for c, v in values.items()
+                    image[i][c] * vd == vn * den * basis.numerators[i][c]
+                    for c, (vn, vd) in values.items()
                     for i in range(n)
                 ):
                     continue
                 resid = [
-                    [v * basis.numerators[i][c] - Fraction(image[i][c], den) for c, v in values.items()] for i in range(n)
+                    [Fraction(*v) * basis.numerators[i][c] - Fraction(image[i][c], den) for c, v in values.items()]
+                    for i in range(n)
                 ]
                 p_inv = dec.basis_inverse()
                 rows = [p_inv.numerators[c] for c in values]

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -206,52 +206,75 @@ def t_seq(i: int, p: ParamSet) -> Fraction:
     return p.ts[i]
 
 
-def chu_vandermonde_sums(r: int, s: int, p: ParamSet) -> dict[str, tuple[Fraction, Fraction]]:
-    """Evaluate the four terminating summation identities at (r, s).
+def _summed(p: ParamSet, thetas, poch, poch_inv, ts) -> dict[tuple[int, int], dict[str, tuple[int, ...]]]:
+    """`chu_vandermonde_table` from the tables given.
 
-    Returns a map from identity name to (sum value, expected t-ratio); the
-    identity holds when the pair is equal. Names: "ascending" and
-    "ascending_inv" sum products (th_s - th_(r+k)); "descending" and
-    "descending_inv" sum products (th_r - th_(s-k)). Each sum is evaluated
-    term by term, with running products of the theta factors and of the
-    powers (a q^(d-2r))^i and (a^-1 q^(2s-d))^i.
+    With theta_k = th[k]/D and 1/(q^2;q^2)_i = w[i]/W, each sum of
+    (x/y)^i F_i w[i]/(D^i W) over i <= m, F_i its first i theta factors
+    multiplied, is taken over (y D)^m W by Horner's rule; the partner family
+    shares F_i, with the step y/x and (q^-2;q^-2)_i.
     """
+    th_den = lcm(*(t.denominator for t in thetas))
+    th = [t.numerator * (th_den // t.denominator) for t in thetas]
+    w_den, w_inv_den = lcm(*(v.numerator for v in poch)), lcm(*(v.numerator for v in poch_inv))
+    w = [v.denominator * (w_den // v.numerator) for v in poch]
+    w_inv = [v.denominator * (w_inv_den // v.numerator) for v in poch_inv]
+    steps = [p.a * p.q ** (p.d - 2 * k) for k in range(p.d + 1)]
+
+    def family_pair(factors, x, y, want):
+        xd, yd = x * th_den, y * th_den
+        g, h, acc, acc_inv = 1, 1, w[0], w_inv[0]  # g = x^i F_i and h = y^i F_i
+        for i, f in enumerate(factors, 1):
+            g, h = g * x * f, h * y * f
+            acc, acc_inv = acc * yd + g * w[i], acc_inv * xd + h * w_inv[i]
+        return (acc, yd ** len(factors) * w_den, *want), (acc_inv, xd ** len(factors) * w_inv_den, *want[::-1])
+
+    table = {}
+    names = ("ascending", "ascending_inv", "descending", "descending_inv")
+    for r in range(p.d + 1):
+        for s in range(r, p.d + 1):
+            up, down = steps[r], steps[s]  # q^(2s-d)/a, the descending step, is 1/(a q^(d-2s))
+            ratio = (ts[s].numerator * ts[r].denominator, ts[s].denominator * ts[r].numerator)
+            sums = family_pair([th[s] - th[r + k] for k in range(s - r)], up.numerator, up.denominator, ratio)
+            sums += family_pair([th[r] - th[s - k] for k in range(s - r)], down.denominator, down.numerator, ratio[::-1])
+            table[r, s] = dict(zip(names, sums))
+    return table
+
+
+def chu_vandermonde_table(p: ParamSet) -> dict[tuple[int, int], dict[str, tuple[int, ...]]]:
+    """The four summation identities at every 0 <= r <= s <= d, on integers, summed once per set of tables.
+
+    Entry (r, s) maps each identity name to (sum numerator, sum denominator,
+    t-ratio numerator, t-ratio denominator), not reduced. "ascending(_inv)"
+    sum products (th_s - th_(r+k)) with powers (a q^(d-2r))^(+-i), against
+    t_s/t_r or its inverse; "descending(_inv)" products (th_r - th_(s-k))
+    with (a^-1 q^(2s-d))^(+-i), against t_r/t_s or its inverse. The table is
+    kept on `p` with `thetas`, `q2_poch`, `q2_inv_poch` and `ts`, and summed
+    again once one of them is replaced.
+    """
+    tables = (p.thetas, p.q2_poch, p.q2_inv_poch, p.ts)
+    held = p.__dict__.get("_chu_vandermonde")
+    if held is None or any(x is not y for x, y in zip(held[0], tables)):
+        held = p.__dict__["_chu_vandermonde"] = tables, _summed(p, *tables)
+    return held[1]
+
+
+def chu_vandermonde_sums(r: int, s: int, p: ParamSet) -> dict[str, tuple[Fraction, Fraction]]:
+    """{name: (sum value, expected t-ratio)} at (r, s) from `chu_vandermonde_table`; equal when the identity holds."""
     if not 0 <= r <= s <= p.d:
         raise ParameterError(f"need 0 <= r <= s <= d, got r={r}, s={s}, d={p.d}")
-    q, a, d = p.q, p.a, p.d
-    th, poch, poch_inv = p.thetas, p.q2_poch, p.q2_inv_poch
-    up_step, down_step = a * q ** (d - 2 * r), q ** (2 * s - d) / a
-    up = down = up_power = down_power = ONE
-    asc = asc_inv = desc = desc_inv = ZERO
-    for i in range(s - r + 1):
-        if i:
-            up *= th[s] - th[r + i - 1]
-            down *= th[r] - th[s - i + 1]
-            up_power *= up_step
-            down_power *= down_step
-        asc += up_power * up / poch[i]
-        asc_inv += up / (up_power * poch_inv[i])
-        desc += down_power * down / poch[i]
-        desc_inv += down / (down_power * poch_inv[i])
-    ts_tr = p.ts[s] / p.ts[r]
-    return {
-        "ascending": (asc, ts_tr),
-        "ascending_inv": (asc_inv, 1 / ts_tr),
-        "descending": (desc, 1 / ts_tr),
-        "descending_inv": (desc_inv, ts_tr),
-    }
+    return {name: (Fraction(n, m), Fraction(wn, wm)) for name, (n, m, wn, wm) in chu_vandermonde_table(p)[r, s].items()}
 
 
 def check_chu_vandermonde(p: ParamSet):
-    """Verify all four summation identities for every 0 <= r <= s <= d.
+    """Verify all four summation identities for every 0 <= r <= s <= d (`chu_vandermonde_table`).
 
     Returns (passed, failures) where failures lists (name, r, s, got, want)
     for each violated identity.
     """
     failures = []
-    for r in range(p.d + 1):
-        for s in range(r, p.d + 1):
-            for name, (got, want) in chu_vandermonde_sums(r, s, p).items():
-                if got != want:
-                    failures.append((name, r, s, got, want))
+    for (r, s), entry in chu_vandermonde_table(p).items():
+        for name, (n, m, wn, wm) in entry.items():
+            if n * wm != wn * m:
+                failures.append((name, r, s, Fraction(n, m), Fraction(wn, wm)))
     return not failures, failures

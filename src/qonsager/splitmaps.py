@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Decomposition, Matrix, Numerators, Products
+from .linalg import Decomposition, Matrix, Numerators, Products, link_inverses
 from .lusztig import LusztigData
 from .model import ModelError, TDModel, eigenspace_decomposition
 from .scalars import ParameterError
@@ -68,6 +68,22 @@ class LadderSpectra:
                 dec = eigenspace_decomposition(m, self.eigenvalues)
             self._decompositions[m] = dec
         return dec
+
+    def holds(self, m: Matrix) -> bool:
+        """Whether m has a ladder decomposition, which makes it invertible: no ladder value is zero."""
+        try:
+            self.decomposition(m)
+        except ModelError:
+            return False
+        return True
+
+    def inverse(self, m: Matrix) -> Matrix:
+        """m^-1, kept on m: the map of m's inverted ladder decomposition, or `Matrix.inverse` off the ladder."""
+        if m.cached_inverse() is not None or not self.holds(m):
+            return m.inverse()
+        inverse = self.decomposition(m).inversion().diagonal_map(self.eigenvalues)
+        link_inverses(m, inverse)
+        return inverse
 
     def _transported(self, m: Matrix) -> Decomposition | None:
         """The parts g W_i of the source's decomposition if they certify as m's, else None."""
@@ -192,6 +208,7 @@ class SplitMaps:
 def build_split_maps(model: TDModel) -> SplitMaps:
     """Construct K, B, Kdown, Bdown from the four split decompositions.
 
+    Each map keeps as its inverse the map of its inverted decomposition.
     Every check that needs H^-1 X H or H X^-1 H^-1 reads the closed forms
     the maps derive (`SplitMaps.conjugates`).
     """
@@ -199,6 +216,7 @@ def build_split_maps(model: TDModel) -> SplitMaps:
     for name, star_dec, a_dec in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
         decs[name] = split_decomposition(star_dec, a_dec)
         maps[name] = map_from_decomposition(decs[name], model.params.q)
+        link_inverses(maps[name], map_from_decomposition(decs[name].inversion(), model.params.q))
     return SplitMaps(A=model.A, a=model.params.a, **maps, **{f"dec_{name}": dec for name, dec in decs.items()})
 
 

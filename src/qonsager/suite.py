@@ -282,14 +282,14 @@ class TargetContext:
     def triple_table(self):
         """The eight (label, X, Y, Z) rows of `equitable.build_triple_table`."""
         return self._once(
-            "triple_table", lambda: equitable.build_triple_table(self.split_maps)
+            "triple_table", lambda: equitable.build_triple_table(self.split_maps, self.spectra)
         )
 
     @property
     def table_check(self):
         """The `verify_triple_table` verdict on the triple table."""
         return self._once(
-            "table_check", lambda: equitable.verify_triple_table(self.model, self.triple_table)
+            "table_check", lambda: equitable.verify_triple_table(self.model, self.triple_table, self.spectra)
         )
 
 
@@ -372,15 +372,10 @@ def _L_conjugation(ctx: TargetContext):
 
 
 def _inversion_inverts(ctx: TargetContext):
-    s = ctx.split_maps
-    for name, dec, mat in (
-        ("K", s.dec_K, s.K),
-        ("B", s.dec_B, s.B),
-        ("Kdown", s.dec_Kdown, s.Kdown),
-        ("Bdown", s.dec_Bdown, s.Bdown),
-    ):
-        inverted = splitmaps.map_from_decomposition(dec.inversion(), ctx.model.params.q)
-        if inverted != mat.inverse():
+    s, products = ctx.split_maps, Products(ctx.model.dim)
+    for name in ("K", "B", "Kdown", "Bdown"):
+        inverted = splitmaps.map_from_decomposition(getattr(s, f"dec_{name}").inversion(), ctx.model.params.q)
+        if products.residual([(1, (getattr(s, name), inverted)), (-1, ())]) is not None:
             return False, f"map of inverted {name} decomposition != {name}^-1"
     return True, None
 

@@ -6,7 +6,9 @@ shifted factorials come from `q_poch`, not from the `ParamSet` tables.
 
 from fractions import Fraction
 
-from qonsager.scalars import ONE, ZERO, ParameterError, ParamSet, q_poch, t_seq, theta
+from qonsager.scalars import ONE, ParameterError, ParamSet, q_poch, t_seq, theta
+
+ZERO = Fraction(0)
 
 
 def _rising_theta_product(s: int, r: int, i: int, p: ParamSet, descending: bool) -> Fraction:

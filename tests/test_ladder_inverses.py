@@ -1,0 +1,148 @@
+"""Inverses read from ladder decompositions, and the integer Chu-Vandermonde table, against their oracles.
+
+A target reads K^-1, B^-1, Kdown^-1 and Bdown^-1 off the inverted split
+decompositions (`build_split_maps`), and M^-1, N^-1, Mdown^-1 and Ndown^-1
+off their ladder decompositions (`LadderSpectra.inverse`). Each must equal
+a Gauss-Jordan inverse of a fresh copy of its matrix, and the triple
+table's "X invertible" verdicts, read from the ladder where it decomposes a
+member, must equal those of elimination alone: on built models at
+d = 1..6 with three parameter sets, on seeded dense imports with one A*
+entry changed, and on the singular and sheared rows of the equitable
+negative controls. The summation table must equal the term-by-term oracle
+of `tests/chu_vandermonde_reference.py`.
+"""
+
+from fractions import Fraction as F
+from functools import cache
+
+import pytest
+
+from qonsager import equitable, scalars, suite
+from qonsager.linalg import Matrix, SingularMatrixError
+from qonsager.model import ModelError, build_model, solve_phi
+from qonsager.scalars import ParamSet, chu_vandermonde_table
+from qonsager.splitmaps import LadderSpectra
+
+from chu_vandermonde_reference import chu_vandermonde_sums as reference_sums
+from test_identity_oracle import _perturbed_import
+
+PARAMS = [(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]
+SPLIT_MAPS = ("K", "B", "Kdown", "Bdown")
+
+
+@cache
+def _built(d, q, a, b):
+    if d == 1:
+        return build_model(ParamSet(1, q, a, b, (F(1),)))
+    models = []
+    assert solve_phi(d, q, a, b, limit=1, models=models)
+    return models[0]
+
+
+def _fresh(m):
+    """A copy of m with no inverse kept on it, so that `inverse()` eliminates."""
+    return Matrix(m.numerators, m.denominator)
+
+
+def _eliminated_table_check(model, table):
+    """`verify_triple_table` with every member a fresh copy, so invertibility is decided by elimination alone."""
+    return equitable.verify_triple_table(model, [(label, *map(_fresh, members)) for label, *members in table])
+
+
+def _ladder_inverses_match_the_oracle(ctx) -> int:
+    """Assert each inverse read off a decomposition and the table verdict against elimination; return how many of M, N, ... the ladder held."""
+    s, spectra, table = ctx.split_maps, ctx.spectra, ctx.triple_table
+    for name in SPLIT_MAPS:
+        m = getattr(s, name)
+        assert m.cached_inverse() is not None, name  # kept by build_split_maps, not eliminated
+        assert m.inverse() == _fresh(m).inverse(), name
+    # rows 1, 3, 5 and 7 hold M^-1, Mdown^-1, N^-1 and Ndown^-1
+    held = 0
+    for (label, _, y, _), m in zip(table[::2], (s.M, s.Mdown, s.N, s.Ndown)):
+        assert y == _fresh(m).inverse(), label
+        held += spectra.holds(m)
+    assert ctx.table_check == _eliminated_table_check(ctx.model, table)
+    return held
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("q, a, b", PARAMS)
+def test_inverses_from_decompositions_equal_eliminated_inverses_on_built_models(d, q, a, b):
+    ctx = suite.TargetContext(_built(d, q, a, b))
+    assert _ladder_inverses_match_the_oracle(ctx) == 4
+    assert ctx.table_check == (True, [])
+
+
+def test_inverses_from_decompositions_equal_eliminated_inverses_on_perturbed_imports():
+    compared = held = 0
+    for seed in range(40):
+        ctx = suite.TargetContext(_perturbed_import(seed))
+        try:
+            s = ctx.split_maps
+        except (ModelError, ValueError):
+            continue
+        try:
+            ctx.triple_table
+        except SingularMatrixError as exc:
+            # M, N or a down analogue is singular: elimination alone raises the same
+            with pytest.raises(SingularMatrixError, match=str(exc)):
+                equitable.build_triple_table(s)
+            continue
+        held += _ladder_inverses_match_the_oracle(ctx)
+        compared += 1
+    assert compared >= 24
+    assert held  # some inverses were read from the ladder, not eliminated
+
+
+def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
+    """The rows of the equitable negative controls: a zero member is named with its rank, a sheared one is invertible."""
+    ctx = suite.TargetContext(_built(1, *PARAMS[0]))
+    label, x, y, z = ctx.triple_table[0]
+    shear = Matrix([[1, 1], [0, 1]])
+    sheared = shear * y * shear.inverse()
+    rows = [
+        ("sheared", x, sheared, Matrix.zero(2)),
+        ("singular", Matrix.zero(2), Matrix.identity(2), Matrix([[1, 2], [2, 4]])),
+    ]
+    got = equitable.verify_triple_table(ctx.model, rows, ctx.spectra)
+    assert got == _eliminated_table_check(ctx.model, rows)
+    assert [(row, name) for row, name, _ in got[1] if name.endswith("invertible")] == [
+        ("sheared", "Z invertible"),
+        ("singular", "X invertible"),
+        ("singular", "Z invertible"),
+    ]
+    assert ctx.spectra.holds(sheared)  # invertible from its ladder decomposition, with no elimination
+    spectra = LadderSpectra(1, F(2))
+    ident = Matrix.identity(2)
+    for members in ((Matrix.zero(2), ident, ident), (ident, Matrix([[1, 2], [2, 4]]), Matrix.zero(2))):
+        assert equitable.check_equitable_triple(*members, F(2), spectra) == equitable.check_equitable_triple(
+            *map(_fresh, members), F(2)
+        )
+
+
+@pytest.mark.parametrize("q, a, b", PARAMS)
+def test_the_integer_table_equals_the_term_by_term_reference(q, a, b):
+    for d in range(1, 13):
+        p = ParamSet(d, q, a, b)
+        table = chu_vandermonde_table(p)
+        assert list(table) == [(r, s) for r in range(d + 1) for s in range(r, d + 1)]
+        for (r, s), entry in table.items():
+            got = {name: (F(n, m), F(wn, wm)) for name, (n, m, wn, wm) in entry.items()}
+            assert got == reference_sums(r, s, p), (d, r, s)
+
+
+def test_the_table_is_summed_once_and_again_for_each_replaced_table(monkeypatch):
+    summed, original = [], scalars._summed
+
+    def counted(p, *tables):
+        summed.append(p)
+        return original(p, *tables)
+
+    monkeypatch.setattr(scalars, "_summed", counted)
+    p = ParamSet(3, F(3, 2), F(1, 7), F(2, 9))
+    table = chu_vandermonde_table(p)
+    assert scalars.check_chu_vandermonde(p) == (True, [])
+    assert chu_vandermonde_table(p) is table and len(summed) == 1
+    for count, name in enumerate(("thetas", "q2_poch", "q2_inv_poch", "ts"), start=2):
+        p.__dict__[name] = tuple([*getattr(p, name)])  # equal entries in a new tuple
+        assert chu_vandermonde_table(p) == table and len(summed) == count, name

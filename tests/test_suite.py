@@ -100,10 +100,20 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
         finally:
             looking_up.pop()
 
+    eliminated = []
+
     def counted_inverse(self):
         if looking_up:
             ladder_inverses.append(self)
+        if self.cached_inverse() is None:
+            eliminated.append(self)
         return inverse(self)
+
+    summed, sums = [], scalars._summed
+
+    def counted_sums(p, *tables):
+        summed.append(p)
+        return sums(p, *tables)
 
     meets, flag_meets = [], linalg.Decomposition.flag_meets
 
@@ -115,6 +125,7 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     monkeypatch.setattr(linalg.Decomposition, "flag_meets", counted_meets)
     monkeypatch.setattr(splitmaps.LadderSpectra, "decomposition", counted_decomposition)
     monkeypatch.setattr(Matrix, "inverse", counted_inverse)
+    monkeypatch.setattr(scalars, "_summed", counted_sums)
     contexts, context = [], suite.TargetContext
 
     def recorded_context(m):
@@ -146,6 +157,13 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     # Mdown are left to the kernels; the model decomposes A and A* once each.
     assert len(calls["eigenspace_decomposition"]) <= 2 + 2
     assert not ladder_inverses
+    # every inverse the target reads is the map of an inverted decomposition,
+    # so only basis matrices P are eliminated (30 eliminations when M^-1,
+    # N^-1, the split maps' inverses and the table's invertibility were
+    # eliminated); the Chu-Vandermonde sums are summed once, for
+    # scalars.chu_vandermonde and lusztig.expansions together
+    assert len(eliminated) <= 12
+    assert summed == [ctx.model.params]
     # the four split decompositions of the model are flag meets; those of the
     # twisted pairs are the conjugates' ladder decompositions, certified by flags
     assert len(meets) == 4
@@ -184,6 +202,23 @@ def test_corrupted_H_witnesses_equal_the_oracle_expansions_at_every_failing_anch
         target = bad_h.inverse() if inverse else bad_h
         want = (expand_H(m, r, variant)[inverse] - target) * m.eigenspaces_A.projector(parts)
         assert witness == want and not want.is_zero(), (variant, inverse, r)
+
+
+@pytest.mark.parametrize("name", ["K", "B", "Kdown", "Bdown"])
+def test_split_inversion_flips_under_a_scaled_split_map(name):
+    """split.inversion proves X (map of X's inverted decomposition) = I with one product; 2X breaks it.
+
+    The scaled map keeps no inverse, and the check eliminates none.
+    """
+    ctx = suite.TargetContext(_solved_model(2))
+    detail, check = next((detail, check) for cid, detail, check in suite.SUITES["splitmaps"] if cid == "split.inversion")
+    assert check(ctx) == (True, None)
+    s = ctx.split_maps
+    scaled = getattr(s, name).scale(2)
+    ctx._built["split_maps"] = replace(s, **{name: scaled})
+    record = Report("t").run("split.inversion", detail, partial(check, ctx)).to_record()
+    assert (record["status"], record["residual"]) == ("fail", f"map of inverted {name} decomposition != {name}^-1")
+    assert scaled.cached_inverse() is None
 
 
 # The checks that evaluate their identities with `linalg.Products`
