@@ -10,7 +10,6 @@ equitable triples, and the flag identities of the comparison diagrams.
 from .equitable import (
     build_triple_table,
     check_equitable_triple,
-    qweyl_ladder,
     qweyl_residual,
     verify_diagrams,
     verify_triple_table,

@@ -5,7 +5,17 @@ An equitable triple is three invertible maps X, Y, Z with
 (Y,Z), (Z,X). The eight rows of the triple table tie the split maps, their
 inverses, and the combinations a A - a^2 K (etc.) to M, N and their down
 analogues. The q-Weyl relation is tested in one place, `qweyl_residual`,
-on integer numerators; the ladder checks read the table's verdicts.
+on integer numerators.
+
+The ladder steps and crossing flags of a pair (X, Y) follow from that
+relation once both members are diagonalizable on q^d, ..., q^-d, so
+`equitable.ladders` reads the table's verdicts and the ladder spectra and
+proves nothing again. With R = (q XY - q^-1 YX)/(q - q^-1) - I,
+(X - lam q^-2 I)(Y - lam^-1 I) = (1 - q^-2) R on X's lam-eigenspace X_lam:
+  (i) every ladder step holds exactly when R = 0;
+  (ii) with R = 0, (Y - lam_i^-1 I) maps X_i into X_(i+1), and X_d to 0
+       as q^-2 lam_d is off the ladder; so X_(d-i)+...+X_d is Y-invariant,
+       and for a diagonalizable Y it is Y_0+...+Y_i: the crossing flags.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .linalg import Matrix, ShapeError, SingularMatrixError, shifted_product_images
+from .linalg import Matrix, ShapeError, SingularMatrixError
 from .lusztig import LusztigData
 from .model import ModelError, TDModel
 from .splitmaps import LadderSpectra, SplitMaps, orientations, split_mismatches
@@ -103,37 +113,6 @@ def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = N
         ok, row_failures = check_equitable_triple(x, y, z, q, spectra)
         if not ok:
             failures.extend((label, name, resid) for name, resid in row_failures)
-    return not failures, failures
-
-
-def qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra):
-    """The ladder and crossing-flag consequences of the q-Weyl pair (X, Y).
-
-    The q-Weyl relation itself is tested by `qweyl_residual`, not here.
-    Precondition, reported distinctly: both are diagonalizable with the
-    eigenvalues q^d, ..., q^-d of `spectra`. Then
-    (i) (X - q^-2 lam I)(Y - lam^-1 I) kills the lam-eigenspace of X for each
-    eigenvalue lam, and (ii) Y_0+...+Y_i = X_(d-i)+...+X_d for every i.
-    Step (i) maps the basis vectors of X's eigenspaces, with no elimination
-    unless a step fails; the witness is then the image of the eigenspace.
-    Step (ii) is read off the change of basis between the two eigenbases.
-    Eigenspace decompositions and the shifts lam q^-2 and lam^-1 come from
-    `spectra`, whose q is the pair's.
-    Returns (passed, failures).
-    """
-    try:
-        x_dec = spectra.decomposition(x)
-        y_dec = spectra.decomposition(y)
-    except ModelError as exc:
-        return False, [("precondition", f"eigenvalue ladder missing: {exc}")]
-    failures = []
-    eigs = spectra.eigenvalues
-    images = shifted_product_images(x_dec, x, y, spectra.lowered, spectra.inverted)
-    for lam, image in zip(eigs, images):
-        if not image.is_zero():
-            failures.append((f"ladder step from X-eigenvalue {lam}", image))
-    for i in y_dec.flag_mismatches(x_dec.inversion()):
-        failures.append((f"crossing flags at {i}", "Y_0+...+Y_i != X_(d-i)+...+X_d"))
     return not failures, failures
 
 

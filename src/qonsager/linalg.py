@@ -376,29 +376,6 @@ class Products:
         return Matrix(*total)
 
 
-def shifted_product_images(dec: Decomposition, x: Matrix, y: Matrix, x_shifts, y_shifts) -> list[Subspace]:
-    """The image of each part W_i of `dec` under (X - c_i I)(Y - b_i I).
-
-    c_i and b_i are the i-th entries of `x_shifts` and `y_shifts`, Fractions. Each
-    basis vector p of W_i is mapped on integer numerators: with b = b_n/b_d,
-    c = c_n/c_d, X = X_n/d_x and Y = Y_n/d_y, the vector w = b_d Y_n p - b_n d_y p
-    is a nonzero multiple of (Y - b I) p, and c_d X_n w - c_n d_x w one of
-    (X - c I)(Y - b I) p. The parts are eliminated only where an image is nonzero.
-    """
-    if not x.rows == x.cols == y.rows == y.cols == dec.ambient_dim:
-        raise ShapeError(f"shifted product of {x.rows}x{x.cols} and {y.rows}x{y.cols} on Q^{dec.ambient_dim}")
-    n, dx, dy = x.rows, x.denominator, y.denominator
-    images = []
-    for part, c, b in zip(dec.parts, x_shifts, y_shifts):
-        vectors = []
-        for p in part.numerators:
-            w = [b.denominator * sum(map(mul, row, p)) - b.numerator * dy * e for row, e in zip(y.numerators, p)]
-            z = [c.denominator * sum(map(mul, row, w)) - c.numerator * dx * e for row, e in zip(x.numerators, w)]
-            vectors.append(z)
-        images.append(_span(n, vectors) if any(map(any, vectors)) else Subspace.zero(n))
-    return images
-
-
 def rref(m: Matrix) -> Matrix:
     """Reduced row-echelon form, pivoting on the first nonzero column."""
     rows = [list(r) for r in m.numerators]

@@ -48,13 +48,13 @@ class LadderSpectra:
       - Otherwise the kernels of m - lam I are solved
         (`eigenspace_decomposition`). A matrix that is not diagonalizable on
         the ladder raises ModelError on every lookup.
+
+    `holds` is the spectral half of `equitable.ladders`: a q-Weyl pair whose
+    members both hold has the ladder steps and crossing flags (`equitable`).
     """
 
     def __init__(self, d: int, q: Fraction, known=(), transports=()):
         self.eigenvalues = qweyl_eigenvalues(d, q)
-        # the shifts of a q-Weyl ladder step (`equitable.qweyl_ladder`): lam q^-2 and lam^-1
-        self.lowered = tuple(lam / (q * q) for lam in self.eigenvalues)
-        self.inverted = tuple(1 / lam for lam in self.eigenvalues)
         self._decompositions: dict[Matrix, Decomposition] = dict(known)
         self._transports = {m: (g, source) for m, g, source in transports}
 

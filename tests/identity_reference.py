@@ -12,16 +12,22 @@ and so does `check_L_conjugation`. `check_tridiagonal_action` reads
 checks of the suite, as functions of the model and H. `is_qweyl_pair` is
 the integer q-Weyl verdict `linalg` had beside `equitable.qweyl_residual`,
 and `expand_H` is the `Matrix`-operator evaluator of the H expansions that
-`lusztig` kept to form a failing anchor's witness.
+`lusztig` kept to form a failing anchor's witness. `qweyl_ladder` and
+`shifted_product_images` are the ladder-step and crossing-flag proof that
+`equitable.ladders` ran on every q-Weyl pair before it read the table's
+verdicts and the ladder spectra; the shifts lam q^-2 and lam^-1, which
+`LadderSpectra` kept as `lowered` and `inverted`, are formed in
+`qweyl_ladder`, and `ladders` is that check as a function of the target's
+context.
 """
 
 from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from qonsager.linalg import Matrix, ShapeError
+from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace, _span
 from qonsager.lusztig import LusztigData
-from qonsager.model import TDModel
+from qonsager.model import ModelError, TDModel
 from qonsager.scalars import ONE, ParameterError, t_coeff
 from qonsager.splitmaps import LadderSpectra, SplitMaps
 
@@ -370,3 +376,71 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
                     failures.append((variant, inverse, r, resid * dec.projector(parts)))
     return not failures, failures
 
+
+def shifted_product_images(dec: Decomposition, x: Matrix, y: Matrix, x_shifts, y_shifts) -> list[Subspace]:
+    """The image of each part W_i of `dec` under (X - c_i I)(Y - b_i I).
+
+    c_i and b_i are the i-th entries of `x_shifts` and `y_shifts`, Fractions. Each
+    basis vector p of W_i is mapped on integer numerators: with b = b_n/b_d,
+    c = c_n/c_d, X = X_n/d_x and Y = Y_n/d_y, the vector w = b_d Y_n p - b_n d_y p
+    is a nonzero multiple of (Y - b I) p, and c_d X_n w - c_n d_x w one of
+    (X - c I)(Y - b I) p. The parts are eliminated only where an image is nonzero.
+    """
+    if not x.rows == x.cols == y.rows == y.cols == dec.ambient_dim:
+        raise ShapeError(f"shifted product of {x.rows}x{x.cols} and {y.rows}x{y.cols} on Q^{dec.ambient_dim}")
+    n, dx, dy = x.rows, x.denominator, y.denominator
+    images = []
+    for part, c, b in zip(dec.parts, x_shifts, y_shifts):
+        vectors = []
+        for p in part.numerators:
+            w = [b.denominator * sum(map(mul, row, p)) - b.numerator * dy * e for row, e in zip(y.numerators, p)]
+            z = [c.denominator * sum(map(mul, row, w)) - c.numerator * dx * e for row, e in zip(x.numerators, w)]
+            vectors.append(z)
+        images.append(_span(n, vectors) if any(map(any, vectors)) else Subspace.zero(n))
+    return images
+
+
+def qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra):
+    """The ladder and crossing-flag consequences of the q-Weyl pair (X, Y).
+
+    The q-Weyl relation itself is tested by `qweyl_residual`, not here.
+    Precondition, reported distinctly: both are diagonalizable with the
+    eigenvalues q^d, ..., q^-d of `spectra`. Then
+    (i) (X - q^-2 lam I)(Y - lam^-1 I) kills the lam-eigenspace of X for each
+    eigenvalue lam, and (ii) Y_0+...+Y_i = X_(d-i)+...+X_d for every i.
+    Step (i) maps the basis vectors of X's eigenspaces, with no elimination
+    unless a step fails; the witness is then the image of the eigenspace.
+    Step (ii) is read off the change of basis between the two eigenbases.
+    Eigenspace decompositions come from `spectra`, whose q is the pair's.
+    Returns (passed, failures).
+    """
+    try:
+        x_dec = spectra.decomposition(x)
+        y_dec = spectra.decomposition(y)
+    except ModelError as exc:
+        return False, [("precondition", f"eigenvalue ladder missing: {exc}")]
+    failures = []
+    eigs = spectra.eigenvalues
+    lowered, inverted = [lam / (q * q) for lam in eigs], [1 / lam for lam in eigs]
+    images = shifted_product_images(x_dec, x, y, lowered, inverted)
+    for lam, image in zip(eigs, images):
+        if not image.is_zero():
+            failures.append((f"ladder step from X-eigenvalue {lam}", image))
+    for i in y_dec.flag_mismatches(x_dec.inversion()):
+        failures.append((f"crossing flags at {i}", "Y_0+...+Y_i != X_(d-i)+...+X_d"))
+    return not failures, failures
+
+
+def ladders(ctx):
+    # The table check has tested the q-Weyl relation of every pair, also in
+    # a row with a singular member; a pair that fails it fails its precondition.
+    q = ctx.model.params.q
+    failed = {(label, name) for label, name, _ in ctx.table_check[1]}
+    for label, x, y, z in ctx.triple_table:
+        for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
+            if (label, f"q-Weyl ({pair_name})") in failed:
+                return False, f"row {label} pair ({pair_name}): precondition"
+            ok, failures = qweyl_ladder(left, right, q, ctx.spectra)
+            if not ok:
+                return False, f"row {label} pair ({pair_name}): {failures[0][0]}"
+    return True, None

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -11,7 +13,6 @@ from qonsager import splitmaps, suite
 from qonsager.equitable import (
     build_triple_table,
     check_equitable_triple,
-    qweyl_ladder,
     qweyl_residual,
     verify_diagrams,
     verify_triple_table,
@@ -22,7 +23,6 @@ from qonsager.linalg import (
     ShapeError,
     Subspace,
     kernel,
-    shifted_product_images,
 )
 from qonsager.lusztig import build_H
 from qonsager.model import ModelError, assemble_imported, build_model, eigenspace_decomposition, solve_phi
@@ -34,8 +34,10 @@ from qonsager.splitmaps import (
     qweyl_eigenvalues,
 )
 
-from identity_reference import is_qweyl_pair, qweyl_bracket
+from identity_reference import is_qweyl_pair, ladders, qweyl_bracket, qweyl_ladder, shifted_product_images
 from projector_reference import lagrange_projectors
+from test_identity_oracle import _outcome, _perturbed_import
+from test_ladder_inverses import PARAMS, _built
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
 
@@ -342,6 +344,92 @@ def test_ladders_test_the_qweyl_relation_in_a_row_with_a_singular_member():
         "equitable.ladders": ("fail", "row 1 pair (X,Y): precondition"),
         "diagrams.verify": ("fail", "('3-cycle row 1: Z invertible',): matrix is singular: rank 0 < 2"),
     }
+
+
+def test_a_row_of_identities_passes_the_table_and_fails_the_ladder_precondition():
+    """Negative control of the spectral branch: (I, I, I) is an equitable triple, but I has no q^d-eigenvector.
+
+    So `equitable.ladders` flips on the ladder spectra alone, with every
+    q-Weyl relation holding, and names the pair the oracle names.
+    """
+    target = suite.make_param_target(1, F(2), F(3), F(5), (F(1),))
+    ctx = suite.TargetContext(build_model(GOLDEN))
+    ident = Matrix.identity(2)
+    ctx._built["triple_table"] = (("1", ident, ident, ident),) + ctx.triple_table[1:]
+    assert ctx.table_check == (True, [])
+    assert ladders(ctx) == (False, "row 1 pair (X,Y): precondition")
+    report = Report(target.label)
+    for check_id, detail, check in suite.SUITES["equitable"] + suite.SUITES["diagrams"]:
+        report.run(check_id, detail, lambda: check(ctx))
+    assert {c.name: (c.status, c.residual) for c in report.checks} == {
+        "equitable.table": ("pass", None),
+        "equitable.ladders": ("fail", "row 1 pair (X,Y): precondition"),
+        "diagrams.verify": ("pass", None),
+    }
+
+
+def _pair_context(x, y, q, d):
+    """A context whose triple table is the one row (X, Y, Y), with its `check_equitable_triple` verdict."""
+    spectra = LadderSpectra(d, q)
+    ok, failures = check_equitable_triple(x, y, y, q, spectra)
+    return SimpleNamespace(
+        model=SimpleNamespace(params=SimpleNamespace(q=q)),
+        spectra=spectra,
+        triple_table=(("1", x, y, y),),
+        table_check=(ok, [("1", name, resid) for name, resid in failures]),
+    )
+
+
+def _oracle_outcome(x, y, q, spectra):
+    """The oracle's verdict on (X, Y), asserting that its steps are the images of X's eigenspaces under R.
+
+    R is the q-Weyl residual of (X, Y). On the eigenspace X_lam,
+    (X - lam q^-2 I)(Y - lam^-1 I) = (1 - q^-2) R, so once both members are
+    on the ladder a step fails exactly when R != 0, and a failing step's
+    image is X_lam.image_under(R). Returns "pass", "precondition" or "step".
+    """
+    ok, failures = qweyl_ladder(x, y, q, spectra)
+    if [name for name, _ in failures] == ["precondition"]:
+        return "precondition"
+    resid = qweyl_residual(x, y, q)
+    parts = dict(zip((f"ladder step from X-eigenvalue {lam}" for lam in spectra.eigenvalues), spectra.decomposition(x)))
+    steps = [(name, image) for name, image in failures if name in parts]
+    assert ok == (resid is None) == (not steps)
+    for name, image in steps:
+        assert image == parts[name].image_under(resid), name
+    return "pass" if ok else "step"
+
+
+def test_ladders_agree_with_the_oracle_on_seeded_pairs():
+    """The verdict and witness of `equitable.ladders` on the row (X, Y, Y) are the oracle's, for 400 seeded pairs."""
+    outcomes = Counter()
+    for seed in range(400):
+        x, y, q, d = _seeded_ladder_pair(seed)
+        ctx = _pair_context(x, y, q, d)
+        assert suite._ladders(ctx) == ladders(ctx), seed
+        outcomes[_oracle_outcome(x, y, q, ctx.spectra)] += 1
+    assert outcomes == {"pass": 231, "precondition": 123, "step": 46}
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("q, a, b", PARAMS)
+def test_ladders_agree_with_the_oracle_on_built_tables(d, q, a, b):
+    ctx = suite.TargetContext(_built(d, q, a, b))
+    assert suite._ladders(ctx) == ladders(ctx) == (True, None)
+
+
+def test_ladders_agree_with_the_oracle_on_perturbed_imports():
+    """On seeded imports with one A* entry changed, and the oracle's steps on every pair of their tables."""
+    outcomes = Counter()
+    for seed in range(40):
+        ctx = suite.TargetContext(_perturbed_import(seed))
+        assert _outcome(suite._ladders, ctx) == _outcome(ladders, ctx), seed
+        q = ctx.model.params.q
+        for _, x, y, z in ctx.triple_table:
+            for left, right in ((x, y), (y, z), (z, x)):
+                outcomes[_oracle_outcome(left, right, q, ctx.spectra)] += 1
+    # all 40 tables are built, every member is on the ladder, and half the pairs fail a step
+    assert outcomes == {"pass": 480, "step": 480}
 
 
 def test_verify_diagrams(golden, d2):

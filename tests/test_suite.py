@@ -88,6 +88,9 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
             (splitmaps, "h_conjugates"),
             (equitable, "qweyl_residual"),
             (model, "qdg_residuals"),
+            (linalg, "_numerator_product"),
+            (linalg, "_gauss_jordan"),
+            (linalg, "kernel"),
         )
     }
     looking_up, ladder_inverses = [], []
@@ -133,6 +136,19 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
         return contexts[-1]
 
     monkeypatch.setattr(suite, "TargetContext", recorded_context)
+    # the ladders check, run after equitable.table has built table_check
+    work, ladder_work = ("_numerator_product", "_gauss_jordan", "kernel"), []
+    table_entry, (ladders_id, detail, ladders) = suite.SUITES["equitable"]
+
+    def counted_ladders(ctx):
+        assert "table_check" in ctx._built
+        before = [len(calls[name]) for name in work]
+        try:
+            return ladders(ctx)
+        finally:
+            ladder_work.append([len(calls[name]) - n for name, n in zip(work, before)])
+
+    monkeypatch.setitem(suite.SUITES, "equitable", (table_entry, (ladders_id, detail, counted_ladders)))
     report = suite.run_target(suite.make_param_target(2, F(2), F(3), F(5)), suite.SUITE_NAMES)
     assert report.all_passed and len(report.checks) == 27
     for name in ("build_model", "build_H", "build_split_maps"):
@@ -150,6 +166,9 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     # build_model and model.qdg share one evaluation of the q-Dolan/Grady residuals
     assert len(calls["qweyl_residual"]) == 24
     assert len(calls["qdg_residuals"]) == 1
+    # the ladders read the table's verdicts and the ladder spectra its
+    # invertibility entries filled: no product, elimination or kernel
+    assert ladder_work == [[0, 0, 0]]
     # 24 distinct matrices go through the q-ladder: K, B, Kdown and Bdown come
     # with their split decompositions, 8 take the reversed decomposition of
     # an inverse that was already decomposed, the 8 H-conjugates and N, Ndown
