@@ -16,6 +16,13 @@ proves nothing again. With R = (q XY - q^-1 YX)/(q - q^-1) - I,
   (ii) with R = 0, (Y - lam_i^-1 I) maps X_i into X_(i+1), and X_d to 0
        as q^-2 lam_d is off the ladder; so X_(d-i)+...+X_d is Y-invariant,
        and for a diagonalizable Y it is Y_0+...+Y_i: the crossing flags.
+
+The table's (Z, X) pairs read their residuals from the R_X of
+`split.KA_relations` (`held_residuals`). Once lusztig.H_invertible,
+split.H_conjugation and split.MN pass, rows 5-8 are H^-1 (rows 1-4) H, so
+`equitable.table` and `equitable.ladders` read them from rows 1-4, and
+`diagrams.verify` reads its N-side claims from the M-side ones and its
+twisted slots from split.flags; otherwise all are tested directly.
 """
 
 from __future__ import annotations
@@ -55,13 +62,14 @@ def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix | None:
     return Matrix(rows, diagonal)
 
 
-def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra: LadderSpectra | None = None):
+def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra: LadderSpectra | None = None, known=None):
     """Invertibility of each member, then all three cyclic q-Weyl relations.
 
     A member that `spectra` decomposes on the ladder is invertible, as no
     ladder value is zero; any other is inverted (`Matrix.inverse()`). A
     singular input is reported as a failure entry rather than raised, and
-    the q-Weyl relations are tested in that row too. Returns
+    the q-Weyl relations are tested in that row too. A pair in `known`
+    (`held_residuals`) reads its residual from there. Returns
     (passed, failures) as (name, residual), the invertibility failures first.
     """
     failures = []
@@ -72,7 +80,7 @@ def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra
         except SingularMatrixError as exc:
             failures.append((f"{name} invertible", str(exc)))
     for name, left, right in (("(X,Y)", x, y), ("(Y,Z)", y, z), ("(Z,X)", z, x)):
-        resid = qweyl_residual(left, right, q)
+        resid = known[left, right] if known and (left, right) in known else qweyl_residual(left, right, q)
         if resid is not None:
             failures.append((f"q-Weyl {name}", resid))
     return not failures, failures
@@ -102,17 +110,42 @@ def build_triple_table(s: SplitMaps, spectra: LadderSpectra | None = None) -> tu
     )
 
 
-def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = None):
-    """Every row (label, X, Y, Z) of `table` passes `check_equitable_triple` with `spectra`.
+def held_residuals(s: SplitMaps) -> dict:
+    """The q-Weyl residuals of the table's (Z, X) pairs by pair, read from R_X (`SplitMaps`); None where zero.
 
+    As the q-Weyl form of (X, X) is X^2, for any A, X and c the pair
+    (X, c^-1 A - c^-2 X) of rows 1-4 has residual c^-1 R_X, and the pair
+    (c A - c^2 X^-1, X^-1) of rows 5-8 has c X^-1 R_X X^-1. Pairs are looked
+    up by value, so any table holding one reads it.
+    """
+    conj, conj_inv = s.conjugates
+    held = {}
+    for name, r in s.qweyl_A_residuals.items():
+        x, y, c = getattr(s, name), getattr(s, name).inverse(), s.scale(name)
+        held[x, conj_inv[name]] = None if r is None else r.scale(1 / c)
+        held[conj[name], y] = None if r is None else (y * r * y).scale(c)
+    return held
+
+
+def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = None, known=None, mirror=None):
+    """Every row (label, X, Y, Z) of `table` passes `check_equitable_triple` with `spectra` and `known`.
+
+    With `mirror` = (H, H^-1), rows 5-8 are H^-1 (rows 1-4) H member by
+    member, as in the built table once `suite.TargetContext.mirrored` holds.
+    Conjugation keeps ranks and conjugates q-Weyl residuals, so such a row
+    reads its mirror's failures, residuals conjugated, and is not tested.
     Returns (passed, failures) as (row label, name, residual).
     """
     q = model.params.q
-    failures = []
-    for label, x, y, z in table:
-        ok, row_failures = check_equitable_triple(x, y, z, q, spectra)
-        if not ok:
-            failures.extend((label, name, resid) for name, resid in row_failures)
+    failures, rows = [], []
+    for index, (label, x, y, z) in enumerate(table):
+        if mirror is not None and index >= 4:
+            h, h_inv = mirror
+            row_failures = [(name, r if isinstance(r, str) else h_inv * r * h) for name, r in rows[index - 4]]
+        else:
+            _, row_failures = check_equitable_triple(x, y, z, q, spectra, known)
+        rows.append(row_failures)
+        failures.extend((label, name, resid) for name, resid in row_failures)
     return not failures, failures
 
 
@@ -122,6 +155,7 @@ def verify_diagrams(
     s: SplitMaps,
     spectra: LadderSpectra,
     table_check,
+    flags_check=None,
 ):
     """The flag and split-map assertions of the two big comparison diagrams.
 
@@ -145,7 +179,12 @@ def verify_diagrams(
     claim is one `split_mismatches` test. The M/N and conjugate
     decompositions come from `spectra`, and the table verdict is
     `table_check`, the `verify_triple_table` result on the model's table.
-    Returns (passed, failures) as (name, witness).
+
+    `flags_check`, the `check_split_flags` verdict, is given once
+    `suite.TargetContext.mirrored` holds: H^-1 then carries V* to V+, V- to V*
+    and fixes each V_i (H^-1 A H = A follows from the K identities), so each
+    N (Ndown) claim is read from its M (Mdown) claim, and the slot of X from
+    `split.flags` for X. Returns (passed, failures) as (name, witness).
     """
     d = model.d
     failures = []
@@ -154,21 +193,24 @@ def verify_diagrams(
         if not condition:
             failures.append((name, "flag mismatch"))
 
-    vstar, vplus, vminus = model.eigenspaces_Astar, lus.Vplus, lus.Vminus
-    # (matrix, star order, A order, ascending name, descending name, whether descending name i tests flag d - i)
-    claims = [
-        (s.N, vplus, vstar.inversion(), "N flag {}: ascending = V+ ascending",
-         "N flag {}: descending = V* ascending reversed", True),
-        (s.Ndown, vplus.inversion(), vstar, "Ndown flag {}: ascending = V+ descending",
-         "Ndown flag {}: descending = V* descending", False),
-        (s.M, vstar, vminus.inversion(), "M flag {}: ascending = V* ascending",
-         "M flag {}: descending = V- ascending reversed", True),
-        (s.Mdown, vstar.inversion(), vminus, "Mdown flag {}: ascending = V* descending",
-         "Mdown flag {}: descending = V- descending", False),
+    vstar, vminus = model.eigenspaces_Astar, lus.Vminus
+    # (ascending name, descending name, whether descending name i tests flag d - i) of N, Ndown, M, Mdown
+    names = [
+        ("N flag {}: ascending = V+ ascending", "N flag {}: descending = V* ascending reversed", True),
+        ("Ndown flag {}: ascending = V+ descending", "Ndown flag {}: descending = V* descending", False),
+        ("M flag {}: ascending = V* ascending", "M flag {}: descending = V- ascending reversed", True),
+        ("Mdown flag {}: ascending = V* descending", "Mdown flag {}: descending = V- descending", False),
     ]
+    # (matrix, star order, A order) of M and Mdown, after those of N and Ndown unless they are read
+    tested = [(s.M, vstar, vminus.inversion()), (s.Mdown, vstar.inversion(), vminus)]
+    if flags_check is None:
+        vplus = lus.Vplus
+        tested = [(s.N, vplus, vstar.inversion()), (s.Ndown, vplus.inversion(), vstar)] + tested
+    found = [split_mismatches(spectra.decomposition(mat), star_ref, a_ref) for mat, star_ref, a_ref in tested]
+    if flags_check is not None:
+        found *= 2  # N and Ndown read the claims of M and Mdown
     families = []
-    for mat, star_ref, a_ref, ascending_name, descending_name, mirrored in claims:
-        ascending, descending = split_mismatches(spectra.decomposition(mat), star_ref, a_ref)
+    for (ascending_name, descending_name, mirrored), (ascending, descending) in zip(names, found):
         families += [(ascending_name, ascending, False), (descending_name, descending, mirrored)]
     for i in range(d + 1):
         for name, mismatches, mirrored in families:
@@ -177,11 +219,15 @@ def verify_diagrams(
     # Split maps of the twisted pairs: the H^-1 X H closed forms for (A, L(A*)),
     # the inverses of the H X^-1 H^-1 closed forms for (A, L^-1(A*)).
     conj, conj_inv = s.conjugates
-    for slot_name, twisted, labels, inverted in (
-        ("(A, L(A*)) split map at {} slot", vplus, conj, False),
-        ("(A, L^-1(A*)) split map at {} slot", vminus, conj_inv, True),
+    for slot_name, labels, inverted in (
+        ("(A, L(A*)) split map at {} slot", conj, False),
+        ("(A, L^-1(A*)) split map at {} slot", conj_inv, True),
     ):
-        for name, star_ref, a_ref in orientations(twisted, model.eigenspaces_A):
+        if flags_check is not None:
+            for name in ("K", "B", "Kdown", "Bdown"):
+                expect(slot_name.format(name), all(name != failed for failed, *_ in flags_check[1]))
+            continue
+        for name, star_ref, a_ref in orientations(vminus if inverted else vplus, model.eigenspaces_A):
             try:
                 w = spectra.decomposition(labels[name])
             except ModelError as exc:

@@ -8,8 +8,8 @@ integer rows: each updated row is divided by the gcd of its entries, which
 keeps coefficient growth in check, and rows are brought to reduced
 row-echelon form over one denominator once, at the end.
 
-`Fraction` appears only at the boundary: the constructors, `m[i, j]`, the
-read-only `entries` and `basis` views and the value of `trace()`.
+`Fraction` appears only at the boundary: the constructors, `m[i, j]` and
+the read-only `entries` and `basis` views.
 Subspaces are stored as reduced row-echelon bases in the same integer form,
 the unique representation per subspace, so equality is structural too.
 
@@ -163,17 +163,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "Matrix":
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)], 1)
-
-    @classmethod
-    def diagonal(cls, values) -> "Matrix":
-        vals = list(values)
-        n = len(vals)
-        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as Fractions, row by row."""
@@ -238,34 +227,8 @@ class Matrix:
             )
         return Matrix(_numerator_product(self, other), self.denominator * other.denominator)
 
-    def __pow__(self, n: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ShapeError("power of a non-square matrix")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Matrix.identity(self.rows)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.numerators)), self.denominator)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ShapeError("trace of a non-square matrix")
-        return Fraction(sum(row[i] for i, row in enumerate(self.numerators)), self.denominator)
-
     def is_zero(self) -> bool:
         return not any(map(any, self.numerators))
-
-    def apply(self, vec):
-        """Multiply by a column vector given as a sequence; returns a tuple of Fractions."""
-        if len(vec) != self.cols:
-            raise ShapeError(f"vector length {len(vec)} != {self.cols}")
-        (v,), vden = _integer_rows([vec])
-        den = self.denominator * vden
-        return tuple(Fraction(sum(map(mul, row, v)), den) for row in self.numerators)
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan; raises SingularMatrixError with rank witness.
@@ -294,9 +257,6 @@ class Matrix:
     def cached_inverse(self) -> "Matrix | None":
         """The inverse if `inverse()` has computed it and it is still alive, else None; computes nothing."""
         return _memo(self._inverse)
-
-    def rank(self) -> int:
-        return len(_gauss_jordan([list(r) for r in self.numerators], self.cols))
 
 
 def _numerator_product(x: Matrix | Numerators, y: Matrix | Numerators) -> list[list[int]]:
@@ -492,48 +452,25 @@ def kernel(m: Matrix) -> Subspace:
     return _span(m.cols, _null_vectors(m.numerators, m.cols))
 
 
-def _reduce(vec, rows, pivots):
-    """vec with each echelon row's pivot eliminated, in insertion order; divided by its gcd.
+def chain_lines(x: Matrix, seed, shifts) -> list[Subspace]:
+    """The lines of u_0 = seed, u_(k+1) = (X - s_k I) u_k for the shifts s_0, s_1, ...; a zero u_k gives the zero subspace.
 
-    Each row is zero at the pivots of the rows before it, so eliminating a
-    later pivot never brings an earlier one back: the result is zero exactly
-    when vec lies in the span of the rows.
+    `seed` is an integer column vector; a line does not depend on its scale,
+    so each u_k is formed on integers and divided by its gcd.
     """
-    for row, c in zip(rows, pivots):
-        f = vec[c]
-        if f:
-            p = row[c]
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            vec = [a * x - b * y for x, y in zip(vec, row)]
-    g = gcd(*vec)
-    return [e // g for e in vec] if g > 1 else vec
-
-
-def invariant_closure(seed: Subspace, maps) -> Subspace:
-    """Smallest subspace containing seed and invariant under every map.
-
-    A worklist: each queued vector is reduced against an integer echelon
-    basis of the span so far, and only a vector that grows the span has its
-    images under the maps queued. The search stops once the span is the
-    whole space.
-    """
-    n = seed.ambient_dim
-    for m in maps:
-        if m.rows != n or m.cols != n:
-            raise ShapeError(f"closure under a {m.rows}x{m.cols} map in Q^{n}")
-    rows, pivots = [], []
-    queue = [list(v) for v in seed.numerators]
-    while queue and len(rows) < n:
-        vec = _reduce(queue.pop(), rows, pivots)
-        if not any(vec):
-            continue
-        rows.append(vec)
-        pivots.append(next(c for c, e in enumerate(vec) if e))
-        queue.extend([sum(map(mul, row, vec)) for row in m.numerators] for m in maps)
-    if len(rows) == n:
-        return Subspace.full(n)
-    return _span(n, rows)
+    n = x.cols
+    vec, lines = list(seed), []
+    for s in chain(map(Fraction, shifts), [None]):
+        lead = next((e for e in vec if e), 0)
+        sign = -1 if lead < 0 else 1
+        # one row over its leading entry is in reduced row-echelon form
+        lines.append(Subspace(n, [[sign * e for e in vec]], abs(lead)) if lead else Subspace.zero(n))
+        if s is None:
+            return lines
+        f, g = s.denominator, s.numerator * x.denominator
+        vec = [f * sum(map(mul, row, vec)) - g * e for row, e in zip(x.numerators, vec)]
+        g = gcd(*vec)
+        vec = [e // g for e in vec] if g > 1 else vec
 
 
 class Decomposition:

@@ -3,7 +3,8 @@
 Generated models live in the split basis: A is lower bidiagonal with diagonal
 theta_0..theta_d and subdiagonal 1, A* is upper bidiagonal with diagonal
 theta*_0..theta*_d and superdiagonal phi_1..phi_d. All verification
-operations also accept arbitrary imported square pairs.
+operations also accept arbitrary imported square pairs. Irreducibility is
+read off the support graph of P*^-1 A P* (`check_irreducible`).
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import (
-    Decomposition,
-    Matrix,
-    Products,
-    ShapeError,
-    Subspace,
-    invariant_closure,
-    kernel,
-)
+from .linalg import Decomposition, Matrix, Numerators, Products, ShapeError, kernel
 from .scalars import ONE, ParameterError, ParamSet, p_poly
 
 
@@ -129,6 +122,13 @@ class TDModel:
         return eigenspace_decomposition(self.Astar, self.theta_star)
 
     @cached_property
+    def block_forms(self) -> tuple[Numerators, Numerators]:
+        """P^-1 A* P and P*^-1 A P* on integer numerators (`Products`), P and P* the eigenbases of A and A*."""
+        products = Products(self.dim)
+        pairs = ((self.eigenspaces_A, self.Astar), (self.eigenspaces_Astar, self.A))
+        return tuple(products.product((dec.basis_inverse(), x, dec.basis_matrix())) for dec, x in pairs)
+
+    @cached_property
     def qdg(self):
         """The `check_qdg` verdict: (passed, residuals)."""
         return check_qdg(self.A, self.Astar, self.params.q)
@@ -141,7 +141,7 @@ class TDModel:
     @cached_property
     def irreducible(self) -> bool:
         """No proper nonzero subspace is invariant under both A and A*."""
-        return check_irreducible(self.A, self.Astar, self.eigenspaces_A, self.eigenspaces_Astar)
+        return check_irreducible(self.block_forms[1])
 
 
 def build_model(p: ParamSet) -> TDModel:
@@ -203,49 +203,51 @@ def check_tridiagonal_action(model: TDModel):
     """E_i A* E_j = 0 and E*_i A E*_j = 0 whenever |i - j| > 1.
 
     Each product is read as a block of P^-1 A* P (or P*^-1 A P*), for P the
-    eigenbasis of A (or P* that of A*), formed on integer numerators
-    (`Products`); the product itself is formed only as the witness of a
-    nonzero block. Returns (passed, failures) with failures as (side, i, j, residual).
+    eigenbasis of A (or P* that of A*), held on the model (`block_forms`);
+    the product itself is formed only as the witness of a nonzero block.
+    Returns (passed, failures) with failures as (side, i, j, residual).
     """
     sides = [("E_i A* E_j", model.eigenspaces_A, model.Astar), ("E*_i A E*_j", model.eigenspaces_Astar, model.A)]
-    products = Products(model.dim)
-    forms = [products.product((dec.basis_inverse(), x, dec.basis_matrix())) for _, dec, x in sides]
     failures = []
     n = model.d + 1
     for i in range(n):
         for j in range(n):
             if abs(i - j) <= 1:
                 continue
-            for (side, dec, x), y in zip(sides, forms):
+            for (side, dec, x), y in zip(sides, model.block_forms):
                 if not dec.block_is_zero(y, i, j):
                     failures.append((side, i, j, dec.projector([i]) * x * dec.projector([j])))
     return not failures, failures
 
 
-def check_irreducible(
-    a: Matrix, astar: Matrix, spaces_a: Decomposition, spaces_astar: Decomposition
-) -> bool:
-    """True iff no proper nonzero subspace is invariant under both maps.
+def _reaches_all(edges) -> bool:
+    """Whether every vertex is reached from vertex 0 along `edges`, the out-neighbours of each vertex."""
+    seen, stack = {0}, [0]
+    while stack:
+        for k in edges[stack.pop()]:
+            if k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return len(seen) == len(edges)
 
-    `spaces_a` and `spaces_astar` are the eigenspace decompositions of the
-    two maps. Any joint invariant subspace contains an eigenvector of each
-    map, so it suffices to close every eigenspace basis vector of either map
-    under the pair and demand full rank. Complete whenever either map has
-    all eigenspaces one-dimensional, which holds for every model: both are
-    diagonalizable with d + 1 distinct eigenvalues on Q^(d+1). A joint
-    eigenvector then needs no separate pass: it spans one of those lines,
-    whose basis vector closes to that line alone.
+
+def check_irreducible(coupling: Matrix | Numerators) -> bool:
+    """True iff no proper nonzero subspace is invariant under both A and A*, read off C = P*^-1 A P*.
+
+    P* is a basis of A*-eigenvectors v*_0, ..., v*_d for pairwise distinct
+    eigenvalues, as every model has (n = d + 1), and `coupling` is C at any
+    positive scale. An A*-invariant subspace is then the span of the v*_j it
+    contains, and A v*_j = sum_i C_ij v*_i, so the span of {v*_j : j in J}
+    is also A-invariant exactly when J is closed under the edges j -> i with
+    C_ij != 0. The pair is irreducible exactly when no proper nonempty J is
+    closed: when that support graph is strongly connected, i.e. every vertex
+    is reached from v*_0 along the edges and along the reversed edges.
     """
-    if a.rows != a.cols or a.rows != astar.rows or a.cols != astar.cols:
-        raise ShapeError("irreducibility check needs square matrices of equal shape")
-    n = a.rows
-    pair = (a, astar)
-    for space in spaces_a.parts + spaces_astar.parts:
-        for vec in space.basis:
-            seed = Subspace.from_vectors(n, [vec])
-            if invariant_closure(seed, pair).rank < n:
-                return False
-    return True
+    rows = coupling.numerators
+    n = len(rows)
+    return _reaches_all([[i for i in range(n) if rows[i][j]] for j in range(n)]) and _reaches_all(
+        [[j for j in range(n) if rows[i][j]] for i in range(n)]
+    )
 
 
 def spectrum_path(eigs, q: Fraction) -> bool:

@@ -5,7 +5,10 @@ of two ordered eigenspace decompositions; an order is reversed by passing the
 decomposition's inversion. With V* and V the eigenspaces of A* and A:
 K from (V*, V), B from (V*, V reversed), Kdown from (V* reversed, V) and
 Bdown from (V* reversed, V reversed) (`orientations`). The corresponding map
-acts as q^(d-2i) on the i-th part.
+acts as q^(d-2i) on the i-th part. Each is built as the lines of a tau-chain
+from V*_0 or V*_d and certified by its two flags, the flag meets being the
+fallback (`build_split_maps`); M and Mdown are chains down from H V*_0 and
+H V*_d, certified by one product (`LadderSpectra`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Decomposition, Matrix, Numerators, Products, link_inverses
+from .linalg import Decomposition, Matrix, Numerators, Products, SingularMatrixError, chain_lines, link_inverses
 from .lusztig import LusztigData
 from .model import ModelError, TDModel, eigenspace_decomposition
 from .scalars import ParameterError
@@ -39,34 +42,45 @@ class LadderSpectra:
         and decomposed gets the inversion of that decomposition; no inverse
         is computed here.
       - `transports` holds (m, g, S) triples with m = g S g^-1 expected, such
-        as H^-1 K H = a^-1 A - a^-2 K^-1 with g = H^-1 and S = K. The parts
-        g W_i of S's decomposition are taken once they are certified: all
-        nonzero, ranks summing to n, and m P = P diag(q^d, ..., q^-d)
-        (`Decomposition.acts_as`). Parts inside the eigenspaces of distinct
-        eigenvalues that fill the space are those eigenspaces, so the
-        decomposition is the one the kernels give. A relation is tried once.
+        as H^-1 K H = a^-1 A - a^-2 K^-1 with g = H^-1 and S = K: they propose
+        the parts g W_i of S's decomposition. `chains` holds (m, X, u) triples,
+        such as M with X = K and u = H v*_0: they propose the lines of
+        u, (X - q^-d I) u, ... (`linalg.chain_lines`), last first. Parts are
+        taken once certified: all nonzero, ranks summing to n, and
+        m P = P diag(q^d, ..., q^-d) (`Decomposition.acts_as`). Parts inside
+        the eigenspaces of distinct eigenvalues that fill the space are those
+        eigenspaces, so the decomposition is the one the kernels give. A
+        relation is tried once.
       - Otherwise the kernels of m - lam I are solved
         (`eigenspace_decomposition`). A matrix that is not diagonalizable on
-        the ladder raises ModelError on every lookup.
+        the ladder keeps its ModelError, raised on every lookup.
 
     `holds` is the spectral half of `equitable.ladders`: a q-Weyl pair whose
     members both hold has the ladder steps and crossing flags (`equitable`).
     """
 
-    def __init__(self, d: int, q: Fraction, known=(), transports=()):
+    def __init__(self, d: int, q: Fraction, known=(), transports=(), chains=()):
         self.eigenvalues = qweyl_eigenvalues(d, q)
-        self._decompositions: dict[Matrix, Decomposition] = dict(known)
-        self._transports = {m: (g, source) for m, g, source in transports}
+        self._decompositions: dict[Matrix, Decomposition | ModelError] = dict(known)
+        shifts = self.eigenvalues[:0:-1]
+        self._relations = {m: lambda x=x, u=u: chain_lines(x, u, shifts)[::-1] for m, x, u in chains}
+        for m, g, source in transports:
+            self._relations[m] = lambda g=g, source=source: [w.image_under(g) for w in self.decomposition(source).parts]
 
     def decomposition(self, m: Matrix) -> Decomposition:
         dec = self._decompositions.get(m)
         if dec is None:
             inverse = m.cached_inverse()
             known = None if inverse is None else self._decompositions.get(inverse)
-            dec = known.inversion() if known is not None else self._transported(m)
+            dec = known.inversion() if isinstance(known, Decomposition) else self._certified(m)
             if dec is None:
-                dec = eigenspace_decomposition(m, self.eigenvalues)
+                try:
+                    dec = eigenspace_decomposition(m, self.eigenvalues)
+                except ModelError as exc:
+                    dec = exc
             self._decompositions[m] = dec
+        if isinstance(dec, ModelError):
+            raise dec
         return dec
 
     def holds(self, m: Matrix) -> bool:
@@ -85,14 +99,13 @@ class LadderSpectra:
         link_inverses(m, inverse)
         return inverse
 
-    def _transported(self, m: Matrix) -> Decomposition | None:
-        """The parts g W_i of the source's decomposition if they certify as m's, else None."""
-        relation = self._transports.pop(m, None)  # popped first, so a cycle of relations ends
+    def _certified(self, m: Matrix) -> Decomposition | None:
+        """The parts m's relation proposes if they certify as m's decomposition, else None."""
+        relation = self._relations.pop(m, None)  # popped first, so a cycle of relations ends
         if relation is None:
             return None
-        g, source = relation
         try:
-            parts = [w.image_under(g) for w in self.decomposition(source).parts]
+            parts = relation()
         except ModelError:
             return None
         if any(part.is_zero() for part in parts) or sum(part.rank for part in parts) != m.rows:
@@ -170,6 +183,7 @@ class SplitMaps:
 
     A: Matrix
     a: Fraction
+    q: Fraction
     K: Matrix
     B: Matrix
     Kdown: Matrix
@@ -178,15 +192,29 @@ class SplitMaps:
     dec_B: Decomposition
     dec_Kdown: Decomposition
     dec_Bdown: Decomposition
+    certified: dict[str, Decomposition]
+
+    def scale(self, name: str) -> Fraction:
+        """c of the map `name` below: a^-1 for K and Kdown, a for B and Bdown."""
+        return self.a if name.startswith("B") else 1 / self.a
 
     @cached_property
     def conjugates(self) -> tuple[dict[str, Matrix], dict[str, Matrix]]:
-        """H^-1 X H and H X^-1 H^-1 by X: `h_conjugates` with c = a^-1 for K, Kdown and c = a for B, Bdown."""
+        """H^-1 X H and H X^-1 H^-1 by X: `h_conjugates` with c = `scale(X)`."""
         conjugated, conjugated_inverse = {}, {}
         for name in ("K", "B", "Kdown", "Bdown"):
-            c = self.a if name.startswith("B") else 1 / self.a
-            conjugated[name], conjugated_inverse[name] = h_conjugates(self.A, getattr(self, name), c)
+            conjugated[name], conjugated_inverse[name] = h_conjugates(self.A, getattr(self, name), self.scale(name))
         return conjugated, conjugated_inverse
+
+    @cached_property
+    def qweyl_A_residuals(self) -> dict[str, Matrix | None]:
+        """R_X = (q XA - q^-1 AX)/(q - q^-1) - c^-1 X^2 - c I by X (None where zero), read by `split.KA_relations` and the table."""
+        q, w, big_a, products = self.q, 1 / (self.q - 1 / self.q), self.A, Products(self.A.rows)
+        residuals = {}
+        for name in ("K", "B", "Kdown", "Bdown"):
+            x, c = getattr(self, name), self.scale(name)
+            residuals[name] = products.residual([(q * w, (x, big_a)), (-w / q, (big_a, x)), (-1 / c, (x, x)), (-c, ())])
+        return residuals
 
     @cached_property
     def M(self) -> Matrix:
@@ -208,16 +236,31 @@ class SplitMaps:
 def build_split_maps(model: TDModel) -> SplitMaps:
     """Construct K, B, Kdown, Bdown from the four split decompositions.
 
-    Each map keeps as its inverse the map of its inverted decomposition.
-    Every check that needs H^-1 X H or H X^-1 H^-1 reads the closed forms
-    the maps derive (`SplitMaps.conjugates`).
+    Each is first the lines of its tau-chain (Terwilliger, LAA 330, 2001):
+    u_0 = v*_0 (v*_d for Kdown, Bdown), u_(i+1) = (A - theta'_i I) u_i for
+    theta' the A-eigenvalues in the orientation's order, kept when nonzero,
+    independent and with the flags of the V* and V orders (`split_mismatches`),
+    which makes each line the meet of those flags. That is the `split.flags`
+    verdict (`certified`); a chain that fails gives way to the flag meets
+    (`split_decomposition`). Each map keeps the map of its inverted
+    decomposition as its inverse.
     """
-    decs, maps = {}, {}
+    q, thetas = model.params.q, model.theta
+    decs, maps, certified = {}, {}, {}
     for name, star_dec, a_dec in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
-        decs[name] = split_decomposition(star_dec, a_dec)
-        maps[name] = map_from_decomposition(decs[name], model.params.q)
-        link_inverses(maps[name], map_from_decomposition(decs[name].inversion(), model.params.q))
-    return SplitMaps(A=model.A, a=model.params.a, **maps, **{f"dec_{name}": dec for name, dec in decs.items()})
+        lines = chain_lines(model.A, star_dec[0].numerators[0], (thetas[::-1] if name[0] == "B" else thetas)[:-1])
+        try:
+            if not any(line.is_zero() for line in lines):
+                dec = Decomposition.independent(lines)
+                dec.basis_inverse()  # raises unless the lines are independent
+                if split_mismatches(dec, star_dec, a_dec) == ([], []):
+                    certified[name] = dec
+        except SingularMatrixError:
+            pass
+        decs[f"dec_{name}"] = dec = certified[name] if name in certified else split_decomposition(star_dec, a_dec)
+        maps[name] = map_from_decomposition(dec, q)
+        link_inverses(maps[name], map_from_decomposition(dec.inversion(), q))
+    return SplitMaps(A=model.A, a=model.params.a, q=q, **maps, **decs, certified=certified)
 
 
 def check_split_flags(model: TDModel, s: SplitMaps):
@@ -225,12 +268,15 @@ def check_split_flags(model: TDModel, s: SplitMaps):
 
     Ascending U-flag = ascending flag of the (possibly inverted) A*-eigenspace
     list; descending U-flag = descending flag of the (possibly inverted)
-    A-eigenspace list (`split_mismatches`). Returns (passed, failures).
+    A-eigenspace list (`split_mismatches`). A decomposition that
+    `build_split_maps` certified has both (`SplitMaps.certified`) and is not
+    tested again. Returns (passed, failures).
     """
     failures = []
     d = model.d
     for name, star_ref, a_ref in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
-        ascending, descending = split_mismatches(getattr(s, f"dec_{name}"), star_ref, a_ref)
+        dec = getattr(s, f"dec_{name}")
+        ascending, descending = ([], []) if s.certified.get(name) is dec else split_mismatches(dec, star_ref, a_ref)
         for i in range(d + 1):
             if i in ascending:
                 failures.append((name, i, "ascending flag != star flag"))
@@ -253,20 +299,16 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
     does: the inverse forms (q A X^-1 - q^-1 X^-1 A)/(q - q^-1) = ... of the
     first two, whose residuals are X^-1 R X^-1 for the residual R of the
     q-Weyl relation of X, and the right products QP = I, since for square P
-    and Q, PQ = I exactly when QP = I. Each relation is one combination of
-    products (`Products`), shared within a pair.
+    and Q, PQ = I exactly when QP = I. The residuals of the first two are
+    the R_X the split maps hold (`SplitMaps.qweyl_A_residuals`); each other
+    relation is one combination of products (`Products`), shared within a pair.
     Returns (passed, failures) as (name, residual).
     """
     p = model.params
     q, a = p.q, p.a
-    big_a = (model.A,)
     c1 = (q / a - a / q) / (q - 1 / q)
     c2 = (a * q - 1 / (a * q)) / (q - 1 / q)
-    w = 1 / (q - 1 / q)
-
-    def qweyl(x, y):
-        """The terms of (q XY - q^-1 YX)/(q - q^-1)."""
-        return [(q * w, x + y), (-w / q, y + x)]
+    held = s.qweyl_A_residuals
 
     def inverse_pair(x, alpha, beta, y, gamma, delta):
         """The terms of (alpha X - beta I)(gamma Y - delta I) - I."""
@@ -279,15 +321,16 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
     ga, de = (q - 1 / q) / (a * a_inv), (a * q - 1 / (a * q)) / a_inv
     al2, ga2 = a * (q - 1 / q) / a_inv, a * (q - 1 / q) / inv_a
     failures = []
-    for tag, k, b in (("", s.K, s.B), ("down:", s.Kdown, s.Bdown)):
+    for tag, down in (("", ""), ("down:", "down")):
+        k, b = getattr(s, "K" + down), getattr(s, "B" + down)
         k1, b1 = (k,), (b,)
         ki, bi = (k.inverse(),), (b.inverse(),)
         products = Products(model.dim)
         # the cross products of the inverse pairs, each taken as one factor
         kib, bki, bik, kbi = ((products.product(x + y),) for x, y in ((ki, b1), (b1, ki), (bi, k1), (k1, bi)))
+        expect_zero(failures, tag + "qweyl[K,A] = a K^2 + a^-1 I", held["K" + down])
+        expect_zero(failures, tag + "qweyl[B,A] = a^-1 B^2 + a I", held["B" + down])
         relations = [
-            ("qweyl[K,A] = a K^2 + a^-1 I", qweyl(k1, big_a) + [(-a, k1 + k1), (-1 / a, ())]),
-            ("qweyl[B,A] = a^-1 B^2 + a I", qweyl(b1, big_a) + [(-1 / a, b1 + b1), (-a, ())]),
             (
                 "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
                 [(a, k1 + k1), (-c1, k1 + b1), (-c2, b1 + k1), (1 / a, b1 + b1)],

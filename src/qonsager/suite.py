@@ -258,8 +258,10 @@ class TargetContext:
 
         The H-conjugates and N, Ndown are registered as transports:
         H^-1 X H from X and H X^-1 H^-1 from X^-1 for each split map X, and
-        N = H^-1 M H, Ndown = H^-1 Mdown H. Without H (its construction
-        raised) nothing is transported, and the kernels decide.
+        N = H^-1 M H, Ndown = H^-1 Mdown H. M and Mdown are chains down from
+        M_d = H V*_0 and Mdown_d = H V*_d, with M_(i-1) = (K - q^(d-2i) I) M_i
+        and likewise with Kdown. Without H (its construction raised) there are
+        no relations, and the kernels decide.
         """
 
         def build():
@@ -274,23 +276,62 @@ class TargetContext:
             for name in ("K", "B", "Kdown", "Bdown"):
                 x = getattr(s, name)
                 transports += [(conj[name], lus.H_inv, x), (conj_inv[name], lus.H, x.inverse())]
-            return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known, transports)
+            chains = [(s.M, s.K, lus.Vminus[0].numerators[0]), (s.Mdown, s.Kdown, lus.Vminus[-1].numerators[0])]
+            return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known, transports, chains)
 
         return self._once("spectra", build)
 
     @property
     def triple_table(self):
-        """The eight (label, X, Y, Z) rows of `equitable.build_triple_table`."""
-        return self._once(
-            "triple_table", lambda: equitable.build_triple_table(self.split_maps, self.spectra)
-        )
+        """The eight (label, X, Y, Z) rows of `equitable.build_triple_table`, kept also as "built_table"."""
+        build = lambda: equitable.build_triple_table(self.split_maps, self.spectra)  # noqa: E731
+        return self._once("triple_table", lambda: self._once("built_table", build))
+
+    @property
+    def split_flags(self):
+        """The `check_split_flags` verdict, read from the certificates of the split maps."""
+        return self._once("split_flags", lambda: splitmaps.check_split_flags(self.model, self.split_maps))
+
+    @property
+    def H_conjugation(self):
+        return self._once("H_conjugation", lambda: splitmaps.check_H_conjugation_of_splits(self.lusztig, self.split_maps))
+
+    @property
+    def MN(self):
+        return self._once("MN", lambda: splitmaps.check_MN_conjugation(self.lusztig, self.split_maps, self.spectra))
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether `lusztig.H_invertible`, `split.H_conjugation` and `split.MN` pass (none raised).
+
+        Rows 5-8 of the built table and the N-side claims of the diagrams are
+        then read from their H-mirrors (`equitable`).
+        """
+
+        def build():
+            try:
+                return _H_invertible(self)[0] and self.H_conjugation[0] and self.MN[0]
+            except CHECK_ERRORS:
+                return False
+
+        return self._once("mirrored", build)
+
+    @property
+    def rows_mirrored(self) -> bool:
+        """`mirrored`, for the table `build_triple_table` gave: a replaced table is tested row by row."""
+        return self.triple_table is self._built.get("built_table") and self.mirrored
 
     @property
     def table_check(self):
-        """The `verify_triple_table` verdict on the triple table."""
-        return self._once(
-            "table_check", lambda: equitable.verify_triple_table(self.model, self.triple_table, self.spectra)
-        )
+        """The `verify_triple_table` verdict on the triple table, its (Z, X) residuals read from the split maps."""
+
+        def build():
+            lus = self.lusztig if self.rows_mirrored else None
+            known = equitable.held_residuals(self.split_maps)
+            mirror = None if lus is None else (lus.H, lus.H_inv)
+            return equitable.verify_triple_table(self.model, self.triple_table, self.spectra, known, mirror)
+
+        return self._once("table_check", build)
 
 
 def _distinct(ctx: TargetContext):
@@ -372,9 +413,13 @@ def _L_conjugation(ctx: TargetContext):
 
 
 def _inversion_inverts(ctx: TargetContext):
+    # a split map keeps the map of its inverted decomposition as its inverse;
+    # only a map without one, such as a replaced one, forms it here
     s, products = ctx.split_maps, Products(ctx.model.dim)
     for name in ("K", "B", "Kdown", "Bdown"):
-        inverted = splitmaps.map_from_decomposition(getattr(s, f"dec_{name}").inversion(), ctx.model.params.q)
+        inverted = getattr(s, name).cached_inverse() or splitmaps.map_from_decomposition(
+            getattr(s, f"dec_{name}").inversion(), ctx.model.params.q
+        )
         if products.residual([(1, (getattr(s, name), inverted)), (-1, ())]) is not None:
             return False, f"map of inverted {name} decomposition != {name}^-1"
     return True, None
@@ -385,9 +430,11 @@ def _ladders(ctx: TargetContext):
     # the ladder steps and crossing flags (`equitable`). The table has tested
     # the relation of every pair, also in a row with a singular member, and
     # its invertibility entries looked up every member on the ladder.
+    # Rows 5-8 of a mirrored table are H^-1 (rows 1-4) H, so each of their
+    # pairs meets the precondition exactly when its mirror does.
     failed = {(label, name) for label, name, _ in ctx.table_check[1]}
     holds = ctx.spectra.holds
-    for label, x, y, z in ctx.triple_table:
+    for label, x, y, z in ctx.triple_table[: 4 if ctx.rows_mirrored else 8]:
         for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
             if (label, f"q-Weyl ({pair_name})") in failed or not (holds(left) and holds(right)):
                 return False, f"row {label} pair ({pair_name}): precondition"
@@ -461,7 +508,7 @@ SUITES = {
         (
             "split.flags",
             "each split decomposition satisfies both defining flag equalities",
-            _check(lambda ctx: splitmaps.check_split_flags(ctx.model, ctx.split_maps)),
+            _check(lambda ctx: ctx.split_flags),
         ),
         ("split.inversion", "inverting a decomposition inverts its map", _inversion_inverts),
         (
@@ -472,7 +519,7 @@ SUITES = {
         (
             "split.H_conjugation",
             "all eight H-conjugation identities for the split maps",
-            _check(lambda ctx: splitmaps.check_H_conjugation_of_splits(ctx.lusztig, ctx.split_maps)),
+            _check(lambda ctx: ctx.H_conjugation),
         ),
         (
             "split.R_ladder",
@@ -482,7 +529,7 @@ SUITES = {
         (
             "split.MN",
             "M, N and down analogues diagonalizable on the q-ladder; H^-1 M H = N",
-            _check(lambda ctx: splitmaps.check_MN_conjugation(ctx.lusztig, ctx.split_maps, ctx.spectra)),
+            _check(lambda ctx: ctx.MN),
         ),
     ),
     "equitable": (
@@ -503,7 +550,8 @@ SUITES = {
             "N/M flag equalities, twisted-pair split maps, and the 3-cycle triples",
             _check(
                 lambda ctx: equitable.verify_diagrams(
-                    ctx.model, ctx.lusztig, ctx.split_maps, ctx.spectra, ctx.table_check
+                    ctx.model, ctx.lusztig, ctx.split_maps, ctx.spectra, ctx.table_check,
+                    ctx.split_flags if ctx.mirrored else None,
                 )
             ),
         ),

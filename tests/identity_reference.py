@@ -31,6 +31,8 @@ from qonsager.model import ModelError, TDModel
 from qonsager.scalars import ONE, ParameterError, t_coeff
 from qonsager.splitmaps import LadderSpectra, SplitMaps
 
+from linalg_reference import power, transpose, zero
+
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
     """[X, Y] = XY - YX."""
@@ -243,7 +245,7 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     r = model.A - theta_map
     failures = []
     for i, part in enumerate(parts):
-        u = Matrix(part.basis).transpose()
+        u = transpose(Matrix(part.basis))
         expect_zero(
             failures, f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}", theta_map * u - u.scale(model.theta[i])
         )
@@ -252,7 +254,7 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
             expect_zero(failures, f"R U_{i} inside U_{i + 1}", s.K * ru - ru.scale(eigs[i + 1]))
         else:
             expect_zero(failures, "R kills the top part", ru)
-    expect_zero(failures, f"R^{d + 1} = 0", r ** (d + 1))
+    expect_zero(failures, f"R^{d + 1} = 0", power(r, d + 1))
     expect_zero(failures, "R K = q^2 K R", r * s.K - (s.K * r).scale(q * q))
     return not failures, failures
 
@@ -333,7 +335,7 @@ def expand_H(model: TDModel, r: int, variant: str = "ascending") -> tuple[Matrix
     q, a = p.q, p.a
     ident = Matrix.identity(model.dim)
     tr = p.ts[r]
-    out, out_inv = Matrix.zero(model.dim), Matrix.zero(model.dim)
+    out, out_inv = zero(model.dim), zero(model.dim)
     running = ident  # the growing product of (A - theta I) factors
     coeff = ONE  # the growing power of the step below
     if variant == "ascending":

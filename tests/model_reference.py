@@ -1,5 +1,7 @@
 """`check_irreducible` and `spectrum_graph` as `model` had them: the oracles of the two rewritten checks.
 
+`coupling` forms the matrix the support-graph check of `model` reads.
+
 The irreducibility check below rejects joint eigenvectors by intersecting
 every pair of eigenspaces before it closes eigenvectors; `model` now only
 closes them. The spectrum classifier builds the whole adjacency graph and
@@ -11,9 +13,10 @@ verbatim apart from their imports (the intersection comes from
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace, invariant_closure
+from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace
 from qonsager.scalars import ParameterError, p_poly
 
+from closure_reference import invariant_closure
 from linalg_reference import subspace_intersect
 
 
@@ -45,6 +48,11 @@ def check_irreducible(
             if invariant_closure(seed, pair).rank < n:
                 return False
     return True
+
+
+def coupling(a: Matrix, spaces_astar: Decomposition) -> Matrix:
+    """P*^-1 A P*, for P* the basis matrix of A*'s eigenspaces: what `model.check_irreducible` reads."""
+    return spaces_astar.basis_inverse() * a * spaces_astar.basis_matrix()
 
 
 @dataclass(frozen=True)

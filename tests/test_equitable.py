@@ -35,6 +35,7 @@ from qonsager.splitmaps import (
 )
 
 from identity_reference import is_qweyl_pair, ladders, qweyl_bracket, qweyl_ladder, shifted_product_images
+from linalg_reference import diagonal, rank, zero
 from projector_reference import lagrange_projectors
 from test_identity_oracle import _outcome, _perturbed_import
 from test_ladder_inverses import PARAMS, _built
@@ -124,14 +125,14 @@ def test_equitable_triple_reports_singular_input():
     """The invertibility failures come first; the q-Weyl relations of the row are tested too."""
     ident = Matrix.identity(2)
     minus_ident = Matrix([[-1, 0], [0, -1]])
-    ok, failures = check_equitable_triple(Matrix.zero(2), ident, ident, F(2))
+    ok, failures = check_equitable_triple(zero(2), ident, ident, F(2))
     assert not ok
     assert failures == [
         ("X invertible", "matrix is singular: rank 0 < 2"),
         ("q-Weyl (X,Y)", minus_ident),
         ("q-Weyl (Z,X)", minus_ident),
     ]
-    ok, failures = check_equitable_triple(ident, Matrix([[1, 2], [2, 4]]), Matrix.zero(2), F(2))
+    ok, failures = check_equitable_triple(ident, Matrix([[1, 2], [2, 4]]), zero(2), F(2))
     assert not ok
     assert failures == [
         ("Y invertible", "matrix is singular: rank 1 < 2"),
@@ -232,7 +233,7 @@ def _seeded_ladder_pair(seed):
     eigs = qweyl_eigenvalues(d, q)
     while True:
         p = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if p.rank() == n:
+        if rank(p) == n:
             break
     y0 = [[F(0)] * n for _ in range(n)]
     for i in range(n):
@@ -242,7 +243,7 @@ def _seeded_ladder_pair(seed):
     if seed % 2:
         y0[rng.randrange(n)][rng.randrange(n)] += F(rng.randint(1, 5), rng.randint(1, 3))
     p_inv = p.inverse()
-    return p * Matrix.diagonal(eigs) * p_inv, p * Matrix(y0) * p_inv, q, d
+    return p * diagonal(eigs) * p_inv, p * Matrix(y0) * p_inv, q, d
 
 
 def test_integer_qweyl_test_agrees_with_the_residual():
@@ -323,7 +324,7 @@ def test_ladders_test_the_qweyl_relation_in_a_row_with_a_singular_member():
     label, x, y, z = ctx.triple_table[0]
     shear = Matrix([[1, 1], [0, 1]])
     sheared = shear * y * shear.inverse()
-    ctx._built["triple_table"] = ((label, x, sheared, Matrix.zero(2)),) + ctx.triple_table[1:]
+    ctx._built["triple_table"] = ((label, x, sheared, zero(2)),) + ctx.triple_table[1:]
     minus_ident = Matrix([[-1, 0], [0, -1]])
     assert ctx.table_check == (
         False,
@@ -346,18 +347,29 @@ def test_ladders_test_the_qweyl_relation_in_a_row_with_a_singular_member():
     }
 
 
-def test_a_row_of_identities_passes_the_table_and_fails_the_ladder_precondition():
+def test_a_row_of_identities_passes_the_table_and_fails_the_ladder_precondition(monkeypatch):
     """Negative control of the spectral branch: (I, I, I) is an equitable triple, but I has no q^d-eigenvector.
 
     So `equitable.ladders` flips on the ladder spectra alone, with every
-    q-Weyl relation holding, and names the pair the oracle names.
+    q-Weyl relation holding, and names the pair the oracle names. The ladder
+    keeps the ModelError of I, so its kernels are solved once for the three
+    invertibility entries of the table and the ladders' lookups together.
     """
     target = suite.make_param_target(1, F(2), F(3), F(5), (F(1),))
     ctx = suite.TargetContext(build_model(GOLDEN))
     ident = Matrix.identity(2)
     ctx._built["triple_table"] = (("1", ident, ident, ident),) + ctx.triple_table[1:]
+    solved, original = [], splitmaps.eigenspace_decomposition
+
+    def counted(m, eigs):
+        solved.append(m)
+        return original(m, eigs)
+
+    monkeypatch.setattr(splitmaps, "eigenspace_decomposition", counted)
     assert ctx.table_check == (True, [])
     assert ladders(ctx) == (False, "row 1 pair (X,Y): precondition")
+    assert suite._ladders(ctx) == (False, "row 1 pair (X,Y): precondition")
+    assert solved.count(ident) == 1
     report = Report(target.label)
     for check_id, detail, check in suite.SUITES["equitable"] + suite.SUITES["diagrams"]:
         report.run(check_id, detail, lambda: check(ctx))
@@ -377,6 +389,7 @@ def _pair_context(x, y, q, d):
         spectra=spectra,
         triple_table=(("1", x, y, y),),
         table_check=(ok, [("1", name, resid) for name, resid in failures]),
+        rows_mirrored=False,
     )
 
 

@@ -24,6 +24,7 @@ from qonsager.scalars import ParamSet, chu_vandermonde_table
 from qonsager.splitmaps import LadderSpectra
 
 from chu_vandermonde_reference import chu_vandermonde_sums as reference_sums
+from linalg_reference import zero
 from test_identity_oracle import _perturbed_import
 
 PARAMS = [(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]
@@ -101,8 +102,8 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
     shear = Matrix([[1, 1], [0, 1]])
     sheared = shear * y * shear.inverse()
     rows = [
-        ("sheared", x, sheared, Matrix.zero(2)),
-        ("singular", Matrix.zero(2), Matrix.identity(2), Matrix([[1, 2], [2, 4]])),
+        ("sheared", x, sheared, zero(2)),
+        ("singular", zero(2), Matrix.identity(2), Matrix([[1, 2], [2, 4]])),
     ]
     got = equitable.verify_triple_table(ctx.model, rows, ctx.spectra)
     assert got == _eliminated_table_check(ctx.model, rows)
@@ -114,7 +115,7 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
     assert ctx.spectra.holds(sheared)  # invertible from its ladder decomposition, with no elimination
     spectra = LadderSpectra(1, F(2))
     ident = Matrix.identity(2)
-    for members in ((Matrix.zero(2), ident, ident), (ident, Matrix([[1, 2], [2, 4]]), Matrix.zero(2))):
+    for members in ((zero(2), ident, ident), (ident, Matrix([[1, 2], [2, 4]]), zero(2))):
         assert equitable.check_equitable_triple(*members, F(2), spectra) == equitable.check_equitable_triple(
             *map(_fresh, members), F(2)
         )

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from qonsager import model
-from qonsager.linalg import Decomposition, Matrix, Subspace, kernel
+from qonsager.linalg import Decomposition, Matrix, kernel
 from qonsager.model import (
     ModelError,
     build_model,
@@ -17,10 +17,12 @@ from qonsager.model import (
     spectrum_path,
 )
 from qonsager.modelio import import_model
-from qonsager.scalars import ParameterError, ParamSet, theta
+from qonsager.scalars import ParameterError, ParamSet
 
-from linalg_reference import subspace_intersect
-from model_reference import spectrum_graph
+import model_reference
+from closure_reference import invariant_closure
+from linalg_reference import diagonal, subspace_intersect, zero
+from model_reference import coupling, spectrum_graph
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -60,12 +62,12 @@ def test_projector_laws(golden_model, d2_model):
         ):
             projs = [dec.projector([i]) for i in range(len(dec))]
             assert tuple(projs) == lagrange_projectors(mat, eigs)
-            total = Matrix.zero(n)
+            total = zero(n)
             for i, pi in enumerate(projs):
                 total = total + pi
                 assert mat * pi == pi.scale(eigs[i])
                 for j, pj in enumerate(projs):
-                    assert pi * pj == (pi if i == j else Matrix.zero(n))
+                    assert pi * pj == (pi if i == j else zero(n))
             assert total == Matrix.identity(n)
             assert dec.diagonal_map(eigs) == mat
 
@@ -147,7 +149,7 @@ def test_tridiagonal_action_dense_star_fails(d2_model):
     # P diag(theta*) P^-1 has the theta* spectrum but is not tridiagonal
     # with respect to A.
     p = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    dense = p * Matrix.diagonal(d2_model.theta_star) * p.inverse()
+    dense = p * diagonal(d2_model.theta_star) * p.inverse()
     broken = replace(d2_model, Astar=dense)
     ok, failures = check_tridiagonal_action(broken)
     assert not ok
@@ -171,24 +173,25 @@ def _eigenspaces(m: Matrix, eigs) -> Decomposition:
 
 def test_irreducible_golden(golden_model):
     assert golden_model.irreducible
-    assert check_irreducible(
-        golden_model.A, golden_model.Astar, golden_model.eigenspaces_A, golden_model.eigenspaces_Astar
-    )
+    assert check_irreducible(golden_model.block_forms[1])
+    assert check_irreducible(coupling(golden_model.A, golden_model.eigenspaces_Astar))
 
 
 def test_reducible_when_phi_vanishes():
     # Upper-bidiagonal A* with phi_1 = 0: span(e_1) is invariant under both.
     a = Matrix([[F(37, 6), 0], [1, F(13, 6)]])
     astar = Matrix([[F(101, 10), 0], [0, F(29, 10)]])
-    spaces_a = _eigenspaces(a, (F(37, 6), F(13, 6)))
     spaces_astar = _eigenspaces(astar, (F(101, 10), F(29, 10)))
-    assert not check_irreducible(a, astar, spaces_a, spaces_astar)
+    # A e_0 has a component on e_1 but A e_1 none on e_0: the support graph
+    # has the edge 0 -> 1 only, connected but not strongly
+    assert coupling(a, spaces_astar) == a
+    assert not check_irreducible(coupling(a, spaces_astar))
 
 
-def test_identity_pair_reducible():
-    ident = Matrix.identity(2)
-    whole = _eigenspaces(ident, (F(1),))
-    assert not check_irreducible(ident, ident, whole, whole)
+def test_commuting_diagonal_pair_reducible():
+    # A and A* diagonal in one basis: every A*-eigenline is A-invariant, and the graph has no edge
+    a, astar = diagonal([F(1), F(2), F(3)]), diagonal([F(4), F(5), F(6)])
+    assert not check_irreducible(coupling(a, _eigenspaces(astar, (F(4), F(5), F(6)))))
 
 
 def _direct_sum(x: Matrix, y: Matrix) -> Matrix:
@@ -197,11 +200,13 @@ def _direct_sum(x: Matrix, y: Matrix) -> Matrix:
                     for j in range(n + m)] for i in range(n + m)])
 
 
-def test_only_the_closure_catches_a_direct_sum_without_joint_eigenvectors(monkeypatch):
+def test_the_support_graph_catches_a_direct_sum_without_joint_eigenvectors(monkeypatch):
     # The d = 1 pairs at (a, b) = (3, 5) and (5, 3) swap spectra: A has
     # eigenvalues 37/6, 13/6, 101/10, 29/10, each once, and so has A*. The
     # eigenlines of A and A* meet only in 0, so there is no joint
-    # eigenvector; each summand is a proper invariant subspace.
+    # eigenvector; each summand is a proper invariant subspace, and in A*'s
+    # eigenbasis the support graph of A has the two summands' lines as its
+    # two components.
     first = build_model(GOLDEN)
     second = build_model(ParamSet(1, F(2), F(5), F(3), (F(1),)))
     a, astar = _direct_sum(first.A, second.A), _direct_sum(first.Astar, second.Astar)
@@ -209,12 +214,16 @@ def test_only_the_closure_catches_a_direct_sum_without_joint_eigenvectors(monkey
     assert set(spectrum) == set(first.theta_star + second.theta_star)
     spaces_a, spaces_astar = _eigenspaces(a, spectrum), _eigenspaces(astar, spectrum)
     assert all(subspace_intersect(u, v).is_zero() for u in spaces_a.parts for v in spaces_astar.parts)
-    assert not check_irreducible(a, astar, spaces_a, spaces_astar)
-    seed = Subspace.from_vectors(4, [spaces_a[0].basis[0]])
-    assert model.invariant_closure(seed, (a, astar)).rank == 2
-    # a closure that returned the whole space would call the pair irreducible
-    monkeypatch.setattr(model, "invariant_closure", lambda seed, maps: Subspace.full(seed.ambient_dim))
-    assert check_irreducible(a, astar, spaces_a, spaces_astar)
+    c = coupling(a, spaces_astar)
+    assert {(i, j) for i in range(4) for j in range(4) if c[i, j]} == {(i, j) for i in (0, 1) for j in (0, 1)} | {
+        (i, j) for i in (2, 3) for j in (2, 3)
+    }
+    assert not check_irreducible(c)
+    assert not model_reference.check_irreducible(a, astar, spaces_a, spaces_astar)
+    assert invariant_closure(spaces_astar[0], (a, astar)).rank == 2
+    # a graph search that reached every vertex would call the pair irreducible
+    monkeypatch.setattr(model, "_reaches_all", lambda edges: True)
+    assert check_irreducible(c)
 
 
 def test_build_model_rejects_a_reducible_pair():
@@ -257,7 +266,7 @@ def test_spectrum_graph_rejects_duplicates():
 
 def test_spectrum_graph_d3_path_matches_theta_order():
     p = ParamSet(3, F(3, 2), F(5), F(3))
-    thetas = [theta(i, p) for i in range(4)]
+    thetas = list(p.thetas)
     graph = spectrum_graph(thetas, p.q)
     assert graph.kind == "path"
     assert graph.order in (tuple(thetas), tuple(reversed(thetas)))
@@ -270,7 +279,7 @@ def test_recover_a_golden():
 
 def test_recover_a_round_trip():
     p = ParamSet(2, F(3, 2), F(1, 7), F(2, 9))
-    thetas = [theta(i, p) for i in range(3)]
+    thetas = list(p.thetas)
     assert recover_a(thetas[0], thetas[1], 2, p.q, thetas) == F(1, 7)
 
 
@@ -318,5 +327,5 @@ def test_recover_a_from_generated_models():
     for d in (1, 2, 3):
         for q in (F(2), F(3, 2)):
             p = ParamSet(d, q, F(5), F(3))
-            thetas = [theta(i, p) for i in range(d + 1)]
+            thetas = list(p.thetas)
             assert recover_a(thetas[0], thetas[1], d, q, thetas) == 5

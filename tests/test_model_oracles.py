@@ -1,10 +1,15 @@
 """The rewritten irreducibility and spectrum-path checks against their previous code.
 
 `model_reference` keeps `check_irreducible` with its joint-eigenvector pass
-and the `spectrum_graph` classifier verbatim; the verdicts of `model` must
-agree with them on every input drawn here.
+and eigenvector closures, and the `spectrum_graph` classifier, verbatim; the
+verdicts of `model` must agree with them on every input drawn here.
+`model.check_irreducible` reads the support graph of P*^-1 A P*, so it is
+also compared with the closures on seeded dense, reducible and
+non-tridiagonal pairs.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -14,7 +19,10 @@ from qonsager.linalg import Matrix, SingularMatrixError
 from qonsager.model import check_irreducible, eigenspace_decomposition, spectrum_path
 from qonsager.scalars import ParameterError, ParamSet
 
+from closure_reference import invariant_closure
+from linalg_reference import diagonal, rank
 import model_reference
+from model_reference import coupling
 
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -66,7 +74,7 @@ GOLDEN = ParamSet(1, F(2), F(3), F(5))
 def test_irreducibility_verdict_matches_the_joint_eigenvector_check(case):
     a, astar, thetas, theta_stars = case
     spaces_a, spaces_astar = eigenspace_decomposition(a, thetas), eigenspace_decomposition(astar, theta_stars)
-    assert check_irreducible(a, astar, spaces_a, spaces_astar) == model_reference.check_irreducible(
+    assert check_irreducible(coupling(a, spaces_astar)) == model_reference.check_irreducible(
         a, astar, spaces_a, spaces_astar
     )
 
@@ -74,8 +82,51 @@ def test_irreducibility_verdict_matches_the_joint_eigenvector_check(case):
 def test_the_joint_eigenvector_pair_is_reducible_to_both():
     a, astar = bidiagonal_pair(GOLDEN, [F(-144, 5)])
     spaces = eigenspace_decomposition(a, GOLDEN.thetas), eigenspace_decomposition(astar, GOLDEN.theta_stars)
-    assert not check_irreducible(a, astar, *spaces)
+    assert not check_irreducible(coupling(a, spaces[1]))
     assert not model_reference.check_irreducible(a, astar, *spaces)
+
+
+def _seeded_coupled_pair(seed):
+    """(A, A*, A*-eigenspaces, kind): A* = P D P^-1 with distinct D, A = P C P^-1 for a seeded C.
+
+    C is dense, block triangular on a random index set (so the span of those
+    A*-eigenlines is invariant), or sparse with random support (tridiagonal
+    or not); P is a dense integer matrix.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    while True:
+        p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            break
+    eigs = rng.sample(range(-9, 10), n)
+    kind = ("dense", "block", "sparse")[seed % 3]
+    c = [[rng.randint(-3, 3) or 1 for _ in range(n)] for _ in range(n)]
+    if kind == "block":
+        closed = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        c = [[0 if j in closed and i not in closed else e for j, e in enumerate(row)] for i, row in enumerate(c)]
+    elif kind == "sparse":
+        c = [[e if rng.random() < 0.35 else 0 for e in row] for row in c]
+    p_inv = p.inverse()
+    a, astar = p * Matrix(c) * p_inv, p * diagonal(eigs) * p_inv
+    return a, astar, eigenspace_decomposition(astar, eigs), kind
+
+
+def test_the_support_graph_agrees_with_the_closures_on_seeded_pairs():
+    """The graph verdict is the closure oracle's on 300 seeded pairs, n = 2..6.
+
+    A joint invariant subspace is A*-invariant, so it contains an A*-eigenline:
+    the pair is irreducible exactly when each of those lines closes to Q^n.
+    """
+    verdicts = Counter()
+    for seed in range(300):
+        a, astar, spaces_astar, kind = _seeded_coupled_pair(seed)
+        n = a.rows
+        closes = all(invariant_closure(line, (a, astar)).rank == n for line in spaces_astar.parts)
+        assert check_irreducible(coupling(a, spaces_astar)) == closes, seed
+        verdicts[kind, closes] += 1
+    # every block triangular pair is reducible, and 178 of the 300 are
+    assert verdicts == {("dense", True): 100, ("block", False): 100, ("sparse", False): 78, ("sparse", True): 22}
 
 
 def old_verdict(eigs, q) -> bool:

@@ -162,30 +162,35 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     names = ("K", "B", "Kdown", "Bdown")
     assert all(row[1] is conj_inv[x] for row, x in zip(rows[:4], names))
     assert all(row[3] is conj[x] for row, x in zip(rows[4:], names))
-    # the table tests each of its 24 pairs once and the ladders read its verdicts;
+    # the table tests the (X,Y) and (Y,Z) pairs of rows 1-4: the (Z,X) pairs
+    # read the R_X of split.KA_relations, and rows 5-8 are read from rows 1-4
+    # as split.H_conjugation and split.MN hold; the ladders read its verdicts;
     # build_model and model.qdg share one evaluation of the q-Dolan/Grady residuals
-    assert len(calls["qweyl_residual"]) == 24
+    assert len(calls["qweyl_residual"]) == 8
     assert len(calls["qdg_residuals"]) == 1
     # the ladders read the table's verdicts and the ladder spectra its
     # invertibility entries filled: no product, elimination or kernel
     assert ladder_work == [[0, 0, 0]]
-    # 24 distinct matrices go through the q-ladder: K, B, Kdown and Bdown come
-    # with their split decompositions, 8 take the reversed decomposition of
-    # an inverse that was already decomposed, the 8 H-conjugates and N, Ndown
-    # are transported by H, and the ladder computes no inverse. Only M and
-    # Mdown are left to the kernels; the model decomposes A and A* once each.
-    assert len(calls["eigenspace_decomposition"]) <= 2 + 2
+    # The matrices on the q-ladder: K, B, Kdown and Bdown come with their
+    # split decompositions, inverses take the reversed decomposition of a
+    # matrix already decomposed, the H-conjugates that rows 1-4 and split.MN
+    # read and N, Ndown are transported by H, M and Mdown are chained down
+    # from H V*, and the ladder computes no inverse. None is left to the
+    # kernels: the model decomposes A and A* once each, and those are the
+    # only kernels the target solves.
+    assert len(calls["eigenspace_decomposition"]) == 2
+    assert len(calls["kernel"]) == 2 * 3
     assert not ladder_inverses
     # every inverse the target reads is the map of an inverted decomposition,
     # so only basis matrices P are eliminated (30 eliminations when M^-1,
     # N^-1, the split maps' inverses and the table's invertibility were
-    # eliminated); the Chu-Vandermonde sums are summed once, for
-    # scalars.chu_vandermonde and lusztig.expansions together
-    assert len(eliminated) <= 12
+    # eliminated, 12 while V+ was read by the diagrams); the Chu-Vandermonde
+    # sums are summed once, for scalars.chu_vandermonde and lusztig.expansions together
+    assert len(eliminated) == 10
     assert summed == [ctx.model.params]
-    # the four split decompositions of the model are flag meets; those of the
-    # twisted pairs are the conjugates' ladder decompositions, certified by flags
-    assert len(meets) == 4
+    # the four split decompositions of the model are certified tau-chains, and
+    # the diagrams read the twisted pairs' slots from split.flags: no flag meet
+    assert not meets
     # build_model rejects a pair that is not tridiagonal or is reducible;
     # model.tridiagonal and model.irreducible read its verdicts.
     assert len(calls["check_tridiagonal_action"]) == 1

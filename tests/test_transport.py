@@ -1,12 +1,13 @@
-"""Ladder decompositions transported by H, against the kernels.
+"""Ladder decompositions transported by H or chained down from H V*, against the kernels.
 
 `TargetContext.spectra` registers ten relations m = g S g^-1 with the
 source S already decomposed: H^-1 X H from X and H X^-1 H^-1 from X^-1 for
-X = K, B, Kdown, Bdown, and N = H^-1 M H, Ndown = H^-1 Mdown H. A transport
-is taken only after one product certifies it, so it must be the
-decomposition the kernels give; a wrong conjugator must fail the
-certificate and fall back to the kernels. Only M and Mdown are left to
-the kernels.
+X = K, B, Kdown, Bdown, and N = H^-1 M H, Ndown = H^-1 Mdown H. M and
+Mdown are chains: M_d = H V*_0 and M_(i-1) = (K - q^(d-2i) I) M_i, the same
+with Mdown_d = H V*_d and Kdown. A relation is taken only after one product
+certifies it, so it must be the decomposition the kernels give; a wrong
+conjugator or a perturbed matrix must fail the certificate and fall back to
+the kernels. No matrix of a passing target is left to the kernels.
 """
 
 import random
@@ -21,6 +22,8 @@ from qonsager.linalg import Matrix
 from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParameterError, ParamSet
+
+from linalg_reference import rank
 
 TESTS = Path(__file__).resolve().parent
 NAMES = ("K", "B", "Kdown", "Bdown")
@@ -41,7 +44,7 @@ def _seeded_import(d, seed):
     n = base.dim
     while True:
         p = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if p.rank() == n:
+        if rank(p) == n:
             break
     return assemble_imported(base.params, p * base.A * p.inverse(), p * base.Astar * p.inverse())
 
@@ -58,7 +61,7 @@ TARGETS = dict(_targets())
 
 
 def _ladder_matrices(s):
-    """M and Mdown, which have no H-relative, then the ten transported matrices."""
+    """M and Mdown, which are chained, then the ten transported matrices."""
     conj, conj_inv = s.conjugates
     return (
         [("M", s.M), ("Mdown", s.Mdown), ("N", s.N), ("Ndown", s.Ndown)]
@@ -87,7 +90,7 @@ def test_transported_decompositions_are_the_kernels(name, monkeypatch):
     spectra = ctx.spectra
     for label, m in _ladder_matrices(s):
         assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
-    assert len(kernels) == 2 and set(kernels) == {s.M, s.Mdown}
+    assert not kernels
 
 
 def test_a_wrong_conjugator_fails_the_certificate_and_falls_back(monkeypatch):
@@ -108,8 +111,29 @@ def test_a_wrong_conjugator_fails_the_certificate_and_falls_back(monkeypatch):
     spectra = ctx.spectra
     for label, m in _ladder_matrices(s):
         assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
-    # every transport failed its certificate, so all twelve went to the kernels
-    assert len(kernels) == 12
+    # every transport and the Mdown chain, whose seed H' v*_d is off Mdown_d,
+    # failed their certificates and went to the kernels; the M chain
+    # certified, as H' v*_0 = H v*_0 for v*_0 = e_0
+    assert len(kernels) == 11 and s.Mdown in kernels and s.M not in kernels
+
+
+def test_a_perturbed_chain_fails_the_certificate_and_falls_back(monkeypatch):
+    ctx = suite.TargetContext(_built(3, F(2)))
+    s, lus = ctx.split_maps, ctx.lusztig
+    kernels = _count_kernels(monkeypatch)
+    e00 = Matrix([[int((i, j) == (0, 0)) for j in range(4)] for i in range(4)])
+    perturbed = s.M + e00
+    # M's chain, offered for M + E_00: its lines are M's eigenlines, on which M + E_00 does not act as the ladder
+    chains = ((perturbed, s.K, lus.Vminus[0].numerators[0]), (s.M, s.K, lus.Vminus[0].numerators[0]))
+    spectra = splitmaps.LadderSpectra(3, F(2), chains=chains)
+    with pytest.raises(ModelError, match="has no eigenvector"):
+        spectra.decomposition(perturbed)
+    assert spectra.decomposition(s.M) == model.eigenspace_decomposition(s.M, spectra.eigenvalues)
+    assert kernels == [perturbed]
+    # the ModelError is kept: a second lookup solves no kernel
+    with pytest.raises(ModelError, match="has no eigenvector"):
+        spectra.decomposition(perturbed)
+    assert kernels == [perturbed]
 
 
 def test_spectra_do_not_inherit_an_H_that_raises(monkeypatch):
@@ -130,6 +154,7 @@ def test_spectra_do_not_inherit_an_H_that_raises(monkeypatch):
     spectra = ctx.spectra
     for label, m in _ladder_matrices(ctx.split_maps):
         assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
+    # no relation without H: all twelve went to the kernels
     assert len(kernels) == 12
 
 
