@@ -17,12 +17,10 @@ proves nothing again. With R = (q XY - q^-1 YX)/(q - q^-1) - I,
        as q^-2 lam_d is off the ladder; so X_(d-i)+...+X_d is Y-invariant,
        and for a diagonalizable Y it is Y_0+...+Y_i: the crossing flags.
 
-The table's (Z, X) pairs read their residuals from the R_X of
-`split.KA_relations` (`held_residuals`). Once lusztig.H_invertible,
-split.H_conjugation and split.MN pass, rows 5-8 are H^-1 (rows 1-4) H, so
-`equitable.table` and `equitable.ladders` read them from rows 1-4, and
-`diagrams.verify` reads its N-side claims from the M-side ones and its
-twisted slots from split.flags; otherwise all are tested directly.
+The table's (Z, X) pairs read the R_X of `split.KA_relations`
+(`held_residuals`). Once lusztig.H_invertible, split.H_conjugation and
+split.MN pass, rows 5-8 and the N-side diagram claims are read from their
+H-mirrors (`verify_triple_table`, `verify_diagrams`).
 """
 
 from __future__ import annotations
@@ -86,7 +84,9 @@ def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra
     return not failures, failures
 
 
-def build_triple_table(s: SplitMaps, spectra: LadderSpectra | None = None) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+def build_triple_table(
+    s: SplitMaps, spectra: LadderSpectra | None = None, mirrored: bool = False
+) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
     """The eight equitable-triple rows (label, X, Y, Z) from the split maps and their H-conjugates.
 
     Rows 1-4 are (H X^-1 H^-1, M^-1 or Mdown^-1, X) and rows 5-8 are
@@ -94,15 +94,22 @@ def build_triple_table(s: SplitMaps, spectra: LadderSpectra | None = None) -> tu
     conjugates in their closed forms, such as a A - a^2 K for H K^-1 H^-1.
     X^-1 is kept on X (`build_split_maps`); M^-1, N^-1 and the down
     analogues are read from `spectra` where given (`LadderSpectra.inverse`).
+    With `mirrored`, rows 1-4 alone: rows 5-8 are their H-mirrors
+    (`verify_triple_table`), so N^-1 and Ndown^-1 are not formed.
     """
     invert = Matrix.inverse if spectra is None else spectra.inverse
-    m_inv, n_inv, md_inv, nd_inv = (invert(x) for x in (s.M, s.N, s.Mdown, s.Ndown))
+    m_inv, md_inv = invert(s.M), invert(s.Mdown)
     conj, conj_inv = s.conjugates
-    return (
+    rows = (
         ("1", conj_inv["K"], m_inv, s.K),
         ("2", conj_inv["B"], m_inv, s.B),
         ("3", conj_inv["Kdown"], md_inv, s.Kdown),
         ("4", conj_inv["Bdown"], md_inv, s.Bdown),
+    )
+    if mirrored:
+        return rows
+    n_inv, nd_inv = invert(s.N), invert(s.Ndown)
+    return rows + (
         ("5", s.K.inverse(), n_inv, conj["K"]),
         ("6", s.B.inverse(), n_inv, conj["B"]),
         ("7", s.Kdown.inverse(), nd_inv, conj["Kdown"]),
@@ -130,22 +137,21 @@ def held_residuals(s: SplitMaps) -> dict:
 def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = None, known=None, mirror=None):
     """Every row (label, X, Y, Z) of `table` passes `check_equitable_triple` with `spectra` and `known`.
 
-    With `mirror` = (H, H^-1), rows 5-8 are H^-1 (rows 1-4) H member by
-    member, as in the built table once `suite.TargetContext.mirrored` holds.
-    Conjugation keeps ranks and conjugates q-Weyl residuals, so such a row
-    reads its mirror's failures, residuals conjugated, and is not tested.
+    With `mirror` = (H, H^-1), `table` is rows 1-4, and rows 5-8 are
+    H^-1 (rows 1-4) H member by member, as once `suite.TargetContext.mirrored`
+    holds. Conjugation keeps ranks and conjugates q-Weyl residuals, so row
+    i + 4 reads the failures of row i, residuals conjugated, and is not tested.
     Returns (passed, failures) as (row label, name, residual).
     """
     q = model.params.q
-    failures, rows = [], []
-    for index, (label, x, y, z) in enumerate(table):
-        if mirror is not None and index >= 4:
-            h, h_inv = mirror
-            row_failures = [(name, r if isinstance(r, str) else h_inv * r * h) for name, r in rows[index - 4]]
-        else:
-            _, row_failures = check_equitable_triple(x, y, z, q, spectra, known)
-        rows.append(row_failures)
-        failures.extend((label, name, resid) for name, resid in row_failures)
+    rows = [(label, check_equitable_triple(x, y, z, q, spectra, known)[1]) for label, x, y, z in table]
+    if mirror is not None:
+        h, h_inv = mirror
+        rows += [
+            (str(int(label) + 4), [(name, r if isinstance(r, str) else h_inv * r * h) for name, r in row_failures])
+            for label, row_failures in rows
+        ]
+    failures = [(label, name, resid) for label, row_failures in rows for name, resid in row_failures]
     return not failures, failures
 
 

@@ -8,8 +8,8 @@ integer rows: each updated row is divided by the gcd of its entries, which
 keeps coefficient growth in check, and rows are brought to reduced
 row-echelon form over one denominator once, at the end.
 
-`Fraction` appears only at the boundary: the constructors, `m[i, j]` and
-the read-only `entries` and `basis` views.
+`Fraction` appears only at the boundary: the constructors, `m[i, j]`, the
+read-only `entries` and `basis` views and the value of `trace()`.
 Subspaces are stored as reduced row-echelon bases in the same integer form,
 the unique representation per subspace, so equality is structural too.
 
@@ -163,6 +163,17 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
+    @classmethod
+    def zero(cls, rows: int, cols: int | None = None) -> "Matrix":
+        cols = rows if cols is None else cols
+        return cls([[0] * cols for _ in range(rows)], 1)
+
+    @classmethod
+    def diagonal(cls, values) -> "Matrix":
+        vals = list(values)
+        n = len(vals)
+        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as Fractions, row by row."""
@@ -227,8 +238,34 @@ class Matrix:
             )
         return Matrix(_numerator_product(self, other), self.denominator * other.denominator)
 
+    def __pow__(self, n: int) -> "Matrix":
+        if self.rows != self.cols:
+            raise ShapeError("power of a non-square matrix")
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = Matrix.identity(self.rows)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def transpose(self) -> "Matrix":
+        return Matrix(list(zip(*self.numerators)), self.denominator)
+
+    def trace(self) -> Fraction:
+        if self.rows != self.cols:
+            raise ShapeError("trace of a non-square matrix")
+        return Fraction(sum(row[i] for i, row in enumerate(self.numerators)), self.denominator)
+
     def is_zero(self) -> bool:
         return not any(map(any, self.numerators))
+
+    def apply(self, vec):
+        """Multiply by a column vector given as a sequence; returns a tuple of Fractions."""
+        if len(vec) != self.cols:
+            raise ShapeError(f"vector length {len(vec)} != {self.cols}")
+        (v,), vden = _integer_rows([vec])
+        den = self.denominator * vden
+        return tuple(Fraction(sum(map(mul, row, v)), den) for row in self.numerators)
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan; raises SingularMatrixError with rank witness.
@@ -257,6 +294,9 @@ class Matrix:
     def cached_inverse(self) -> "Matrix | None":
         """The inverse if `inverse()` has computed it and it is still alive, else None; computes nothing."""
         return _memo(self._inverse)
+
+    def rank(self) -> int:
+        return len(_gauss_jordan([list(r) for r in self.numerators], self.cols))
 
 
 def _numerator_product(x: Matrix | Numerators, y: Matrix | Numerators) -> list[list[int]]:

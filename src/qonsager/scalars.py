@@ -164,6 +164,18 @@ def _check_index(i: int, p: ParamSet) -> None:
         raise ParameterError(f"index {i} out of range 0..{p.d}")
 
 
+def theta(i: int, p: ParamSet) -> Fraction:
+    """Eigenvalue theta_i = a q^(d-2i) + a^-1 q^(2i-d) of A."""
+    _check_index(i, p)
+    return p.thetas[i]
+
+
+def theta_star(i: int, p: ParamSet) -> Fraction:
+    """Eigenvalue theta*_i = b q^(d-2i) + b^-1 q^(2i-d) of A*."""
+    _check_index(i, p)
+    return p.theta_stars[i]
+
+
 def p_poly(lam: Fraction, mu: Fraction, q: Fraction) -> Fraction:
     """Adjacency polynomial P(lam, mu) = lam^2 - (q^2+q^-2) lam mu + mu^2 + (q^2-q^-2)^2.
 
@@ -182,6 +194,16 @@ def t_coeff(i: int, j: int, p: ParamSet) -> Fraction:
     ti, tj = p.thetas[i], p.thetas[j]
     q = p.q
     return 1 + (ti - tj) * (q * ti - tj / q) / ((q - 1 / q) * (q * q - 1 / (q * q)))
+
+
+def t_seq(i: int, p: ParamSet) -> Fraction:
+    """Eigenvalue t_i of H: the product t_01 t_12 ... t_(i-1,i), with t_0 = 1.
+
+    Read from `p.ts`, which compares each t_i with its closed form
+    a^(2i) q^(2i(d-i)) when it is built.
+    """
+    _check_index(i, p)
+    return p.ts[i]
 
 
 def _summed(p: ParamSet, thetas, poch, poch_inv, ts) -> dict[tuple[int, int], dict[str, tuple[int, ...]]]:
@@ -235,6 +257,13 @@ def chu_vandermonde_table(p: ParamSet) -> dict[tuple[int, int], dict[str, tuple[
     if held is None or any(x is not y for x, y in zip(held[0], tables)):
         held = p.__dict__["_chu_vandermonde"] = tables, _summed(p, *tables)
     return held[1]
+
+
+def chu_vandermonde_sums(r: int, s: int, p: ParamSet) -> dict[str, tuple[Fraction, Fraction]]:
+    """{name: (sum value, expected t-ratio)} at (r, s) from `chu_vandermonde_table`; equal when the identity holds."""
+    if not 0 <= r <= s <= p.d:
+        raise ParameterError(f"need 0 <= r <= s <= d, got r={r}, s={s}, d={p.d}")
+    return {name: (Fraction(n, m), Fraction(wn, wm)) for name, (n, m, wn, wm) in chu_vandermonde_table(p)[r, s].items()}
 
 
 def check_chu_vandermonde(p: ParamSet):

@@ -236,14 +236,12 @@ class SplitMaps:
 def build_split_maps(model: TDModel) -> SplitMaps:
     """Construct K, B, Kdown, Bdown from the four split decompositions.
 
-    Each is first the lines of its tau-chain (Terwilliger, LAA 330, 2001):
-    u_0 = v*_0 (v*_d for Kdown, Bdown), u_(i+1) = (A - theta'_i I) u_i for
-    theta' the A-eigenvalues in the orientation's order, kept when nonzero,
-    independent and with the flags of the V* and V orders (`split_mismatches`),
-    which makes each line the meet of those flags. That is the `split.flags`
-    verdict (`certified`); a chain that fails gives way to the flag meets
-    (`split_decomposition`). Each map keeps the map of its inverted
-    decomposition as its inverse.
+    Each is the lines of its tau-chain (Terwilliger, LAA 330, 2001),
+    u_0 = v*_0 (v*_d for Kdown, Bdown) and u_(i+1) = (A - theta'_i I) u_i for
+    theta' the A order, once they are nonzero, independent and have both
+    flags (`split_mismatches`): then each line is its flag meet. Otherwise
+    the flag meets are solved (`split_decomposition`). Each map keeps the
+    map of its inverted decomposition as its inverse.
     """
     q, thetas = model.params.q, model.theta
     decs, maps, certified = {}, {}, {}
@@ -268,9 +266,8 @@ def check_split_flags(model: TDModel, s: SplitMaps):
 
     Ascending U-flag = ascending flag of the (possibly inverted) A*-eigenspace
     list; descending U-flag = descending flag of the (possibly inverted)
-    A-eigenspace list (`split_mismatches`). A decomposition that
-    `build_split_maps` certified has both (`SplitMaps.certified`) and is not
-    tested again. Returns (passed, failures).
+    A-eigenspace list (`split_mismatches`), read for the decompositions
+    `build_split_maps` certified (`SplitMaps.certified`). Returns (passed, failures).
     """
     failures = []
     d = model.d

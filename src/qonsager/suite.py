@@ -283,13 +283,13 @@ class TargetContext:
 
     @property
     def triple_table(self):
-        """The eight (label, X, Y, Z) rows of `equitable.build_triple_table`, kept also as "built_table"."""
-        build = lambda: equitable.build_triple_table(self.split_maps, self.spectra)  # noqa: E731
-        return self._once("triple_table", lambda: self._once("built_table", build))
+        """The (label, X, Y, Z) rows of `equitable.build_triple_table`: rows 1-4 alone once `mirrored` holds."""
+        return self._once(
+            "triple_table", lambda: equitable.build_triple_table(self.split_maps, self.spectra, self.mirrored)
+        )
 
     @property
     def split_flags(self):
-        """The `check_split_flags` verdict, read from the certificates of the split maps."""
         return self._once("split_flags", lambda: splitmaps.check_split_flags(self.model, self.split_maps))
 
     @property
@@ -304,8 +304,8 @@ class TargetContext:
     def mirrored(self) -> bool:
         """Whether `lusztig.H_invertible`, `split.H_conjugation` and `split.MN` pass (none raised).
 
-        Rows 5-8 of the built table and the N-side claims of the diagrams are
-        then read from their H-mirrors (`equitable`).
+        Rows 5-8 of the table and the N-side diagram claims are then read
+        from their H-mirrors (`equitable`); a test that sets a table sets this.
         """
 
         def build():
@@ -317,18 +317,12 @@ class TargetContext:
         return self._once("mirrored", build)
 
     @property
-    def rows_mirrored(self) -> bool:
-        """`mirrored`, for the table `build_triple_table` gave: a replaced table is tested row by row."""
-        return self.triple_table is self._built.get("built_table") and self.mirrored
-
-    @property
     def table_check(self):
         """The `verify_triple_table` verdict on the triple table, its (Z, X) residuals read from the split maps."""
 
         def build():
-            lus = self.lusztig if self.rows_mirrored else None
+            mirror = (self.lusztig.H, self.lusztig.H_inv) if self.mirrored else None
             known = equitable.held_residuals(self.split_maps)
-            mirror = None if lus is None else (lus.H, lus.H_inv)
             return equitable.verify_triple_table(self.model, self.triple_table, self.spectra, known, mirror)
 
         return self._once("table_check", build)
@@ -413,13 +407,9 @@ def _L_conjugation(ctx: TargetContext):
 
 
 def _inversion_inverts(ctx: TargetContext):
-    # a split map keeps the map of its inverted decomposition as its inverse;
-    # only a map without one, such as a replaced one, forms it here
     s, products = ctx.split_maps, Products(ctx.model.dim)
     for name in ("K", "B", "Kdown", "Bdown"):
-        inverted = getattr(s, name).cached_inverse() or splitmaps.map_from_decomposition(
-            getattr(s, f"dec_{name}").inversion(), ctx.model.params.q
-        )
+        inverted = splitmaps.map_from_decomposition(getattr(s, f"dec_{name}").inversion(), ctx.model.params.q)
         if products.residual([(1, (getattr(s, name), inverted)), (-1, ())]) is not None:
             return False, f"map of inverted {name} decomposition != {name}^-1"
     return True, None
@@ -430,11 +420,11 @@ def _ladders(ctx: TargetContext):
     # the ladder steps and crossing flags (`equitable`). The table has tested
     # the relation of every pair, also in a row with a singular member, and
     # its invertibility entries looked up every member on the ladder.
-    # Rows 5-8 of a mirrored table are H^-1 (rows 1-4) H, so each of their
-    # pairs meets the precondition exactly when its mirror does.
+    # A mirrored table holds rows 1-4 alone: rows 5-8 are H^-1 (rows 1-4) H,
+    # so each of their pairs meets the precondition exactly when its mirror does.
     failed = {(label, name) for label, name, _ in ctx.table_check[1]}
     holds = ctx.spectra.holds
-    for label, x, y, z in ctx.triple_table[: 4 if ctx.rows_mirrored else 8]:
+    for label, x, y, z in ctx.triple_table:
         for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
             if (label, f"q-Weyl ({pair_name})") in failed or not (holds(left) and holds(right)):
                 return False, f"row {label} pair ({pair_name}): precondition"

@@ -1,4 +1,4 @@
-"""The summation identities term by term: the reference oracle for `scalars.chu_vandermonde_table`.
+"""The summation identities term by term: the reference oracle for `scalars.chu_vandermonde_sums`.
 
 Each term's theta product and a/q powers are formed from scratch, and the
 shifted factorials come from `q_poch`, not from the `ParamSet` tables.
@@ -6,7 +6,7 @@ shifted factorials come from `q_poch`, not from the `ParamSet` tables.
 
 from fractions import Fraction
 
-from qonsager.scalars import ONE, ParameterError, ParamSet, q_poch
+from qonsager.scalars import ONE, ParameterError, ParamSet, q_poch, t_seq, theta
 
 ZERO = Fraction(0)
 
@@ -16,9 +16,9 @@ def _rising_theta_product(s: int, r: int, i: int, p: ParamSet, descending: bool)
     out = ONE
     for k in range(i):
         if descending:
-            out *= p.thetas[r] - p.thetas[s - k]
+            out *= theta(r, p) - theta(s - k, p)
         else:
-            out *= p.thetas[s] - p.thetas[r + k]
+            out *= theta(s, p) - theta(r + k, p)
     return out
 
 
@@ -45,7 +45,7 @@ def chu_vandermonde_sums(r: int, s: int, p: ParamSet) -> dict[str, tuple[Fractio
         asc_inv += a**-i * q ** (i * (2 * r - d)) * up / q_poch(1 / q2, 1 / q2, i)
         desc += a**-i * q ** (i * (2 * s - d)) * down / q_poch(q2, q2, i)
         desc_inv += a**i * q ** (i * (d - 2 * s)) * down / q_poch(1 / q2, 1 / q2, i)
-    ts_tr = p.ts[s] / p.ts[r]
+    ts_tr = t_seq(s, p) / t_seq(r, p)
     return {
         "ascending": (asc, ts_tr),
         "ascending_inv": (asc_inv, 1 / ts_tr),

@@ -25,13 +25,12 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
+from qonsager.equitable import build_triple_table
 from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace, _span
 from qonsager.lusztig import LusztigData
 from qonsager.model import ModelError, TDModel
 from qonsager.scalars import ONE, ParameterError, t_coeff
 from qonsager.splitmaps import LadderSpectra, SplitMaps
-
-from linalg_reference import power, transpose, zero
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
@@ -245,7 +244,7 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     r = model.A - theta_map
     failures = []
     for i, part in enumerate(parts):
-        u = transpose(Matrix(part.basis))
+        u = Matrix(part.basis).transpose()
         expect_zero(
             failures, f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}", theta_map * u - u.scale(model.theta[i])
         )
@@ -254,7 +253,7 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
             expect_zero(failures, f"R U_{i} inside U_{i + 1}", s.K * ru - ru.scale(eigs[i + 1]))
         else:
             expect_zero(failures, "R kills the top part", ru)
-    expect_zero(failures, f"R^{d + 1} = 0", power(r, d + 1))
+    expect_zero(failures, f"R^{d + 1} = 0", r ** (d + 1))
     expect_zero(failures, "R K = q^2 K R", r * s.K - (s.K * r).scale(q * q))
     return not failures, failures
 
@@ -335,7 +334,7 @@ def expand_H(model: TDModel, r: int, variant: str = "ascending") -> tuple[Matrix
     q, a = p.q, p.a
     ident = Matrix.identity(model.dim)
     tr = p.ts[r]
-    out, out_inv = zero(model.dim), zero(model.dim)
+    out, out_inv = Matrix.zero(model.dim), Matrix.zero(model.dim)
     running = ident  # the growing product of (A - theta I) factors
     coeff = ONE  # the growing power of the step below
     if variant == "ascending":
@@ -436,9 +435,11 @@ def qweyl_ladder(x: Matrix, y: Matrix, q: Fraction, spectra: LadderSpectra):
 def ladders(ctx):
     # The table check has tested the q-Weyl relation of every pair, also in
     # a row with a singular member; a pair that fails it fails its precondition.
+    # A mirrored context holds rows 1-4 alone; the oracle walks all eight.
     q = ctx.model.params.q
     failed = {(label, name) for label, name, _ in ctx.table_check[1]}
-    for label, x, y, z in ctx.triple_table:
+    table = build_triple_table(ctx.split_maps, ctx.spectra) if ctx.mirrored else ctx.triple_table
+    for label, x, y, z in table:
         for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
             if (label, f"q-Weyl ({pair_name})") in failed:
                 return False, f"row {label} pair ({pair_name}): precondition"

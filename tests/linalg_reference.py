@@ -1,50 +1,13 @@
-"""Sums and intersections of subspaces, and matrix helpers no check uses: the tests' linear-algebra toolkit.
+"""Sums and intersections of subspaces: the tests' subspace-lattice oracle.
 
 `subspace_sum` and `subspace_intersect` below are the lattice operations
 `linalg` kept until no check needed them: flags and split parts are read
-off changes of basis, and irreducibility closes eigenvectors instead of
-intersecting eigenspaces. `zero`, `diagonal`, `power`, `transpose`,
-`trace`, `apply` and `rank` were `Matrix` methods that only tests called.
-All use only the public `Matrix` and `Subspace` API.
+off changes of basis, and irreducibility reads the support graph of
+P*^-1 A P* instead of intersecting eigenspaces. They use only the public
+`Subspace` API.
 """
 
-from fractions import Fraction
-
-from qonsager.linalg import Matrix, ShapeError, Subspace
-
-
-def zero(rows: int, cols: int | None = None) -> Matrix:
-    return Matrix([[0] * (rows if cols is None else cols) for _ in range(rows)], 1)
-
-
-def diagonal(values) -> Matrix:
-    values = list(values)
-    return Matrix([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
-
-
-def power(m: Matrix, n: int) -> Matrix:
-    """m^n for n >= 0, by repeated products."""
-    out = Matrix.identity(m.rows)
-    for _ in range(n):
-        out = out * m
-    return out
-
-
-def transpose(m: Matrix) -> Matrix:
-    return Matrix(list(zip(*m.numerators)), m.denominator)
-
-
-def trace(m: Matrix) -> Fraction:
-    return sum((m[i, i] for i in range(m.rows)), Fraction(0))
-
-
-def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
-    """m times the column vector `vec`, as Fractions."""
-    return tuple(sum((e * v for e, v in zip(row, vec)), Fraction(0)) for row in m.entries)
-
-
-def rank(m: Matrix) -> int:
-    return Subspace.from_vectors(m.cols, m.entries).rank
+from qonsager.linalg import ShapeError, Subspace
 
 
 def _check_ambient(s: Subspace, t: Subspace) -> None:

@@ -18,8 +18,6 @@ from qonsager.model import build_model, check_qdg, eigenspace_decomposition, sol
 from qonsager.scalars import ParameterError, ParamSet, check_chu_vandermonde
 from qonsager.suite import SuiteConfig, all_passed, make_param_target, run_suite
 
-from linalg_reference import diagonal
-
 GRID_D = (1, 2, 3)
 GRID_Q = (F(2), F(3, 2), F(-2))
 GRID_AB = ((F(3), F(5)), (F(5), F(3)), (F(1, 7), F(2, 9)))
@@ -88,7 +86,7 @@ def test_criterion_2_golden_regression():
         "theta*": model.theta_star == (F(101, 10), F(29, 10)),
         "t": model.params.ts == (F(1), F(9)),
         "H": lus.H == Matrix([[1, 0], [-2, 9]]),
-        "K": s.K == diagonal([2, F(1, 2)]),
+        "K": s.K == Matrix.diagonal([2, F(1, 2)]),
         "B": s.B == Matrix([[2, -6], [0, F(1, 2)]]),
         "M": s.M == Matrix([[2, F(3, 4)], [0, F(1, 2)]]),
         "N": s.N == Matrix([[F(1, 2), F(27, 4)], [0, 2]]),

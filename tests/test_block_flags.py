@@ -25,7 +25,7 @@ from qonsager.splitmaps import build_split_maps, split_decomposition
 
 import split_reference
 from flag_reference import flag
-from linalg_reference import rank, subspace_intersect
+from linalg_reference import subspace_intersect
 
 TESTS = Path(__file__).resolve().parent
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -66,7 +66,7 @@ def decomposition_pairs(draw):
     n = draw(st.integers(1, 7))
     ranks = draw(rank_profiles(n))
     basis = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
-    assume(rank(Matrix(basis)) == n)
+    assume(Matrix(basis).rank() == n)
     cols = columns_of(basis)
     k = len(ranks)
     owner = [i for i, r in enumerate(ranks) for _ in range(r)]
@@ -76,7 +76,7 @@ def decomposition_pairs(draw):
         ref_ranks = draw(rank_profiles(n).filter(lambda rs: len(rs) == k))
     t = [[draw(ENTRY) if owner[c] >= owner[r] or mode != "same flags" and draw(st.booleans()) else F(0)
           for c in range(n)] for r in range(n)]
-    assume(rank(Matrix(t)) == n)
+    assume(Matrix(t).rank() == n)
     rebased = [[sum((cols[j][i] * t[j][c] for j in range(n)), F(0)) for i in range(n)] for c in range(n)]
     return decomposition(cols, ranks), decomposition(rebased, ref_ranks)
 

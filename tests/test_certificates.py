@@ -7,7 +7,7 @@ flag meets and kernels are the fallback and the oracle here. The table's
 (Z, X) pairs read their residuals from R_X, and once lusztig.H_invertible,
 split.H_conjugation and split.MN pass, rows 5-8 of the table and the N-side
 claims of the diagrams are read from their H-mirrors; a failed precondition
-or a replaced table takes the direct path.
+takes the direct path, and a replaced table is tested member by member.
 """
 
 import random
@@ -132,14 +132,32 @@ def test_a_failed_precondition_takes_the_direct_table_and_diagrams_path(monkeypa
     assert not diagrams[0] and check(ctx) == (False, suite._first_witness(diagrams[1]))
 
 
-def test_a_replaced_table_is_tested_row_by_row(monkeypatch):
-    """The preconditions hold, but a table set in the context is not the built one: none of its rows is mirrored."""
+def test_a_replaced_table_is_tested_member_by_member(monkeypatch):
+    """A table set in the context is tested member by member; its rows 5-8 are mirrored only while `mirrored` holds.
+
+    A mirrored context holds rows 1-4 alone, so a replaced row 2 is tested
+    and row 6 reads its failures. A test that sets all eight rows sets
+    `mirrored` too, and then each row is tested.
+    """
     ctx = suite.TargetContext(_built(3, F(2)))
+    assert ctx.mirrored and len(ctx.triple_table) == 4
+    label, x, y, z = ctx.triple_table[1]
+    replaced = ctx.triple_table[:1] + ((label, x, y + Matrix.identity(4).scale(F(1, 5)), z),) + ctx.triple_table[2:]
+    ctx._built["triple_table"] = replaced
+    calls = _count_qweyl(monkeypatch)
+    ok, failures = ctx.table_check
+    assert len(calls) == 8 and {row for row, *_ in failures} == {"2", "6"}
+    # the direct verdict on those rows and their H-conjugates
+    h, h_inv = ctx.lusztig.H, ctx.lusztig.H_inv
+    mirrors = tuple((str(int(row) + 4), *(h_inv * m * h for m in members)) for row, *members in replaced)
+    assert (ok, failures) == equitable.verify_triple_table(ctx.model, replaced + mirrors, ctx.spectra)
+
+    ctx = suite.TargetContext(_built(3, F(2)))
+    ctx._built["mirrored"] = False
     table = ctx.triple_table
     label, x, y, z = table[4]
     replaced = table[:4] + ((label, x, y + Matrix.identity(4).scale(F(1, 5)), z),) + table[5:]
     ctx._built["triple_table"] = replaced
-    assert ctx.mirrored and not ctx.rows_mirrored
     calls = _count_qweyl(monkeypatch)
     ok, failures = ctx.table_check
     assert len(calls) == 16
@@ -151,12 +169,12 @@ def test_mirrored_rows_carry_their_mirrors_conjugated_witnesses():
     """With row 1 broken and row 5 its H-conjugate, the mirrored verdict is the direct one, witness for witness."""
     ctx = suite.TargetContext(_built(2, F(3, 2), F(1, 7), F(2, 9)))
     h, h_inv = ctx.lusztig.H, ctx.lusztig.H_inv
-    table = list(ctx.triple_table)
+    table = list(equitable.build_triple_table(ctx.split_maps, ctx.spectra))
     label, x, y, z = table[0]
     broken = (label, x, y + Matrix.identity(3).scale(F(1, 5)), Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
     table[0] = broken
     table[4] = (table[4][0],) + tuple(h_inv * m * h for m in broken[1:])
-    mirrored = equitable.verify_triple_table(ctx.model, table, ctx.spectra, mirror=(h, h_inv))
+    mirrored = equitable.verify_triple_table(ctx.model, table[:4], ctx.spectra, mirror=(h, h_inv))
     direct = equitable.verify_triple_table(ctx.model, table, ctx.spectra)
     assert not mirrored[0] and mirrored == direct
     assert [name for row, name, _ in direct[1] if row == "5"] == [name for row, name, _ in direct[1] if row == "1"]
@@ -197,6 +215,7 @@ def test_work_per_built_target(d, q, a, b, monkeypatch):
         "qonsager.model.kernel": 2 * n,  # eigenspaces of A and A*
         "qonsager.model.eigenspace_decomposition": 2,
         "qonsager.equitable.qweyl_residual": 8,  # the (X,Y) and (Y,Z) pairs of rows 1-4
-        # the kernels, the spans of the H-images of lines and 10 basis-matrix inverses
-        "qonsager.linalg._gauss_jordan": 12 * n + 10,
+        # the kernels, the spans of the H-images of lines and 8 basis-matrix
+        # inverses: the table forms no N^-1 or Ndown^-1
+        "qonsager.linalg._gauss_jordan": 12 * n + 8,
     }

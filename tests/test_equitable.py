@@ -35,7 +35,6 @@ from qonsager.splitmaps import (
 )
 
 from identity_reference import is_qweyl_pair, ladders, qweyl_bracket, qweyl_ladder, shifted_product_images
-from linalg_reference import diagonal, rank, zero
 from projector_reference import lagrange_projectors
 from test_identity_oracle import _outcome, _perturbed_import
 from test_ladder_inverses import PARAMS, _built
@@ -125,14 +124,14 @@ def test_equitable_triple_reports_singular_input():
     """The invertibility failures come first; the q-Weyl relations of the row are tested too."""
     ident = Matrix.identity(2)
     minus_ident = Matrix([[-1, 0], [0, -1]])
-    ok, failures = check_equitable_triple(zero(2), ident, ident, F(2))
+    ok, failures = check_equitable_triple(Matrix.zero(2), ident, ident, F(2))
     assert not ok
     assert failures == [
         ("X invertible", "matrix is singular: rank 0 < 2"),
         ("q-Weyl (X,Y)", minus_ident),
         ("q-Weyl (Z,X)", minus_ident),
     ]
-    ok, failures = check_equitable_triple(ident, Matrix([[1, 2], [2, 4]]), zero(2), F(2))
+    ok, failures = check_equitable_triple(ident, Matrix([[1, 2], [2, 4]]), Matrix.zero(2), F(2))
     assert not ok
     assert failures == [
         ("Y invertible", "matrix is singular: rank 1 < 2"),
@@ -233,7 +232,7 @@ def _seeded_ladder_pair(seed):
     eigs = qweyl_eigenvalues(d, q)
     while True:
         p = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if rank(p) == n:
+        if p.rank() == n:
             break
     y0 = [[F(0)] * n for _ in range(n)]
     for i in range(n):
@@ -243,7 +242,7 @@ def _seeded_ladder_pair(seed):
     if seed % 2:
         y0[rng.randrange(n)][rng.randrange(n)] += F(rng.randint(1, 5), rng.randint(1, 3))
     p_inv = p.inverse()
-    return p * diagonal(eigs) * p_inv, p * Matrix(y0) * p_inv, q, d
+    return p * Matrix.diagonal(eigs) * p_inv, p * Matrix(y0) * p_inv, q, d
 
 
 def test_integer_qweyl_test_agrees_with_the_residual():
@@ -296,6 +295,7 @@ def test_a_perturbed_table_row_fails_each_equitable_check():
     """
     target = suite.make_param_target(1, F(2), F(3), F(5), (F(1),))
     ctx = suite.TargetContext(build_model(GOLDEN))
+    ctx._built["mirrored"] = False  # the eight rows, each tested
     table = ctx.triple_table
     label, x, y, z = table[0]
     perturbed = ((label, x, y + Matrix([[0, F(1, 5)], [0, 0]]), z),) + table[1:]
@@ -321,10 +321,11 @@ def test_ladders_test_the_qweyl_relation_in_a_row_with_a_singular_member():
     """
     target = suite.make_param_target(1, F(2), F(3), F(5), (F(1),))
     ctx = suite.TargetContext(build_model(GOLDEN))
+    ctx._built["mirrored"] = False  # the eight rows, each tested
     label, x, y, z = ctx.triple_table[0]
     shear = Matrix([[1, 1], [0, 1]])
     sheared = shear * y * shear.inverse()
-    ctx._built["triple_table"] = ((label, x, sheared, zero(2)),) + ctx.triple_table[1:]
+    ctx._built["triple_table"] = ((label, x, sheared, Matrix.zero(2)),) + ctx.triple_table[1:]
     minus_ident = Matrix([[-1, 0], [0, -1]])
     assert ctx.table_check == (
         False,
@@ -358,6 +359,7 @@ def test_a_row_of_identities_passes_the_table_and_fails_the_ladder_precondition(
     target = suite.make_param_target(1, F(2), F(3), F(5), (F(1),))
     ctx = suite.TargetContext(build_model(GOLDEN))
     ident = Matrix.identity(2)
+    ctx._built["mirrored"] = False  # the eight rows, each tested
     ctx._built["triple_table"] = (("1", ident, ident, ident),) + ctx.triple_table[1:]
     solved, original = [], splitmaps.eigenspace_decomposition
 
@@ -389,7 +391,7 @@ def _pair_context(x, y, q, d):
         spectra=spectra,
         triple_table=(("1", x, y, y),),
         table_check=(ok, [("1", name, resid) for name, resid in failures]),
-        rows_mirrored=False,
+        mirrored=False,
     )
 
 

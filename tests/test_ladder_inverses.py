@@ -24,7 +24,6 @@ from qonsager.scalars import ParamSet, chu_vandermonde_table
 from qonsager.splitmaps import LadderSpectra
 
 from chu_vandermonde_reference import chu_vandermonde_sums as reference_sums
-from linalg_reference import zero
 from test_identity_oracle import _perturbed_import
 
 PARAMS = [(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]
@@ -52,7 +51,9 @@ def _eliminated_table_check(model, table):
 
 def _ladder_inverses_match_the_oracle(ctx) -> int:
     """Assert each inverse read off a decomposition and the table verdict against elimination; return how many of M, N, ... the ladder held."""
-    s, spectra, table = ctx.split_maps, ctx.spectra, ctx.triple_table
+    s, spectra = ctx.split_maps, ctx.spectra
+    # all eight rows, also where the context holds rows 1-4 alone
+    table = equitable.build_triple_table(s, spectra)
     for name in SPLIT_MAPS:
         m = getattr(s, name)
         assert m.cached_inverse() is not None, name  # kept by build_split_maps, not eliminated
@@ -102,8 +103,8 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
     shear = Matrix([[1, 1], [0, 1]])
     sheared = shear * y * shear.inverse()
     rows = [
-        ("sheared", x, sheared, zero(2)),
-        ("singular", zero(2), Matrix.identity(2), Matrix([[1, 2], [2, 4]])),
+        ("sheared", x, sheared, Matrix.zero(2)),
+        ("singular", Matrix.zero(2), Matrix.identity(2), Matrix([[1, 2], [2, 4]])),
     ]
     got = equitable.verify_triple_table(ctx.model, rows, ctx.spectra)
     assert got == _eliminated_table_check(ctx.model, rows)
@@ -115,7 +116,7 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
     assert ctx.spectra.holds(sheared)  # invertible from its ladder decomposition, with no elimination
     spectra = LadderSpectra(1, F(2))
     ident = Matrix.identity(2)
-    for members in ((zero(2), ident, ident), (ident, Matrix([[1, 2], [2, 4]]), zero(2))):
+    for members in ((Matrix.zero(2), ident, ident), (ident, Matrix([[1, 2], [2, 4]]), Matrix.zero(2))):
         assert equitable.check_equitable_triple(*members, F(2), spectra) == equitable.check_equitable_triple(
             *map(_fresh, members), F(2)
         )

@@ -18,7 +18,6 @@ from qonsager.modelio import import_model
 from qonsager.scalars import ParamSet, t_coeff
 
 import identity_reference
-from linalg_reference import trace, zero
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -54,7 +53,7 @@ def test_lusztig_image_golden(golden):
     model, lus = golden
     img, _ = lusztig_images(model)
     assert img == Matrix([[F(81, 10), 9], [F(52, 45), F(49, 10)]])
-    assert trace(img) == trace(model.Astar) == 13
+    assert img.trace() == model.Astar.trace() == 13
 
 
 def test_lusztig_image_inverse_direction_is_H_conjugate(golden):
@@ -126,7 +125,7 @@ def test_eigenstructure_golden_spans(golden):
 def test_eigenvalue_multiset_via_trace_and_det(golden):
     model, lus = golden
     image = lus.LAstar
-    assert trace(image) == F(101, 10) + F(29, 10)
+    assert image.trace() == F(101, 10) + F(29, 10)
     det = image[0, 0] * image[1, 1] - image[0, 1] * image[1, 0]
     assert det == F(101, 10) * F(29, 10)
 
@@ -222,7 +221,7 @@ def _projector_expansion_failures(model, lus):
             target = lus.H_inv if inverse else lus.H
             for r in range(d + 1):
                 indices = range(r, d + 1) if variant == "ascending" else range(r + 1)
-                flag_proj = zero(model.dim)
+                flag_proj = Matrix.zero(model.dim)
                 for i in indices:
                     flag_proj = flag_proj + e[i]
                 resid = (identity_reference.expand_H(model, r, variant)[inverse] - target) * flag_proj

@@ -21,7 +21,7 @@ from qonsager.scalars import ParameterError, ParamSet
 
 import model_reference
 from closure_reference import invariant_closure
-from linalg_reference import diagonal, subspace_intersect, zero
+from linalg_reference import subspace_intersect
 from model_reference import coupling, spectrum_graph
 from projector_reference import lagrange_projectors
 
@@ -62,12 +62,12 @@ def test_projector_laws(golden_model, d2_model):
         ):
             projs = [dec.projector([i]) for i in range(len(dec))]
             assert tuple(projs) == lagrange_projectors(mat, eigs)
-            total = zero(n)
+            total = Matrix.zero(n)
             for i, pi in enumerate(projs):
                 total = total + pi
                 assert mat * pi == pi.scale(eigs[i])
                 for j, pj in enumerate(projs):
-                    assert pi * pj == (pi if i == j else zero(n))
+                    assert pi * pj == (pi if i == j else Matrix.zero(n))
             assert total == Matrix.identity(n)
             assert dec.diagonal_map(eigs) == mat
 
@@ -149,7 +149,7 @@ def test_tridiagonal_action_dense_star_fails(d2_model):
     # P diag(theta*) P^-1 has the theta* spectrum but is not tridiagonal
     # with respect to A.
     p = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    dense = p * diagonal(d2_model.theta_star) * p.inverse()
+    dense = p * Matrix.diagonal(d2_model.theta_star) * p.inverse()
     broken = replace(d2_model, Astar=dense)
     ok, failures = check_tridiagonal_action(broken)
     assert not ok
@@ -188,9 +188,15 @@ def test_reducible_when_phi_vanishes():
     assert not check_irreducible(coupling(a, spaces_astar))
 
 
+def test_identity_pair_reducible():
+    ident = Matrix.identity(2)
+    whole = _eigenspaces(ident, (F(1),))
+    assert not check_irreducible(coupling(ident, whole))
+
+
 def test_commuting_diagonal_pair_reducible():
     # A and A* diagonal in one basis: every A*-eigenline is A-invariant, and the graph has no edge
-    a, astar = diagonal([F(1), F(2), F(3)]), diagonal([F(4), F(5), F(6)])
+    a, astar = Matrix.diagonal([F(1), F(2), F(3)]), Matrix.diagonal([F(4), F(5), F(6)])
     assert not check_irreducible(coupling(a, _eigenspaces(astar, (F(4), F(5), F(6)))))
 
 

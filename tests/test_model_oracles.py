@@ -20,7 +20,6 @@ from qonsager.model import check_irreducible, eigenspace_decomposition, spectrum
 from qonsager.scalars import ParameterError, ParamSet
 
 from closure_reference import invariant_closure
-from linalg_reference import diagonal, rank
 import model_reference
 from model_reference import coupling
 
@@ -97,7 +96,7 @@ def _seeded_coupled_pair(seed):
     n = rng.randint(2, 6)
     while True:
         p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if rank(p) == n:
+        if p.rank() == n:
             break
     eigs = rng.sample(range(-9, 10), n)
     kind = ("dense", "block", "sparse")[seed % 3]
@@ -108,7 +107,7 @@ def _seeded_coupled_pair(seed):
     elif kind == "sparse":
         c = [[e if rng.random() < 0.35 else 0 for e in row] for row in c]
     p_inv = p.inverse()
-    a, astar = p * Matrix(c) * p_inv, p * diagonal(eigs) * p_inv
+    a, astar = p * Matrix(c) * p_inv, p * Matrix.diagonal(eigs) * p_inv
     return a, astar, eigenspace_decomposition(astar, eigs), kind
 
 

@@ -6,22 +6,20 @@ from qonsager.scalars import (
     ParameterError,
     ParamSet,
     check_chu_vandermonde,
-    chu_vandermonde_table,
+    chu_vandermonde_sums,
     format_scalar,
     p_poly,
     parse_scalar,
     q_poch,
     t_coeff,
+    t_seq,
+    theta,
+    theta_star,
 )
 
 from chu_vandermonde_reference import chu_vandermonde_sums as reference_sums
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
-
-
-def chu_vandermonde_sums(r, s, p):
-    """{name: (sum value, expected t-ratio)} at (r, s), read from `chu_vandermonde_table`."""
-    return {name: (F(n, m), F(wn, wm)) for name, (n, m, wn, wm) in chu_vandermonde_table(p)[r, s].items()}
 
 
 def test_parse_and_format_round_trip():
@@ -46,18 +44,29 @@ def test_q_poch_values():
 
 
 def test_theta_golden():
-    assert GOLDEN.thetas == (F(37, 6), F(13, 6))
-    assert GOLDEN.theta_stars == (F(101, 10), F(29, 10))
+    assert theta(0, GOLDEN) == F(37, 6)
+    assert theta(1, GOLDEN) == F(13, 6)
+    assert theta_star(0, GOLDEN) == F(101, 10)
+    assert theta_star(1, GOLDEN) == F(29, 10)
+
+
+def test_theta_index_range():
+    with pytest.raises(ParameterError):
+        theta(2, GOLDEN)
+    with pytest.raises(ParameterError):
+        theta_star(-1, GOLDEN)
 
 
 def test_theta_sequences_distinct():
     p = ParamSet(3, F(3, 2), F(5), F(3))
-    assert len(set(p.thetas)) == 4
-    assert len(set(p.theta_stars)) == 4
+    thetas = [theta(i, p) for i in range(4)]
+    stars = [theta_star(i, p) for i in range(4)]
+    assert len(set(thetas)) == 4
+    assert len(set(stars)) == 4
 
 
 def test_p_poly_vanishes_on_adjacent_eigenvalues():
-    assert p_poly(*GOLDEN.thetas, F(2)) == 0
+    assert p_poly(theta(0, GOLDEN), theta(1, GOLDEN), F(2)) == 0
 
 
 def test_p_poly_at_origin():
@@ -72,7 +81,7 @@ def test_three_term_recurrence():
     p = ParamSet(3, F(2), F(3), F(5))
     q2 = p.q**2 + p.q**-2
     for i in range(1, 3):
-        assert p.thetas[i - 1] - q2 * p.thetas[i] + p.thetas[i + 1] == 0
+        assert theta(i - 1, p) - q2 * theta(i, p) + theta(i + 1, p) == 0
 
 
 def test_t_coeff_diagonal_is_one():
@@ -99,8 +108,9 @@ def test_t_coeff_adjacent_closed_form():
 
 
 def test_t_seq_values():
-    assert GOLDEN.ts == (1, 9)
-    assert ParamSet(2, F(2), F(3), F(5)).ts[1] == 36
+    assert t_seq(0, GOLDEN) == 1
+    assert t_seq(1, GOLDEN) == 9
+    assert t_seq(1, ParamSet(2, F(2), F(3), F(5))) == 36
 
 
 def test_chu_vandermonde_single_term():
@@ -137,9 +147,13 @@ def test_tables_hold_the_closed_forms_and_are_built_once():
     assert p.q2_inv_poch == tuple(q_poch(1 / (q * q), 1 / (q * q), i) for i in range(d + 1))
     for name in ("thetas", "theta_stars", "ts", "q2_poch", "q2_inv_poch"):
         assert getattr(p, name) is getattr(p, name), name
+    assert [theta(i, p) for i in range(d + 1)] == list(p.thetas)
+    assert [t_seq(i, p) for i in range(d + 1)] == list(p.ts)
 
 
 @pytest.mark.parametrize("call", [
+    lambda p: theta_star(3, p),
+    lambda p: t_seq(-1, p),
     lambda p: t_coeff(0, 3, p),
     lambda p: t_coeff(-1, 0, p),
 ])

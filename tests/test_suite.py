@@ -184,9 +184,10 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     # every inverse the target reads is the map of an inverted decomposition,
     # so only basis matrices P are eliminated (30 eliminations when M^-1,
     # N^-1, the split maps' inverses and the table's invertibility were
-    # eliminated, 12 while V+ was read by the diagrams); the Chu-Vandermonde
-    # sums are summed once, for scalars.chu_vandermonde and lusztig.expansions together
-    assert len(eliminated) == 10
+    # eliminated, 12 while V+ was read by the diagrams, 10 while the table
+    # held N^-1 and Ndown^-1); the Chu-Vandermonde sums are summed once, for
+    # scalars.chu_vandermonde and lusztig.expansions together
+    assert len(eliminated) == 8
     assert summed == [ctx.model.params]
     # the four split decompositions of the model are certified tau-chains, and
     # the diagrams read the twisted pairs' slots from split.flags: no flag meet
@@ -243,6 +244,21 @@ def test_split_inversion_flips_under_a_scaled_split_map(name):
     record = Report("t").run("split.inversion", detail, partial(check, ctx)).to_record()
     assert (record["status"], record["residual"]) == ("fail", f"map of inverted {name} decomposition != {name}^-1")
     assert scaled.cached_inverse() is None
+
+
+@pytest.mark.parametrize("name", ["K", "B", "Kdown", "Bdown"])
+def test_split_inversion_flips_after_checks_that_invert_the_scaled_map(name):
+    """The verdict does not hang on check order: once the table and split.KA_relations have inverted 2X, 2X still fails."""
+    ctx = suite.TargetContext(_solved_model(2))
+    checks = {cid: (detail, check) for cid, detail, check in suite.SUITES["splitmaps"]}
+    s = ctx.split_maps
+    scaled = getattr(s, name).scale(2)
+    ctx._built["split_maps"] = replace(s, **{name: scaled})
+    ctx.table_check
+    Report("t").run("split.KA_relations", checks["split.KA_relations"][0], partial(checks["split.KA_relations"][1], ctx))
+    assert scaled.cached_inverse() is not None  # eliminated, and (2X)(2X)^-1 = I
+    record = Report("t").run("split.inversion", checks["split.inversion"][0], partial(checks["split.inversion"][1], ctx)).to_record()
+    assert (record["status"], record["residual"]) == ("fail", f"map of inverted {name} decomposition != {name}^-1")
 
 
 # The checks that evaluate their identities with `linalg.Products`

@@ -23,8 +23,6 @@ from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParameterError, ParamSet
 
-from linalg_reference import rank
-
 TESTS = Path(__file__).resolve().parent
 NAMES = ("K", "B", "Kdown", "Bdown")
 
@@ -44,7 +42,7 @@ def _seeded_import(d, seed):
     n = base.dim
     while True:
         p = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if rank(p) == n:
+        if p.rank() == n:
             break
     return assemble_imported(base.params, p * base.A * p.inverse(), p * base.Astar * p.inverse())
 
