@@ -45,6 +45,11 @@ class LusztigData:
             [s.image_under(self.H) for s in self.model.eigenspaces_Astar.parts]
         )
 
+    @cached_property
+    def H_invertible(self) -> bool:
+        """H H^-1 = I, formed once per H: the `lusztig.H_invertible` verdict, also read by `suite.TargetContext.mirrored`."""
+        return Products(self.H.rows).residual([(1, (self.H, self.H_inv)), (-1, ())]) is None
+
 
 def lusztig_images(model: TDModel) -> tuple[Matrix, Matrix]:
     """L(A*) and L^-1(A*): A* + [A, [A, A*]_(q^eps)] / ((q - q^-1)(q^2 - q^-2)) for eps = +1, -1.

@@ -289,58 +289,38 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
       (q KA - q^-1 AK)/(q - q^-1) = a K^2 + a^-1 I
       (q BA - q^-1 AB)/(q - q^-1) = a^-1 B^2 + a I
       a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0
-      a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0
-    with c1 = (a^-1 q - a q^-1)/(q - q^-1), c2 = (a q - a^-1 q^-1)/(q - q^-1),
-    plus the two inverse-pair statements PQ = I built from KB cross terms.
-    Two forms are not tested apart, as they hold exactly when a tested one
-    does: the inverse forms (q A X^-1 - q^-1 X^-1 A)/(q - q^-1) = ... of the
-    first two, whose residuals are X^-1 R X^-1 for the residual R of the
-    q-Weyl relation of X, and the right products QP = I, since for square P
-    and Q, PQ = I exactly when QP = I. The residuals of the first two are
-    the R_X the split maps hold (`SplitMaps.qweyl_A_residuals`); each other
-    relation is one combination of products (`Products`), shared within a pair.
+    with c1 = (a^-1 q - a q^-1)/(q - q^-1), c2 = (a q - a^-1 q^-1)/(q - q^-1).
+    The residuals of the first two are the R_X the split maps hold
+    (`SplitMaps.qweyl_A_residuals`); the third, R_3, is one combination of
+    products (`Products`).
+
+    The other forms are not tested apart: each is zero exactly when a
+    tested residual listed before it is (tests/identity_reference.py keeps
+    them). With Y = K^-1 B and Z = B K^-1:
+      - the inverse q-Weyl forms have residuals X^-1 R_X X^-1;
+      - the left products of the inverse pairs (K^-1 B, B K^-1) and
+        (B^-1 K, K B^-1) have residuals P_1, P_2 with K P_1 K = lam R_3 and
+        B P_2 B = mu R_3, lam = -(q - q^-1)^2/(a (a^-1 - a)^2) and
+        mu = -a (q - q^-1)^2/(a^-1 - a)^2; a right product QP = I holds
+        exactly when PQ = I, P and Q being square;
+      - the inverse form R_4 = a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2
+        has B R_4 B = K^-1 R_3 K^-1 + a^-1 (ZY - YZ), and Y and Z commute
+        once P_1 = 0, as the factors of the first pair are then inverse.
+    These forms name K^-1 and B^-1, so a singular map raises as they would.
     Returns (passed, failures) as (name, residual).
     """
-    p = model.params
-    q, a = p.q, p.a
+    q, a = model.params.q, model.params.a
     c1 = (q / a - a / q) / (q - 1 / q)
     c2 = (a * q - 1 / (a * q)) / (q - 1 / q)
     held = s.qweyl_A_residuals
-
-    def inverse_pair(x, alpha, beta, y, gamma, delta):
-        """The terms of (alpha X - beta I)(gamma Y - delta I) - I."""
-        return [(alpha * gamma, x + y), (-alpha * delta, x), (-beta * gamma, y), (beta * delta - 1, ())]
-
-    # The inverse pairs: (K^-1 B, B K^-1) scaled by (al, ga) and shifted by
-    # (be, de); (B^-1 K, K B^-1) by (al2, ga2) and (de, be).
-    inv_a, a_inv = 1 / a - a, a - 1 / a
-    al, be = (q - 1 / q) / (a * inv_a), (q / a - a / q) / inv_a
-    ga, de = (q - 1 / q) / (a * a_inv), (a * q - 1 / (a * q)) / a_inv
-    al2, ga2 = a * (q - 1 / q) / a_inv, a * (q - 1 / q) / inv_a
     failures = []
     for tag, down in (("", ""), ("down:", "down")):
         k, b = getattr(s, "K" + down), getattr(s, "B" + down)
-        k1, b1 = (k,), (b,)
-        ki, bi = (k.inverse(),), (b.inverse(),)
-        products = Products(model.dim)
-        # the cross products of the inverse pairs, each taken as one factor
-        kib, bki, bik, kbi = ((products.product(x + y),) for x, y in ((ki, b1), (b1, ki), (bi, k1), (k1, bi)))
+        k.inverse(), b.inverse()  # kept on a split map; a singular replaced map raises
         expect_zero(failures, tag + "qweyl[K,A] = a K^2 + a^-1 I", held["K" + down])
         expect_zero(failures, tag + "qweyl[B,A] = a^-1 B^2 + a I", held["B" + down])
-        relations = [
-            (
-                "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0",
-                [(a, k1 + k1), (-c1, k1 + b1), (-c2, b1 + k1), (1 / a, b1 + b1)],
-            ),
-            (
-                "a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0",
-                [(1 / a, ki + ki), (-c1, ki + bi), (-c2, bi + ki), (a, bi + bi)],
-            ),
-            ("inverse pair (K^-1 B, B K^-1): left product", inverse_pair(kib, al, be, bki, ga, de)),
-            ("inverse pair (B^-1 K, K B^-1): left product", inverse_pair(bik, al2, de, kbi, ga2, be)),
-        ]
-        for name, terms in relations:
-            expect_zero(failures, tag + name, products.residual(terms))
+        resid = Products(model.dim).residual([(a, (k, k)), (-c1, (k, b)), (-c2, (b, k)), (1 / a, (b, b))])
+        expect_zero(failures, tag + "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0", resid)
     return not failures, failures
 
 
@@ -378,12 +358,15 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     U_0, ..., U_d are the eigenspaces of K for q^d, ..., q^-d, taken from
     `spectra`. With U_i's basis as the columns of a matrix:
     a K + a^-1 K^-1 acts as theta_i on U_i; R maps U_i into U_(i+1), that is
-    (K - q^(d-2i-2) I) R kills U_i; R kills U_d. Then R^(d+1) = 0 and
-    RK = q^2 KR. R is formed once, on integer numerators (`Products`).
+    (K - q^(d-2i-2) I) R kills U_i; R kills U_d. R is formed once, on
+    integer numerators (`Products`). R^(d+1) = 0 and RK = q^2 KR are not
+    tested apart: the U_i are the eigenspaces of K and fill the space, so
+    once R raises each U_i into U_(i+1) and kills U_d, R^(d+1) kills every
+    U_i, and RK and q^2 KR both act on U_i as q^(d-2i) R (the old forms are
+    kept in tests/identity_reference.py).
     Returns (passed, failures) as (name, residual).
     """
-    p = model.params
-    q, a, d = p.q, p.a, p.d
+    a, d = model.params.a, model.d
     k = s.K
     parts = spectra.decomposition(k).parts
     eigs = spectra.eigenvalues
@@ -403,8 +386,6 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
             expect_zero(failures, f"R U_{i} inside U_{i + 1}", step)
         else:
             expect_zero(failures, "R kills the top part", products.residual([(1, (r, u))]))
-    expect_zero(failures, f"R^{d + 1} = 0", products.residual([(1, (r,) * (d + 1))]))
-    expect_zero(failures, "R K = q^2 K R", products.residual([(1, (r, k)), (-q * q, (k, r))]))
     return not failures, failures
 
 

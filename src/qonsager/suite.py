@@ -310,7 +310,7 @@ class TargetContext:
 
         def build():
             try:
-                return _H_invertible(self)[0] and self.H_conjugation[0] and self.MN[0]
+                return self.lusztig.H_invertible and self.H_conjugation[0] and self.MN[0]
             except CHECK_ERRORS:
                 return False
 
@@ -392,8 +392,7 @@ def _astar_containment(ctx: TargetContext):
 
 
 def _H_invertible(ctx: TargetContext):
-    lus = ctx.lusztig
-    return Products(ctx.model.dim).residual([(1, (lus.H, lus.H_inv)), (-1, ())]) is None, None
+    return ctx.lusztig.H_invertible, None
 
 
 def _H_commutes_A(ctx: TargetContext):

@@ -8,19 +8,28 @@ R ladder. A check that raises must raise the same error in both forms.
 The q-Dolan/Grady residuals are also compared on seeded dense pairs, and
 the tridiagonal action on a pair whose A* escapes the band.
 
-`split.KA_relations` no longer tests the inverse forms
-qweyl[A,X^-1] = ... for X = K, B: their residuals are X^-1 R X^-1 for the
-residual R of qweyl[X,A]. Nor does it test the right products QP = I of
-its two inverse pairs: for square P and Q, PQ = I exactly when QP = I, and
-the left product PQ = I is listed first. The old form's failures are
-compared with those names left out, and tests show that leaving them out
-loses no failure and changes no first witness.
+`split.KA_relations` tests, per orientation, qweyl[K,A], qweyl[B,A] and
+relation 3, a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0, with residual R_3. Each
+other form of the old check is zero exactly when a residual listed before
+it is: the inverse forms qweyl[A,X^-1] = ... for X = K, B have residual
+X^-1 R X^-1 for the residual R of qweyl[X,A]; the left products P_1, P_2 of
+the two inverse pairs are lam K^-1 R_3 K^-1 and mu B^-1 R_3 B^-1; the
+inverse form R_4 of relation 3 is B^-1 (K^-1 R_3 K^-1 + a^-1 (ZY - YZ)) B^-1
+with Y = K^-1 B and Z = B K^-1, which commute once P_1 = 0; and the right
+products QP = I hold exactly when PQ = I, for square P and Q.
+`split.R_ladder` no longer tests R^(d+1) = 0 nor RK = q^2 KR: on the
+eigenspace U_i of K, RK - q^2 KR is -q^2 times the step residual
+(K - q^(d-2i-2) I) R, and (q^-d I - q^2 K) R on U_d, and R^(d+1) kills
+every U_i once R raises each. The old forms' failures are compared with
+those names left out, and tests show that leaving them out loses no
+failure and changes no first witness.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,12 +43,42 @@ import identity_reference as ref
 
 CONTAINMENT_ESCAPE = Path(__file__).resolve().parent / "data" / "containment_escape_d3.model"
 
-# Each KA relation no longer tested, and the relation whose residual R gives
-# its residual X^-1 R X^-1, with X the split map named last.
+RELATION_3 = "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0"
+
+
+def _inverse_form_of_relation_3(k, b, a, q, r3):
+    """R_4 from R_3: B R_4 B = K^-1 R_3 K^-1 + a^-1 (ZY - YZ), Y = K^-1 B and Z = B K^-1."""
+    k_inv, b_inv = k.inverse(), b.inverse()
+    y, z = k_inv * b, b * k_inv
+    return b_inv * (k_inv * r3 * k_inv + (z * y - y * z).scale(1 / a)) * b_inv
+
+
+# Each KA relation no longer tested, the tested relation whose residual R
+# decides it, and its residual as a function of (K, B, a, q, R).
 DROPPED_KA = {
-    "qweyl[A,K^-1] = a^-1 K^-2 + a I": ("qweyl[K,A] = a K^2 + a^-1 I", "K"),
-    "qweyl[A,B^-1] = a B^-2 + a^-1 I": ("qweyl[B,A] = a^-1 B^2 + a I", "B"),
+    "qweyl[A,K^-1] = a^-1 K^-2 + a I": (
+        "qweyl[K,A] = a K^2 + a^-1 I",
+        lambda k, b, a, q, r: k.inverse() * r * k.inverse(),
+    ),
+    "qweyl[A,B^-1] = a B^-2 + a^-1 I": (
+        "qweyl[B,A] = a^-1 B^2 + a I",
+        lambda k, b, a, q, r: b.inverse() * r * b.inverse(),
+    ),
+    "a^-1 K^-2 - c1 K^-1 B^-1 - c2 B^-1 K^-1 + a B^-2 = 0": (RELATION_3, _inverse_form_of_relation_3),
+    "inverse pair (K^-1 B, B K^-1): left product": (
+        RELATION_3,
+        lambda k, b, a, q, r: (k.inverse() * r * k.inverse()).scale(-((q - 1 / q) ** 2) / (a * (1 / a - a) ** 2)),
+    ),
+    "inverse pair (B^-1 K, K B^-1): left product": (
+        RELATION_3,
+        lambda k, b, a, q, r: (b.inverse() * r * b.inverse()).scale(-a * (q - 1 / q) ** 2 / (1 / a - a) ** 2),
+    ),
 }
+
+
+def dropped_R_ladder(d):
+    """The R-ladder claims no longer tested: the steps and the top claim decide them."""
+    return (f"R^{d + 1} = 0", "R K = q^2 K R")
 
 
 def _built(d, q, a=F(3), b=F(5)):
@@ -98,7 +137,7 @@ def _pairs(ctx):
     return pairs + [
         ("KA_relations", splitmaps.check_KA_relations, _kept_KA_relations, (model, s)),
         ("H_conjugation", splitmaps.check_H_conjugation_of_splits, ref.check_H_conjugation_of_splits, (lus, s)),
-        ("R_ladder", splitmaps.check_R_ladder, ref.check_R_ladder, (model, s, ctx.spectra)),
+        ("R_ladder", splitmaps.check_R_ladder, _kept_R_ladder, (model, s, ctx.spectra)),
         ("MN", splitmaps.check_MN_conjugation, ref.check_MN_conjugation, (lus, s, ctx.spectra)),
     ]
 
@@ -133,6 +172,12 @@ def _kept_KA_relations(model, s):
     return not kept, kept
 
 
+def _kept_R_ladder(model, s, spectra):
+    """The old check without the claims of `dropped_R_ladder`."""
+    kept = [(name, r) for name, r in ref.check_R_ladder(model, s, spectra)[1] if name not in dropped_R_ladder(model.d)]
+    return not kept, kept
+
+
 def _assert_agree(ctx):
     verdicts = {}
     for name, new, old, args in _pairs(ctx):
@@ -160,30 +205,109 @@ def test_perturbed_imports_agree_witness_for_witness():
 
 
 def test_the_dropped_KA_relations_lose_nothing():
-    """Each dropped residual is X^-1 R X^-1 of the kept one, and the failures are the old ones without them."""
-    shown = 0
+    """Each dropped residual is its stated transform of the kept one, and the failures are the old ones without them."""
+    shown = set()
     for seed in range(12):
         ctx = suite.TargetContext(_perturbed_import(seed))
         try:
             s = ctx.split_maps
         except (ModelError, ValueError):
             continue
+        a, q, zero = ctx.model.params.a, ctx.model.params.q, Matrix.zero(ctx.model.dim)
         _, old = ref.check_KA_relations(ctx.model, s)
         residuals = dict(old)
-        for tag, maps in (("", {"K": s.K, "B": s.B}), ("down:", {"K": s.Kdown, "B": s.Bdown})):
-            for dropped, (kept, x) in DROPPED_KA.items():
-                got, r = residuals.get(tag + dropped), residuals.get(tag + kept)
+        for tag, k, b in (("", s.K, s.B), ("down:", s.Kdown, s.Bdown)):
+            for dropped, (kept, transform) in DROPPED_KA.items():
+                got, r = residuals.get(tag + dropped, zero), residuals.get(tag + kept)
                 if r is None:
-                    assert got is None, (seed, tag, dropped)
+                    assert got == zero, (seed, tag, dropped)
                     continue
-                x_inv = maps[x].inverse()
-                assert got == x_inv * r * x_inv, (seed, tag, dropped)
-                shown += 1
+                assert got == transform(k, b, a, q, r), (seed, tag, dropped)
+                shown.add(dropped)
         _, new = splitmaps.check_KA_relations(ctx.model, s)
         assert new == _without_dropped(old), seed
         # the first failure, the report's witness, is not a dropped relation
         assert new[:1] == old[:1], seed
-    assert shown
+    assert shown == DROPPED_KA.keys()
+
+
+def _sheared_K_context(d):
+    """A built d-target whose K is conjugated by I + E_0d, decomposed by its kernels: on the ladder, not raised by R.
+
+    The split maps would pair the new K with the old split decomposition,
+    which is not the new K's.
+    """
+    ctx = suite.TargetContext(_built(d, F(2)))
+    s = ctx.split_maps
+    shear = Matrix([[int(r == c or (r, c) == (0, d)) for c in range(d + 1)] for r in range(d + 1)])
+    ctx._built["split_maps"] = replace(s, K=shear * s.K * shear.inverse())
+    ctx._built["spectra"] = splitmaps.LadderSpectra(d, F(2))
+    return ctx
+
+
+def test_the_dropped_R_ladder_claims_lose_nothing():
+    """On U_i, RK - q^2 KR is -q^2 times the step residual, (q^-d I - q^2 K) R on U_d; R^(d+1) fails only with a step."""
+    contexts = [suite.TargetContext(_perturbed_import(seed)) for seed in range(12)]
+    shown = set()
+    for ctx in contexts + [_sheared_K_context(d) for d in (1, 2, 3)]:
+        model = ctx.model
+        try:
+            s, spectra = ctx.split_maps, ctx.spectra
+            dec = spectra.decomposition(s.K)
+        except (ModelError, ValueError):
+            continue
+        # the argument reads U_i as the eigenspaces of K
+        assert dec.acts_as(s.K, spectra.eigenvalues)
+        q, d, zero = model.params.q, model.d, Matrix.zero(model.dim)
+        _, old = ref.check_R_ladder(model, s, spectra)
+        residuals = dict(old)
+        power, commutation = dropped_R_ladder(d)
+        commutation_resid = residuals.get(commutation, zero)
+        for i, part in enumerate(dec.parts):
+            u = Matrix(part.basis).transpose()
+            if i < d:
+                want = residuals.get(f"R U_{i} inside U_{i + 1}", u.scale(0)).scale(-q * q)
+            else:
+                top = residuals.get("R kills the top part", u.scale(0))
+                want = (Matrix.identity(model.dim).scale(q**-d) - s.K.scale(q * q)) * top
+            assert commutation_resid * u == want, (model.params, i)
+        kept = [(name, resid) for name, resid in old if name not in (power, commutation)]
+        if power in residuals or commutation in residuals:
+            assert any(name.startswith("R ") for name, _ in kept), model.params
+            shown.update(kind for kind, name in (("power", power), ("commutation", commutation)) if name in residuals)
+        _, new = splitmaps.check_R_ladder(model, s, spectra)
+        assert new == kept
+        assert new[:1] == old[:1]
+    assert shown == {"power", "commutation"}
+
+
+def test_the_KA_transforms_hold_for_any_invertible_pair():
+    """The three relation-3 transforms are matrix identities: the old check on seeded random invertible K, B and A, no model."""
+    rng = random.Random(28)
+    shown = 0
+    for n in range(2, 7):
+        for q, a in ((F(2), F(3)), (F(3, 2), F(1, 7)), (F(-2), F(5)), (F(1, 3), F(-2, 5))):
+            k, b, kdown, bdown = (_random_invertible(rng, n) for _ in range(4))
+            model = SimpleNamespace(params=SimpleNamespace(q=q, a=a), dim=n, A=_random_invertible(rng, n))
+            s = SimpleNamespace(K=k, B=b, Kdown=kdown, Bdown=bdown)
+            residuals = dict(ref.check_KA_relations(model, s)[1])
+            for tag, x, y in (("", k, b), ("down:", kdown, bdown)):
+                r3 = residuals[tag + RELATION_3]
+                for dropped, (kept, transform) in DROPPED_KA.items():
+                    if kept == RELATION_3:
+                        assert residuals[tag + dropped] == transform(x, y, a, q, r3), (n, q, a, tag, dropped)
+                        shown += 1
+    assert shown == 5 * 4 * 2 * 3
+
+
+def _random_invertible(rng, n):
+    while True:
+        m = Matrix([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        try:
+            m.inverse()
+        except ValueError:
+            continue
+        return m
 
 
 def test_a_right_product_fails_exactly_when_its_left_product_does():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qonsager.linalg import Matrix, Subspace
+from qonsager.linalg import Matrix, SingularMatrixError, Subspace
 from qonsager.lusztig import build_H
 from qonsager.model import ModelError, build_model, solve_phi
 from qonsager.scalars import ParameterError, ParamSet
@@ -129,6 +129,29 @@ def test_KA_relations_fail_when_K_inverted(golden):
     assert any("qweyl[K,A]" in name for name, _ in failures)
 
 
+@pytest.mark.parametrize(
+    "d, q, a, b", [(2, F(2), F(3), F(5)), (4, F(3, 2), F(1, 7), F(2, 9)), (3, F(-2), F(5), F(3))]
+)
+def test_KA_relations_negative_control_swaps_B_and_Bdown(d, q, a, b):
+    """Bdown keeps the q-Weyl relation of B with A, so swapping them fails relation 3 alone."""
+    models = []
+    assert solve_phi(d, q, a, b, limit=1, models=models)
+    model, s = models[0], build_split_maps(models[0])
+    ok, failures = check_KA_relations(model, replace(s, B=s.Bdown, Bdown=s.B))
+    relation_3 = "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0"
+    assert not ok
+    assert [name for name, _ in failures] == [relation_3, "down:" + relation_3]
+    assert all(not resid.is_zero() for _, resid in failures)
+
+
+def test_KA_relations_raise_for_a_singular_map(golden):
+    """The dropped forms name K^-1 and B^-1: a singular replaced map raises, as they would."""
+    model, _, s = golden
+    for name in ("K", "Bdown"):
+        with pytest.raises(SingularMatrixError):
+            check_KA_relations(model, replace(s, **{name: Matrix.zero(model.dim)}))
+
+
 def test_a_inversion_swaps_K_and_B_relation_shapes(golden):
     # The K relation with a and the B relation with 1/a share one formula.
     model, _, s = golden
@@ -218,16 +241,24 @@ def test_R_ladder_negative_control_perturbs_K(golden, d2):
     """K conjugated by a shear keeps its spectrum on the ladder, so the check runs.
 
     A shear that moves U_d off the top A-eigenspace must fail it; every
-    verdict, pass or fail, must name the statements the projector form names.
+    verdict, pass or fail, must name the statements the projector form names
+    but R^(d+1) = 0 and RK = q^2 KR, which the check no longer tests apart:
+    the projector form names them only beside a failing step or top claim.
     """
     names = set()
     for model, _, s in (golden, d2):
         n = model.dim
+        dropped = (f"R^{model.d + 1} = 0", "R K = q^2 K R")
         for i, j, c in ((0, n - 1, 1), (0, 1, -2), (n - 1, 0, F(1, 3)), (1, 0, 5)):
             shear = _shear(n, i, j, c)
             perturbed = replace(s, K=shear * s.K * shear.inverse())
             ok, failures = check_R_ladder(model, perturbed, _spectra(model))
-            assert [name for name, _ in failures] == _projector_R_ladder_failures(model, perturbed)
+            reference = _projector_R_ladder_failures(model, perturbed)
+            kept = [name for name in reference if name not in dropped]
+            assert [name for name, _ in failures] == kept
+            assert kept[:1] == reference[:1]
+            if set(dropped) & set(reference):
+                assert any(name.startswith("R ") for name in kept), (model.d, i, j, c)
             assert all(not resid.is_zero() for _, resid in failures)
             if i == 0:
                 assert not ok, (model.d, i, j, c)

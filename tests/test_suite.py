@@ -168,6 +168,10 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     # build_model and model.qdg share one evaluation of the q-Dolan/Grady residuals
     assert len(calls["qweyl_residual"]) == 8
     assert len(calls["qdg_residuals"]) == 1
+    # every integer product of the target: split.KA_relations forms relation
+    # 3's four per orientation, split.R_ladder no power of R nor RK, KR, and
+    # H H^-1 is formed once for lusztig.H_invertible and the mirrored reads
+    assert len(calls["_numerator_product"]) == 138
     # the ladders read the table's verdicts and the ladder spectra its
     # invertibility entries filled: no product, elimination or kernel
     assert ladder_work == [[0, 0, 0]]
