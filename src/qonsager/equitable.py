@@ -4,8 +4,7 @@ An equitable triple is three invertible maps X, Y, Z with
 (q XY - q^-1 YX)/(q - q^-1) = I for the cyclically ordered pairs (X,Y),
 (Y,Z), (Z,X). The eight rows of the triple table tie the split maps, their
 inverses, and the combinations a A - a^2 K (etc.) to M, N and their down
-analogues. The q-Weyl relation is tested in one place, `qweyl_residual`,
-on integer numerators.
+analogues. A pair's q-Weyl residual is one `Products` combination.
 
 The ladder steps and crossing flags of a pair (X, Y) follow from that
 relation once both members are diagonalizable on q^d, ..., q^-d, so
@@ -17,47 +16,30 @@ proves nothing again. With R = (q XY - q^-1 YX)/(q - q^-1) - I,
        as q^-2 lam_d is off the ladder; so X_(d-i)+...+X_d is Y-invariant,
        and for a diagonalizable Y it is Y_0+...+Y_i: the crossing flags.
 
-The table's (Z, X) pairs read the R_X of `split.KA_relations`
-(`held_residuals`). Once lusztig.H_invertible, split.H_conjugation and
-split.MN pass, rows 5-8 and the N-side diagram claims are read from their
-H-mirrors (`verify_triple_table`, `verify_diagrams`).
+Every pair of rows 1-4 and the (Z, X) pairs of rows 5-8 read theirs from
+the R_K, R_B and R_3 of `split.KA_relations` (`held_residuals`). Once
+lusztig.H_invertible, split.H_conjugation and split.MN pass, rows 5-8 and
+the N-side diagram claims are read from their H-mirrors
+(`verify_triple_table`, `verify_diagrams`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
-from .linalg import Matrix, ShapeError, SingularMatrixError
+from .linalg import Matrix, Products, ShapeError, SingularMatrixError
 from .lusztig import LusztigData
 from .model import ModelError, TDModel
 from .splitmaps import LadderSpectra, SplitMaps, orientations, split_mismatches
 
 
 def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix | None:
-    """(q XY - q^-1 YX)/(q - q^-1) - I, tested on integer numerators; None when zero.
-
-    With q = u/v, X = X_n/d_x and Y = Y_n/d_y the residual is
-    u^2 X_n Y_n - v^2 Y_n X_n - (u^2 - v^2) d_x d_y I over (u^2 - v^2) d_x d_y;
-    a `Matrix` is built only when it is nonzero.
-    """
+    """(q XY - q^-1 YX)/(q - q^-1) - I, one `Products` combination; None when zero."""
     if not x.rows == x.cols == y.rows == y.cols:
         raise ShapeError(f"q-Weyl test of {x.rows}x{x.cols} and {y.rows}x{y.cols}: need one square size")
     q = Fraction(q)
-    u2, v2 = q.numerator**2, q.denominator**2
-    diagonal = (u2 - v2) * x.denominator * y.denominator
-    cols = list(zip(zip(*x.numerators), zip(*y.numerators)))
-    rows = [
-        [u2 * sum(map(mul, x_row, y_col)) - v2 * sum(map(mul, y_row, x_col)) for x_col, y_col in cols]
-        for x_row, y_row in zip(x.numerators, y.numerators)
-    ]
-    for i, row in enumerate(rows):
-        row[i] -= diagonal
-    if not any(map(any, rows)):
-        return None
-    if diagonal < 0:
-        rows, diagonal = [[-e for e in row] for row in rows], -diagonal
-    return Matrix(rows, diagonal)
+    w = 1 / (q - 1 / q)
+    return Products(x.rows).residual([(q * w, (x, y)), (-w / q, (y, x)), (-1, ())])
 
 
 def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra: LadderSpectra | None = None, known=None):
@@ -118,19 +100,33 @@ def build_triple_table(
 
 
 def held_residuals(s: SplitMaps) -> dict:
-    """The q-Weyl residuals of the table's (Z, X) pairs by pair, read from R_X (`SplitMaps`); None where zero.
+    """The q-Weyl residuals of the table's pairs by pair, from R_K, R_B, R_3 (`SplitMaps.relations`); None where zero.
 
-    As the q-Weyl form of (X, X) is X^2, for any A, X and c the pair
-    (X, c^-1 A - c^-2 X) of rows 1-4 has residual c^-1 R_X, and the pair
-    (c A - c^2 X^-1, X^-1) of rows 5-8 has c X^-1 R_X X^-1. Pairs are looked
-    up by value, so any table holding one reads it.
+    With s = 1/(a - a^-1) (`sc`) and c the `scale` of X = K, B, for any A, K,
+    B with M = s (a K - a^-1 B) invertible, the pairs and residuals are
+      - (X, c^-1 A - c^-2 X), row 1-4 (Z, X): c^-1 R_X, as the q-Weyl form of (X, X) is X^2;
+      - (M^-1, X), row 1-4 (Y, Z): -s^2 c M^-1 R_3 M^-1;
+      - (c^-1 A - c^-2 X, M^-1), row 1-4 (X, Y): M^-1 ((s/(c a)) (a^2 R_K - R_B) - (s^2/c) R_3) M^-1;
+      - (c A - c^2 X^-1, X^-1), row 5-8 (Z, X): c X^-1 R_X X^-1;
+    and the same with Kdown, Bdown and Mdown. Pairs are looked up by value,
+    so any table holding one reads it; M^-1 is the table's once it is built.
     """
     conj, conj_inv = s.conjugates
-    held = {}
-    for name, r in s.qweyl_A_residuals.items():
-        x, y, c = getattr(s, name), getattr(s, name).inverse(), s.scale(name)
-        held[x, conj_inv[name]] = None if r is None else r.scale(1 / c)
-        held[conj[name], y] = None if r is None else (y * r * y).scale(c)
+    a, sc, products, held = s.a, 1 / (s.a - 1 / s.a), Products(s.A.rows), {}
+
+    def sandwich(m, terms):  # m (sum c R) m over the R not None, formed only when the sum is nonzero
+        bracket = products.residual([(c, (r,)) for c, r in terms if r is not None] or [(0, ())])
+        return None if bracket is None else products.residual([(1, (m, bracket, m))])
+
+    for down in ("", "down"):
+        r_k, r_b, r_3 = s.relations[down]
+        m_inv = getattr(s, "M" + down).inverse()
+        for name, r in (("K" + down, r_k), ("B" + down, r_b)):
+            x, c = getattr(s, name), s.scale(name)
+            held[x, conj_inv[name]] = None if r is None else r.scale(1 / c)
+            held[m_inv, x] = sandwich(m_inv, [(-sc * sc * c, r_3)])
+            held[conj_inv[name], m_inv] = sandwich(m_inv, [(sc * a / c, r_k), (-sc / (c * a), r_b), (-sc * sc / c, r_3)])
+            held[conj[name], x.inverse()] = sandwich(x.inverse(), [(c, r)])
     return held
 
 

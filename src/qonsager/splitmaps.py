@@ -177,8 +177,8 @@ class SplitMaps:
     The values below are derived from the four maps on first use, so
     `dataclasses.replace` of a map derives them from the new maps:
     M = (a K - a^-1 B)/(a - a^-1), N = (a^-1 K^-1 - a B^-1)/(a^-1 - a) and
-    the down analogues, and the closed forms of H^-1 X H and H X^-1 H^-1
-    (`conjugates`).
+    the down analogues, the closed forms of H^-1 X H and H X^-1 H^-1
+    (`conjugates`), and the residuals of the relations tying A to each pair.
     """
 
     A: Matrix
@@ -207,14 +207,21 @@ class SplitMaps:
         return conjugated, conjugated_inverse
 
     @cached_property
-    def qweyl_A_residuals(self) -> dict[str, Matrix | None]:
-        """R_X = (q XA - q^-1 AX)/(q - q^-1) - c^-1 X^2 - c I by X (None where zero), read by `split.KA_relations` and the table."""
-        q, w, big_a, products = self.q, 1 / (self.q - 1 / self.q), self.A, Products(self.A.rows)
-        residuals = {}
-        for name in ("K", "B", "Kdown", "Bdown"):
-            x, c = getattr(self, name), self.scale(name)
-            residuals[name] = products.residual([(q * w, (x, big_a)), (-w / q, (big_a, x)), (-1 / c, (x, x)), (-c, ())])
-        return residuals
+    def relations(self) -> dict[str, tuple[Matrix | None, Matrix | None, Matrix | None]]:
+        """(R_K, R_B, R_3) by orientation, "" or "down", None where zero, with one `Products` sharing K^2 and B^2.
+
+        R_X = (q XA - q^-1 AX)/(q - q^-1) - c^-1 X^2 - c I for c = `scale(X)`,
+        and R_3 = a K^2 - c1 KB - c2 BK + a^-1 B^2 (`check_KA_relations`).
+        """
+        q, a, w, big_a, products = self.q, self.a, 1 / (self.q - 1 / self.q), self.A, Products(self.A.rows)
+        c1, c2 = (q / a - a / q) * w, (a * q - 1 / (a * q)) * w
+        held = {}
+        for down in ("", "down"):
+            k, b = getattr(self, "K" + down), getattr(self, "B" + down)
+            terms = [[(q * w, (x, big_a)), (-w / q, (big_a, x)), (-1 / c, (x, x)), (-c, ())] for x, c in ((k, 1 / a), (b, a))]
+            terms.append([(a, (k, k)), (-c1, (k, b)), (-c2, (b, k)), (1 / a, (b, b))])
+            held[down] = tuple(map(products.residual, terms))
+        return held
 
     @cached_property
     def M(self) -> Matrix:
@@ -290,9 +297,7 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
       (q BA - q^-1 AB)/(q - q^-1) = a^-1 B^2 + a I
       a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0
     with c1 = (a^-1 q - a q^-1)/(q - q^-1), c2 = (a q - a^-1 q^-1)/(q - q^-1).
-    The residuals of the first two are the R_X the split maps hold
-    (`SplitMaps.qweyl_A_residuals`); the third, R_3, is one combination of
-    products (`Products`).
+    The residuals are held on the split maps (`SplitMaps.relations`), where the table reads them too.
 
     The other forms are not tested apart: each is zero exactly when a
     tested residual listed before it is (tests/identity_reference.py keeps
@@ -309,18 +314,14 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
     These forms name K^-1 and B^-1, so a singular map raises as they would.
     Returns (passed, failures) as (name, residual).
     """
-    q, a = model.params.q, model.params.a
-    c1 = (q / a - a / q) / (q - 1 / q)
-    c2 = (a * q - 1 / (a * q)) / (q - 1 / q)
-    held = s.qweyl_A_residuals
     failures = []
     for tag, down in (("", ""), ("down:", "down")):
-        k, b = getattr(s, "K" + down), getattr(s, "B" + down)
-        k.inverse(), b.inverse()  # kept on a split map; a singular replaced map raises
-        expect_zero(failures, tag + "qweyl[K,A] = a K^2 + a^-1 I", held["K" + down])
-        expect_zero(failures, tag + "qweyl[B,A] = a^-1 B^2 + a I", held["B" + down])
-        resid = Products(model.dim).residual([(a, (k, k)), (-c1, (k, b)), (-c2, (b, k)), (1 / a, (b, b))])
-        expect_zero(failures, tag + "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0", resid)
+        # kept on a split map; a singular replaced map raises
+        getattr(s, "K" + down).inverse(), getattr(s, "B" + down).inverse()
+        r_k, r_b, r_3 = s.relations[down]
+        expect_zero(failures, tag + "qweyl[K,A] = a K^2 + a^-1 I", r_k)
+        expect_zero(failures, tag + "qweyl[B,A] = a^-1 B^2 + a I", r_b)
+        expect_zero(failures, tag + "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0", r_3)
     return not failures, failures
 
 

@@ -318,12 +318,13 @@ class TargetContext:
 
     @property
     def table_check(self):
-        """The `verify_triple_table` verdict on the triple table, its (Z, X) residuals read from the split maps."""
+        """The `verify_triple_table` verdict on the triple table, the residuals held by the split maps read."""
 
         def build():
+            table = self.triple_table  # first, so `held_residuals` reads its M^-1 off the ladder
             mirror = (self.lusztig.H, self.lusztig.H_inv) if self.mirrored else None
             known = equitable.held_residuals(self.split_maps)
-            return equitable.verify_triple_table(self.model, self.triple_table, self.spectra, known, mirror)
+            return equitable.verify_triple_table(self.model, table, self.spectra, known, mirror)
 
         return self._once("table_check", build)
 

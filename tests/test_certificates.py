@@ -3,11 +3,14 @@
 `build_split_maps` takes each split decomposition from its tau-chain once
 the chain's flags are certified, and `LadderSpectra` takes M and Mdown from
 chains down from H V*_0 and H V*_d once one product certifies them; the
-flag meets and kernels are the fallback and the oracle here. The table's
-(Z, X) pairs read their residuals from R_X, and once lusztig.H_invertible,
-split.H_conjugation and split.MN pass, rows 5-8 of the table and the N-side
-claims of the diagrams are read from their H-mirrors; a failed precondition
-takes the direct path, and a replaced table is tested member by member.
+flag meets and kernels are the fallback and the oracle here. Every pair of
+table rows 1-4 reads its residual from the R_K, R_B and R_3 the split maps
+hold, and once lusztig.H_invertible, split.H_conjugation and split.MN pass,
+rows 5-8 of the table and the N-side claims of the diagrams are read from
+their H-mirrors; a failed precondition takes the direct path, and a
+replaced table is tested member by member. The held residuals are compared
+with the q-Weyl brackets on random matrices and with `qweyl_residual` on
+perturbed imports, and each held term has a negative control.
 """
 
 import random
@@ -22,7 +25,8 @@ from qonsager.linalg import Matrix
 from qonsager.model import assemble_imported, eigenspace_decomposition
 from qonsager.splitmaps import orientations, split_decomposition
 
-from test_identity_oracle import _built, _outcome, _perturbed_import
+import identity_reference as ref
+from test_identity_oracle import _built, _outcome, _perturbed_import, _random_invertible
 
 PARAMS = [(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]
 NAMES = ("K", "B", "Kdown", "Bdown")
@@ -124,8 +128,9 @@ def test_a_failed_precondition_takes_the_direct_table_and_diagrams_path(monkeypa
     assert not ctx.H_conjugation[0] and not ctx.mirrored
     calls = _count_qweyl(monkeypatch)
     table_check = ctx.table_check
-    # rows 1-8 test their (X,Y) and (Y,Z) pairs; every (Z,X) pair reads R_X
-    assert len(calls) == 16
+    # rows 5-8 test their (X,Y) and (Y,Z) pairs; rows 1-4 and every (Z,X)
+    # pair read the relations the split maps hold
+    assert len(calls) == 8
     assert table_check == equitable.verify_triple_table(target, ctx.triple_table, ctx.spectra)
     diagrams = equitable.verify_diagrams(target, ctx.lusztig, ctx.split_maps, ctx.spectra, table_check)
     check_id, detail, check = suite.SUITES["diagrams"][0]
@@ -146,7 +151,8 @@ def test_a_replaced_table_is_tested_member_by_member(monkeypatch):
     ctx._built["triple_table"] = replaced
     calls = _count_qweyl(monkeypatch)
     ok, failures = ctx.table_check
-    assert len(calls) == 8 and {row for row, *_ in failures} == {"2", "6"}
+    # the replaced row 2's (X,Y) and (Y,Z) pairs; every other pair is held
+    assert len(calls) == 2 and {row for row, *_ in failures} == {"2", "6"}
     # the direct verdict on those rows and their H-conjugates
     h, h_inv = ctx.lusztig.H, ctx.lusztig.H_inv
     mirrors = tuple((str(int(row) + 4), *(h_inv * m * h for m in members)) for row, *members in replaced)
@@ -160,7 +166,7 @@ def test_a_replaced_table_is_tested_member_by_member(monkeypatch):
     ctx._built["triple_table"] = replaced
     calls = _count_qweyl(monkeypatch)
     ok, failures = ctx.table_check
-    assert len(calls) == 16
+    assert len(calls) == 8  # the (X,Y) and (Y,Z) pairs of rows 5-8
     assert not ok and {row for row, *_ in failures} == {"5"}
     assert (ok, failures) == equitable.verify_triple_table(ctx.model, replaced, ctx.spectra)
 
@@ -181,10 +187,93 @@ def test_mirrored_rows_carry_their_mirrors_conjugated_witnesses():
     assert any(name == "Z invertible" for _, name, _ in direct[1])
 
 
+def test_held_residuals_are_the_qweyl_brackets_of_any_maps_with_M_invertible():
+    """The held transforms are matrix identities: on seeded random A, K, B, Kdown, Bdown, no model.
+
+    Each pair of rows 1-4, and each (Z, X) pair of rows 5-8, reads the
+    q-Weyl bracket minus I of the verbatim oracle.
+    """
+    rng = random.Random(29)
+    compared = 0
+    for n in range(2, 7):
+        for q in (F(2), F(3, 2), F(-2), F(1, 3)):
+            for a in (F(3), F(1, 7), F(5), F(-2, 3)):
+                while True:
+                    big_a, k, b, kdown, bdown = (_random_invertible(rng, n) for _ in range(5))
+                    s = splitmaps.SplitMaps(big_a, a, q, k, b, kdown, bdown, None, None, None, None, {})
+                    try:
+                        s.M.inverse(), s.Mdown.inverse()
+                    except linalg.SingularMatrixError:
+                        continue
+                    break
+                held = equitable.held_residuals(s)
+                conj = s.conjugates[0]
+                table = equitable.build_triple_table(s, mirrored=True)
+                pairs = [pair for _, x, y, z in table for pair in ((x, y), (y, z), (z, x))]
+                pairs += [(conj[name], getattr(s, name).inverse()) for name in NAMES]
+                for left, right in pairs:
+                    want = ref.qweyl_bracket(left, right, q) - Matrix.identity(n)
+                    assert want != Matrix.zero(n)  # random maps: every residual is a sandwich's witness
+                    assert held[left, right] == want, (n, q, a)
+                    compared += 1
+    assert compared == 5 * 4 * 4 * 16
+
+
+def test_held_residuals_are_the_direct_ones_on_perturbed_imports():
+    """On 60 seeded perturbed imports every pair of rows 1-4 of the direct table holds what `qweyl_residual` forms."""
+    outcomes = Counter()
+    for seed in range(2000, 2060):
+        ctx = suite.TargetContext(_perturbed_import(seed))
+        table = equitable.build_triple_table(ctx.split_maps, ctx.spectra)
+        held = equitable.held_residuals(ctx.split_maps)
+        for _, x, y, z in table[:4]:
+            for left, right in ((x, y), (y, z), (z, x)):
+                direct = equitable.qweyl_residual(left, right, ctx.model.params.q)
+                assert held[left, right] == direct, seed
+                outcomes["pass" if direct is None else "fail"] += 1
+    # every import builds its table: 60 x 12 pairs, half of them failing
+    assert outcomes == {"pass": 360, "fail": 360}
+
+
+def _B_swapped_with_Bdown(s):
+    """Each map keeps its own decomposition, so the ladder spectra stay true."""
+    return replace(s, B=s.Bdown, Bdown=s.B, dec_B=s.dec_Bdown, dec_Bdown=s.dec_B)
+
+
+def _A_shifted(s):
+    return replace(s, A=s.A + Matrix.identity(s.A.rows).scale(F(1, 5)))
+
+
+@pytest.mark.parametrize(
+    "replaced, failing_relations, failing_pairs",
+    [
+        # (K, Bdown) and (Kdown, B) keep the q-Weyl relations with A but not relation 3
+        (_B_swapped_with_Bdown, [False, False, True], {"q-Weyl (X,Y)", "q-Weyl (Y,Z)"}),
+        # R_X gains X/5, relation 3 does not name A
+        (_A_shifted, [True, True, False], {"q-Weyl (X,Y)", "q-Weyl (Z,X)"}),
+    ],
+)
+@pytest.mark.parametrize("d, q, a, b", [(2, *PARAMS[1]), (3, *PARAMS[0]), (2, *PARAMS[2])])
+def test_each_held_term_fails_its_pairs_as_the_direct_table_does(
+    replaced, failing_relations, failing_pairs, d, q, a, b, monkeypatch
+):
+    """Negative controls of R_3 and of R_K, R_B: the held verdict is the verdict of a table given no `known`."""
+    ctx = suite.TargetContext(_built(d, q, a, b))
+    ctx._built["split_maps"] = s = replaced(ctx.split_maps)
+    assert [[r is not None for r in s.relations[down]] for down in ("", "down")] == [failing_relations] * 2
+    calls = _count_qweyl(monkeypatch)
+    ok, failures = ctx.table_check
+    # split.MN fails, so all eight rows are built; rows 5-8 form their (X,Y) and (Y,Z) pairs
+    assert not ctx.mirrored and len(calls) == 8
+    for label in "1234":
+        assert {name for row, name, _ in failures if row == label and name.startswith("q-Weyl")} == failing_pairs
+    assert (ok, failures) == equitable.verify_triple_table(ctx.model, ctx.triple_table, ctx.spectra)
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 @pytest.mark.parametrize("q, a, b", PARAMS[:2])
 def test_work_per_built_target(d, q, a, b, monkeypatch):
-    """What a passing built target solves: the kernels of A and A* alone, eight q-Weyl tests, no flag meet."""
+    """What a passing built target solves: the kernels of A and A* alone, no q-Weyl product, no flag meet."""
     calls = Counter()
     for module, name in (
         (model, "kernel"),
@@ -210,11 +299,12 @@ def test_work_per_built_target(d, q, a, b, monkeypatch):
     report = suite.run_target(suite.make_param_target(d, q, a, b), suite.SUITE_NAMES)
     assert report.all_passed
     n = d + 1
+    # no q-Weyl product: every pair of rows 1-4 is held and rows 5-8 are mirrored
+    assert calls["qonsager.equitable.qweyl_residual"] == 0
     # no flag meet and no kernel on the ladder (splitmaps.eigenspace_decomposition)
     assert calls == {
         "qonsager.model.kernel": 2 * n,  # eigenspaces of A and A*
         "qonsager.model.eigenspace_decomposition": 2,
-        "qonsager.equitable.qweyl_residual": 8,  # the (X,Y) and (Y,Z) pairs of rows 1-4
         # the kernels, the spans of the H-images of lines and 8 basis-matrix
         # inverses: the table forms no N^-1 or Ndown^-1
         "qonsager.linalg._gauss_jordan": 12 * n + 8,

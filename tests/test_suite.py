@@ -162,16 +162,18 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     names = ("K", "B", "Kdown", "Bdown")
     assert all(row[1] is conj_inv[x] for row, x in zip(rows[:4], names))
     assert all(row[3] is conj[x] for row, x in zip(rows[4:], names))
-    # the table tests the (X,Y) and (Y,Z) pairs of rows 1-4: the (Z,X) pairs
-    # read the R_X of split.KA_relations, and rows 5-8 are read from rows 1-4
-    # as split.H_conjugation and split.MN hold; the ladders read its verdicts;
-    # build_model and model.qdg share one evaluation of the q-Dolan/Grady residuals
-    assert len(calls["qweyl_residual"]) == 8
+    # the table forms no q-Weyl product: every pair of rows 1-4 reads the
+    # R_K, R_B and R_3 of split.KA_relations, and rows 5-8 are read from
+    # rows 1-4 as split.H_conjugation and split.MN hold; the ladders read its
+    # verdicts; build_model and model.qdg share one evaluation of the
+    # q-Dolan/Grady residuals
+    assert len(calls["qweyl_residual"]) == 0
     assert len(calls["qdg_residuals"]) == 1
     # every integer product of the target: split.KA_relations forms relation
-    # 3's four per orientation, split.R_ladder no power of R nor RK, KR, and
-    # H H^-1 is formed once for lusztig.H_invertible and the mirrored reads
-    assert len(calls["_numerator_product"]) == 138
+    # 3's four per orientation beside R_K and R_B, sharing K^2 and B^2,
+    # split.R_ladder no power of R nor RK, KR, and H H^-1 is formed once for
+    # lusztig.H_invertible and the mirrored reads
+    assert len(calls["_numerator_product"]) == 134
     # the ladders read the table's verdicts and the ladder spectra its
     # invertibility entries filled: no product, elimination or kernel
     assert ladder_work == [[0, 0, 0]]
