@@ -54,9 +54,6 @@ from .scalars import (
     parse_scalar,
     q_poch,
     t_coeff,
-    t_seq,
-    theta,
-    theta_star,
 )
 from .splitmaps import (
     LadderSpectra,

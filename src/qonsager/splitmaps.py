@@ -289,7 +289,7 @@ def check_split_flags(model: TDModel, s: SplitMaps):
     return not failures, failures
 
 
-def check_KA_relations(model: TDModel, s: SplitMaps):
+def check_KA_relations(s: SplitMaps):
     """The defining relations tying A to each split-map pair, all exact.
 
     For (K, B) with parameter a (and the same with Kdown, Bdown):

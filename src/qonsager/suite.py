@@ -504,7 +504,7 @@ SUITES = {
         (
             "split.KA_relations",
             "the bracket relations and inverse-pair statements for K, B and the down pair",
-            _check(lambda ctx: splitmaps.check_KA_relations(ctx.model, ctx.split_maps)),
+            _check(lambda ctx: splitmaps.check_KA_relations(ctx.split_maps)),
         ),
         (
             "split.H_conjugation",

@@ -1,14 +1,25 @@
-"""The summation identities term by term: the reference oracle for `scalars.chu_vandermonde_sums`.
+"""The summation identities term by term: the reference oracle for `scalars.chu_vandermonde_table`.
 
-Each term's theta product and a/q powers are formed from scratch, and the
-shifted factorials come from `q_poch`, not from the `ParamSet` tables.
+Each term's theta product and a/q powers are formed directly: theta_i
+and t_i from their closed forms, the shifted factorials from `q_poch`, none
+from the `ParamSet` tables the table sums.
 """
 
 from fractions import Fraction
 
-from qonsager.scalars import ONE, ParameterError, ParamSet, q_poch, t_seq, theta
+from qonsager.scalars import ONE, ParameterError, ParamSet, q_poch
 
 ZERO = Fraction(0)
+
+
+def _theta(i: int, p: ParamSet) -> Fraction:
+    """theta_i = a q^(d-2i) + a^-1 q^(2i-d)."""
+    return p.a * p.q ** (p.d - 2 * i) + p.q ** (2 * i - p.d) / p.a
+
+
+def _t(i: int, p: ParamSet) -> Fraction:
+    """t_i = a^(2i) q^(2i(d-i))."""
+    return p.a ** (2 * i) * p.q ** (2 * i * (p.d - i))
 
 
 def _rising_theta_product(s: int, r: int, i: int, p: ParamSet, descending: bool) -> Fraction:
@@ -16,9 +27,9 @@ def _rising_theta_product(s: int, r: int, i: int, p: ParamSet, descending: bool)
     out = ONE
     for k in range(i):
         if descending:
-            out *= theta(r, p) - theta(s - k, p)
+            out *= _theta(r, p) - _theta(s - k, p)
         else:
-            out *= theta(s, p) - theta(r + k, p)
+            out *= _theta(s, p) - _theta(r + k, p)
     return out
 
 
@@ -45,7 +56,7 @@ def chu_vandermonde_sums(r: int, s: int, p: ParamSet) -> dict[str, tuple[Fractio
         asc_inv += a**-i * q ** (i * (2 * r - d)) * up / q_poch(1 / q2, 1 / q2, i)
         desc += a**-i * q ** (i * (2 * s - d)) * down / q_poch(q2, q2, i)
         desc_inv += a**i * q ** (i * (d - 2 * s)) * down / q_poch(1 / q2, 1 / q2, i)
-    ts_tr = t_seq(s, p) / t_seq(r, p)
+    ts_tr = _t(s, p) / _t(r, p)
     return {
         "ascending": (asc, ts_tr),
         "ascending_inv": (asc_inv, 1 / ts_tr),

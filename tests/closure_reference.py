@@ -13,7 +13,7 @@ from operator import mul
 
 from qonsager.linalg import ShapeError, Subspace
 
-from linalg_reference import subspace_sum
+from linalg_reference import span, subspace_sum
 
 
 def _reduce(vec, rows, pivots):
@@ -55,9 +55,7 @@ def invariant_closure(seed: Subspace, maps) -> Subspace:
         rows.append(vec)
         pivots.append(next(c for c, e in enumerate(vec) if e))
         queue.extend([sum(map(mul, row, vec)) for row in m.numerators] for m in maps)
-    if len(rows) == n:
-        return Subspace.full(n)
-    return Subspace.from_vectors(n, rows)
+    return span(n, rows)
 
 
 def _closure(seed: Subspace, maps) -> Subspace:

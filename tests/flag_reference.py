@@ -11,6 +11,8 @@ from weakref import WeakKeyDictionary
 
 from qonsager.linalg import Decomposition, Subspace
 
+from linalg_reference import span
+
 _ASCENDING = WeakKeyDictionary()
 
 
@@ -27,7 +29,7 @@ def flag(dec: Decomposition, i: int, direction: str = "ascending") -> Subspace:
     if sums is None:
         sums, vectors = [], ()
         for part in dec.parts:
-            sums.append(Subspace.from_vectors(dec.ambient_dim, vectors + part.basis))
+            sums.append(span(dec.ambient_dim, vectors + part.basis))
             vectors = sums[-1].basis
         _ASCENDING[dec] = sums
     return sums[i]

@@ -2,7 +2,9 @@
 
 The functions below are verbatim copies of the checks before they evaluated
 each identity as one combination of products on integer numerators
-(`linalg.Products`): every step here builds a lowest-terms `Matrix`.
+(`linalg.Products`): every step here builds a lowest-terms `Matrix`. Where
+they called `Matrix.transpose`, `Matrix.zero` or `**`, which `linalg` no
+longer has, the same matrices are formed with what it keeps.
 `expect_zero` is the helper they used, which took the residual matrix.
 `commutator`, `q_commutator` and `qweyl_bracket` are the `linalg` brackets
 they were written in. `qdg_residuals` returns both residuals, zero or not,
@@ -22,6 +24,7 @@ context.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import mul
 
@@ -244,7 +247,7 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     r = model.A - theta_map
     failures = []
     for i, part in enumerate(parts):
-        u = Matrix(part.basis).transpose()
+        u = Matrix(list(zip(*part.basis)))
         expect_zero(
             failures, f"(a K + a^-1 K^-1) acts as theta_{i} on U_{i}", theta_map * u - u.scale(model.theta[i])
         )
@@ -253,7 +256,7 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
             expect_zero(failures, f"R U_{i} inside U_{i + 1}", s.K * ru - ru.scale(eigs[i + 1]))
         else:
             expect_zero(failures, "R kills the top part", ru)
-    expect_zero(failures, f"R^{d + 1} = 0", r ** (d + 1))
+    expect_zero(failures, f"R^{d + 1} = 0", reduce(mul, [r] * (d + 1)))
     expect_zero(failures, "R K = q^2 K R", r * s.K - (s.K * r).scale(q * q))
     return not failures, failures
 
@@ -334,7 +337,7 @@ def expand_H(model: TDModel, r: int, variant: str = "ascending") -> tuple[Matrix
     q, a = p.q, p.a
     ident = Matrix.identity(model.dim)
     tr = p.ts[r]
-    out, out_inv = Matrix.zero(model.dim), Matrix.zero(model.dim)
+    out = out_inv = ident.scale(0)
     running = ident  # the growing product of (A - theta I) factors
     coeff = ONE  # the growing power of the step below
     if variant == "ascending":

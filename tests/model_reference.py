@@ -6,18 +6,18 @@ The irreducibility check below rejects joint eigenvectors by intersecting
 every pair of eigenspaces before it closes eigenvectors; `model` now only
 closes them. The spectrum classifier builds the whole adjacency graph and
 walks it; `model.spectrum_path` tests the path's edges directly. Both are
-verbatim apart from their imports (the intersection comes from
+verbatim apart from their imports (the span and the intersection come from
 `linalg_reference`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace
+from qonsager.linalg import Decomposition, Matrix, ShapeError
 from qonsager.scalars import ParameterError, p_poly
 
 from closure_reference import invariant_closure
-from linalg_reference import subspace_intersect
+from linalg_reference import span, subspace_intersect
 
 
 def check_irreducible(
@@ -44,7 +44,7 @@ def check_irreducible(
     pair = (a, astar)
     for space in spaces_a.parts + spaces_astar.parts:
         for vec in space.basis:
-            seed = Subspace.from_vectors(n, [vec])
+            seed = span(n, [vec])
             if invariant_closure(seed, pair).rank < n:
                 return False
     return True

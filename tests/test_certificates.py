@@ -213,7 +213,7 @@ def test_held_residuals_are_the_qweyl_brackets_of_any_maps_with_M_invertible():
                 pairs += [(conj[name], getattr(s, name).inverse()) for name in NAMES]
                 for left, right in pairs:
                     want = ref.qweyl_bracket(left, right, q) - Matrix.identity(n)
-                    assert want != Matrix.zero(n)  # random maps: every residual is a sandwich's witness
+                    assert not want.is_zero()  # random maps: every residual is a sandwich's witness
                     assert held[left, right] == want, (n, q, a)
                     compared += 1
     assert compared == 5 * 4 * 4 * 16

@@ -102,9 +102,10 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
     label, x, y, z = ctx.triple_table[0]
     shear = Matrix([[1, 1], [0, 1]])
     sheared = shear * y * shear.inverse()
+    zero = Matrix([[0, 0], [0, 0]])
     rows = [
-        ("sheared", x, sheared, Matrix.zero(2)),
-        ("singular", Matrix.zero(2), Matrix.identity(2), Matrix([[1, 2], [2, 4]])),
+        ("sheared", x, sheared, zero),
+        ("singular", zero, Matrix.identity(2), Matrix([[1, 2], [2, 4]])),
     ]
     got = equitable.verify_triple_table(ctx.model, rows, ctx.spectra)
     assert got == _eliminated_table_check(ctx.model, rows)
@@ -116,7 +117,7 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
     assert ctx.spectra.holds(sheared)  # invertible from its ladder decomposition, with no elimination
     spectra = LadderSpectra(1, F(2))
     ident = Matrix.identity(2)
-    for members in ((Matrix.zero(2), ident, ident), (ident, Matrix([[1, 2], [2, 4]]), Matrix.zero(2))):
+    for members in ((zero, ident, ident), (ident, Matrix([[1, 2], [2, 4]]), zero)):
         assert equitable.check_equitable_triple(*members, F(2), spectra) == equitable.check_equitable_triple(
             *map(_fresh, members), F(2)
         )

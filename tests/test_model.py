@@ -62,12 +62,12 @@ def test_projector_laws(golden_model, d2_model):
         ):
             projs = [dec.projector([i]) for i in range(len(dec))]
             assert tuple(projs) == lagrange_projectors(mat, eigs)
-            total = Matrix.zero(n)
+            total = mat.scale(0)
             for i, pi in enumerate(projs):
                 total = total + pi
                 assert mat * pi == pi.scale(eigs[i])
                 for j, pj in enumerate(projs):
-                    assert pi * pj == (pi if i == j else Matrix.zero(n))
+                    assert pi * pj == (pi if i == j else pi.scale(0))
             assert total == Matrix.identity(n)
             assert dec.diagonal_map(eigs) == mat
 
@@ -149,7 +149,8 @@ def test_tridiagonal_action_dense_star_fails(d2_model):
     # P diag(theta*) P^-1 has the theta* spectrum but is not tridiagonal
     # with respect to A.
     p = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    dense = p * Matrix.diagonal(d2_model.theta_star) * p.inverse()
+    diagonal = Matrix([[e if i == j else 0 for j in range(3)] for i, e in enumerate(d2_model.theta_star)])
+    dense = p * diagonal * p.inverse()
     broken = replace(d2_model, Astar=dense)
     ok, failures = check_tridiagonal_action(broken)
     assert not ok
@@ -196,7 +197,7 @@ def test_identity_pair_reducible():
 
 def test_commuting_diagonal_pair_reducible():
     # A and A* diagonal in one basis: every A*-eigenline is A-invariant, and the graph has no edge
-    a, astar = Matrix.diagonal([F(1), F(2), F(3)]), Matrix.diagonal([F(4), F(5), F(6)])
+    a, astar = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]]), Matrix([[4, 0, 0], [0, 5, 0], [0, 0, 6]])
     assert not check_irreducible(coupling(a, _eigenspaces(astar, (F(4), F(5), F(6)))))
 
 

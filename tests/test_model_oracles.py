@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from qonsager.linalg import Matrix, SingularMatrixError
+from qonsager.linalg import Matrix, SingularMatrixError, kernel
 from qonsager.model import check_irreducible, eigenspace_decomposition, spectrum_path
 from qonsager.scalars import ParameterError, ParamSet
 
@@ -96,7 +96,7 @@ def _seeded_coupled_pair(seed):
     n = rng.randint(2, 6)
     while True:
         p = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if p.rank() == n:
+        if kernel(p).is_zero():
             break
     eigs = rng.sample(range(-9, 10), n)
     kind = ("dense", "block", "sparse")[seed % 3]
@@ -107,7 +107,8 @@ def _seeded_coupled_pair(seed):
     elif kind == "sparse":
         c = [[e if rng.random() < 0.35 else 0 for e in row] for row in c]
     p_inv = p.inverse()
-    a, astar = p * Matrix(c) * p_inv, p * Matrix.diagonal(eigs) * p_inv
+    diagonal = Matrix([[e if i == j else 0 for j in range(n)] for i, e in enumerate(eigs)])
+    a, astar = p * Matrix(c) * p_inv, p * diagonal * p_inv
     return a, astar, eigenspace_decomposition(astar, eigs), kind
 
 

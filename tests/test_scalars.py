@@ -6,15 +6,12 @@ from qonsager.scalars import (
     ParameterError,
     ParamSet,
     check_chu_vandermonde,
-    chu_vandermonde_sums,
+    chu_vandermonde_table,
     format_scalar,
     p_poly,
     parse_scalar,
     q_poch,
     t_coeff,
-    t_seq,
-    theta,
-    theta_star,
 )
 
 from chu_vandermonde_reference import chu_vandermonde_sums as reference_sums
@@ -44,29 +41,18 @@ def test_q_poch_values():
 
 
 def test_theta_golden():
-    assert theta(0, GOLDEN) == F(37, 6)
-    assert theta(1, GOLDEN) == F(13, 6)
-    assert theta_star(0, GOLDEN) == F(101, 10)
-    assert theta_star(1, GOLDEN) == F(29, 10)
-
-
-def test_theta_index_range():
-    with pytest.raises(ParameterError):
-        theta(2, GOLDEN)
-    with pytest.raises(ParameterError):
-        theta_star(-1, GOLDEN)
+    assert GOLDEN.thetas == (F(37, 6), F(13, 6))
+    assert GOLDEN.theta_stars == (F(101, 10), F(29, 10))
 
 
 def test_theta_sequences_distinct():
     p = ParamSet(3, F(3, 2), F(5), F(3))
-    thetas = [theta(i, p) for i in range(4)]
-    stars = [theta_star(i, p) for i in range(4)]
-    assert len(set(thetas)) == 4
-    assert len(set(stars)) == 4
+    assert len(set(p.thetas)) == 4
+    assert len(set(p.theta_stars)) == 4
 
 
 def test_p_poly_vanishes_on_adjacent_eigenvalues():
-    assert p_poly(theta(0, GOLDEN), theta(1, GOLDEN), F(2)) == 0
+    assert p_poly(*GOLDEN.thetas, F(2)) == 0
 
 
 def test_p_poly_at_origin():
@@ -79,9 +65,9 @@ def test_p_poly_symmetry():
 
 def test_three_term_recurrence():
     p = ParamSet(3, F(2), F(3), F(5))
-    q2 = p.q**2 + p.q**-2
+    q2, th = p.q**2 + p.q**-2, p.thetas
     for i in range(1, 3):
-        assert theta(i - 1, p) - q2 * theta(i, p) + theta(i + 1, p) == 0
+        assert th[i - 1] - q2 * th[i] + th[i + 1] == 0
 
 
 def test_t_coeff_diagonal_is_one():
@@ -108,18 +94,18 @@ def test_t_coeff_adjacent_closed_form():
 
 
 def test_t_seq_values():
-    assert t_seq(0, GOLDEN) == 1
-    assert t_seq(1, GOLDEN) == 9
-    assert t_seq(1, ParamSet(2, F(2), F(3), F(5))) == 36
+    assert GOLDEN.ts == (1, 9)
+    assert ParamSet(2, F(2), F(3), F(5)).ts[1] == 36
 
 
 def test_chu_vandermonde_single_term():
-    assert chu_vandermonde_sums(1, 1, GOLDEN)["ascending"] == (F(1), F(1))
+    n, m, wn, wm = chu_vandermonde_table(GOLDEN)[1, 1]["ascending"]
+    assert F(n, m) == F(wn, wm) == 1
 
 
 def test_chu_vandermonde_golden_two_term():
-    got, want = chu_vandermonde_sums(0, 1, GOLDEN)["ascending"]
-    assert got == want == 9
+    n, m, wn, wm = chu_vandermonde_table(GOLDEN)[0, 1]["ascending"]
+    assert F(n, m) == F(wn, wm) == 9
 
 
 def test_chu_vandermonde_full_grid():
@@ -128,13 +114,13 @@ def test_chu_vandermonde_full_grid():
 
 
 @pytest.mark.parametrize("q", [F(2), F(3, 2), F(-2), F(1, 3)])
-def test_chu_vandermonde_sums_equal_the_term_by_term_reference(q):
+def test_chu_vandermonde_table_equals_the_term_by_term_reference(q):
     for d in range(1, 9):
         for a in (F(7), F(-2, 5)):
             p = ParamSet(d, q, a, F(5, 7))
-            for r in range(d + 1):
-                for s in range(r, d + 1):
-                    assert chu_vandermonde_sums(r, s, p) == reference_sums(r, s, p), (d, a, r, s)
+            for (r, s), entry in chu_vandermonde_table(p).items():
+                got = {name: (F(n, m), F(wn, wm)) for name, (n, m, wn, wm) in entry.items()}
+                assert got == reference_sums(r, s, p), (d, a, r, s)
 
 
 def test_tables_hold_the_closed_forms_and_are_built_once():
@@ -147,13 +133,9 @@ def test_tables_hold_the_closed_forms_and_are_built_once():
     assert p.q2_inv_poch == tuple(q_poch(1 / (q * q), 1 / (q * q), i) for i in range(d + 1))
     for name in ("thetas", "theta_stars", "ts", "q2_poch", "q2_inv_poch"):
         assert getattr(p, name) is getattr(p, name), name
-    assert [theta(i, p) for i in range(d + 1)] == list(p.thetas)
-    assert [t_seq(i, p) for i in range(d + 1)] == list(p.ts)
 
 
 @pytest.mark.parametrize("call", [
-    lambda p: theta_star(3, p),
-    lambda p: t_seq(-1, p),
     lambda p: t_coeff(0, 3, p),
     lambda p: t_coeff(-1, 0, p),
 ])

@@ -1,9 +1,11 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from qonsager.linalg import Matrix, SingularMatrixError, Subspace
+from qonsager.linalg import Matrix, SingularMatrixError
 from qonsager.lusztig import build_H
 from qonsager.model import ModelError, build_model, solve_phi
 from qonsager.scalars import ParameterError, ParamSet
@@ -21,6 +23,7 @@ from qonsager.splitmaps import (
     split_decomposition,
 )
 
+from linalg_reference import span
 from projector_reference import lagrange_projectors
 
 GOLDEN = ParamSet(1, F(2), F(3), F(5), (F(1),))
@@ -48,7 +51,7 @@ def d2():
 
 
 def line(*coords):
-    return Subspace.from_vectors(len(coords), [list(coords)])
+    return span(len(coords), [list(coords)])
 
 
 def test_split_decomposition_forward_forward(golden):
@@ -96,7 +99,7 @@ def test_conjugates_are_the_closed_forms(golden, d2):
 
 def test_split_maps_golden_values(golden):
     _, _, s = golden
-    assert s.K == Matrix.diagonal([2, F(1, 2)])
+    assert s.K == Matrix([[2, 0], [0, F(1, 2)]])
     assert s.B == Matrix([[2, -6], [0, F(1, 2)]])
 
 
@@ -114,17 +117,17 @@ def test_split_flags(golden, d2):
 
 
 def test_KA_relations(golden, d2):
-    for model, _, s in (golden, d2):
-        ok, failures = check_KA_relations(model, s)
+    for _, _, s in (golden, d2):
+        ok, failures = check_KA_relations(s)
         assert ok, [name for name, _ in failures]
 
 
 def test_KA_relations_fail_when_K_inverted(golden):
-    model, _, s = golden
+    _, _, s = golden
     from dataclasses import replace
 
     broken = replace(s, K=s.K.inverse())
-    ok, failures = check_KA_relations(model, broken)
+    ok, failures = check_KA_relations(broken)
     assert not ok
     assert any("qweyl[K,A]" in name for name, _ in failures)
 
@@ -137,7 +140,7 @@ def test_KA_relations_negative_control_swaps_B_and_Bdown(d, q, a, b):
     models = []
     assert solve_phi(d, q, a, b, limit=1, models=models)
     model, s = models[0], build_split_maps(models[0])
-    ok, failures = check_KA_relations(model, replace(s, B=s.Bdown, Bdown=s.B))
+    ok, failures = check_KA_relations(replace(s, B=s.Bdown, Bdown=s.B))
     relation_3 = "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0"
     assert not ok
     assert [name for name, _ in failures] == [relation_3, "down:" + relation_3]
@@ -146,10 +149,10 @@ def test_KA_relations_negative_control_swaps_B_and_Bdown(d, q, a, b):
 
 def test_KA_relations_raise_for_a_singular_map(golden):
     """The dropped forms name K^-1 and B^-1: a singular replaced map raises, as they would."""
-    model, _, s = golden
+    _, _, s = golden
     for name in ("K", "Bdown"):
         with pytest.raises(SingularMatrixError):
-            check_KA_relations(model, replace(s, **{name: Matrix.zero(model.dim)}))
+            check_KA_relations(replace(s, **{name: s.K.scale(0)}))
 
 
 def test_a_inversion_swaps_K_and_B_relation_shapes(golden):
@@ -227,7 +230,7 @@ def _projector_R_ladder_failures(model, s):
         if i < d:
             statements.append((f"R U_{i} inside U_{i + 1}", r * projectors[i] - projectors[i + 1] * r * projectors[i]))
     statements.append(("R kills the top part", r * projectors[d]))
-    statements.append((f"R^{d + 1} = 0", r ** (d + 1)))
+    statements.append((f"R^{d + 1} = 0", reduce(mul, [r] * (d + 1))))
     statements.append(("R K = q^2 K R", r * s.K - (s.K * r).scale(q * q)))
     return [name for name, resid in statements if not resid.is_zero()]
 
@@ -285,7 +288,7 @@ def test_MN_eigenvalues_golden(golden):
     eigs = qweyl_eigenvalues(model.d, model.params.q)
     assert eigs == (F(2), F(1, 2))
     for mat in (s.M, s.N, s.Mdown, s.Ndown):
-        assert mat.trace() == F(2) + F(1, 2)
+        assert mat[0, 0] + mat[1, 1] == F(2) + F(1, 2)
 
 
 def test_MN_conjugation(golden, d2):
