@@ -306,3 +306,15 @@ def test_kernel_matches_sympy_on_rank_deficient_squares():
         rows.append([sum((r[j] for r in rows), F(0)) for j in range(n)])
         null = [[F(int(e.p), int(e.q)) for e in v] for v in to_sympy(sympy, rows).nullspace()]
         assert null and kernel(Matrix(rows)) == span(n, null)
+
+
+def test_subspace_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ShapeError, match="basis row length 2 != ambient 3"):
+        Subspace(3, [[1, 2], [3, 4]])
+    with pytest.raises(ShapeError, match="basis row length 2 != ambient 3"):
+        Subspace(3, [[1, 2, 3], [1, 2]])
+
+
+def test_subspace_rejects_a_zero_row():
+    with pytest.raises(ValueError, match="zero row in subspace basis"):
+        Subspace(3, [[1, 2, 3], [0, 0, 0]])

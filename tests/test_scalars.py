@@ -138,6 +138,8 @@ def test_tables_hold_the_closed_forms_and_are_built_once():
 @pytest.mark.parametrize("call", [
     lambda p: t_coeff(0, 3, p),
     lambda p: t_coeff(-1, 0, p),
+    lambda p: t_coeff(3, 0, p),
+    lambda p: t_coeff(0, -1, p),
 ])
 def test_table_reads_keep_their_range_checks(call):
     with pytest.raises(ParameterError, match="out of range"):
