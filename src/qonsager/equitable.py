@@ -30,7 +30,7 @@ from fractions import Fraction
 from .linalg import Matrix, Products, ShapeError, SingularMatrixError
 from .lusztig import LusztigData
 from .model import ModelError, TDModel
-from .splitmaps import LadderSpectra, SplitMaps, orientations, split_mismatches
+from .splitmaps import LadderSpectra, split_mismatches
 
 
 def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix | None:
@@ -67,62 +67,52 @@ def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra
 
 
 def build_triple_table(
-    s: SplitMaps, spectra: LadderSpectra | None = None, mirrored: bool = False
+    pair, spectra: LadderSpectra | None = None, mirrored: bool = False
 ) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
-    """The eight equitable-triple rows (label, X, Y, Z) from the split maps and their H-conjugates.
+    """The eight equitable-triple rows (label, X, Y, Z) from the (up, down) split maps and their H-conjugates.
 
-    Rows 1-4 are (H X^-1 H^-1, M^-1 or Mdown^-1, X) and rows 5-8 are
-    (X^-1, N^-1 or Ndown^-1, H^-1 X H) for X = K, B, Kdown, Bdown, with the
-    conjugates in their closed forms, such as a A - a^2 K for H K^-1 H^-1.
-    X^-1 is kept on X (`build_split_maps`); M^-1, N^-1 and the down
-    analogues are read from `spectra` where given (`LadderSpectra.inverse`).
+    Rows 1-4 are (H X^-1 H^-1, M^-1, X) and rows 5-8 are (X^-1, N^-1, H^-1 X H)
+    for X = K, B of up, then of down (Kdown, Bdown, with Mdown and Ndown),
+    with the conjugates in their closed forms, such as a A - a^2 K for
+    H K^-1 H^-1. X^-1 is kept on X (`build_split_maps`); M^-1 and N^-1 are
+    read from `spectra` where given (`LadderSpectra.inverse`).
     With `mirrored`, rows 1-4 alone: rows 5-8 are their H-mirrors
-    (`verify_triple_table`), so N^-1 and Ndown^-1 are not formed.
+    (`verify_triple_table`), so no N^-1 is formed.
     """
     invert = Matrix.inverse if spectra is None else spectra.inverse
-    m_inv, md_inv = invert(s.M), invert(s.Mdown)
-    conj, conj_inv = s.conjugates
-    rows = (
-        ("1", conj_inv["K"], m_inv, s.K),
-        ("2", conj_inv["B"], m_inv, s.B),
-        ("3", conj_inv["Kdown"], md_inv, s.Kdown),
-        ("4", conj_inv["Bdown"], md_inv, s.Bdown),
-    )
-    if mirrored:
-        return rows
-    n_inv, nd_inv = invert(s.N), invert(s.Ndown)
-    return rows + (
-        ("5", s.K.inverse(), n_inv, conj["K"]),
-        ("6", s.B.inverse(), n_inv, conj["B"]),
-        ("7", s.Kdown.inverse(), nd_inv, conj["Kdown"]),
-        ("8", s.Bdown.inverse(), nd_inv, conj["Bdown"]),
-    )
+    rows = []
+    for s in pair:
+        m_inv, conj_inv = invert(s.M), s.conjugates[1]
+        rows += [(conj_inv["K"], m_inv, s.K), (conj_inv["B"], m_inv, s.B)]
+    if not mirrored:
+        for s in pair:
+            n_inv, conj = invert(s.N), s.conjugates[0]
+            rows += [(s.K.inverse(), n_inv, conj["K"]), (s.B.inverse(), n_inv, conj["B"])]
+    return tuple((str(label), *row) for label, row in enumerate(rows, 1))
 
 
-def held_residuals(s: SplitMaps) -> dict:
+def held_residuals(pair) -> dict:
     """The q-Weyl residuals of the table's pairs by pair, from R_K, R_B, R_3 (`SplitMaps.relations`); None where zero.
 
-    With s = 1/(a - a^-1) (`sc`) and c the `scale` of X = K, B, for any A, K,
+    With s = 1/(a - a^-1) (`sc`) and c = a^-1 for X = K, c = a for X = B, for any A, K,
     B with M = s (a K - a^-1 B) invertible, the pairs and residuals are
       - (X, c^-1 A - c^-2 X), row 1-4 (Z, X): c^-1 R_X, as the q-Weyl form of (X, X) is X^2;
       - (M^-1, X), row 1-4 (Y, Z): -s^2 c M^-1 R_3 M^-1;
       - (c^-1 A - c^-2 X, M^-1), row 1-4 (X, Y): M^-1 ((s/(c a)) (a^2 R_K - R_B) - (s^2/c) R_3) M^-1;
       - (c A - c^2 X^-1, X^-1), row 5-8 (Z, X): c X^-1 R_X X^-1;
-    and the same with Kdown, Bdown and Mdown. Pairs are looked up by value,
-    so any table holding one reads it; M^-1 is the table's once it is built.
+    for each orientation of the (up, down) `pair`. Pairs are looked up by
+    value, so any table holding one reads it; M^-1 is the table's once it is built.
     """
-    conj, conj_inv = s.conjugates
-    a, sc, products, held = s.a, 1 / (s.a - 1 / s.a), Products(s.A.rows), {}
+    products, held = Products(pair[0].A.rows), {}
 
     def sandwich(m, terms):  # m (sum c R) m over the R not None, formed only when the sum is nonzero
         bracket = products.residual([(c, (r,)) for c, r in terms if r is not None] or [(0, ())])
         return None if bracket is None else products.residual([(1, (m, bracket, m))])
 
-    for down in ("", "down"):
-        r_k, r_b, r_3 = s.relations[down]
-        m_inv = getattr(s, "M" + down).inverse()
-        for name, r in (("K" + down, r_k), ("B" + down, r_b)):
-            x, c = getattr(s, name), s.scale(name)
+    for s in pair:
+        a, sc, (conj, conj_inv), (r_k, r_b, r_3) = s.a, 1 / (s.a - 1 / s.a), s.conjugates, s.relations
+        m_inv = s.M.inverse()
+        for name, x, r, c in (("K", s.K, r_k, 1 / a), ("B", s.B, r_b, a)):
             held[x, conj_inv[name]] = None if r is None else r.scale(1 / c)
             held[m_inv, x] = sandwich(m_inv, [(-sc * sc * c, r_3)])
             held[conj_inv[name], m_inv] = sandwich(m_inv, [(sc * a / c, r_k), (-sc / (c * a), r_b), (-sc * sc / c, r_3)])
@@ -154,12 +144,12 @@ def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = N
 def verify_diagrams(
     model: TDModel,
     lus: LusztigData,
-    s: SplitMaps,
+    pair,
     spectra: LadderSpectra,
     table_check,
     flags_check=None,
 ):
-    """The flag and split-map assertions of the two big comparison diagrams.
+    """The flag and split-map assertions of the two big comparison diagrams, for the (up, down) split maps `pair`.
 
     Checks, all exactly:
       - N-flags: N_0+...+N_i = V+_0+...+V+_i and N_i+...+N_d = V*_0+...+V*_(d-i);
@@ -170,17 +160,18 @@ def verify_diagrams(
         a^-1 A - a^-2 K^-1 (K slot), a A - a^2 B^-1 (B slot) and the down
         analogues; those of (A, L^-1(A*)) are the inverses of a A - a^2 K,
         a^-1 A - a^-2 B and the down analogues. These are the H-conjugates
-        kept on `s`. A slot holds when the conjugate's ladder decomposition
-        W in `spectra` (inverted for the L^-1 pair) is the split
-        decomposition of the V+ (V-) and A orders: its map is then the
+        kept on the split maps. A slot holds when the conjugate's ladder
+        decomposition W in `spectra` (inverted for the L^-1 pair) is the
+        split decomposition of the V+ (V-) and A orders: its map is then the
         conjugate. A slot fails with "flag mismatch", or with the text of
         the ModelError when the conjugate has no ladder decomposition.
       - Oriented 3-cycles: delegated to the eight table rows.
-    N, Ndown, M and Mdown are the split decompositions of (V+, V* reversed),
-    (V+ reversed, V*), (V*, V- reversed) and (V* reversed, V-), so every
-    claim is one `split_mismatches` test. The M/N and conjugate
-    decompositions come from `spectra`, and the table verdict is
-    `table_check`, the `verify_triple_table` result on the model's table.
+    N and M are the split decompositions of (V+, V* reversed) and
+    (V*, V- reversed), each order oriented (`SplitMaps.orient`): Ndown and
+    Mdown those of (V+ reversed, V*) and (V* reversed, V-). So every claim
+    is one `split_mismatches` test. The M/N and conjugate decompositions
+    come from `spectra`, and the table verdict is `table_check`, the
+    `verify_triple_table` result on the model's table.
 
     `flags_check`, the `check_split_flags` verdict, is given once
     `suite.TargetContext.mirrored` holds: H^-1 then carries V* to V+, V- to V*
@@ -198,16 +189,18 @@ def verify_diagrams(
     vstar, vminus = model.eigenspaces_Astar, lus.Vminus
     # (ascending name, descending name, whether descending name i tests flag d - i) of N, Ndown, M, Mdown
     names = [
-        ("N flag {}: ascending = V+ ascending", "N flag {}: descending = V* ascending reversed", True),
-        ("Ndown flag {}: ascending = V+ descending", "Ndown flag {}: descending = V* descending", False),
-        ("M flag {}: ascending = V* ascending", "M flag {}: descending = V- ascending reversed", True),
-        ("Mdown flag {}: ascending = V* descending", "Mdown flag {}: descending = V- descending", False),
+        (
+            f"{x}{s.down} flag {{}}: ascending = {star} {'descending' if s.down else 'ascending'}",
+            f"{x}{s.down} flag {{}}: descending = {a} {'descending' if s.down else 'ascending reversed'}",
+            not s.down,
+        )
+        for x, star, a in (("N", "V+", "V*"), ("M", "V*", "V-"))
+        for s in pair
     ]
     # (matrix, star order, A order) of M and Mdown, after those of N and Ndown unless they are read
-    tested = [(s.M, vstar, vminus.inversion()), (s.Mdown, vstar.inversion(), vminus)]
+    tested = [(s.M, s.orient(vstar), s.orient(vminus).inversion()) for s in pair]
     if flags_check is None:
-        vplus = lus.Vplus
-        tested = [(s.N, vplus, vstar.inversion()), (s.Ndown, vplus.inversion(), vstar)] + tested
+        tested = [(s.N, s.orient(lus.Vplus), s.orient(vstar).inversion()) for s in pair] + tested
     found = [split_mismatches(spectra.decomposition(mat), star_ref, a_ref) for mat, star_ref, a_ref in tested]
     if flags_check is not None:
         found *= 2  # N and Ndown read the claims of M and Mdown
@@ -220,23 +213,21 @@ def verify_diagrams(
 
     # Split maps of the twisted pairs: the H^-1 X H closed forms for (A, L(A*)),
     # the inverses of the H X^-1 H^-1 closed forms for (A, L^-1(A*)).
-    conj, conj_inv = s.conjugates
-    for slot_name, labels, inverted in (
-        ("(A, L(A*)) split map at {} slot", conj, False),
-        ("(A, L^-1(A*)) split map at {} slot", conj_inv, True),
-    ):
-        if flags_check is not None:
-            for name in ("K", "B", "Kdown", "Bdown"):
-                expect(slot_name.format(name), all(name != failed for failed, *_ in flags_check[1]))
-            continue
-        for name, star_ref, a_ref in orientations(vminus if inverted else vplus, model.eigenspaces_A):
-            try:
-                w = spectra.decomposition(labels[name])
-            except ModelError as exc:
-                failures.append((slot_name.format(name), str(exc)))
-                continue
-            ascending, descending = split_mismatches(w.inversion() if inverted else w, star_ref, a_ref)
-            expect(slot_name.format(name), not ascending and not descending)
+    for slot, inverted in (("(A, L(A*))", False), ("(A, L^-1(A*))", True)):
+        for s in pair:
+            for x, a_ref in (("K", model.eigenspaces_A), ("B", model.eigenspaces_A.inversion())):
+                name = f"{slot} split map at {x}{s.down} slot"
+                if flags_check is not None:
+                    expect(name, all(x + s.down != failed for failed, *_ in flags_check[1]))
+                    continue
+                try:
+                    w = spectra.decomposition(s.conjugates[inverted][x])  # H X^-1 H^-1 for the inverted pair
+                except ModelError as exc:
+                    failures.append((name, str(exc)))
+                    continue
+                star_ref = s.orient(vminus if inverted else lus.Vplus)
+                ascending, descending = split_mismatches(w.inversion() if inverted else w, star_ref, a_ref)
+                expect(name, not ascending and not descending)
 
     # Oriented 3-cycles are equitable triples: the eight table rows.
     ok, table_failures = table_check

@@ -1,19 +1,20 @@
-"""The four split decompositions, their corresponding maps, and the conjugation identities.
+"""Split decompositions and their maps for one orientation of V*, and the conjugation identities.
 
 Each split decomposition arises as ascending-star-flag meet descending-A-flag
 of two ordered eigenspace decompositions; an order is reversed by passing the
-decomposition's inversion. With V* and V the eigenspaces of A* and A:
-K from (V*, V), B from (V*, V reversed), Kdown from (V* reversed, V) and
-Bdown from (V* reversed, V reversed) (`orientations`). The corresponding map
-acts as q^(d-2i) on the i-th part. Each is built as the lines of a tau-chain
-from V*_0 or V*_d and certified by its two flags, the flag meets being the
-fallback (`build_split_maps`); M and Mdown are chains down from H V*_0 and
-H V*_d, certified by one product (`LadderSpectra`).
+decomposition's inversion. With V* and V the eigenspaces of A* and A, and V*
+in the orientation's order, K comes from (V*, V) and B from (V*, V reversed).
+The paper's Kdown and Bdown are the K and B of V* reversed, the relabelling
+b -> b^-1 (the relative Phi-down; Terwilliger, Rocky Mountain J. Math. 32,
+2002). The corresponding map acts as q^(d-2i) on the i-th part. Each is
+built as the lines of a tau-chain from the first V* part and certified by its
+two flags, the flag meets being the fallback (`build_split_maps`); M is a
+chain down from H times that part, certified by one product (`LadderSpectra`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -147,12 +148,6 @@ def split_mismatches(w: Decomposition, star_ref: Decomposition, a_ref: Decomposi
     return w.flag_mismatches(star_ref), w.inversion().flag_mismatches(a_ref.inversion())
 
 
-def orientations(star_dec: Decomposition, a_dec: Decomposition):
-    """(split map name, star order, A order) for K, B, Kdown and Bdown, in that order."""
-    star_rev, a_rev = star_dec.inversion(), a_dec.inversion()
-    return (("K", star_dec, a_dec), ("B", star_dec, a_rev), ("Kdown", star_rev, a_dec), ("Bdown", star_rev, a_rev))
-
-
 def map_from_decomposition(dec: Decomposition, q: Fraction) -> Matrix:
     """The unique map acting as q^(d-2i) on the i-th part."""
     return dec.diagonal_map(qweyl_eigenvalues(len(dec) - 1, Fraction(q)))
@@ -172,13 +167,14 @@ def _mn_scale(a: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class SplitMaps:
-    """K, B, Kdown, Bdown and their split decompositions, with the A and a of their pair.
+    """K and B of one orientation, their split decompositions, and the A and a of their pair.
 
-    The values below are derived from the four maps on first use, so
-    `dataclasses.replace` of a map derives them from the new maps:
-    M = (a K - a^-1 B)/(a - a^-1), N = (a^-1 K^-1 - a B^-1)/(a^-1 - a) and
-    the down analogues, the closed forms of H^-1 X H and H X^-1 H^-1
-    (`conjugates`), and the residuals of the relations tying A to each pair.
+    `down` is "" for V* in order, "down" for V* reversed (Kdown, Bdown); report
+    names append it ("Kdown", "H^-1 Mdown H = Ndown"). The values below are
+    derived on first use, so `dataclasses.replace` of a map derives them from
+    the new maps: M = (a K - a^-1 B)/(a - a^-1), N = (a^-1 K^-1 - a B^-1)/(a^-1 - a),
+    the closed forms of H^-1 X H and H X^-1 H^-1 (`conjugates`) and the residuals
+    of the relations tying A to K and B (`relations`); `inverted` from the decompositions.
     """
 
     A: Matrix
@@ -186,42 +182,42 @@ class SplitMaps:
     q: Fraction
     K: Matrix
     B: Matrix
-    Kdown: Matrix
-    Bdown: Matrix
     dec_K: Decomposition
     dec_B: Decomposition
-    dec_Kdown: Decomposition
-    dec_Bdown: Decomposition
     certified: dict[str, Decomposition]
+    down: str
 
-    def scale(self, name: str) -> Fraction:
-        """c of the map `name` below: a^-1 for K and Kdown, a for B and Bdown."""
-        return self.a if name.startswith("B") else 1 / self.a
+    def orient(self, dec: Decomposition) -> Decomposition:
+        """`dec` in this orientation's order: as it is for up, its inversion for down."""
+        return dec.inversion() if self.down else dec
+
+    @cached_property
+    def inverted(self) -> SplitMaps:
+        """The maps of the inverted decompositions, K^-1 and B^-1; no kept inverse is read (`split.inversion`)."""
+        dec_k, dec_b = self.dec_K.inversion(), self.dec_B.inversion()
+        k, b = map_from_decomposition(dec_k, self.q), map_from_decomposition(dec_b, self.q)
+        return replace(self, K=k, B=b, dec_K=dec_k, dec_B=dec_b, certified={})
 
     @cached_property
     def conjugates(self) -> tuple[dict[str, Matrix], dict[str, Matrix]]:
-        """H^-1 X H and H X^-1 H^-1 by X: `h_conjugates` with c = `scale(X)`."""
+        """H^-1 X H and H X^-1 H^-1 by X, K or B: `h_conjugates` with c = a^-1 for K, c = a for B."""
         conjugated, conjugated_inverse = {}, {}
-        for name in ("K", "B", "Kdown", "Bdown"):
-            conjugated[name], conjugated_inverse[name] = h_conjugates(self.A, getattr(self, name), self.scale(name))
+        for name, x, c in (("K", self.K, 1 / self.a), ("B", self.B, self.a)):
+            conjugated[name], conjugated_inverse[name] = h_conjugates(self.A, x, c)
         return conjugated, conjugated_inverse
 
     @cached_property
-    def relations(self) -> dict[str, tuple[Matrix | None, Matrix | None, Matrix | None]]:
-        """(R_K, R_B, R_3) by orientation, "" or "down", None where zero, with one `Products` sharing K^2 and B^2.
+    def relations(self) -> tuple[Matrix | None, Matrix | None, Matrix | None]:
+        """(R_K, R_B, R_3), None where zero, with one `Products` sharing K^2 and B^2.
 
-        R_X = (q XA - q^-1 AX)/(q - q^-1) - c^-1 X^2 - c I for c = `scale(X)`,
+        R_X = (q XA - q^-1 AX)/(q - q^-1) - c^-1 X^2 - c I for c = a^-1 (K), a (B),
         and R_3 = a K^2 - c1 KB - c2 BK + a^-1 B^2 (`check_KA_relations`).
         """
-        q, a, w, big_a, products = self.q, self.a, 1 / (self.q - 1 / self.q), self.A, Products(self.A.rows)
+        q, a, w, big_a, k, b = self.q, self.a, 1 / (self.q - 1 / self.q), self.A, self.K, self.B
         c1, c2 = (q / a - a / q) * w, (a * q - 1 / (a * q)) * w
-        held = {}
-        for down in ("", "down"):
-            k, b = getattr(self, "K" + down), getattr(self, "B" + down)
-            terms = [[(q * w, (x, big_a)), (-w / q, (big_a, x)), (-1 / c, (x, x)), (-c, ())] for x, c in ((k, 1 / a), (b, a))]
-            terms.append([(a, (k, k)), (-c1, (k, b)), (-c2, (b, k)), (1 / a, (b, b))])
-            held[down] = tuple(map(products.residual, terms))
-        return held
+        terms = [[(q * w, (x, big_a)), (-w / q, (big_a, x)), (-1 / c, (x, x)), (-c, ())] for x, c in ((k, 1 / a), (b, a))]
+        terms.append([(a, (k, k)), (-c1, (k, b)), (-c2, (b, k)), (1 / a, (b, b))])
+        return tuple(map(Products(big_a.rows).residual, terms))
 
     @cached_property
     def M(self) -> Matrix:
@@ -231,68 +227,64 @@ class SplitMaps:
     def N(self) -> Matrix:
         return (self.K.inverse().scale(1 / self.a) - self.B.inverse().scale(self.a)).scale(-_mn_scale(self.a))
 
-    @cached_property
-    def Mdown(self) -> Matrix:
-        return (self.Kdown.scale(self.a) - self.Bdown.scale(1 / self.a)).scale(_mn_scale(self.a))
 
-    @cached_property
-    def Ndown(self) -> Matrix:
-        return (self.Kdown.inverse().scale(1 / self.a) - self.Bdown.inverse().scale(self.a)).scale(-_mn_scale(self.a))
+def build_split_maps(model: TDModel) -> tuple[SplitMaps, SplitMaps]:
+    """The split maps of V* in order and of V* reversed, as (up, down).
 
-
-def build_split_maps(model: TDModel) -> SplitMaps:
-    """Construct K, B, Kdown, Bdown from the four split decompositions.
-
-    Each is the lines of its tau-chain (Terwilliger, LAA 330, 2001),
-    u_0 = v*_0 (v*_d for Kdown, Bdown) and u_(i+1) = (A - theta'_i I) u_i for
+    Each of K and B is the lines of its tau-chain (Terwilliger, LAA 330,
+    2001), u_0 = v*_0 (v*_d for down) and u_(i+1) = (A - theta'_i I) u_i for
     theta' the A order, once they are nonzero, independent and have both
     flags (`split_mismatches`): then each line is its flag meet. Otherwise
     the flag meets are solved (`split_decomposition`). Each map keeps the
-    map of its inverted decomposition as its inverse.
+    map of its inverted decomposition (`SplitMaps.inverted`) as its inverse.
     """
-    q, thetas = model.params.q, model.theta
-    decs, maps, certified = {}, {}, {}
-    for name, star_dec, a_dec in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
-        lines = chain_lines(model.A, star_dec[0].numerators[0], (thetas[::-1] if name[0] == "B" else thetas)[:-1])
-        try:
-            if not any(line.is_zero() for line in lines):
-                dec = Decomposition.independent(lines)
-                dec.basis_inverse()  # raises unless the lines are independent
-                if split_mismatches(dec, star_dec, a_dec) == ([], []):
-                    certified[name] = dec
-        except SingularMatrixError:
-            pass
-        decs[f"dec_{name}"] = dec = certified[name] if name in certified else split_decomposition(star_dec, a_dec)
-        maps[name] = map_from_decomposition(dec, q)
-        link_inverses(maps[name], map_from_decomposition(dec.inversion(), q))
-    return SplitMaps(A=model.A, a=model.params.a, q=q, **maps, **decs, certified=certified)
+    q, thetas, a_dec = model.params.q, model.theta, model.eigenspaces_A
+    pair = []
+    for down, star_dec in (("", model.eigenspaces_Astar), ("down", model.eigenspaces_Astar.inversion())):
+        decs, certified = {}, {}
+        for name, a_order, shifts in (("K", a_dec, thetas), ("B", a_dec.inversion(), thetas[::-1])):
+            lines = chain_lines(model.A, star_dec[0].numerators[0], shifts[:-1])
+            try:
+                if not any(line.is_zero() for line in lines):
+                    dec = Decomposition.independent(lines)
+                    dec.basis_inverse()  # raises unless the lines are independent
+                    if split_mismatches(dec, star_dec, a_order) == ([], []):
+                        certified[name] = dec
+            except SingularMatrixError:
+                pass
+            decs[name] = certified[name] if name in certified else split_decomposition(star_dec, a_order)
+        k, b = map_from_decomposition(decs["K"], q), map_from_decomposition(decs["B"], q)
+        s = SplitMaps(model.A, model.params.a, q, k, b, decs["K"], decs["B"], certified, down)
+        link_inverses(k, s.inverted.K), link_inverses(b, s.inverted.B)
+        pair.append(s)
+    return tuple(pair)
 
 
-def check_split_flags(model: TDModel, s: SplitMaps):
-    """Each split decomposition satisfies both of its defining flag equalities.
+def check_split_flags(model: TDModel, pair):
+    """Each split decomposition of the (up, down) `pair` satisfies both of its defining flag equalities.
 
-    Ascending U-flag = ascending flag of the (possibly inverted) A*-eigenspace
-    list; descending U-flag = descending flag of the (possibly inverted)
+    Ascending U-flag = ascending flag of the orientation's A*-eigenspace
+    list; descending U-flag = descending flag of the (for B inverted)
     A-eigenspace list (`split_mismatches`), read for the decompositions
     `build_split_maps` certified (`SplitMaps.certified`). Returns (passed, failures).
     """
     failures = []
-    d = model.d
-    for name, star_ref, a_ref in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
-        dec = getattr(s, f"dec_{name}")
-        ascending, descending = ([], []) if s.certified.get(name) is dec else split_mismatches(dec, star_ref, a_ref)
-        for i in range(d + 1):
-            if i in ascending:
-                failures.append((name, i, "ascending flag != star flag"))
-            if i in descending:
-                failures.append((name, i, "descending flag != A flag"))
+    for s in pair:
+        star_ref = s.orient(model.eigenspaces_Astar)
+        for name, dec, a_ref in (("K", s.dec_K, model.eigenspaces_A), ("B", s.dec_B, model.eigenspaces_A.inversion())):
+            ascending, descending = ([], []) if s.certified.get(name) is dec else split_mismatches(dec, star_ref, a_ref)
+            for i in range(model.d + 1):
+                if i in ascending:
+                    failures.append((name + s.down, i, "ascending flag != star flag"))
+                if i in descending:
+                    failures.append((name + s.down, i, "descending flag != A flag"))
     return not failures, failures
 
 
-def check_KA_relations(s: SplitMaps):
-    """The defining relations tying A to each split-map pair, all exact.
+def check_KA_relations(pair):
+    """The defining relations tying A to the split maps of each orientation of `pair`, all exact.
 
-    For (K, B) with parameter a (and the same with Kdown, Bdown):
+    For (K, B) with parameter a, the down names tagged "down:":
       (q KA - q^-1 AK)/(q - q^-1) = a K^2 + a^-1 I
       (q BA - q^-1 AB)/(q - q^-1) = a^-1 B^2 + a I
       a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0
@@ -315,46 +307,43 @@ def check_KA_relations(s: SplitMaps):
     Returns (passed, failures) as (name, residual).
     """
     failures = []
-    for tag, down in (("", ""), ("down:", "down")):
-        # kept on a split map; a singular replaced map raises
-        getattr(s, "K" + down).inverse(), getattr(s, "B" + down).inverse()
-        r_k, r_b, r_3 = s.relations[down]
+    for s in pair:
+        tag = s.down and s.down + ":"
+        s.K.inverse(), s.B.inverse()  # kept on a split map; a singular replaced map raises
+        r_k, r_b, r_3 = s.relations
         expect_zero(failures, tag + "qweyl[K,A] = a K^2 + a^-1 I", r_k)
         expect_zero(failures, tag + "qweyl[B,A] = a^-1 B^2 + a I", r_b)
         expect_zero(failures, tag + "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0", r_3)
     return not failures, failures
 
 
-def check_H_conjugation_of_splits(lus: LusztigData, s: SplitMaps):
-    """The eight conjugation identities for the split maps under H.
+def check_H_conjugation_of_splits(lus: LusztigData, pair):
+    """The eight conjugation identities for the split maps of `pair` under H.
 
-    H^-1 B H = a A - a^2 B^-1 and H^-1 K H = a^-1 A - a^-2 K^-1 (with the
-    down analogues), plus the reformulations H B^-1 H^-1 = a^-1 A - a^-2 B
-    and H K^-1 H^-1 = a A - a^2 K (with the down analogues); the right-hand
-    sides are the closed forms kept on `s`.
+    H^-1 B H = a A - a^2 B^-1 and H^-1 K H = a^-1 A - a^-2 K^-1 for each
+    orientation, then the reformulations H B^-1 H^-1 = a^-1 A - a^-2 B and
+    H K^-1 H^-1 = a A - a^2 K; the right-hand sides are the closed forms
+    kept on the split maps.
     Returns (passed, failures) as (name, residual).
     """
-    h, h_inv = lus.H, lus.H_inv
-    conj, conj_inv = s.conjugates
-    products = Products(h.rows)
+    h, h_inv, products = lus.H, lus.H_inv, Products(lus.H.rows)
+    # the closed forms' scalars of H^-1 X H and of H X^-1 H^-1, by X
+    forms = {"B": ("a A - a^2", "a^-1 A - a^-2"), "K": ("a^-1 A - a^-2", "a A - a^2")}
+    cases, inverse_cases = [], []
+    for s in pair:
+        conj, conj_inv = s.conjugates
+        for x, m in (("B", s.B), ("K", s.K)):
+            name, (form, inverse_form) = x + s.down, forms[x]
+            cases.append((f"H^-1 {name} H = {form} {name}^-1", (h_inv, m, h), conj[x]))
+            inverse_cases.append((f"H {name}^-1 H^-1 = {inverse_form} {name}", (h, m.inverse(), h_inv), conj_inv[x]))
     failures = []
-    cases = [
-        ("H^-1 B H = a A - a^2 B^-1", (h_inv, s.B, h), conj["B"]),
-        ("H^-1 K H = a^-1 A - a^-2 K^-1", (h_inv, s.K, h), conj["K"]),
-        ("H^-1 Bdown H = a A - a^2 Bdown^-1", (h_inv, s.Bdown, h), conj["Bdown"]),
-        ("H^-1 Kdown H = a^-1 A - a^-2 Kdown^-1", (h_inv, s.Kdown, h), conj["Kdown"]),
-        ("H B^-1 H^-1 = a^-1 A - a^-2 B", (h, s.B.inverse(), h_inv), conj_inv["B"]),
-        ("H K^-1 H^-1 = a A - a^2 K", (h, s.K.inverse(), h_inv), conj_inv["K"]),
-        ("H Bdown^-1 H^-1 = a^-1 A - a^-2 Bdown", (h, s.Bdown.inverse(), h_inv), conj_inv["Bdown"]),
-        ("H Kdown^-1 H^-1 = a A - a^2 Kdown", (h, s.Kdown.inverse(), h_inv), conj_inv["Kdown"]),
-    ]
-    for name, lhs, rhs in cases:
+    for name, lhs, rhs in cases + inverse_cases:
         expect_zero(failures, name, products.residual([(1, lhs), (-1, (rhs,))]))
     return not failures, failures
 
 
-def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
-    """The raising-ladder properties of R = A - a K - a^-1 K^-1.
+def check_R_ladder(model: TDModel, up: SplitMaps, spectra: LadderSpectra):
+    """The raising-ladder properties of R = A - a K - a^-1 K^-1, K the split map of the `up` orientation.
 
     U_0, ..., U_d are the eigenspaces of K for q^d, ..., q^-d, taken from
     `spectra`. With U_i's basis as the columns of a matrix:
@@ -368,7 +357,7 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     Returns (passed, failures) as (name, residual).
     """
     a, d = model.params.a, model.d
-    k = s.K
+    k = up.K
     parts = spectra.decomposition(k).parts
     eigs = spectra.eigenvalues
     products = Products(model.dim)
@@ -390,16 +379,16 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     return not failures, failures
 
 
-def check_MN_conjugation(lus: LusztigData, s: SplitMaps, spectra: LadderSpectra):
-    """M, N, Mdown and Ndown are diagonalizable on the q-ladder; H^-1 M H = N and H^-1 Mdown H = Ndown, exactly.
+def check_MN_conjugation(lus: LusztigData, pair, spectra: LadderSpectra):
+    """M and N of each orientation of `pair` are diagonalizable on the q-ladder and H^-1 M H = N, exactly.
 
     The four decompositions are left in `spectra`; a matrix off the ladder
     raises ModelError (ParameterError when a is 1 or -1).
     """
-    for mat in (s.M, s.N, s.Mdown, s.Ndown):
-        spectra.decomposition(mat)
-    products = Products(s.M.rows)
-    failures = []
-    for name, m, n in (("H^-1 M H = N", s.M, s.N), ("H^-1 Mdown H = Ndown", s.Mdown, s.Ndown)):
-        expect_zero(failures, name, products.residual([(1, (lus.H_inv, m, lus.H)), (-1, (n,))]))
+    for s in pair:
+        spectra.decomposition(s.M), spectra.decomposition(s.N)
+    products, failures = Products(lus.H.rows), []
+    for s in pair:
+        residual = products.residual([(1, (lus.H_inv, s.M, lus.H)), (-1, (s.N,))])
+        expect_zero(failures, f"H^-1 M{s.down} H = N{s.down}", residual)
     return not failures, failures

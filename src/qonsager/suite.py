@@ -248,35 +248,34 @@ class TargetContext:
         return self._once("H", lambda: lusztig.build_H(self.model))
 
     @property
-    def split_maps(self) -> splitmaps.SplitMaps:
-        """K, B, Kdown, Bdown and their decompositions."""
+    def split_maps(self) -> tuple[splitmaps.SplitMaps, splitmaps.SplitMaps]:
+        """The (up, down) split maps and their decompositions (`splitmaps.build_split_maps`)."""
         return self._once("split_maps", lambda: splitmaps.build_split_maps(self.model))
 
     @property
     def spectra(self) -> splitmaps.LadderSpectra:
-        """Decompositions on the q-ladder; K, B, Kdown and Bdown come with their split decompositions.
+        """Decompositions on the q-ladder; each split map comes with its split decomposition.
 
-        The H-conjugates and N, Ndown are registered as transports:
-        H^-1 X H from X and H X^-1 H^-1 from X^-1 for each split map X, and
-        N = H^-1 M H, Ndown = H^-1 Mdown H. M and Mdown are chains down from
-        M_d = H V*_0 and Mdown_d = H V*_d, with M_(i-1) = (K - q^(d-2i) I) M_i
-        and likewise with Kdown. Without H (its construction raised) there are
-        no relations, and the kernels decide.
+        The H-conjugates and N are registered as transports, per orientation:
+        H^-1 X H from X and H X^-1 H^-1 from X^-1 for X = K, B, and
+        N = H^-1 M H. M is a chain down from M_d = H V*_0 (H V*_d for
+        Mdown), with M_(i-1) = (K - q^(d-2i) I) M_i. Without H (its
+        construction raised) there are no relations, and the kernels decide.
         """
 
         def build():
-            s = self.split_maps
-            known = ((s.K, s.dec_K), (s.B, s.dec_B), (s.Kdown, s.dec_Kdown), (s.Bdown, s.dec_Bdown))
+            pair = self.split_maps
+            known = [(x, dec) for s in pair for x, dec in ((s.K, s.dec_K), (s.B, s.dec_B))]
             try:
                 lus = self.lusztig
             except CHECK_ERRORS:
                 return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known)
-            conj, conj_inv = s.conjugates
-            transports = [(s.N, lus.H_inv, s.M), (s.Ndown, lus.H_inv, s.Mdown)]
-            for name in ("K", "B", "Kdown", "Bdown"):
-                x = getattr(s, name)
-                transports += [(conj[name], lus.H_inv, x), (conj_inv[name], lus.H, x.inverse())]
-            chains = [(s.M, s.K, lus.Vminus[0].numerators[0]), (s.Mdown, s.Kdown, lus.Vminus[-1].numerators[0])]
+            transports = [(s.N, lus.H_inv, s.M) for s in pair]
+            for s in pair:
+                conj, conj_inv = s.conjugates
+                for name, x in (("K", s.K), ("B", s.B)):
+                    transports += [(conj[name], lus.H_inv, x), (conj_inv[name], lus.H, x.inverse())]
+            chains = [(s.M, s.K, s.orient(lus.Vminus)[0].numerators[0]) for s in pair]
             return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known, transports, chains)
 
         return self._once("spectra", build)
@@ -407,11 +406,11 @@ def _L_conjugation(ctx: TargetContext):
 
 
 def _inversion_inverts(ctx: TargetContext):
-    s, products = ctx.split_maps, Products(ctx.model.dim)
-    for name in ("K", "B", "Kdown", "Bdown"):
-        inverted = splitmaps.map_from_decomposition(getattr(s, f"dec_{name}").inversion(), ctx.model.params.q)
-        if products.residual([(1, (getattr(s, name), inverted)), (-1, ())]) is not None:
-            return False, f"map of inverted {name} decomposition != {name}^-1"
+    products = Products(ctx.model.dim)
+    for s in ctx.split_maps:
+        for name, x, inverted in (("K", s.K, s.inverted.K), ("B", s.B, s.inverted.B)):
+            if products.residual([(1, (x, inverted)), (-1, ())]) is not None:
+                return False, f"map of inverted {name}{s.down} decomposition != {name}{s.down}^-1"
     return True, None
 
 
@@ -514,7 +513,7 @@ SUITES = {
         (
             "split.R_ladder",
             "R = A - aK - a^-1 K^-1 raises the K-decomposition, R^(d+1) = 0, RK = q^2 KR",
-            _check(lambda ctx: splitmaps.check_R_ladder(ctx.model, ctx.split_maps, ctx.spectra)),
+            _check(lambda ctx: splitmaps.check_R_ladder(ctx.model, ctx.split_maps[0], ctx.spectra)),
         ),
         (
             "split.MN",

@@ -20,7 +20,9 @@ and `expand_H` is the `Matrix`-operator evaluator of the H expansions that
 verdicts and the ladder spectra; the shifts lam q^-2 and lam^-1, which
 `LadderSpectra` kept as `lowered` and `inverted`, are formed in
 `qweyl_ladder`, and `ladders` is that check as a function of the target's
-context.
+context. The split-map checks take the (up, down) pair of
+`build_split_maps` and read Kdown, Bdown, Mdown and Ndown as the K, B, M
+and N of the down orientation.
 """
 
 from fractions import Fraction
@@ -133,7 +135,7 @@ def expect_zero(failures: list, name: str, resid: Matrix) -> None:
         failures.append((name, resid))
 
 
-def check_KA_relations(model: TDModel, s: SplitMaps):
+def check_KA_relations(model: TDModel, pair):
     """The defining relations tying A to each split-map pair, all exact.
 
     For (K, B) with parameter a (and the same with Kdown, Bdown):
@@ -152,8 +154,9 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
     ident = Matrix.identity(model.dim)
     c1 = (q / a - a / q) / (q - 1 / q)
     c2 = (a * q - 1 / (a * q)) / (q - 1 / q)
+    up, down = pair
     failures = []
-    for tag, k, b in (("", s.K, s.B), ("down:", s.Kdown, s.Bdown)):
+    for tag, k, b in (("", up.K, up.B), ("down:", down.K, down.B)):
         k_inv = k.inverse()
         b_inv = b.inverse()
         expect_zero(
@@ -203,7 +206,7 @@ def check_KA_relations(model: TDModel, s: SplitMaps):
     return not failures, failures
 
 
-def check_H_conjugation_of_splits(lus: LusztigData, s: SplitMaps):
+def check_H_conjugation_of_splits(lus: LusztigData, pair):
     """The eight conjugation identities for the split maps under H.
 
     H^-1 B H = a A - a^2 B^-1 and H^-1 K H = a^-1 A - a^-2 K^-1 (with the
@@ -213,17 +216,18 @@ def check_H_conjugation_of_splits(lus: LusztigData, s: SplitMaps):
     Returns (passed, failures) as (name, residual).
     """
     h, h_inv = lus.H, lus.H_inv
-    conj, conj_inv = s.conjugates
+    s, down = pair
+    (conj, conj_inv), (conj_down, conj_inv_down) = s.conjugates, down.conjugates
     failures = []
     cases = [
         ("H^-1 B H = a A - a^2 B^-1", h_inv * s.B * h, conj["B"]),
         ("H^-1 K H = a^-1 A - a^-2 K^-1", h_inv * s.K * h, conj["K"]),
-        ("H^-1 Bdown H = a A - a^2 Bdown^-1", h_inv * s.Bdown * h, conj["Bdown"]),
-        ("H^-1 Kdown H = a^-1 A - a^-2 Kdown^-1", h_inv * s.Kdown * h, conj["Kdown"]),
+        ("H^-1 Bdown H = a A - a^2 Bdown^-1", h_inv * down.B * h, conj_down["B"]),
+        ("H^-1 Kdown H = a^-1 A - a^-2 Kdown^-1", h_inv * down.K * h, conj_down["K"]),
         ("H B^-1 H^-1 = a^-1 A - a^-2 B", h * s.B.inverse() * h_inv, conj_inv["B"]),
         ("H K^-1 H^-1 = a A - a^2 K", h * s.K.inverse() * h_inv, conj_inv["K"]),
-        ("H Bdown^-1 H^-1 = a^-1 A - a^-2 Bdown", h * s.Bdown.inverse() * h_inv, conj_inv["Bdown"]),
-        ("H Kdown^-1 H^-1 = a A - a^2 Kdown", h * s.Kdown.inverse() * h_inv, conj_inv["Kdown"]),
+        ("H Bdown^-1 H^-1 = a^-1 A - a^-2 Bdown", h * down.B.inverse() * h_inv, conj_inv_down["B"]),
+        ("H Kdown^-1 H^-1 = a A - a^2 Kdown", h * down.K.inverse() * h_inv, conj_inv_down["K"]),
     ]
     for name, lhs, rhs in cases:
         expect_zero(failures, name, lhs - rhs)
@@ -261,16 +265,17 @@ def check_R_ladder(model: TDModel, s: SplitMaps, spectra: LadderSpectra):
     return not failures, failures
 
 
-def check_MN_conjugation(lus: LusztigData, s: SplitMaps, spectra: LadderSpectra):
+def check_MN_conjugation(lus: LusztigData, pair, spectra: LadderSpectra):
     """M, N, Mdown and Ndown are diagonalizable on the q-ladder; H^-1 M H = N and H^-1 Mdown H = Ndown, exactly.
 
     The four decompositions are left in `spectra`; a matrix off the ladder
     raises ModelError (ParameterError when a is 1 or -1).
     """
-    for mat in (s.M, s.N, s.Mdown, s.Ndown):
+    s, down = pair
+    for mat in (s.M, s.N, down.M, down.N):
         spectra.decomposition(mat)
     failures = []
-    for name, m, n in (("H^-1 M H = N", s.M, s.N), ("H^-1 Mdown H = Ndown", s.Mdown, s.Ndown)):
+    for name, m, n in (("H^-1 M H = N", s.M, s.N), ("H^-1 Mdown H = Ndown", down.M, down.N)):
         expect_zero(failures, name, lus.H_inv * m * lus.H - n)
     return not failures, failures
 

@@ -56,8 +56,7 @@ def grid_structures(grid):
     for model in models:
         lus = lusztig.build_H(model)
         spectra = splitmaps.LadderSpectra(model.d, model.params.q)
-        s = splitmaps.build_split_maps(model)
-        out.append((model, lus, s, spectra))
+        out.append((model, lus, splitmaps.build_split_maps(model), spectra))
     return out
 
 
@@ -80,7 +79,7 @@ def test_criterion_1_qdg_over_grid(grid):
 def test_criterion_2_golden_regression():
     model = build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     lus = lusztig.build_H(model)
-    s = splitmaps.build_split_maps(model)
+    s, _ = splitmaps.build_split_maps(model)
     expect = {
         "theta": model.theta == (F(37, 6), F(13, 6)),
         "theta*": model.theta_star == (F(101, 10), F(29, 10)),
@@ -128,30 +127,30 @@ def test_criterion_5_polynomial_expansions(grid_structures):
 
 def test_criterion_6_split_relations(grid_structures):
     ok = True
-    for _, _, s, _ in grid_structures:
-        passed, _failures = splitmaps.check_KA_relations(s)
+    for _, _, pair, _ in grid_structures:
+        passed, _failures = splitmaps.check_KA_relations(pair)
         ok = ok and passed
     _report(6, "bracket relations, inverse pairs, and down analogues over G", ok)
 
 
 def test_criterion_7_split_conjugation_and_ladder(grid_structures):
     ok = True
-    for model, lus, s, spectra in grid_structures:
-        conj_ok, _ = splitmaps.check_H_conjugation_of_splits(lus, s)
-        mn_ok, _ = splitmaps.check_MN_conjugation(lus, s, spectra)
-        ladder_ok, _ = splitmaps.check_R_ladder(model, s, spectra)
+    for model, lus, pair, spectra in grid_structures:
+        conj_ok, _ = splitmaps.check_H_conjugation_of_splits(lus, pair)
+        mn_ok, _ = splitmaps.check_MN_conjugation(lus, pair, spectra)
+        ladder_ok, _ = splitmaps.check_R_ladder(model, pair[0], spectra)
         ok = ok and conj_ok and mn_ok and ladder_ok
     _report(7, "eight conjugation identities, M/N conjugation, R-ladder over G", ok)
 
 
 def test_criterion_8_equitable_triples(grid_structures):
     ok = True
-    for model, _, s, _ in grid_structures:
-        table = equitable.build_triple_table(s)
+    for model, _, pair, _ in grid_structures:
+        table = equitable.build_triple_table(pair)
         passed, _failures = equitable.verify_triple_table(model, table)
         ok = ok and passed
         eigs = splitmaps.qweyl_eigenvalues(model.d, model.params.q)
-        for mat in (s.M, s.N, s.Mdown, s.Ndown):
+        for mat in (m for s in pair for m in (s.M, s.N)):  # M, N, Mdown, Ndown
             dec = eigenspace_decomposition(mat, eigs)  # raises if not diagonalizable
             ok = ok and len(dec) == model.dim
     _report(8, "all eight table rows and the q-ladder diagonalizability over G", ok)
@@ -159,9 +158,9 @@ def test_criterion_8_equitable_triples(grid_structures):
 
 def test_criterion_9_diagrams(grid_structures):
     ok = True
-    for model, lus, s, spectra in grid_structures:
-        table_check = equitable.verify_triple_table(model, equitable.build_triple_table(s))
-        passed, _failures = equitable.verify_diagrams(model, lus, s, spectra, table_check)
+    for model, lus, pair, spectra in grid_structures:
+        table_check = equitable.verify_triple_table(model, equitable.build_triple_table(pair))
+        passed, _failures = equitable.verify_diagrams(model, lus, pair, spectra, table_check)
         ok = ok and passed
     _report(9, "flag equalities and twisted-pair split maps over G", ok)
 
@@ -169,7 +168,7 @@ def test_criterion_9_diagrams(grid_structures):
 def test_criterion_10_negative_controls_and_runtime():
     golden = build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     lus = lusztig.build_H(golden)
-    s = splitmaps.build_split_maps(golden)
+    s, down = splitmaps.build_split_maps(golden)
     controls = {}
 
     # phi = 0 is rejected as a parameter and the degenerate pair is reducible.
@@ -188,12 +187,12 @@ def test_criterion_10_negative_controls_and_runtime():
 
     # Swapped K and B break the bracket relations with a nonzero residual.
     swapped = replace(s, K=s.B, B=s.K)
-    ok_swapped, failures = splitmaps.check_KA_relations(swapped)
+    ok_swapped, failures = splitmaps.check_KA_relations((swapped, down))
     controls["swapped K/B fails"] = (not ok_swapped) and not failures[0][1].is_zero()
 
     # H replaced by the identity breaks the conjugation identities.
     broken_lus = replace(lus, H=Matrix.identity(2), H_inv=Matrix.identity(2))
-    ok_h, failures_h = splitmaps.check_H_conjugation_of_splits(broken_lus, s)
+    ok_h, failures_h = splitmaps.check_H_conjugation_of_splits(broken_lus, (s, down))
     controls["H->I fails"] = (not ok_h) and not failures_h[0][1].is_zero()
 
     # A broken eigenvalue leaves a nonzero q-Dolan/Grady residual.

@@ -23,32 +23,30 @@ import pytest
 from qonsager import equitable, linalg, model, splitmaps, suite
 from qonsager.linalg import Matrix
 from qonsager.model import assemble_imported, eigenspace_decomposition
-from qonsager.splitmaps import orientations, split_decomposition
+from qonsager.splitmaps import split_decomposition
 
 import identity_reference as ref
 from test_identity_oracle import _built, _outcome, _perturbed_import, _random_invertible
 
 PARAMS = [(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]
-NAMES = ("K", "B", "Kdown", "Bdown")
 
 
 def _assert_chains_are_the_direct_solves(target):
     """The split maps' decompositions are the flag meets, and M, Mdown's the kernels, or both raise alike."""
-    meets = [
-        _outcome(split_decomposition, star, a_dec)
-        for _, star, a_dec in orientations(target.eigenspaces_Astar, target.eigenspaces_A)
-    ]
+    vstar, v = target.eigenspaces_Astar, target.eigenspaces_A
+    # the flag meets of K, B, Kdown and Bdown
+    meets = [_outcome(split_decomposition, star, a_dec) for star in (vstar, vstar.inversion()) for a_dec in (v, v.inversion())]
     built = _outcome(splitmaps.build_split_maps, target)
-    if not isinstance(built, splitmaps.SplitMaps):
-        # the first orientation without a split decomposition raises, as its flag meets do
+    if not isinstance(built[0], splitmaps.SplitMaps):
+        # the first split map without a split decomposition raises, as its flag meets do
         assert built == next(m for m in meets if isinstance(m, tuple))
         return 0
-    assert [getattr(built, f"dec_{name}") for name in NAMES] == meets
+    assert [dec for s in built for dec in (s.dec_K, s.dec_B)] == meets
     ctx = suite.TargetContext(target)
-    s, spectra = ctx.split_maps, ctx.spectra
-    for m in (s.M, s.Mdown):
+    pair, spectra = ctx.split_maps, ctx.spectra
+    for m in (s.M for s in pair):
         assert _outcome(spectra.decomposition, m) == _outcome(eigenspace_decomposition, m, spectra.eigenvalues)
-    return len(s.certified)
+    return sum(len(s.certified) for s in pair)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -63,10 +61,10 @@ def test_chains_are_the_flag_meets_and_kernels_on_built_models(d, q, a, b, monke
     target = _built(d, q, a, b)
     monkeypatch.setattr(splitmaps, "eigenspace_decomposition", counted)
     ctx = suite.TargetContext(target)
-    s, spectra = ctx.split_maps, ctx.spectra
-    assert set(s.certified) == set(NAMES)
-    for m in (s.M, s.Mdown):
-        spectra.decomposition(m)
+    pair, spectra = ctx.split_maps, ctx.spectra
+    assert [set(s.certified) for s in pair] == [{"K", "B"}] * 2
+    for s in pair:
+        spectra.decomposition(s.M)
     assert not kernels  # both chains certified
     assert _assert_chains_are_the_direct_solves(target) == 4
 
@@ -98,10 +96,10 @@ def test_chains_are_the_flag_meets_and_kernels_on_perturbed_imports():
 def test_split_flags_fails_for_a_replaced_decomposition():
     """Negative control: dec_B replaced by dec_K is no longer the certified B chain, so it is tested and fails."""
     target = _built(2, F(2))
-    s = splitmaps.build_split_maps(target)
-    assert splitmaps.check_split_flags(target, s) == (True, [])
+    up, down = splitmaps.build_split_maps(target)
+    assert splitmaps.check_split_flags(target, (up, down)) == (True, [])
     ctx = suite.TargetContext(target)
-    ctx._built["split_maps"] = replace(s, dec_B=s.dec_K)
+    ctx._built["split_maps"] = (replace(up, dec_B=up.dec_K), down)
     report = suite.Report("replaced")
     check_id, detail, check = suite.SUITES["splitmaps"][0]
     report.run(check_id, detail, lambda: check(ctx))
@@ -200,17 +198,20 @@ def test_held_residuals_are_the_qweyl_brackets_of_any_maps_with_M_invertible():
             for a in (F(3), F(1, 7), F(5), F(-2, 3)):
                 while True:
                     big_a, k, b, kdown, bdown = (_random_invertible(rng, n) for _ in range(5))
-                    s = splitmaps.SplitMaps(big_a, a, q, k, b, kdown, bdown, None, None, None, None, {})
+                    oriented = (
+                        splitmaps.SplitMaps(big_a, a, q, k, b, None, None, {}, ""),
+                        splitmaps.SplitMaps(big_a, a, q, kdown, bdown, None, None, {}, "down"),
+                    )
                     try:
-                        s.M.inverse(), s.Mdown.inverse()
+                        for s in oriented:
+                            s.M.inverse()
                     except linalg.SingularMatrixError:
                         continue
                     break
-                held = equitable.held_residuals(s)
-                conj = s.conjugates[0]
-                table = equitable.build_triple_table(s, mirrored=True)
+                held = equitable.held_residuals(oriented)
+                table = equitable.build_triple_table(oriented, mirrored=True)
                 pairs = [pair for _, x, y, z in table for pair in ((x, y), (y, z), (z, x))]
-                pairs += [(conj[name], getattr(s, name).inverse()) for name in NAMES]
+                pairs += [(s.conjugates[0][name], x.inverse()) for s in oriented for name, x in (("K", s.K), ("B", s.B))]
                 for left, right in pairs:
                     want = ref.qweyl_bracket(left, right, q) - Matrix.identity(n)
                     assert not want.is_zero()  # random maps: every residual is a sandwich's witness
@@ -235,13 +236,15 @@ def test_held_residuals_are_the_direct_ones_on_perturbed_imports():
     assert outcomes == {"pass": 360, "fail": 360}
 
 
-def _B_swapped_with_Bdown(s):
+def _B_swapped_with_Bdown(pair):
     """Each map keeps its own decomposition, so the ladder spectra stay true."""
-    return replace(s, B=s.Bdown, Bdown=s.B, dec_B=s.dec_Bdown, dec_Bdown=s.dec_B)
+    up, down = pair
+    return replace(up, B=down.B, dec_B=down.dec_B), replace(down, B=up.B, dec_B=up.dec_B)
 
 
-def _A_shifted(s):
-    return replace(s, A=s.A + Matrix.identity(s.A.rows).scale(F(1, 5)))
+def _A_shifted(pair):
+    shifted = pair[0].A + Matrix.identity(pair[0].A.rows).scale(F(1, 5))
+    return tuple(replace(s, A=shifted) for s in pair)
 
 
 @pytest.mark.parametrize(
@@ -259,8 +262,8 @@ def test_each_held_term_fails_its_pairs_as_the_direct_table_does(
 ):
     """Negative controls of R_3 and of R_K, R_B: the held verdict is the verdict of a table given no `known`."""
     ctx = suite.TargetContext(_built(d, q, a, b))
-    ctx._built["split_maps"] = s = replaced(ctx.split_maps)
-    assert [[r is not None for r in s.relations[down]] for down in ("", "down")] == [failing_relations] * 2
+    ctx._built["split_maps"] = pair = replaced(ctx.split_maps)
+    assert [[r is not None for r in s.relations] for s in pair] == [failing_relations] * 2
     calls = _count_qweyl(monkeypatch)
     ok, failures = ctx.table_check
     # split.MN fails, so all eight rows are built; rows 5-8 form their (X,Y) and (Y,Z) pairs

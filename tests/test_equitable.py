@@ -46,16 +46,15 @@ def _spectra(model):
     return LadderSpectra(model.d, model.params.q)
 
 
-def _table_check(model, s):
-    return verify_triple_table(model, build_triple_table(s))
+def _table_check(model, pair):
+    return verify_triple_table(model, build_triple_table(pair))
 
 
 @pytest.fixture(scope="module")
 def golden():
     model = build_model(GOLDEN)
     lus = build_H(model)
-    s = build_split_maps(model)
-    return model, lus, s
+    return model, lus, build_split_maps(model)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +62,7 @@ def d2():
     phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
     lus = build_H(model)
-    s = build_split_maps(model)
-    return model, lus, s
+    return model, lus, build_split_maps(model)
 
 
 def line(*coords):
@@ -77,7 +75,7 @@ def test_qweyl_identity_pair():
 
 
 def test_qweyl_golden_ZX_pair(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     assert x == Matrix([[F(1, 2), 0], [3, 2]])
@@ -85,14 +83,14 @@ def test_qweyl_golden_ZX_pair(golden):
 
 
 def test_qweyl_golden_XY_pair(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     assert qweyl_residual(x, s.M.inverse(), F(2)) is None
 
 
 def test_qweyl_order_matters(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     # (K, M^-1) in that order is not a q-Weyl pair at the golden parameters.
     assert qweyl_residual(s.K, s.M.inverse(), F(2)) is not None
 
@@ -104,7 +102,7 @@ def test_equitable_triple_identity():
 
 
 def test_equitable_triple_row_one(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     ok, failures = check_equitable_triple(x, s.M.inverse(), s.K, F(2))
@@ -112,7 +110,7 @@ def test_equitable_triple_row_one(golden):
 
 
 def test_equitable_triple_reversed_order_fails(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     ok, failures = check_equitable_triple(s.K, s.M.inverse(), x, F(2))
@@ -143,18 +141,17 @@ def test_equitable_triple_reports_singular_input():
 
 
 def test_triple_table_all_rows(golden, d2):
-    for model, _, s in (golden, d2):
-        table = build_triple_table(s)
+    for model, _, pair in (golden, d2):
+        table = build_triple_table(pair)
         assert len(table) == 8
         ok, failures = verify_triple_table(model, table)
         assert ok, [(label, name) for label, name, _ in failures]
 
 
 def test_triple_table_detects_swapped_K_B(golden):
-    model, _, s = golden
+    model, _, (s, down) = golden
     a = model.params.a
-    swapped = replace(s, K=s.B, B=s.K)
-    table = build_triple_table(swapped)
+    table = build_triple_table((replace(s, K=s.B, B=s.K), down))
     # the rows come from the swapped maps: row 1 is (a A - a^2 K, M^-1, K)
     # and row 5 is (K^-1, N^-1, a^-1 A - a^-2 K^-1) with K = B and B = K
     m = (s.B.scale(a) - s.K.scale(1 / a)).scale(1 / (a - 1 / a))
@@ -167,7 +164,7 @@ def test_triple_table_detects_swapped_K_B(golden):
 
 
 def test_qweyl_ladder_golden(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     y = s.M.inverse()
@@ -180,7 +177,7 @@ def test_qweyl_ladder_golden(golden):
 
 
 def test_qweyl_ladder_flags_at_top_are_everything(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     # At i = d both flags are the whole space by the direct-sum property;
@@ -192,7 +189,7 @@ def test_qweyl_ladder_flags_at_top_are_everything(golden):
 
 
 def test_qweyl_ladder_detects_perturbed_partner(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
     perturbed = s.M.inverse() + Matrix([[0, F(1, 5)], [0, 0]])
@@ -449,13 +446,13 @@ def test_ladders_agree_with_the_oracle_on_perturbed_imports():
 
 
 def test_verify_diagrams(golden, d2):
-    for model, lus, s in (golden, d2):
-        ok, failures = verify_diagrams(model, lus, s, _spectra(model), _table_check(model, s))
+    for model, lus, pair in (golden, d2):
+        ok, failures = verify_diagrams(model, lus, pair, _spectra(model), _table_check(model, pair))
         assert ok, [name for name, _ in failures]
 
 
 def test_diagram_golden_eigenspace_identities(golden):
-    model, lus, s = golden
+    model, lus, (s, _) = golden
     ident = Matrix.identity(2)
     # N-eigenspace for q is V+_0 = H^-1 span(e_0).
     n0 = kernel(s.N - ident.scale(2))
@@ -469,7 +466,7 @@ def test_diagram_golden_eigenspace_identities(golden):
 
 
 def test_diagrams_detect_swapped_K_B(golden):
-    model, lus, s = golden
+    model, lus, (s, down) = golden
     swapped = replace(s, K=s.B, B=s.K)
     a = model.params.a
     # M, N and the H-conjugates the diagrams read come from the swapped maps
@@ -478,7 +475,8 @@ def test_diagrams_detect_swapped_K_B(golden):
     conj, conj_inv = swapped.conjugates
     assert conj["K"] == model.A.scale(1 / a) - s.B.inverse().scale(1 / (a * a))
     assert conj_inv["B"] == model.A.scale(1 / a) - s.K.scale(1 / (a * a))
-    ok, failures = verify_diagrams(model, lus, swapped, _spectra(model), _table_check(model, swapped))
+    pair = (swapped, down)
+    ok, failures = verify_diagrams(model, lus, pair, _spectra(model), _table_check(model, pair))
     assert not ok
     assert failures
 
@@ -489,8 +487,8 @@ def d3():
     model = build_model(ParamSet(3, F(2), F(3), F(5), phi))
     lus = build_H(model)
     spectra = _spectra(model)
-    s = build_split_maps(model)
-    return model, lus, s, spectra, _table_check(model, s)
+    pair = build_split_maps(model)
+    return model, lus, pair, spectra, _table_check(model, pair)
 
 
 def _first_two_parts_swapped(dec):
@@ -531,7 +529,7 @@ def _first_two_parts_swapped(dec):
     ],
 )
 def test_diagram_flag_failures_name_the_index_of_each_family(d3, where, expected):
-    model, lus, s, spectra, table = d3
+    model, lus, pair, spectra, table = d3
     if where in ("Astar", "A"):
         model = replace(model)
         name = f"eigenspaces_{where}"
@@ -539,14 +537,14 @@ def test_diagram_flag_failures_name_the_index_of_each_family(d3, where, expected
     else:
         lus = replace(lus)
         lus.__dict__[where] = _first_two_parts_swapped(getattr(d3[1], where))
-    ok, failures = verify_diagrams(model, lus, s, spectra, table)
+    ok, failures = verify_diagrams(model, lus, pair, spectra, table)
     assert not ok
     assert [name for name, _ in failures] == expected
     assert all(witness == "flag mismatch" for name, witness in failures if " flag " in name or "split map" in name)
 
 
 def test_twisted_split_maps_are_proved_from_the_ladder_without_meets(d3, monkeypatch):
-    model, lus, s, spectra, table = d3
+    model, lus, pair, spectra, table = d3
     meets, flag_meets = [], Decomposition.flag_meets
 
     def counted(self, ref):
@@ -554,12 +552,12 @@ def test_twisted_split_maps_are_proved_from_the_ladder_without_meets(d3, monkeyp
         return flag_meets(self, ref)
 
     monkeypatch.setattr(Decomposition, "flag_meets", counted)
-    ok, _ = verify_diagrams(model, lus, s, spectra, table)
+    ok, _ = verify_diagrams(model, lus, pair, spectra, table)
     assert ok and not meets
     # with V+ perturbed, each (A, L(A*)) slot fails on its flags, still with no meets
     lus = replace(lus)
     lus.__dict__["Vplus"] = _first_two_parts_swapped(d3[1].Vplus)
-    ok, failures = verify_diagrams(model, lus, s, spectra, table)
+    ok, failures = verify_diagrams(model, lus, pair, spectra, table)
     assert not ok and not meets
     slots = [(name, witness) for name, witness in failures if "split map" in name]
     assert slots == [(f"(A, L(A*)) split map at {slot} slot", "flag mismatch") for slot in ("K", "B", "Kdown", "Bdown")]
@@ -614,11 +612,11 @@ def test_a_twisted_slot_fails_exactly_when_its_H_conjugation_fails(model):
     """
     ctx = suite.TargetContext(model)
     try:
-        s = ctx.split_maps
+        pair = ctx.split_maps
     except (ModelError, ValueError):
         assume(False)
-    ok, failures = verify_diagrams(model, ctx.lusztig, s, ctx.spectra, ctx.table_check)
+    ok, failures = verify_diagrams(model, ctx.lusztig, pair, ctx.spectra, ctx.table_check)
     failing_slots = {TWISTED_SLOTS[name] for name, _ in failures if name in TWISTED_SLOTS}
-    _, conjugation_failures = splitmaps.check_H_conjugation_of_splits(ctx.lusztig, s)
+    _, conjugation_failures = splitmaps.check_H_conjugation_of_splits(ctx.lusztig, pair)
     assert failing_slots == {name.split(" = ")[0] for name, _ in conjugation_failures}
-    splitmaps.check_MN_conjugation(ctx.lusztig, s, ctx.spectra)
+    splitmaps.check_MN_conjugation(ctx.lusztig, pair, ctx.spectra)

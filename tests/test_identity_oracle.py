@@ -131,14 +131,14 @@ def _pairs(ctx):
         ("H_expansions", lusztig.check_H_expansions, ref.check_H_expansions, (model, lus)),
     ]
     try:
-        s = ctx.split_maps
+        pair = ctx.split_maps
     except (ModelError, ValueError):
         return pairs
     return pairs + [
-        ("KA_relations", lambda m, s: splitmaps.check_KA_relations(s), _kept_KA_relations, (model, s)),
-        ("H_conjugation", splitmaps.check_H_conjugation_of_splits, ref.check_H_conjugation_of_splits, (lus, s)),
-        ("R_ladder", splitmaps.check_R_ladder, _kept_R_ladder, (model, s, ctx.spectra)),
-        ("MN", splitmaps.check_MN_conjugation, ref.check_MN_conjugation, (lus, s, ctx.spectra)),
+        ("KA_relations", lambda m, pair: splitmaps.check_KA_relations(pair), _kept_KA_relations, (model, pair)),
+        ("H_conjugation", splitmaps.check_H_conjugation_of_splits, ref.check_H_conjugation_of_splits, (lus, pair)),
+        ("R_ladder", splitmaps.check_R_ladder, _kept_R_ladder, (model, pair[0], ctx.spectra)),
+        ("MN", splitmaps.check_MN_conjugation, ref.check_MN_conjugation, (lus, pair, ctx.spectra)),
     ]
 
 
@@ -166,9 +166,9 @@ def _without_dropped(failures):
     return [(name, r) for name, r in failures if name.removeprefix("down:") not in dropped]
 
 
-def _kept_KA_relations(model, s):
+def _kept_KA_relations(model, pair):
     """The old check without the relations in `DROPPED_KA`."""
-    kept = _without_dropped(ref.check_KA_relations(model, s)[1])
+    kept = _without_dropped(ref.check_KA_relations(model, pair)[1])
     return not kept, kept
 
 
@@ -210,13 +210,13 @@ def test_the_dropped_KA_relations_lose_nothing():
     for seed in range(12):
         ctx = suite.TargetContext(_perturbed_import(seed))
         try:
-            s = ctx.split_maps
+            up, down = pair = ctx.split_maps
         except (ModelError, ValueError):
             continue
-        a, q, zero = ctx.model.params.a, ctx.model.params.q, s.K.scale(0)
-        _, old = ref.check_KA_relations(ctx.model, s)
+        a, q, zero = ctx.model.params.a, ctx.model.params.q, up.K.scale(0)
+        _, old = ref.check_KA_relations(ctx.model, pair)
         residuals = dict(old)
-        for tag, k, b in (("", s.K, s.B), ("down:", s.Kdown, s.Bdown)):
+        for tag, k, b in (("", up.K, up.B), ("down:", down.K, down.B)):
             for dropped, (kept, transform) in DROPPED_KA.items():
                 got, r = residuals.get(tag + dropped, zero), residuals.get(tag + kept)
                 if r is None:
@@ -224,7 +224,7 @@ def test_the_dropped_KA_relations_lose_nothing():
                     continue
                 assert got == transform(k, b, a, q, r), (seed, tag, dropped)
                 shown.add(dropped)
-        _, new = splitmaps.check_KA_relations(s)
+        _, new = splitmaps.check_KA_relations(pair)
         assert new == _without_dropped(old), seed
         # the first failure, the report's witness, is not a dropped relation
         assert new[:1] == old[:1], seed
@@ -238,9 +238,9 @@ def _sheared_K_context(d):
     which is not the new K's.
     """
     ctx = suite.TargetContext(_built(d, F(2)))
-    s = ctx.split_maps
+    up, down = ctx.split_maps
     shear = Matrix([[int(r == c or (r, c) == (0, d)) for c in range(d + 1)] for r in range(d + 1)])
-    ctx._built["split_maps"] = replace(s, K=shear * s.K * shear.inverse())
+    ctx._built["split_maps"] = (replace(up, K=shear * up.K * shear.inverse()), down)
     ctx._built["spectra"] = splitmaps.LadderSpectra(d, F(2))
     return ctx
 
@@ -252,7 +252,7 @@ def test_the_dropped_R_ladder_claims_lose_nothing():
     for ctx in contexts + [_sheared_K_context(d) for d in (1, 2, 3)]:
         model = ctx.model
         try:
-            s, spectra = ctx.split_maps, ctx.spectra
+            s, spectra = ctx.split_maps[0], ctx.spectra
             dec = spectra.decomposition(s.K)
         except (ModelError, ValueError):
             continue
@@ -289,8 +289,8 @@ def test_the_KA_transforms_hold_for_any_invertible_pair():
         for q, a in ((F(2), F(3)), (F(3, 2), F(1, 7)), (F(-2), F(5)), (F(1, 3), F(-2, 5))):
             k, b, kdown, bdown = (_random_invertible(rng, n) for _ in range(4))
             model = SimpleNamespace(params=SimpleNamespace(q=q, a=a), dim=n, A=_random_invertible(rng, n))
-            s = SimpleNamespace(K=k, B=b, Kdown=kdown, Bdown=bdown)
-            residuals = dict(ref.check_KA_relations(model, s)[1])
+            pair = (SimpleNamespace(K=k, B=b), SimpleNamespace(K=kdown, B=bdown))
+            residuals = dict(ref.check_KA_relations(model, pair)[1])
             for tag, x, y in (("", k, b), ("down:", kdown, bdown)):
                 r3 = residuals[tag + RELATION_3]
                 for dropped, (kept, transform) in DROPPED_KA.items():
@@ -316,10 +316,10 @@ def test_a_right_product_fails_exactly_when_its_left_product_does():
     for seed in range(12):
         ctx = suite.TargetContext(_perturbed_import(seed))
         try:
-            s = ctx.split_maps
+            pair = ctx.split_maps
         except (ModelError, ValueError):
             continue
-        failed = {name for name, _ in ref.check_KA_relations(ctx.model, s)[1]}
+        failed = {name for name, _ in ref.check_KA_relations(ctx.model, pair)[1]}
         for tag in ("", "down:"):
             for right, left in DROPPED_RIGHT.items():
                 assert (tag + right in failed) == (tag + left in failed), (seed, tag, right)
@@ -359,8 +359,8 @@ def test_corrupted_H_and_K_agree_witness_for_witness(d):
     t[1] *= 2
     bad_h = ctx.model.eigenspaces_A.diagonal_map(t)
     ctx._built["H"] = replace(ctx.lusztig, H=bad_h, H_inv=bad_h.inverse())
-    s = ctx.split_maps
+    up, down = ctx.split_maps
     shear = Matrix([[int(r == c or (r, c) == (0, d)) for c in range(d + 1)] for r in range(d + 1)])
-    ctx._built["split_maps"] = replace(s, K=shear * s.K * shear.inverse())
+    ctx._built["split_maps"] = (replace(up, K=shear * up.K * shear.inverse()), down)
     verdicts = _assert_agree(ctx)
     assert verdicts["H_expansions"] is False and verdicts["R_ladder"] is False

@@ -1,4 +1,4 @@
-"""Inverses read from ladder decompositions, and the integer Chu-Vandermonde table, against their oracles.
+"""Inverses read from ladder decompositions against elimination, and the integer Chu-Vandermonde table summed once.
 
 A target reads K^-1, B^-1, Kdown^-1 and Bdown^-1 off the inverted split
 decompositions (`build_split_maps`), and M^-1, N^-1, Mdown^-1 and Ndown^-1
@@ -8,8 +8,9 @@ table's "X invertible" verdicts, read from the ladder where it decomposes a
 member, must equal those of elimination alone: on built models at
 d = 1..6 with three parameter sets, on seeded dense imports with one A*
 entry changed, and on the singular and sheared rows of the equitable
-negative controls. The summation table must equal the term-by-term oracle
-of `tests/chu_vandermonde_reference.py`.
+negative controls. The summation table is summed once per parameter set
+and again for each replaced scalar table; its entries are compared with
+the term-by-term oracle in `tests/test_scalars.py`.
 """
 
 from fractions import Fraction as F
@@ -23,11 +24,9 @@ from qonsager.model import ModelError, build_model, solve_phi
 from qonsager.scalars import ParamSet, chu_vandermonde_table
 from qonsager.splitmaps import LadderSpectra
 
-from chu_vandermonde_reference import chu_vandermonde_sums as reference_sums
 from test_identity_oracle import _perturbed_import
 
 PARAMS = [(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]
-SPLIT_MAPS = ("K", "B", "Kdown", "Bdown")
 
 
 @cache
@@ -51,16 +50,15 @@ def _eliminated_table_check(model, table):
 
 def _ladder_inverses_match_the_oracle(ctx) -> int:
     """Assert each inverse read off a decomposition and the table verdict against elimination; return how many of M, N, ... the ladder held."""
-    s, spectra = ctx.split_maps, ctx.spectra
+    (up, down), spectra = ctx.split_maps, ctx.spectra
     # all eight rows, also where the context holds rows 1-4 alone
-    table = equitable.build_triple_table(s, spectra)
-    for name in SPLIT_MAPS:
-        m = getattr(s, name)
+    table = equitable.build_triple_table((up, down), spectra)
+    for name, m in (("K", up.K), ("B", up.B), ("Kdown", down.K), ("Bdown", down.B)):
         assert m.cached_inverse() is not None, name  # kept by build_split_maps, not eliminated
         assert m.inverse() == _fresh(m).inverse(), name
     # rows 1, 3, 5 and 7 hold M^-1, Mdown^-1, N^-1 and Ndown^-1
     held = 0
-    for (label, _, y, _), m in zip(table[::2], (s.M, s.Mdown, s.N, s.Ndown)):
+    for (label, _, y, _), m in zip(table[::2], (up.M, down.M, up.N, down.N)):
         assert y == _fresh(m).inverse(), label
         held += spectra.holds(m)
     assert ctx.table_check == _eliminated_table_check(ctx.model, table)
@@ -80,7 +78,7 @@ def test_inverses_from_decompositions_equal_eliminated_inverses_on_perturbed_imp
     for seed in range(40):
         ctx = suite.TargetContext(_perturbed_import(seed))
         try:
-            s = ctx.split_maps
+            pair = ctx.split_maps
         except (ModelError, ValueError):
             continue
         try:
@@ -88,7 +86,7 @@ def test_inverses_from_decompositions_equal_eliminated_inverses_on_perturbed_imp
         except SingularMatrixError as exc:
             # M, N or a down analogue is singular: elimination alone raises the same
             with pytest.raises(SingularMatrixError, match=str(exc)):
-                equitable.build_triple_table(s)
+                equitable.build_triple_table(pair)
             continue
         held += _ladder_inverses_match_the_oracle(ctx)
         compared += 1
@@ -121,17 +119,6 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
         assert equitable.check_equitable_triple(*members, F(2), spectra) == equitable.check_equitable_triple(
             *map(_fresh, members), F(2)
         )
-
-
-@pytest.mark.parametrize("q, a, b", PARAMS)
-def test_the_integer_table_equals_the_term_by_term_reference(q, a, b):
-    for d in range(1, 13):
-        p = ParamSet(d, q, a, b)
-        table = chu_vandermonde_table(p)
-        assert list(table) == [(r, s) for r in range(d + 1) for s in range(r, d + 1)]
-        for (r, s), entry in table.items():
-            got = {name: (F(n, m), F(wn, wm)) for name, (n, m, wn, wm) in entry.items()}
-            assert got == reference_sums(r, s, p), (d, r, s)
 
 
 def test_the_table_is_summed_once_and_again_for_each_replaced_table(monkeypatch):

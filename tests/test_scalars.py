@@ -113,14 +113,23 @@ def test_chu_vandermonde_full_grid():
     assert ok, failures
 
 
-@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-2), F(1, 3)])
-def test_chu_vandermonde_table_equals_the_term_by_term_reference(q):
-    for d in range(1, 9):
-        for a in (F(7), F(-2, 5)):
-            p = ParamSet(d, q, a, F(5, 7))
-            for (r, s), entry in chu_vandermonde_table(p).items():
-                got = {name: (F(n, m), F(wn, wm)) for name, (n, m, wn, wm) in entry.items()}
-                assert got == reference_sums(r, s, p), (d, a, r, s)
+# (q, a, b, largest d): eight sets at d <= 8, and three at d <= 12
+REFERENCE_TABLE_PARAMS = [(q, a, F(5, 7), 8) for q in (F(2), F(3, 2), F(-2), F(1, 3)) for a in (F(7), F(-2, 5))] + [
+    (F(2), F(3), F(5), 12),
+    (F(3, 2), F(1, 7), F(2, 9), 12),
+    (F(-2), F(5), F(3), 12),
+]
+
+
+@pytest.mark.parametrize("q, a, b, top", REFERENCE_TABLE_PARAMS)
+def test_chu_vandermonde_table_equals_the_term_by_term_reference(q, a, b, top):
+    for d in range(1, top + 1):
+        p = ParamSet(d, q, a, b)
+        table = chu_vandermonde_table(p)
+        assert list(table) == [(r, s) for r in range(d + 1) for s in range(r, d + 1)]
+        for (r, s), entry in table.items():
+            got = {name: (F(n, m), F(wn, wm)) for name, (n, m, wn, wm) in entry.items()}
+            assert got == reference_sums(r, s, p), (d, r, s)
 
 
 def test_tables_hold_the_closed_forms_and_are_built_once():

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
@@ -7,7 +8,7 @@ import pytest
 
 from qonsager.linalg import Matrix, SingularMatrixError
 from qonsager.lusztig import build_H
-from qonsager.model import ModelError, build_model, solve_phi
+from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
 from qonsager.scalars import ParameterError, ParamSet
 from qonsager.splitmaps import (
     LadderSpectra,
@@ -18,7 +19,6 @@ from qonsager.splitmaps import (
     check_R_ladder,
     check_split_flags,
     map_from_decomposition,
-    orientations,
     qweyl_eigenvalues,
     split_decomposition,
 )
@@ -37,8 +37,7 @@ def _spectra(model):
 def golden():
     model = build_model(GOLDEN)
     lus = build_H(model)
-    s = build_split_maps(model)
-    return model, lus, s
+    return model, lus, build_split_maps(model)
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +45,7 @@ def d2():
     phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
     lus = build_H(model)
-    s = build_split_maps(model)
-    return model, lus, s
+    return model, lus, build_split_maps(model)
 
 
 def line(*coords):
@@ -76,58 +74,99 @@ def test_split_decomposition_reversed_reversed(golden):
     assert dec[1] == model.eigenspaces_A[0]
 
 
-def test_the_four_orientations_give_the_four_split_maps(golden, d2):
-    for model, _, s in (golden, d2):
-        names = [name for name, _, _ in orientations(model.eigenspaces_Astar, model.eigenspaces_A)]
-        assert names == ["K", "B", "Kdown", "Bdown"]
-        for name, star_dec, a_dec in orientations(model.eigenspaces_Astar, model.eigenspaces_A):
-            dec = split_decomposition(star_dec, a_dec)
-            assert dec == getattr(s, f"dec_{name}")
-            assert map_from_decomposition(dec, model.params.q) == getattr(s, name)
+def test_the_two_orientations_give_the_four_split_maps(golden, d2):
+    """up reads V* in order and down reversed; K pairs either with V in order, B with V reversed."""
+    for model, _, pair in (golden, d2):
+        vstar, v = model.eigenspaces_Astar, model.eigenspaces_A
+        assert [s.down for s in pair] == ["", "down"]
+        for s, star_dec in zip(pair, (vstar, vstar.inversion())):
+            assert s.orient(vstar) is star_dec
+            for dec, mat, a_dec in ((s.dec_K, s.K, v), (s.dec_B, s.B, v.inversion())):
+                assert split_decomposition(star_dec, a_dec) == dec
+                assert map_from_decomposition(dec, model.params.q) == mat
+
+
+def _solved(d, q, a, b):
+    models = []
+    assert solve_phi(d, q, a, b, limit=1, models=models)
+    return models[0]
+
+
+def _dense_import(seed):
+    """A d = 3 model (P A P^-1, P A* P^-1) for a seeded dense unimodular integer P."""
+    rng = random.Random(seed)
+    base, n = _solved(3, F(2), F(3), F(5)), 4
+    e = [rng.randint(-2, 2) for _ in range(n * n)]
+    lower = Matrix([[1 if r == c else e[r * n + c] if r > c else 0 for c in range(n)] for r in range(n)])
+    upper = Matrix([[1 if r == c else e[r * n + c] if r < c else 0 for c in range(n)] for r in range(n)])
+    p = lower * upper
+    return assemble_imported(base.params, p * base.A * p.inverse(), p * base.Astar * p.inverse())
+
+
+RELABEL_TARGETS = [(d, F(2), F(3), F(5)) for d in range(2, 7)] + [(4, F(3, 2), F(1, 7), F(2, 9)), (3, F(-2), F(5), F(3))]
+
+
+def _fields(s):
+    return s.K, s.B, s.M, s.N, s.dec_K, s.dec_B
+
+
+@pytest.mark.parametrize(
+    "target", RELABEL_TARGETS + ["dense import"], ids=lambda t: t if isinstance(t, str) else "d={} q={} a={} b={}".format(*t)
+)
+def test_down_is_up_of_the_b_inverse_relabel(target):
+    """Reading A*'s eigenvalues in reverse order is b -> b^-1: down of the model is up of the relabelled pair, and back."""
+    model = _dense_import(31) if target == "dense import" else _solved(*target)
+    p = model.params
+    up, down = build_split_maps(model)
+    relabelled_up, relabelled_down = build_split_maps(assemble_imported(ParamSet(p.d, p.q, p.a, 1 / p.b), model.A, model.Astar))
+    assert _fields(down) == _fields(relabelled_up)
+    assert _fields(up) == _fields(relabelled_down)
+    assert (relabelled_up.down, relabelled_down.down) == ("", "down")
+    # negative control: the two orientations differ
+    assert _fields(up) != _fields(down) and up.K != down.K
 
 
 def test_conjugates_are_the_closed_forms(golden, d2):
     """H^-1 X H = c A - c^2 X^-1 and H X^-1 H^-1 = c^-1 A - c^-2 X, c = a^-1 for K and a for B."""
-    for model, lus, s in (golden, d2):
+    for model, lus, pair in (golden, d2):
         a = model.params.a
-        for name, c in (("K", 1 / a), ("B", a), ("Kdown", 1 / a), ("Bdown", a)):
-            x = getattr(s, name)
+        for s in pair:
             conj, conj_inv = s.conjugates
-            assert conj[name] == lus.H_inv * x * lus.H == model.A.scale(c) - x.inverse().scale(c * c)
-            assert conj_inv[name] == lus.H * x.inverse() * lus.H_inv == model.A.scale(1 / c) - x.scale(1 / (c * c))
+            for name, x, c in (("K", s.K, 1 / a), ("B", s.B, a)):
+                assert conj[name] == lus.H_inv * x * lus.H == model.A.scale(c) - x.inverse().scale(c * c)
+                assert conj_inv[name] == lus.H * x.inverse() * lus.H_inv == model.A.scale(1 / c) - x.scale(1 / (c * c))
 
 
 def test_split_maps_golden_values(golden):
-    _, _, s = golden
+    _, _, (s, _) = golden
     assert s.K == Matrix([[2, 0], [0, F(1, 2)]])
     assert s.B == Matrix([[2, -6], [0, F(1, 2)]])
 
 
 def test_map_of_inverted_decomposition_is_inverse(golden, d2):
-    for model, _, s in (golden, d2):
+    for model, _, pair in (golden, d2):
         q = model.params.q
-        for dec, mat in ((s.dec_K, s.K), (s.dec_B, s.B), (s.dec_Kdown, s.Kdown), (s.dec_Bdown, s.Bdown)):
-            assert map_from_decomposition(dec.inversion(), q) == mat.inverse()
+        for s in pair:
+            for dec, mat in ((s.dec_K, s.K), (s.dec_B, s.B)):
+                assert map_from_decomposition(dec.inversion(), q) == mat.inverse()
 
 
 def test_split_flags(golden, d2):
-    for model, _, s in (golden, d2):
-        ok, failures = check_split_flags(model, s)
+    for model, _, pair in (golden, d2):
+        ok, failures = check_split_flags(model, pair)
         assert ok, failures
 
 
 def test_KA_relations(golden, d2):
-    for _, _, s in (golden, d2):
-        ok, failures = check_KA_relations(s)
+    for _, _, pair in (golden, d2):
+        ok, failures = check_KA_relations(pair)
         assert ok, [name for name, _ in failures]
 
 
 def test_KA_relations_fail_when_K_inverted(golden):
-    _, _, s = golden
-    from dataclasses import replace
-
+    _, _, (s, down) = golden
     broken = replace(s, K=s.K.inverse())
-    ok, failures = check_KA_relations(broken)
+    ok, failures = check_KA_relations((broken, down))
     assert not ok
     assert any("qweyl[K,A]" in name for name, _ in failures)
 
@@ -139,8 +178,8 @@ def test_KA_relations_negative_control_swaps_B_and_Bdown(d, q, a, b):
     """Bdown keeps the q-Weyl relation of B with A, so swapping them fails relation 3 alone."""
     models = []
     assert solve_phi(d, q, a, b, limit=1, models=models)
-    model, s = models[0], build_split_maps(models[0])
-    ok, failures = check_KA_relations(replace(s, B=s.Bdown, Bdown=s.B))
+    up, down = build_split_maps(models[0])
+    ok, failures = check_KA_relations((replace(up, B=down.B), replace(down, B=up.B)))
     relation_3 = "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0"
     assert not ok
     assert [name for name, _ in failures] == [relation_3, "down:" + relation_3]
@@ -149,15 +188,16 @@ def test_KA_relations_negative_control_swaps_B_and_Bdown(d, q, a, b):
 
 def test_KA_relations_raise_for_a_singular_map(golden):
     """The dropped forms name K^-1 and B^-1: a singular replaced map raises, as they would."""
-    _, _, s = golden
-    for name in ("K", "Bdown"):
+    _, _, (up, down) = golden
+    zero = up.K.scale(0)
+    for pair in ((replace(up, K=zero), down), (up, replace(down, B=zero))):  # K, Bdown
         with pytest.raises(SingularMatrixError):
-            check_KA_relations(replace(s, **{name: s.K.scale(0)}))
+            check_KA_relations(pair)
 
 
 def test_a_inversion_swaps_K_and_B_relation_shapes(golden):
     # The K relation with a and the B relation with 1/a share one formula.
-    model, _, s = golden
+    model, _, (s, _) = golden
     q, a = model.params.q, model.params.a
     ident = Matrix.identity(model.dim)
 
@@ -170,7 +210,7 @@ def test_a_inversion_swaps_K_and_B_relation_shapes(golden):
 
 
 def test_H_conjugation_golden_value(golden):
-    model, lus, s = golden
+    model, lus, (s, _) = golden
     conj = lus.H_inv * s.K * lus.H
     assert conj == Matrix([[2, 0], [F(1, 3), F(1, 2)]])
     a = model.params.a
@@ -178,30 +218,28 @@ def test_H_conjugation_golden_value(golden):
 
 
 def test_H_conjugation_reformulated_value(golden):
-    model, lus, s = golden
+    model, lus, (s, _) = golden
     a = model.params.a
     assert lus.H * s.K.inverse() * lus.H_inv == model.A.scale(a) - s.K.scale(a * a)
 
 
 def test_H_conjugation_all_eight(golden, d2):
-    for model, lus, s in (golden, d2):
-        ok, failures = check_H_conjugation_of_splits(lus, s)
+    for model, lus, pair in (golden, d2):
+        ok, failures = check_H_conjugation_of_splits(lus, pair)
         assert ok, [name for name, _ in failures]
 
 
 def test_H_conjugation_fails_with_identity_H(golden):
-    model, lus, s = golden
-    from dataclasses import replace
-
+    model, lus, pair = golden
     ident = Matrix.identity(model.dim)
     broken = replace(lus, H=ident, H_inv=ident)
-    ok, failures = check_H_conjugation_of_splits(broken, s)
+    ok, failures = check_H_conjugation_of_splits(broken, pair)
     assert not ok
     assert failures
 
 
 def test_R_ladder_golden_values(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     a = model.params.a
     r = model.A - s.K.scale(a) - s.K.inverse().scale(1 / a)
     assert r == Matrix([[0, 0], [1, 0]])
@@ -210,7 +248,7 @@ def test_R_ladder_golden_values(golden):
 
 
 def test_R_ladder(golden, d2):
-    for model, _, s in (golden, d2):
+    for model, _, (s, _) in (golden, d2):
         ok, failures = check_R_ladder(model, s, _spectra(model))
         assert ok, [name for name, _ in failures]
 
@@ -249,7 +287,7 @@ def test_R_ladder_negative_control_perturbs_K(golden, d2):
     the projector form names them only beside a failing step or top claim.
     """
     names = set()
-    for model, _, s in (golden, d2):
+    for model, _, (s, _) in (golden, d2):
         n = model.dim
         dropped = (f"R^{model.d + 1} = 0", "R K = q^2 K R")
         for i, j, c in ((0, n - 1, 1), (0, 1, -2), (n - 1, 0, F(1, 3)), (1, 0, 5)):
@@ -272,35 +310,35 @@ def test_R_ladder_negative_control_perturbs_K(golden, d2):
 
 
 def test_R_ladder_K_off_the_ladder_raises(golden):
-    model, _, s = golden
+    model, _, (s, _) = golden
     with pytest.raises(ModelError):
         check_R_ladder(model, replace(s, K=s.K.scale(3)), _spectra(model))
 
 
 def test_MN_golden_values(golden):
-    _, _, s = golden
+    _, _, (s, _) = golden
     assert s.M == Matrix([[2, F(3, 4)], [0, F(1, 2)]])
     assert s.N == Matrix([[F(1, 2), F(27, 4)], [0, 2]])
 
 
 def test_MN_eigenvalues_golden(golden):
-    model, _, s = golden
+    model, _, (up, down) = golden
     eigs = qweyl_eigenvalues(model.d, model.params.q)
     assert eigs == (F(2), F(1, 2))
-    for mat in (s.M, s.N, s.Mdown, s.Ndown):
+    for mat in (up.M, up.N, down.M, down.N):
         assert mat[0, 0] + mat[1, 1] == F(2) + F(1, 2)
 
 
 def test_MN_conjugation(golden, d2):
-    for model, lus, s in (golden, d2):
-        ok, failures = check_MN_conjugation(lus, s, _spectra(model))
+    for model, lus, pair in (golden, d2):
+        ok, failures = check_MN_conjugation(lus, pair, _spectra(model))
         assert ok, failures
 
 
 def test_MN_rejects_a_one():
     # ParamSet already rejects a = 1 and a = -1, so exercise the split maps directly.
-    s = build_split_maps(build_model(GOLDEN))
-    for a in (F(1), F(-1)):
-        for name in ("M", "N", "Mdown", "Ndown"):
-            with pytest.raises(ParameterError, match="M, N denominators vanish"):
-                getattr(replace(s, a=a), name)
+    for s in build_split_maps(build_model(GOLDEN)):
+        for a in (F(1), F(-1)):
+            for name in ("M", "N"):
+                with pytest.raises(ParameterError, match="M, N denominators vanish"):
+                    getattr(replace(s, a=a), name)

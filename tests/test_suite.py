@@ -158,10 +158,9 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     assert len(calls["h_conjugates"]) == 4
     ctx = contexts[0]
     rows = ctx.triple_table
-    conj, conj_inv = ctx.split_maps.conjugates
-    names = ("K", "B", "Kdown", "Bdown")
-    assert all(row[1] is conj_inv[x] for row, x in zip(rows[:4], names))
-    assert all(row[3] is conj[x] for row, x in zip(rows[4:], names))
+    conjugates = [(s.conjugates, x) for s in ctx.split_maps for x in ("K", "B")]  # K, B, Kdown, Bdown
+    assert all(row[1] is conj_inv[x] for row, ((_, conj_inv), x) in zip(rows[:4], conjugates))
+    assert all(row[3] is conj[x] for row, ((conj, _), x) in zip(rows[4:], conjugates))
     # the table forms no q-Weyl product: every pair of rows 1-4 reads the
     # R_K, R_B and R_3 of split.KA_relations, and rows 5-8 are read from
     # rows 1-4 as split.H_conjugation and split.MN hold; the ladders read its
@@ -171,9 +170,11 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     assert len(calls["qdg_residuals"]) == 1
     # every integer product of the target: split.KA_relations forms relation
     # 3's four per orientation beside R_K and R_B, sharing K^2 and B^2,
-    # split.R_ladder no power of R nor RK, KR, and H H^-1 is formed once for
-    # lusztig.H_invertible and the mirrored reads
-    assert len(calls["_numerator_product"]) == 134
+    # split.R_ladder no power of R nor RK, KR, H H^-1 is formed once for
+    # lusztig.H_invertible and the mirrored reads, and split.inversion reads
+    # the maps of the inverted decompositions that build_split_maps formed
+    # (4 products fewer than forming them again)
+    assert len(calls["_numerator_product"]) == 130
     # the ladders read the table's verdicts and the ladder spectra its
     # invertibility entries filled: no product, elimination or kernel
     assert ladder_work == [[0, 0, 0]]
@@ -235,6 +236,15 @@ def test_corrupted_H_witnesses_equal_the_oracle_expansions_at_every_failing_anch
         assert witness == want and not want.is_zero(), (variant, inverse, r)
 
 
+def _scale_split_map(ctx, name):
+    """Set the context's split map `name` (K, B, Kdown or Bdown) to its double, and return that."""
+    pair = ctx.split_maps
+    s = pair[name.endswith("down")]
+    scaled = getattr(s, name[0]).scale(2)
+    ctx._built["split_maps"] = tuple(replace(t, **{name[0]: scaled}) if t is s else t for t in pair)
+    return scaled
+
+
 @pytest.mark.parametrize("name", ["K", "B", "Kdown", "Bdown"])
 def test_split_inversion_flips_under_a_scaled_split_map(name):
     """split.inversion proves X (map of X's inverted decomposition) = I with one product; 2X breaks it.
@@ -244,9 +254,7 @@ def test_split_inversion_flips_under_a_scaled_split_map(name):
     ctx = suite.TargetContext(_solved_model(2))
     detail, check = next((detail, check) for cid, detail, check in suite.SUITES["splitmaps"] if cid == "split.inversion")
     assert check(ctx) == (True, None)
-    s = ctx.split_maps
-    scaled = getattr(s, name).scale(2)
-    ctx._built["split_maps"] = replace(s, **{name: scaled})
+    scaled = _scale_split_map(ctx, name)
     record = Report("t").run("split.inversion", detail, partial(check, ctx)).to_record()
     assert (record["status"], record["residual"]) == ("fail", f"map of inverted {name} decomposition != {name}^-1")
     assert scaled.cached_inverse() is None
@@ -257,9 +265,7 @@ def test_split_inversion_flips_after_checks_that_invert_the_scaled_map(name):
     """The verdict does not hang on check order: once the table and split.KA_relations have inverted 2X, 2X still fails."""
     ctx = suite.TargetContext(_solved_model(2))
     checks = {cid: (detail, check) for cid, detail, check in suite.SUITES["splitmaps"]}
-    s = ctx.split_maps
-    scaled = getattr(s, name).scale(2)
-    ctx._built["split_maps"] = replace(s, **{name: scaled})
+    scaled = _scale_split_map(ctx, name)
     ctx.table_check
     Report("t").run("split.KA_relations", checks["split.KA_relations"][0], partial(checks["split.KA_relations"][1], ctx))
     assert scaled.cached_inverse() is not None  # eliminated, and (2X)(2X)^-1 = I

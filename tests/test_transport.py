@@ -24,7 +24,6 @@ from qonsager.modelio import import_model
 from qonsager.scalars import ParameterError, ParamSet
 
 TESTS = Path(__file__).resolve().parent
-NAMES = ("K", "B", "Kdown", "Bdown")
 
 
 def _built(d, q, a=F(3), b=F(5)):
@@ -58,13 +57,13 @@ def _targets():
 TARGETS = dict(_targets())
 
 
-def _ladder_matrices(s):
+def _ladder_matrices(pair):
     """M and Mdown, which are chained, then the ten transported matrices."""
-    conj, conj_inv = s.conjugates
+    up, down = pair
     return (
-        [("M", s.M), ("Mdown", s.Mdown), ("N", s.N), ("Ndown", s.Ndown)]
-        + [(f"H^-1 {x} H", conj[x]) for x in NAMES]
-        + [(f"H {x}^-1 H^-1", conj_inv[x]) for x in NAMES]
+        [("M", up.M), ("Mdown", down.M), ("N", up.N), ("Ndown", down.N)]
+        + [(f"H^-1 {x}{s.down} H", s.conjugates[0][x]) for s in pair for x in ("K", "B")]
+        + [(f"H {x}{s.down}^-1 H^-1", s.conjugates[1][x]) for s in pair for x in ("K", "B")]
     )
 
 
@@ -83,10 +82,10 @@ def _count_kernels(monkeypatch):
 @pytest.mark.parametrize("name", sorted(TARGETS))
 def test_transported_decompositions_are_the_kernels(name, monkeypatch):
     ctx = suite.TargetContext(TARGETS[name]())
-    s = ctx.split_maps
+    pair = ctx.split_maps
     kernels = _count_kernels(monkeypatch)
     spectra = ctx.spectra
-    for label, m in _ladder_matrices(s):
+    for label, m in _ladder_matrices(pair):
         assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
     assert not kernels
 
@@ -104,20 +103,20 @@ def test_a_wrong_conjugator_fails_the_certificate_and_falls_back(monkeypatch):
 
     monkeypatch.setattr(lusztig, "build_H", sheared_H)
     ctx = suite.TargetContext(target)
-    s = ctx.split_maps
+    up, down = ctx.split_maps
     kernels = _count_kernels(monkeypatch)
     spectra = ctx.spectra
-    for label, m in _ladder_matrices(s):
+    for label, m in _ladder_matrices((up, down)):
         assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
     # every transport and the Mdown chain, whose seed H' v*_d is off Mdown_d,
     # failed their certificates and went to the kernels; the M chain
     # certified, as H' v*_0 = H v*_0 for v*_0 = e_0
-    assert len(kernels) == 11 and s.Mdown in kernels and s.M not in kernels
+    assert len(kernels) == 11 and down.M in kernels and up.M not in kernels
 
 
 def test_a_perturbed_chain_fails_the_certificate_and_falls_back(monkeypatch):
     ctx = suite.TargetContext(_built(3, F(2)))
-    s, lus = ctx.split_maps, ctx.lusztig
+    s, lus = ctx.split_maps[0], ctx.lusztig
     kernels = _count_kernels(monkeypatch)
     e00 = Matrix([[int((i, j) == (0, 0)) for j in range(4)] for i in range(4)])
     perturbed = s.M + e00
@@ -158,7 +157,7 @@ def test_spectra_do_not_inherit_an_H_that_raises(monkeypatch):
 
 def test_a_cycle_of_relations_ends_in_the_kernels(monkeypatch):
     target = _built(2, F(2))
-    s = suite.TargetContext(target).split_maps
+    s = suite.TargetContext(target).split_maps[0]
     kernels = _count_kernels(monkeypatch)
     ident = Matrix.identity(target.dim)
     spectra = splitmaps.LadderSpectra(target.d, F(2), transports=((s.M, ident, s.N), (s.N, ident, s.M)))
@@ -171,7 +170,7 @@ def test_a_cycle_of_relations_ends_in_the_kernels(monkeypatch):
 
 def test_a_failed_transport_raises_what_the_kernels_raise():
     target = _built(2, F(2))
-    s = suite.TargetContext(target).split_maps
+    s = suite.TargetContext(target).split_maps[0]
     off_ladder = s.K.scale(2)
     # the source's decomposition transported to 2K does not certify: 2K acts as 2 q^(d-2i)
     transports = ((off_ladder, Matrix.identity(target.dim), s.K),)
