@@ -150,25 +150,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_phi(args) -> int:
-    sequences = solve_phi(args.d, args.q, args.a, args.b, limit=args.limit)
-    if not sequences:
+    models = solve_phi(args.d, args.q, args.a, args.b, limit=args.limit)
+    if not models:
         print("no rational phi sequence found in the scanned family; vary parameters")
         return EXIT_CHECK_FAILED
-    for seq in sequences:
-        print(" ".join(format_scalar(x) for x in seq))
+    for model in models:
+        print(" ".join(format_scalar(x) for x in model.params.phi))
     return EXIT_PASS
 
 
 def _cmd_export(args) -> int:
-    if args.phi:
-        model = build_model(ParamSet(args.d, args.q, args.a, args.b, args.phi))
-    else:
-        models = []
-        if not solve_phi(args.d, args.q, args.a, args.b, limit=1, models=models):
-            print("no rational phi sequence found; supply --phi", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        model = models[0]
-    export_model(model, args.out)
+    params = ParamSet(args.d, args.q, args.a, args.b, args.phi or ())
+    models = [build_model(params)] if params.phi else solve_phi(args.d, args.q, args.a, args.b, limit=1)
+    if not models:
+        print("no rational phi sequence found; supply --phi", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    export_model(models[0], args.out)
     print(f"wrote {args.out}")
     return EXIT_PASS
 

@@ -42,7 +42,7 @@ def qweyl_residual(x: Matrix, y: Matrix, q: Fraction) -> Matrix | None:
     return Products(x.rows).residual([(q * w, (x, y)), (-w / q, (y, x)), (-1, ())])
 
 
-def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra: LadderSpectra | None = None, known=None):
+def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra: LadderSpectra, known: dict):
     """Invertibility of each member, then all three cyclic q-Weyl relations.
 
     A member that `spectra` decomposes on the ladder is invertible, as no
@@ -55,38 +55,35 @@ def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra
     failures = []
     for name, mat in (("X", x), ("Y", y), ("Z", z)):
         try:
-            if spectra is None or not spectra.holds(mat):
+            if not spectra.holds(mat):
                 mat.inverse()
         except SingularMatrixError as exc:
             failures.append((f"{name} invertible", str(exc)))
     for name, left, right in (("(X,Y)", x, y), ("(Y,Z)", y, z), ("(Z,X)", z, x)):
-        resid = known[left, right] if known and (left, right) in known else qweyl_residual(left, right, q)
+        resid = known[left, right] if (left, right) in known else qweyl_residual(left, right, q)
         if resid is not None:
             failures.append((f"q-Weyl {name}", resid))
     return not failures, failures
 
 
-def build_triple_table(
-    pair, spectra: LadderSpectra | None = None, mirrored: bool = False
-) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+def build_triple_table(pair, spectra: LadderSpectra, mirrored: bool) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
     """The eight equitable-triple rows (label, X, Y, Z) from the (up, down) split maps and their H-conjugates.
 
     Rows 1-4 are (H X^-1 H^-1, M^-1, X) and rows 5-8 are (X^-1, N^-1, H^-1 X H)
     for X = K, B of up, then of down (Kdown, Bdown, with Mdown and Ndown),
     with the conjugates in their closed forms, such as a A - a^2 K for
     H K^-1 H^-1. X^-1 is kept on X (`build_split_maps`); M^-1 and N^-1 are
-    read from `spectra` where given (`LadderSpectra.inverse`).
+    read from `spectra` (`LadderSpectra.inverse`).
     With `mirrored`, rows 1-4 alone: rows 5-8 are their H-mirrors
     (`verify_triple_table`), so no N^-1 is formed.
     """
-    invert = Matrix.inverse if spectra is None else spectra.inverse
     rows = []
     for s in pair:
-        m_inv, conj_inv = invert(s.M), s.conjugates[1]
+        m_inv, conj_inv = spectra.inverse(s.M), s.conjugates[1]
         rows += [(conj_inv["K"], m_inv, s.K), (conj_inv["B"], m_inv, s.B)]
     if not mirrored:
         for s in pair:
-            n_inv, conj = invert(s.N), s.conjugates[0]
+            n_inv, conj = spectra.inverse(s.N), s.conjugates[0]
             rows += [(s.K.inverse(), n_inv, conj["K"]), (s.B.inverse(), n_inv, conj["B"])]
     return tuple((str(label), *row) for label, row in enumerate(rows, 1))
 
@@ -120,10 +117,10 @@ def held_residuals(pair) -> dict:
     return held
 
 
-def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = None, known=None, mirror=None):
+def verify_triple_table(model: TDModel, table, spectra: LadderSpectra, known: dict, mirror):
     """Every row (label, X, Y, Z) of `table` passes `check_equitable_triple` with `spectra` and `known`.
 
-    With `mirror` = (H, H^-1), `table` is rows 1-4, and rows 5-8 are
+    `mirror` is None or (H, H^-1). With (H, H^-1), `table` is rows 1-4, and rows 5-8 are
     H^-1 (rows 1-4) H member by member, as once `suite.TargetContext.mirrored`
     holds. Conjugation keeps ranks and conjugates q-Weyl residuals, so row
     i + 4 reads the failures of row i, residuals conjugated, and is not tested.
@@ -141,14 +138,7 @@ def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = N
     return not failures, failures
 
 
-def verify_diagrams(
-    model: TDModel,
-    lus: LusztigData,
-    pair,
-    spectra: LadderSpectra,
-    table_check,
-    flags_check=None,
-):
+def verify_diagrams(lus: LusztigData, pair, spectra: LadderSpectra, table_check, flags_check):
     """The flag and split-map assertions of the two big comparison diagrams, for the (up, down) split maps `pair`.
 
     Checks, all exactly:
@@ -173,12 +163,13 @@ def verify_diagrams(
     come from `spectra`, and the table verdict is `table_check`, the
     `verify_triple_table` result on the model's table.
 
-    `flags_check`, the `check_split_flags` verdict, is given once
+    `flags_check` is None, or the `check_split_flags` verdict once
     `suite.TargetContext.mirrored` holds: H^-1 then carries V* to V+, V- to V*
     and fixes each V_i (H^-1 A H = A follows from the K identities), so each
     N (Ndown) claim is read from its M (Mdown) claim, and the slot of X from
     `split.flags` for X. Returns (passed, failures) as (name, witness).
     """
+    model = lus.model
     d = model.d
     failures = []
 

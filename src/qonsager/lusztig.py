@@ -87,12 +87,13 @@ def build_H(model: TDModel) -> LusztigData:
     return LusztigData(model=model, H=h, H_inv=h_inv, LAstar=l_astar, LinvAstar=linv_astar)
 
 
-def check_L_conjugation(model: TDModel, lus: LusztigData):
+def check_L_conjugation(lus: LusztigData):
     """L(A*) = H^-1 A* H, L^-1(A*) = H A* H^-1, and H^-1 A H = A, all exactly.
 
     Each identity is one combination of products (`Products`).
     Returns (passed, residuals) with the nonzero residuals keyed by identity name.
     """
+    model = lus.model
     products = Products(model.dim)
     h, h_inv = lus.H, lus.H_inv
     identities = (
@@ -108,7 +109,7 @@ def check_L_conjugation(model: TDModel, lus: LusztigData):
     return not residuals, residuals
 
 
-def check_L_entrywise(model: TDModel, lus: LusztigData):
+def check_L_entrywise(lus: LusztigData):
     """E_i L(A*) E_j = t_ij E_i A* E_j for |i-j| <= 1, both sides zero beyond.
 
     Both sides are read as blocks of P^-1 X P, for P the eigenbasis of A,
@@ -117,7 +118,7 @@ def check_L_entrywise(model: TDModel, lus: LusztigData):
     product E_i X E_j is formed only as the witness of a failing block.
     Returns (passed, failures) with failures as (i, j, residual).
     """
-    failures = []
+    model, failures = lus.model, []
     band = model.params.t_band
     dec = model.eigenspaces_A
     basis, basis_inv = dec.basis_matrix(), dec.basis_inverse()
@@ -142,7 +143,7 @@ def check_L_entrywise(model: TDModel, lus: LusztigData):
     return not failures, failures
 
 
-def check_L_eigenstructure(model: TDModel, lus: LusztigData):
+def check_L_eigenstructure(lus: LusztigData):
     """Both twisted images are diagonalizable with the A*-spectrum on conjugated eigenspaces.
 
     For eps in {+1, -1}: eigenvalues of L^eps(A*) are the theta*_i, with
@@ -153,7 +154,7 @@ def check_L_eigenstructure(model: TDModel, lus: LusztigData):
     only to name a failure.
     Returns (passed, failures) as (eps, i, description) triples.
     """
-    failures = []
+    model, failures = lus.model, []
     ident = Matrix.identity(model.dim)
     cases = [(1, lus.LAstar, lus.Vplus), (-1, lus.LinvAstar, lus.Vminus)]
     for eps, image, expected_parts in cases:
@@ -170,7 +171,7 @@ def check_L_eigenstructure(model: TDModel, lus: LusztigData):
     return not failures, failures
 
 
-def check_H_expansions(model: TDModel, lus: LusztigData):
+def check_H_expansions(lus: LusztigData):
     """All four expansion families agree with H or H^-1 on their stated flags.
 
     ascending (anchor r): t_r sum_i a^i q^(i(d-2r)) (A-th_r)...(A-th_(r+i-1)) / (q^2;q^2)_i,
@@ -188,6 +189,7 @@ def check_H_expansions(model: TDModel, lus: LusztigData):
     (expansion - H^(+-1)) times the exact flag projector.
     Returns (passed, failures) as (variant, inverse, r, residual).
     """
+    model = lus.model
     d, n, p = model.d, model.dim, model.params
     dec = model.eigenspaces_A
     basis = dec.basis_matrix()  # integral: its denominator is 1

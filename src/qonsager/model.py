@@ -262,18 +262,20 @@ def spectrum_path(eigs, q: Fraction) -> bool:
     )
 
 
-def recover_a(theta0: Fraction, theta1: Fraction, d: int, q: Fraction, spectrum=None) -> Fraction:
-    """Recover the scalar a with theta_i = a q^(d-2i) + a^-1 q^(2i-d) from theta_0, theta_1.
+def recover_a(spectrum, q: Fraction) -> Fraction:
+    """Recover the scalar a with theta_i = a q^(d-2i) + a^-1 q^(2i-d) from the spectrum theta_0..theta_d.
 
     Solves u + v = theta_0, u q^-2 + v q^2 = theta_1 for u = a q^d and checks
-    the consistency condition u v = 1; with a full spectrum supplied, every
-    theta_i is re-derived and compared.
+    the consistency condition u v = 1; every theta_i is then re-derived and
+    compared.
     """
+    d = len(spectrum) - 1
     if d < 1:
         raise ParameterError(f"diameter must be >= 1, got {d}")
     q = Fraction(q)
     if q == 0 or q == 1 or q == -1:
         raise ParameterError(f"q must lie outside {{0, 1, -1}}, got {q}")
+    theta0, theta1 = spectrum[0], spectrum[1]
     u = (q * q * theta0 - theta1) / (q * q - 1 / (q * q))
     v = theta0 - u
     if u * v != 1:
@@ -283,13 +285,12 @@ def recover_a(theta0: Fraction, theta1: Fraction, d: int, q: Fraction, spectrum=
     a = u / q**d
     if a == 0:
         raise ParameterError("recovered a = 0")
-    if spectrum is not None:
-        for i, th in enumerate(spectrum):
-            expected = a * q ** (d - 2 * i) + q ** (2 * i - d) / a
-            if Fraction(th) != expected:
-                raise ParameterError(
-                    f"theta_{i} = {th} does not match the recovered form {expected}"
-                )
+    for i, th in enumerate(spectrum):
+        expected = a * q ** (d - 2 * i) + q ** (2 * i - d) / a
+        if Fraction(th) != expected:
+            raise ParameterError(
+                f"theta_{i} = {th} does not match the recovered form {expected}"
+            )
     return a
 
 
@@ -338,26 +339,22 @@ def phi_candidate(d: int, q: Fraction, a: Fraction, b: Fraction, c: Fraction) ->
     )
 
 
-def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, limit: int = 3, models=None):
+def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, limit: int = 3) -> list[TDModel]:
     """Find rational phi sequences making the split-basis pair satisfy check_qdg.
 
     Scans the one-parameter candidate family over rational c values and keeps
     the sequences whose built model passes every construction check. Returns
-    up to ``limit`` (at least 1) distinct validated sequences ([] when none
-    validate, which signals the caller to vary parameters). When ``models``
-    is a list, the built model of each returned sequence is appended to it,
-    in order, so the caller need not build it again.
+    the built models of up to ``limit`` (at least 1) distinct validated
+    sequences, each sequence its model's ``params.phi`` ([] when none
+    validate, which signals the caller to vary parameters).
     """
     if limit < 1:
         raise ParameterError(f"limit must be at least 1, got {limit}")
-    if models is None:
-        models = []
     base = ParamSet(d, Fraction(q), Fraction(a), Fraction(b))  # validates the scalars
     if d == 1:
         # Any nonzero phi_1 satisfies the relations at d=1.
-        models.append(build_model(base.with_phi((ONE,))))
-        return [(ONE,)]
-    found = []
+        return [build_model(base.with_phi((ONE,)))]
+    models = []
     seen = set()
     for c in DEFAULT_C_SCAN:
         phi = phi_candidate(d, base.q, base.a, base.b, Fraction(c))
@@ -365,11 +362,9 @@ def solve_phi(d: int, q: Fraction, a: Fraction, b: Fraction, limit: int = 3, mod
             continue
         seen.add(phi)
         try:
-            model = build_model(base.with_phi(phi))
+            models.append(build_model(base.with_phi(phi)))
         except (ModelError, ParameterError):
             continue
-        models.append(model)
-        found.append(phi)
-        if len(found) >= limit:
+        if len(models) >= limit:
             break
-    return found
+    return models

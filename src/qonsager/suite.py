@@ -150,12 +150,9 @@ def load_config(path: str) -> SuiteConfig:
 
 
 def _first_witness(failures):
-    if not failures:
-        return None
+    """The witness of a failing verdict: its first failure, a tuple (fields..., witness), as text."""
     first = failures[0]
-    if isinstance(first, tuple):
-        return f"{first[:-1]}: {first[-1]}" if len(first) > 1 else first[0]
-    return first
+    return f"{first[:-1]}: {first[-1]}"
 
 
 def _check(fn):
@@ -197,18 +194,7 @@ def _resolve_model(target: Target, report: Report) -> TDModel | None:
         )
         return None
     try:
-        if params.phi:
-            return build_model(params)
-        models = []
-        if not solve_phi(d, params.q, params.a, params.b, limit=1, models=models):
-            report.add(
-                "model.solve_phi",
-                "find a rational phi sequence passing the q-Dolan/Grady checks",
-                False,
-                "no rational solution found in the scanned family; vary parameters",
-            )
-            return None
-        return models[0]
+        models = [build_model(params)] if params.phi else solve_phi(d, params.q, params.a, params.b, limit=1)
     except (ParameterError, ModelError) as exc:
         residual = getattr(exc, "residual", None)
         report.add(
@@ -218,6 +204,15 @@ def _resolve_model(target: Target, report: Report) -> TDModel | None:
             residual if residual is not None else str(exc),
         )
         return None
+    if not models:
+        report.add(
+            "model.solve_phi",
+            "find a rational phi sequence passing the q-Dolan/Grady checks",
+            False,
+            "no rational solution found in the scanned family; vary parameters",
+        )
+        return None
+    return models[0]
 
 
 class TargetContext:
@@ -374,8 +369,8 @@ def _qdg(ctx: TargetContext):
 
 
 def _recover_a(ctx: TargetContext):
-    model, p = ctx.model, ctx.model.params
-    got = recover_a(model.theta[0], model.theta[1], p.d, p.q, model.theta)
+    p = ctx.model.params
+    got = recover_a(ctx.model.theta, p.q)
     return got == p.a, None if got == p.a else f"recovered {got} != {p.a}"
 
 
@@ -401,7 +396,7 @@ def _H_commutes_A(ctx: TargetContext):
 
 
 def _L_conjugation(ctx: TargetContext):
-    ok, residuals = lusztig.check_L_conjugation(ctx.model, ctx.lusztig)
+    ok, residuals = lusztig.check_L_conjugation(ctx.lusztig)
     return ok, None if ok else f"{next(iter(residuals))}: nonzero residual"
 
 
@@ -480,17 +475,17 @@ SUITES = {
         (
             "lusztig.entrywise",
             "E_i L(A*) E_j = t_ij E_i A* E_j within the tridiagonal band",
-            _check(lambda ctx: lusztig.check_L_entrywise(ctx.model, ctx.lusztig)),
+            _check(lambda ctx: lusztig.check_L_entrywise(ctx.lusztig)),
         ),
         (
             "lusztig.eigenstructure",
             "L^(+-1)(A*) diagonalizable with theta* spectrum on H^(-+1)-shifted eigenspaces",
-            _check(lambda ctx: lusztig.check_L_eigenstructure(ctx.model, ctx.lusztig)),
+            _check(lambda ctx: lusztig.check_L_eigenstructure(ctx.lusztig)),
         ),
         (
             "lusztig.expansions",
             "all four polynomial expansion families match H or H^-1 on their flags",
-            _check(lambda ctx: lusztig.check_H_expansions(ctx.model, ctx.lusztig)),
+            _check(lambda ctx: lusztig.check_H_expansions(ctx.lusztig)),
         ),
     ),
     "splitmaps": (
@@ -539,7 +534,7 @@ SUITES = {
             "N/M flag equalities, twisted-pair split maps, and the 3-cycle triples",
             _check(
                 lambda ctx: equitable.verify_diagrams(
-                    ctx.model, ctx.lusztig, ctx.split_maps, ctx.spectra, ctx.table_check,
+                    ctx.lusztig, ctx.split_maps, ctx.spectra, ctx.table_check,
                     ctx.split_flags if ctx.mirrored else None,
                 )
             ),

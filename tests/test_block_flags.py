@@ -168,10 +168,9 @@ def _dense_import(model, seed):
 def _models():
     yield build_model(ParamSet(1, F(2), F(3), F(5), (F(1),)))
     for d, q, a, b in ((2, F(2), F(3), F(5)), (3, F(-2), F(3), F(5)), (4, F(3, 2), F(1, 7), F(2, 9)), (5, F(2), F(3), F(5))):
-        models = []
-        assert solve_phi(d, q, a, b, limit=1, models=models)
-        yield models[0]
-        yield _dense_import(models[0], d)
+        model = solve_phi(d, q, a, b, limit=1)[0]
+        yield model
+        yield _dense_import(model, d)
     yield import_model(str(TESTS / "golden" / "twisted_d2.model"))
     yield import_model(str(TESTS / "data" / "split_error_d2.model"))
 
@@ -189,7 +188,7 @@ def test_model_split_decompositions_match_the_reference(model):
 
 
 def test_an_inversion_reuses_the_inverse_basis(monkeypatch):
-    model = build_model(ParamSet(3, F(2), F(3), F(5), solve_phi(3, F(2), F(3), F(5), limit=1)[0]))
+    model = solve_phi(3, F(2), F(3), F(5), limit=1)[0]
     dec = model.eigenspaces_A
     inverse = dec.basis_inverse()
     inverted = dec.inversion()

@@ -13,16 +13,20 @@ with the q-Weyl brackets on random matrices and with `qweyl_residual` on
 perturbed imports, and each held term has a negative control.
 """
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from qonsager import equitable, linalg, model, splitmaps, suite
+from qonsager.cli import main
 from qonsager.linalg import Matrix
 from qonsager.model import assemble_imported, eigenspace_decomposition
+from qonsager.modelio import import_model
 from qonsager.splitmaps import split_decomposition
 
 import identity_reference as ref
@@ -93,6 +97,37 @@ def test_chains_are_the_flag_meets_and_kernels_on_perturbed_imports():
     assert certified == {2: 36, 0: 4}
 
 
+SINGULAR_CHAIN = Path(__file__).resolve().parent / "data" / "singular_chain_d2.model"
+
+
+def test_dependent_chain_lines_give_way_to_the_flag_meets(tmp_path, monkeypatch, capsys):
+    """v*_0 = e_0 + e_2 has no component on V_1 and v*_2 = e_1 + e_2 none on V_0.
+
+    So the K and B chains from v*_0 and the Kdown chain from v*_2 have
+    nonzero but dependent lines: the negative control of the chain
+    certificate's singular basis. Their flag meets are solved instead, and
+    for this non-tridiagonal pair Kdown's are no direct sum, so every split
+    check records that error.
+    """
+    target = import_model(str(SINGULAR_CHAIN))
+    star = target.eigenspaces_Astar
+    for seed, shifts in ((star[0], target.theta), (star[0], target.theta[::-1]), (star[2], target.theta)):
+        lines = linalg.chain_lines(target.A, seed.numerators[0], shifts[:-1])
+        assert not any(line.is_zero() for line in lines)
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.Decomposition.independent(lines).basis_inverse()
+    meets, original = [], splitmaps.split_decomposition
+    monkeypatch.setattr(splitmaps, "split_decomposition", lambda *decs: meets.append(decs) or original(*decs))
+    out = tmp_path / "report.jsonl"
+    assert main(["verify", "--file", str(SINGULAR_CHAIN), "--suite", "splitmaps", "--output", str(out), "--quiet"]) == 1
+    assert len(meets) == 3  # K, B, then Kdown, whose meets raise
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    message = "parts are not a direct-sum decomposition: ranks sum to 3, span has dimension 2, ambient 3"
+    assert [(r["check"], r["status"], r["residual"]) for r in records] == [
+        (check_id, "error", message) for check_id, _, _ in suite.SUITES["splitmaps"]
+    ]
+
+
 def test_split_flags_fails_for_a_replaced_decomposition():
     """Negative control: dec_B replaced by dec_K is no longer the certified B chain, so it is tested and fails."""
     target = _built(2, F(2))
@@ -106,6 +141,20 @@ def test_split_flags_fails_for_a_replaced_decomposition():
     assert [(c.name, c.status, c.residual) for c in report.checks] == [
         ("split.flags", "fail", "('B', 0): descending flag != A flag")
     ]
+
+
+def test_split_flags_fails_on_the_ascending_flag_for_a_down_decomposition():
+    """Negative control: dec_K replaced by down's, whose ascending flag is V* reversed; its descending flag is still A's."""
+    target = _built(2, F(2))
+    up, down = splitmaps.build_split_maps(target)
+    assert splitmaps.check_split_flags(target, (replace(up, dec_K=down.dec_K), down)) == (
+        False,
+        [("K", 0, "ascending flag != star flag"), ("K", 1, "ascending flag != star flag")],
+    )
+    ctx = suite.TargetContext(target)
+    ctx._built["split_maps"] = (replace(up, dec_K=down.dec_K), down)
+    check_id, detail, check = suite.SUITES["splitmaps"][0]
+    assert check(ctx) == (False, "('K', 0): ascending flag != star flag")
 
 
 def _count_qweyl(monkeypatch):
@@ -129,8 +178,8 @@ def test_a_failed_precondition_takes_the_direct_table_and_diagrams_path(monkeypa
     # rows 5-8 test their (X,Y) and (Y,Z) pairs; rows 1-4 and every (Z,X)
     # pair read the relations the split maps hold
     assert len(calls) == 8
-    assert table_check == equitable.verify_triple_table(target, ctx.triple_table, ctx.spectra)
-    diagrams = equitable.verify_diagrams(target, ctx.lusztig, ctx.split_maps, ctx.spectra, table_check)
+    assert table_check == equitable.verify_triple_table(target, ctx.triple_table, ctx.spectra, {}, None)
+    diagrams = equitable.verify_diagrams(ctx.lusztig, ctx.split_maps, ctx.spectra, table_check, None)
     check_id, detail, check = suite.SUITES["diagrams"][0]
     assert not diagrams[0] and check(ctx) == (False, suite._first_witness(diagrams[1]))
 
@@ -154,7 +203,7 @@ def test_a_replaced_table_is_tested_member_by_member(monkeypatch):
     # the direct verdict on those rows and their H-conjugates
     h, h_inv = ctx.lusztig.H, ctx.lusztig.H_inv
     mirrors = tuple((str(int(row) + 4), *(h_inv * m * h for m in members)) for row, *members in replaced)
-    assert (ok, failures) == equitable.verify_triple_table(ctx.model, replaced + mirrors, ctx.spectra)
+    assert (ok, failures) == equitable.verify_triple_table(ctx.model, replaced + mirrors, ctx.spectra, {}, None)
 
     ctx = suite.TargetContext(_built(3, F(2)))
     ctx._built["mirrored"] = False
@@ -166,20 +215,20 @@ def test_a_replaced_table_is_tested_member_by_member(monkeypatch):
     ok, failures = ctx.table_check
     assert len(calls) == 8  # the (X,Y) and (Y,Z) pairs of rows 5-8
     assert not ok and {row for row, *_ in failures} == {"5"}
-    assert (ok, failures) == equitable.verify_triple_table(ctx.model, replaced, ctx.spectra)
+    assert (ok, failures) == equitable.verify_triple_table(ctx.model, replaced, ctx.spectra, {}, None)
 
 
 def test_mirrored_rows_carry_their_mirrors_conjugated_witnesses():
     """With row 1 broken and row 5 its H-conjugate, the mirrored verdict is the direct one, witness for witness."""
     ctx = suite.TargetContext(_built(2, F(3, 2), F(1, 7), F(2, 9)))
     h, h_inv = ctx.lusztig.H, ctx.lusztig.H_inv
-    table = list(equitable.build_triple_table(ctx.split_maps, ctx.spectra))
+    table = list(equitable.build_triple_table(ctx.split_maps, ctx.spectra, False))
     label, x, y, z = table[0]
     broken = (label, x, y + Matrix.identity(3).scale(F(1, 5)), Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
     table[0] = broken
     table[4] = (table[4][0],) + tuple(h_inv * m * h for m in broken[1:])
-    mirrored = equitable.verify_triple_table(ctx.model, table[:4], ctx.spectra, mirror=(h, h_inv))
-    direct = equitable.verify_triple_table(ctx.model, table, ctx.spectra)
+    mirrored = equitable.verify_triple_table(ctx.model, table[:4], ctx.spectra, {}, (h, h_inv))
+    direct = equitable.verify_triple_table(ctx.model, table, ctx.spectra, {}, None)
     assert not mirrored[0] and mirrored == direct
     assert [name for row, name, _ in direct[1] if row == "5"] == [name for row, name, _ in direct[1] if row == "1"]
     assert any(name == "Z invertible" for _, name, _ in direct[1])
@@ -209,7 +258,7 @@ def test_held_residuals_are_the_qweyl_brackets_of_any_maps_with_M_invertible():
                         continue
                     break
                 held = equitable.held_residuals(oriented)
-                table = equitable.build_triple_table(oriented, mirrored=True)
+                table = equitable.build_triple_table(oriented, splitmaps.LadderSpectra(n - 1, q), True)
                 pairs = [pair for _, x, y, z in table for pair in ((x, y), (y, z), (z, x))]
                 pairs += [(s.conjugates[0][name], x.inverse()) for s in oriented for name, x in (("K", s.K), ("B", s.B))]
                 for left, right in pairs:
@@ -225,7 +274,7 @@ def test_held_residuals_are_the_direct_ones_on_perturbed_imports():
     outcomes = Counter()
     for seed in range(2000, 2060):
         ctx = suite.TargetContext(_perturbed_import(seed))
-        table = equitable.build_triple_table(ctx.split_maps, ctx.spectra)
+        table = equitable.build_triple_table(ctx.split_maps, ctx.spectra, False)
         held = equitable.held_residuals(ctx.split_maps)
         for _, x, y, z in table[:4]:
             for left, right in ((x, y), (y, z), (z, x)):
@@ -270,7 +319,7 @@ def test_each_held_term_fails_its_pairs_as_the_direct_table_does(
     assert not ctx.mirrored and len(calls) == 8
     for label in "1234":
         assert {name for row, name, _ in failures if row == label and name.startswith("q-Weyl")} == failing_pairs
-    assert (ok, failures) == equitable.verify_triple_table(ctx.model, ctx.triple_table, ctx.spectra)
+    assert (ok, failures) == equitable.verify_triple_table(ctx.model, ctx.triple_table, ctx.spectra, {}, None)
 
 
 @pytest.mark.parametrize("d", range(1, 7))

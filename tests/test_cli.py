@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qonsager import model as model_module
 from qonsager.cli import main
 from qonsager.suite import ConfigError, load_config
 
@@ -88,13 +89,11 @@ def test_verify_file_target_failing_qdg(capsys, tmp_path):
     # cleanly, then fails the relation check with a residual matrix witness.
     # (At d = 1 the relations hold for any pair with adjacent spectra, so the
     # twist must be applied at d = 2.)
-    from qonsager.model import build_model, solve_phi
+    from qonsager.model import solve_phi
     from qonsager.modelio import format_matrix
     from qonsager.linalg import Matrix
-    from qonsager.scalars import ParamSet
 
-    phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
-    model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
+    model = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     s = Matrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     twisted = s * model.Astar * s.inverse()
     model_path = tmp_path / "twisted.model"
@@ -170,6 +169,57 @@ def test_solved_negative_phi_passes_back_through_verify(capsys):
     assert phi == ["-2883/16", "-867/16"]
     assert main(["verify", *params, "--phi", *phi, "--quiet"]) == 0
     assert "d=2 q=-2 a=3 b=5: PASS (27/27 checks passed)" in capsys.readouterr().out
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_an_unsolvable_target_fails_model_solve_phi_and_the_batch_goes_on(capsys, tmp_path, monkeypatch):
+    # with no c to scan, no d >= 2 target has a phi; d = 1 takes phi_1 = 1 without a scan
+    monkeypatch.setattr(model_module, "DEFAULT_C_SCAN", ())
+    out = tmp_path / "report.jsonl"
+    config = {
+        "output": str(out),
+        "targets": [{"d": 2, "q": "2", "a": "3", "b": "5"}, {"d": 1, "q": "2", "a": "3", "b": "5"}],
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(cfg_path), "--quiet"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "d=2 q=2 a=3 b=5: FAIL (0/1 checks passed)",
+        "d=1 q=2 a=3 b=5: PASS (27/27 checks passed)",
+    ]
+    first, *rest = _records(out)
+    assert (first["target"], first["check"], first["status"], first["residual"]) == (
+        "d=2 q=2 a=3 b=5",
+        "model.solve_phi",
+        "fail",
+        "no rational solution found in the scanned family; vary parameters",
+    )
+    assert len(rest) == 27 and all(r["target"] == "d=1 q=2 a=3 b=5" and r["status"] == "pass" for r in rest)
+
+
+def test_solve_phi_and_export_without_a_solution_exit_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(model_module, "DEFAULT_C_SCAN", ())
+    params = ["--d", "2", "--q", "2", "--a", "3", "--b", "5"]
+    assert main(["solve-phi", *params]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("no rational phi sequence found in the scanned family; vary parameters\n", "")
+    path = tmp_path / "none.model"
+    assert main(["export", *params, "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "no rational phi sequence found; supply --phi\n")
+    assert not path.exists()
+
+
+def test_a_phi_breaking_the_relations_fails_model_build_with_its_residual(capsys, tmp_path):
+    out = tmp_path / "bad.jsonl"
+    assert main(["verify", "--d", "2", "--q", "2", "--a", "3", "--b", "5", "--phi", "1", "1", "--output", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().out == "d=2 q=2 a=3 b=5: FAIL (0/1 checks passed)\n"
+    [record] = _records(out)
+    assert (record["check"], record["status"]) == ("model.build", "fail")
+    assert record["residual"] == [["0", "0", "0"], ["0", "0", "0"], ["-1323/2", "0", "0"]]
 
 
 def test_negative_fraction_q_is_a_value(capsys):

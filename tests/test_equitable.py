@@ -33,6 +33,7 @@ from qonsager.splitmaps import (
     qweyl_eigenvalues,
 )
 
+import identity_reference
 from identity_reference import is_qweyl_pair, ladders, qweyl_bracket, qweyl_ladder, shifted_product_images
 from linalg_reference import span
 from projector_reference import lagrange_projectors
@@ -47,7 +48,8 @@ def _spectra(model):
 
 
 def _table_check(model, pair):
-    return verify_triple_table(model, build_triple_table(pair))
+    """The table verdict with every inverse and invertibility decided by elimination alone."""
+    return identity_reference.verify_triple_table(model, identity_reference.build_triple_table(pair))
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +61,7 @@ def golden():
 
 @pytest.fixture(scope="module")
 def d2():
-    phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
-    model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
+    model = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     lus = build_H(model)
     return model, lus, build_split_maps(model)
 
@@ -97,7 +98,7 @@ def test_qweyl_order_matters(golden):
 
 def test_equitable_triple_identity():
     ident = Matrix.identity(2)
-    ok, failures = check_equitable_triple(ident, ident, ident, F(2))
+    ok, failures = check_equitable_triple(ident, ident, ident, F(2), LadderSpectra(1, F(2)), {})
     assert ok, failures
 
 
@@ -105,7 +106,7 @@ def test_equitable_triple_row_one(golden):
     model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
-    ok, failures = check_equitable_triple(x, s.M.inverse(), s.K, F(2))
+    ok, failures = check_equitable_triple(x, s.M.inverse(), s.K, F(2), _spectra(model), {})
     assert ok, failures
 
 
@@ -113,7 +114,7 @@ def test_equitable_triple_reversed_order_fails(golden):
     model, _, (s, _) = golden
     a = model.params.a
     x = model.A.scale(a) - s.K.scale(a * a)
-    ok, failures = check_equitable_triple(s.K, s.M.inverse(), x, F(2))
+    ok, failures = check_equitable_triple(s.K, s.M.inverse(), x, F(2), _spectra(model), {})
     assert not ok
     assert failures
 
@@ -122,14 +123,15 @@ def test_equitable_triple_reports_singular_input():
     """The invertibility failures come first; the q-Weyl relations of the row are tested too."""
     ident = Matrix.identity(2)
     minus_ident = Matrix([[-1, 0], [0, -1]])
-    ok, failures = check_equitable_triple(Matrix([[0, 0], [0, 0]]), ident, ident, F(2))
+    spectra = LadderSpectra(1, F(2))
+    ok, failures = check_equitable_triple(Matrix([[0, 0], [0, 0]]), ident, ident, F(2), spectra, {})
     assert not ok
     assert failures == [
         ("X invertible", "matrix is singular: rank 0 < 2"),
         ("q-Weyl (X,Y)", minus_ident),
         ("q-Weyl (Z,X)", minus_ident),
     ]
-    ok, failures = check_equitable_triple(ident, Matrix([[1, 2], [2, 4]]), Matrix([[0, 0], [0, 0]]), F(2))
+    ok, failures = check_equitable_triple(ident, Matrix([[1, 2], [2, 4]]), Matrix([[0, 0], [0, 0]]), F(2), spectra, {})
     assert not ok
     assert failures == [
         ("Y invertible", "matrix is singular: rank 1 < 2"),
@@ -142,23 +144,25 @@ def test_equitable_triple_reports_singular_input():
 
 def test_triple_table_all_rows(golden, d2):
     for model, _, pair in (golden, d2):
-        table = build_triple_table(pair)
+        spectra = _spectra(model)
+        table = build_triple_table(pair, spectra, False)
         assert len(table) == 8
-        ok, failures = verify_triple_table(model, table)
+        ok, failures = verify_triple_table(model, table, spectra, {}, None)
         assert ok, [(label, name) for label, name, _ in failures]
 
 
 def test_triple_table_detects_swapped_K_B(golden):
     model, _, (s, down) = golden
     a = model.params.a
-    table = build_triple_table((replace(s, K=s.B, B=s.K), down))
+    spectra = _spectra(model)
+    table = build_triple_table((replace(s, K=s.B, B=s.K), down), spectra, False)
     # the rows come from the swapped maps: row 1 is (a A - a^2 K, M^-1, K)
     # and row 5 is (K^-1, N^-1, a^-1 A - a^-2 K^-1) with K = B and B = K
     m = (s.B.scale(a) - s.K.scale(1 / a)).scale(1 / (a - 1 / a))
     n = (s.B.inverse().scale(1 / a) - s.K.inverse().scale(a)).scale(1 / (1 / a - a))
     assert table[0] == ("1", model.A.scale(a) - s.B.scale(a * a), m.inverse(), s.B)
     assert table[4] == ("5", s.B.inverse(), n.inverse(), model.A.scale(1 / a) - s.B.inverse().scale(1 / (a * a)))
-    ok, failures = verify_triple_table(model, table)
+    ok, failures = verify_triple_table(model, table, spectra, {}, None)
     assert not ok
     assert failures
 
@@ -383,7 +387,7 @@ def test_a_row_of_identities_passes_the_table_and_fails_the_ladder_precondition(
 def _pair_context(x, y, q, d):
     """A context whose triple table is the one row (X, Y, Y), with its `check_equitable_triple` verdict."""
     spectra = LadderSpectra(d, q)
-    ok, failures = check_equitable_triple(x, y, y, q, spectra)
+    ok, failures = check_equitable_triple(x, y, y, q, spectra, {})
     return SimpleNamespace(
         model=SimpleNamespace(params=SimpleNamespace(q=q)),
         spectra=spectra,
@@ -447,7 +451,7 @@ def test_ladders_agree_with_the_oracle_on_perturbed_imports():
 
 def test_verify_diagrams(golden, d2):
     for model, lus, pair in (golden, d2):
-        ok, failures = verify_diagrams(model, lus, pair, _spectra(model), _table_check(model, pair))
+        ok, failures = verify_diagrams(lus, pair, _spectra(model), _table_check(model, pair), None)
         assert ok, [name for name, _ in failures]
 
 
@@ -476,15 +480,14 @@ def test_diagrams_detect_swapped_K_B(golden):
     assert conj["K"] == model.A.scale(1 / a) - s.B.inverse().scale(1 / (a * a))
     assert conj_inv["B"] == model.A.scale(1 / a) - s.K.scale(1 / (a * a))
     pair = (swapped, down)
-    ok, failures = verify_diagrams(model, lus, pair, _spectra(model), _table_check(model, pair))
+    ok, failures = verify_diagrams(lus, pair, _spectra(model), _table_check(model, pair), None)
     assert not ok
     assert failures
 
 
 @pytest.fixture(scope="module")
 def d3():
-    phi = solve_phi(3, F(2), F(3), F(5), limit=1)[0]
-    model = build_model(ParamSet(3, F(2), F(3), F(5), phi))
+    model = solve_phi(3, F(2), F(3), F(5), limit=1)[0]
     lus = build_H(model)
     spectra = _spectra(model)
     pair = build_split_maps(model)
@@ -534,10 +537,13 @@ def test_diagram_flag_failures_name_the_index_of_each_family(d3, where, expected
         model = replace(model)
         name = f"eigenspaces_{where}"
         model.__dict__[name] = _first_two_parts_swapped(getattr(d3[0], name))
+        # H's data with the changed model, V+ and V- kept as they were
+        lus = replace(lus, model=model)
+        lus.__dict__.update(Vplus=d3[1].Vplus, Vminus=d3[1].Vminus)
     else:
         lus = replace(lus)
         lus.__dict__[where] = _first_two_parts_swapped(getattr(d3[1], where))
-    ok, failures = verify_diagrams(model, lus, pair, spectra, table)
+    ok, failures = verify_diagrams(lus, pair, spectra, table, None)
     assert not ok
     assert [name for name, _ in failures] == expected
     assert all(witness == "flag mismatch" for name, witness in failures if " flag " in name or "split map" in name)
@@ -552,12 +558,12 @@ def test_twisted_split_maps_are_proved_from_the_ladder_without_meets(d3, monkeyp
         return flag_meets(self, ref)
 
     monkeypatch.setattr(Decomposition, "flag_meets", counted)
-    ok, _ = verify_diagrams(model, lus, pair, spectra, table)
+    ok, _ = verify_diagrams(lus, pair, spectra, table, None)
     assert ok and not meets
     # with V+ perturbed, each (A, L(A*)) slot fails on its flags, still with no meets
     lus = replace(lus)
     lus.__dict__["Vplus"] = _first_two_parts_swapped(d3[1].Vplus)
-    ok, failures = verify_diagrams(model, lus, pair, spectra, table)
+    ok, failures = verify_diagrams(lus, pair, spectra, table, None)
     assert not ok and not meets
     slots = [(name, witness) for name, witness in failures if "split map" in name]
     assert slots == [(f"(A, L(A*)) split map at {slot} slot", "flag mismatch") for slot in ("K", "B", "Kdown", "Bdown")]
@@ -565,9 +571,7 @@ def test_twisted_split_maps_are_proved_from_the_ladder_without_meets(d3, monkeyp
 
 @lru_cache(maxsize=None)
 def _solved(d, q, a, b):
-    models = []
-    assert solve_phi(d, q, a, b, limit=1, models=models)
-    return models[0]
+    return solve_phi(d, q, a, b, limit=1)[0]
 
 
 @st.composite
@@ -579,7 +583,7 @@ def perturbed_imports(draw):
     """
     d = draw(st.integers(1, 4))
     q, a, b = draw(st.sampled_from([(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]))
-    base = build_model(ParamSet(1, q, a, b, (F(1),))) if d == 1 else _solved(d, q, a, b)
+    base = _solved(d, q, a, b)
     i = draw(st.integers(0, d - 1))
     j = draw(st.integers(i + 1, d))
     rows = [list(row) for row in base.Astar.entries]
@@ -615,7 +619,7 @@ def test_a_twisted_slot_fails_exactly_when_its_H_conjugation_fails(model):
         pair = ctx.split_maps
     except (ModelError, ValueError):
         assume(False)
-    ok, failures = verify_diagrams(model, ctx.lusztig, pair, ctx.spectra, ctx.table_check)
+    ok, failures = verify_diagrams(ctx.lusztig, pair, ctx.spectra, ctx.table_check, None)
     failing_slots = {TWISTED_SLOTS[name] for name, _ in failures if name in TWISTED_SLOTS}
     _, conjugation_failures = splitmaps.check_H_conjugation_of_splits(ctx.lusztig, pair)
     assert failing_slots == {name.split(" = ")[0] for name, _ in conjugation_failures}

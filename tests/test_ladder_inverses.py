@@ -20,10 +20,11 @@ import pytest
 
 from qonsager import equitable, scalars, suite
 from qonsager.linalg import Matrix, SingularMatrixError
-from qonsager.model import ModelError, build_model, solve_phi
+from qonsager.model import ModelError, solve_phi
 from qonsager.scalars import ParamSet, chu_vandermonde_table
 from qonsager.splitmaps import LadderSpectra
 
+import identity_reference
 from test_identity_oracle import _perturbed_import
 
 PARAMS = [(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]
@@ -31,11 +32,7 @@ PARAMS = [(F(2), F(3), F(5)), (F(3, 2), F(1, 7), F(2, 9)), (F(-2), F(5), F(3))]
 
 @cache
 def _built(d, q, a, b):
-    if d == 1:
-        return build_model(ParamSet(1, q, a, b, (F(1),)))
-    models = []
-    assert solve_phi(d, q, a, b, limit=1, models=models)
-    return models[0]
+    return solve_phi(d, q, a, b, limit=1)[0]
 
 
 def _fresh(m):
@@ -44,15 +41,15 @@ def _fresh(m):
 
 
 def _eliminated_table_check(model, table):
-    """`verify_triple_table` with every member a fresh copy, so invertibility is decided by elimination alone."""
-    return equitable.verify_triple_table(model, [(label, *map(_fresh, members)) for label, *members in table])
+    """The reference `verify_triple_table` with every member a fresh copy, so invertibility is decided by elimination alone."""
+    return identity_reference.verify_triple_table(model, [(label, *map(_fresh, members)) for label, *members in table])
 
 
 def _ladder_inverses_match_the_oracle(ctx) -> int:
     """Assert each inverse read off a decomposition and the table verdict against elimination; return how many of M, N, ... the ladder held."""
     (up, down), spectra = ctx.split_maps, ctx.spectra
     # all eight rows, also where the context holds rows 1-4 alone
-    table = equitable.build_triple_table((up, down), spectra)
+    table = equitable.build_triple_table((up, down), spectra, False)
     for name, m in (("K", up.K), ("B", up.B), ("Kdown", down.K), ("Bdown", down.B)):
         assert m.cached_inverse() is not None, name  # kept by build_split_maps, not eliminated
         assert m.inverse() == _fresh(m).inverse(), name
@@ -86,7 +83,7 @@ def test_inverses_from_decompositions_equal_eliminated_inverses_on_perturbed_imp
         except SingularMatrixError as exc:
             # M, N or a down analogue is singular: elimination alone raises the same
             with pytest.raises(SingularMatrixError, match=str(exc)):
-                equitable.build_triple_table(pair)
+                identity_reference.build_triple_table(pair)
             continue
         held += _ladder_inverses_match_the_oracle(ctx)
         compared += 1
@@ -105,7 +102,7 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
         ("sheared", x, sheared, zero),
         ("singular", zero, Matrix.identity(2), Matrix([[1, 2], [2, 4]])),
     ]
-    got = equitable.verify_triple_table(ctx.model, rows, ctx.spectra)
+    got = equitable.verify_triple_table(ctx.model, rows, ctx.spectra, {}, None)
     assert got == _eliminated_table_check(ctx.model, rows)
     assert [(row, name) for row, name, _ in got[1] if name.endswith("invertible")] == [
         ("sheared", "Z invertible"),
@@ -116,7 +113,7 @@ def test_singular_and_sheared_rows_get_the_eliminated_verdicts():
     spectra = LadderSpectra(1, F(2))
     ident = Matrix.identity(2)
     for members in ((zero, ident, ident), (ident, Matrix([[1, 2], [2, 4]]), zero)):
-        assert equitable.check_equitable_triple(*members, F(2), spectra) == equitable.check_equitable_triple(
+        assert equitable.check_equitable_triple(*members, F(2), spectra, {}) == identity_reference.check_equitable_triple(
             *map(_fresh, members), F(2)
         )
 

@@ -331,6 +331,25 @@ def test_decomposition_rejects_zero_part():
         Decomposition([Subspace.zero(2), Subspace(2, [[1, 0], [0, 1]])])
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Matrix([]), ShapeError, "matrix must have at least one row and column"),
+        (lambda: Matrix([[1, 2], [3]]), ShapeError, "ragged rows"),
+        (lambda: Decomposition(()), ValueError, "decomposition needs at least one part"),
+        (
+            lambda: Decomposition([span(2, [[1, 0]]), span(3, [[0, 0, 1]])]),
+            ShapeError,
+            "decomposition parts live in different ambient spaces",
+        ),
+    ],
+    ids=["matrix-no-rows", "matrix-ragged-rows", "decomposition-no-parts", "decomposition-two-ambients"],
+)
+def test_constructors_reject_malformed_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_flag_index_out_of_range():
     dec = Decomposition([standard_line(2, 0), standard_line(2, 1)])
     with pytest.raises(IndexError):

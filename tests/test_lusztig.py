@@ -33,8 +33,7 @@ def golden():
 
 @pytest.fixture(scope="module")
 def d2():
-    phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
-    model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
+    model = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     return model, build_H(model)
 
 
@@ -79,8 +78,8 @@ def test_both_images_form_their_three_products_once(d2, monkeypatch):
 
 
 def test_conjugation_identities(golden, d2):
-    for model, lus in (golden, d2):
-        ok, residuals = check_L_conjugation(model, lus)
+    for _, lus in (golden, d2):
+        ok, residuals = check_L_conjugation(lus)
         assert ok, residuals
 
 
@@ -95,20 +94,20 @@ def test_conjugation_detects_perturbed_t(golden):
         LAstar=lus.LAstar,
         LinvAstar=lus.LinvAstar,
     )
-    ok, residuals = check_L_conjugation(model, broken)
+    ok, residuals = check_L_conjugation(broken)
     assert not ok
     assert any(not r.is_zero() for r in residuals.values())
 
 
 def test_entrywise_coefficients(golden, d2):
-    for model, lus in (golden, d2):
-        ok, failures = check_L_entrywise(model, lus)
+    for _, lus in (golden, d2):
+        ok, failures = check_L_entrywise(lus)
         assert ok, failures
 
 
 def test_eigenstructure(golden, d2):
-    for model, lus in (golden, d2):
-        ok, failures = check_L_eigenstructure(model, lus)
+    for _, lus in (golden, d2):
+        ok, failures = check_L_eigenstructure(lus)
         assert ok, failures
 
 
@@ -156,19 +155,17 @@ def _with_sheared_H(model, lus):
 @pytest.mark.parametrize("d, q, a, b", EXPANSION_PARAMS, ids=lambda v: str(v))
 def test_paired_expansions_match_the_reference(d, q, a, b):
     """The H and H^-1 expansions of every anchor fail and witness as in the `Matrix`-operator reference check."""
-    models = []
-    assert solve_phi(d, q, a, b, limit=1, models=models)
-    model = models[0]
+    model = solve_phi(d, q, a, b, limit=1)[0]
     lus = build_H(model)
     cases = (lus, _with_doubled_t1(model, lus), _with_sheared_H(model, lus))
-    outcomes = [check_H_expansions(model, h) for h in cases]
+    outcomes = [check_H_expansions(h) for h in cases]
     assert outcomes == [identity_reference.check_H_expansions(model, h) for h in cases]
     assert [ok for ok, _ in outcomes] == [True, False, False]
 
 
 def test_expansions_all_anchors(golden, d2):
-    for model, lus in (golden, d2):
-        ok, failures = check_H_expansions(model, lus)
+    for _, lus in (golden, d2):
+        ok, failures = check_H_expansions(lus)
         assert ok, [(v, i, r) for v, i, r, _ in failures]
 
 
@@ -184,7 +181,7 @@ def test_expansions_form_two_products_on_a_passing_target(d2, monkeypatch):
         return original(x, y)
 
     monkeypatch.setattr(linalg, "_numerator_product", counted)
-    assert check_H_expansions(model, lus) == (True, [])
+    assert check_H_expansions(lus) == (True, [])
     assert len(products) == 2
 
 
@@ -234,11 +231,11 @@ def _projector_expansion_failures(model, lus):
 def test_entrywise_witnesses_match_the_projector_reference(golden, d2):
     twisted = import_model(str(TWISTED))
     lus = build_H(twisted)
-    ok, failures = check_L_entrywise(twisted, lus)
+    ok, failures = check_L_entrywise(lus)
     assert not ok and failures
     assert failures == _projector_entrywise_failures(twisted, lus)
     for model, lus in (golden, d2):
-        assert check_L_entrywise(model, lus) == (True, []) == (True, _projector_entrywise_failures(model, lus))
+        assert check_L_entrywise(lus) == (True, []) == (True, _projector_entrywise_failures(model, lus))
 
 
 def test_expansion_witnesses_match_the_projector_reference(golden, d2):
@@ -248,7 +245,7 @@ def test_expansion_witnesses_match_the_projector_reference(golden, d2):
         t[1] *= 2
         bad_h = model.eigenspaces_A.diagonal_map(t)
         broken = replace(lus, H=bad_h, H_inv=bad_h.inverse())
-        ok, failures = check_H_expansions(model, broken)
+        ok, failures = check_H_expansions(broken)
         assert not ok
         assert {(variant, r) for variant, inverse, r, _ in failures} == (
             {("ascending", r) for r in range(2)} | {("descending", r) for r in range(1, model.d + 1)}
@@ -256,4 +253,4 @@ def test_expansion_witnesses_match_the_projector_reference(golden, d2):
         assert failures == _projector_expansion_failures(model, broken)
     twisted = import_model(str(TWISTED))
     lus = build_H(twisted)
-    assert check_H_expansions(twisted, lus) == (True, []) == (True, _projector_expansion_failures(twisted, lus))
+    assert check_H_expansions(lus) == (True, []) == (True, _projector_expansion_failures(twisted, lus))

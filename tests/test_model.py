@@ -36,8 +36,7 @@ def golden_model():
 
 @pytest.fixture(scope="module")
 def d2_model():
-    phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
-    return build_model(ParamSet(2, F(2), F(3), F(5), phi))
+    return solve_phi(2, F(2), F(3), F(5), limit=1)[0]
 
 
 def test_build_model_golden_matrices(golden_model):
@@ -281,41 +280,47 @@ def test_spectrum_graph_d3_path_matches_theta_order():
 
 
 def test_recover_a_golden():
-    assert recover_a(F(37, 6), F(13, 6), 1, F(2)) == 3
+    assert recover_a((F(37, 6), F(13, 6)), F(2)) == 3
 
 
 def test_recover_a_round_trip():
     p = ParamSet(2, F(3, 2), F(1, 7), F(2, 9))
     thetas = list(p.thetas)
-    assert recover_a(thetas[0], thetas[1], 2, p.q, thetas) == F(1, 7)
+    assert recover_a(thetas, p.q) == F(1, 7)
+
+
+def test_recover_a_reads_d_from_the_spectrum_and_compares_all_of_it():
+    thetas = ParamSet(3, F(2), F(3), F(5)).thetas
+    assert recover_a(thetas, F(2)) == 3
+    with pytest.raises(ParameterError, match="theta_3 = 1 does not match the recovered form"):
+        recover_a(thetas[:3] + (F(1),), F(2))
+    with pytest.raises(ParameterError, match="diameter must be >= 1, got 0"):
+        recover_a(thetas[:1], F(2))
 
 
 def test_recover_a_rejects_repeated_eigenvalue():
     with pytest.raises(ParameterError):
-        recover_a(F(37, 6), F(37, 6), 1, F(2))
+        recover_a((F(37, 6), F(37, 6)), F(2))
 
 
 def test_solve_phi_d1_returns_one():
-    assert solve_phi(1, F(2), F(3), F(5)) == [(F(1),)]
+    assert [m.params.phi for m in solve_phi(1, F(2), F(3), F(5))] == [(F(1),)]
 
 
 def test_solve_phi_d2_validates_through_qdg():
-    sequences = solve_phi(2, F(2), F(3), F(5), limit=2)
-    assert sequences
-    for phi in sequences:
+    models = solve_phi(2, F(2), F(3), F(5), limit=2)
+    assert models
+    for phi in (m.params.phi for m in models):
         assert all(x != 0 for x in phi)
         model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
         assert check_qdg(model.A, model.Astar, F(2))[0]
 
 
 def test_solve_phi_hands_back_the_models_it_built():
-    models = []
-    sequences = solve_phi(2, F(2), F(3), F(5), limit=2, models=models)
-    assert [m.params.phi for m in models] == sequences
-    assert models[0] == build_model(ParamSet(2, F(2), F(3), F(5), sequences[0]))
-    d1_models = []
-    assert solve_phi(1, F(2), F(3), F(5), models=d1_models) == [(F(1),)]
-    assert d1_models == [build_model(GOLDEN)]
+    models = solve_phi(2, F(2), F(3), F(5), limit=2)
+    assert len(models) == 2
+    assert models == [build_model(ParamSet(2, F(2), F(3), F(5), m.params.phi)) for m in models]
+    assert solve_phi(1, F(2), F(3), F(5)) == [build_model(GOLDEN)]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -335,4 +340,4 @@ def test_recover_a_from_generated_models():
         for q in (F(2), F(3, 2)):
             p = ParamSet(d, q, F(5), F(3))
             thetas = list(p.thetas)
-            assert recover_a(thetas[0], thetas[1], d, q, thetas) == 5
+            assert recover_a(thetas, q) == 5

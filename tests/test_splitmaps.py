@@ -42,8 +42,7 @@ def golden():
 
 @pytest.fixture(scope="module")
 def d2():
-    phi = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
-    model = build_model(ParamSet(2, F(2), F(3), F(5), phi))
+    model = solve_phi(2, F(2), F(3), F(5), limit=1)[0]
     lus = build_H(model)
     return model, lus, build_split_maps(model)
 
@@ -87,9 +86,7 @@ def test_the_two_orientations_give_the_four_split_maps(golden, d2):
 
 
 def _solved(d, q, a, b):
-    models = []
-    assert solve_phi(d, q, a, b, limit=1, models=models)
-    return models[0]
+    return solve_phi(d, q, a, b, limit=1)[0]
 
 
 def _dense_import(seed):
@@ -176,9 +173,7 @@ def test_KA_relations_fail_when_K_inverted(golden):
 )
 def test_KA_relations_negative_control_swaps_B_and_Bdown(d, q, a, b):
     """Bdown keeps the q-Weyl relation of B with A, so swapping them fails relation 3 alone."""
-    models = []
-    assert solve_phi(d, q, a, b, limit=1, models=models)
-    up, down = build_split_maps(models[0])
+    up, down = build_split_maps(solve_phi(d, q, a, b, limit=1)[0])
     ok, failures = check_KA_relations((replace(up, B=down.B), replace(down, B=up.B)))
     relation_3 = "a K^2 - c1 KB - c2 BK + a^-1 B^2 = 0"
     assert not ok

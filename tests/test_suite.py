@@ -210,9 +210,7 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
 
 
 def _solved_model(d):
-    models = []
-    assert model.solve_phi(d, F(2), F(3), F(5), limit=1, models=models)
-    return models[0]
+    return model.solve_phi(d, F(2), F(3), F(5), limit=1)[0]
 
 
 def test_corrupted_H_witnesses_equal_the_oracle_expansions_at_every_failing_anchor():
@@ -223,7 +221,7 @@ def test_corrupted_H_witnesses_equal_the_oracle_expansions_at_every_failing_anch
     t = list(m.params.ts)
     t[1] *= 2
     bad_h = m.eigenspaces_A.diagonal_map(t)
-    ok, failures = lusztig.check_H_expansions(m, replace(lus, H=bad_h, H_inv=bad_h.inverse()))
+    ok, failures = lusztig.check_H_expansions(replace(lus, H=bad_h, H_inv=bad_h.inverse()))
     anchors = [("ascending", 0), ("ascending", 1), ("descending", 1), ("descending", 2)]
     assert not ok
     assert [(variant, inverse, r) for variant, inverse, r, _ in failures] == sorted(
@@ -695,11 +693,7 @@ def test_the_expansions_flip_under_a_doubled_pochhammer_entry(table, witness):
 
 @cache
 def _base_model(d, q, a, b):
-    if d == 1:
-        return model.build_model(ParamSet(1, q, a, b, (F(1),)))
-    models = []
-    assert model.solve_phi(d, q, a, b, limit=1, models=models)
-    return models[0]
+    return model.solve_phi(d, q, a, b, limit=1)[0]
 
 
 @st.composite

@@ -18,20 +18,18 @@ from pathlib import Path
 import pytest
 
 from qonsager import lusztig, model, splitmaps, suite
-from qonsager.linalg import Matrix, kernel
-from qonsager.model import ModelError, assemble_imported, build_model, solve_phi
+from qonsager.linalg import Decomposition, Matrix, kernel
+from qonsager.model import ModelError, assemble_imported, solve_phi
 from qonsager.modelio import import_model
-from qonsager.scalars import ParameterError, ParamSet
+from qonsager.scalars import ParameterError
+
+from linalg_reference import span
 
 TESTS = Path(__file__).resolve().parent
 
 
 def _built(d, q, a=F(3), b=F(5)):
-    if d == 1:
-        return build_model(ParamSet(1, q, a, b, (F(1),)))
-    models = []
-    assert solve_phi(d, q, a, b, limit=1, models=models)
-    return models[0]
+    return solve_phi(d, q, a, b, limit=1)[0]
 
 
 def _seeded_import(d, seed):
@@ -179,3 +177,36 @@ def test_a_failed_transport_raises_what_the_kernels_raise():
         spectra.decomposition(off_ladder)
     with pytest.raises(ModelError, match="has no eigenvector"):
         spectra.decomposition(off_ladder)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],  # the q^-1 line goes to zero
+        [[1, 0, 0], [1, 0, 0], [0, 0, 1]],  # the q plane goes to a line: nonzero parts of ranks 1 + 1 < 3
+    ],
+    ids=["a-zero-part", "parts-short-of-the-space"],
+)
+def test_proposed_parts_that_are_no_decomposition_are_refused_and_the_kernels_solved(g, monkeypatch):
+    """The parts g W_i of a transport are refused before any certificate when one is zero or their ranks miss n.
+
+    On Q^3 at d = 1 the ladder is q, q^-1, and the source diag(q, q, q^-1)
+    has parts of ranks 2 and 1. m = P source P^-1 is offered with a
+    singular g in place of P: no product certifies anything, and the
+    kernels give m's decomposition. With P itself the parts certify.
+    """
+    q = F(2)
+    source = Matrix([[2, 0, 0], [0, 2, 0], [0, 0, F(1, 2)]])
+    dec = Decomposition([span(3, [[1, 0, 0], [0, 1, 0]]), span(3, [[0, 0, 1]])])
+    p = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    m = p * source * p.inverse()
+    certificates, acts_as = [], Decomposition.acts_as
+    monkeypatch.setattr(Decomposition, "acts_as", lambda self, *args: certificates.append(self) or acts_as(self, *args))
+    kernels = _count_kernels(monkeypatch)
+    spectra = splitmaps.LadderSpectra(1, q, ((source, dec),), ((m, Matrix(g), source),))
+    assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues)
+    assert kernels == [m] and not certificates
+    kernels.clear()
+    spectra = splitmaps.LadderSpectra(1, q, ((source, dec),), ((m, p, source),))
+    assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues)
+    assert not kernels and len(certificates) == 1
