@@ -23,11 +23,9 @@ verdicts and the ladder spectra; the shifts lam q^-2 and lam^-1, which
 context. The split-map checks take the (up, down) pair of
 `build_split_maps` and read Kdown, Bdown, Mdown and Ndown as the K, B, M
 and N of the down orientation. `check_equitable_triple`,
-`build_triple_table` and `verify_triple_table` are the `equitable` table
-functions as they were with their defaults: without `spectra` every
-member's invertibility and every inverse M^-1, N^-1 is decided by
-elimination alone (`Matrix.inverse`), and without `known` every q-Weyl
-residual is formed.
+`build_triple_table` and `verify_triple_table` give the table verdict of
+`equitable` with every invertibility and every inverse M^-1, N^-1 decided
+by elimination alone (`Matrix.inverse`) and every q-Weyl residual formed.
 """
 
 from fractions import Fraction
@@ -35,7 +33,7 @@ from functools import reduce
 from itertools import chain
 from operator import mul
 
-from qonsager.equitable import qweyl_residual
+from qonsager import equitable
 from qonsager.linalg import Decomposition, Matrix, ShapeError, SingularMatrixError, Subspace, _span
 from qonsager.lusztig import LusztigData
 from qonsager.model import ModelError, TDModel
@@ -451,7 +449,7 @@ def ladders(ctx):
     # A mirrored context holds rows 1-4 alone; the oracle walks all eight.
     q = ctx.model.params.q
     failed = {(label, name) for label, name, _ in ctx.table_check[1]}
-    table = build_triple_table(ctx.split_maps, ctx.spectra) if ctx.mirrored else ctx.triple_table
+    table = equitable.build_triple_table(ctx.split_maps, ctx.spectra, False) if ctx.mirrored else ctx.triple_table
     for label, x, y, z in table:
         for pair_name, left, right in (("X,Y", x, y), ("Y,Z", y, z), ("Z,X", z, x)):
             if (label, f"q-Weyl ({pair_name})") in failed:
@@ -462,71 +460,45 @@ def ladders(ctx):
     return True, None
 
 
-def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction, spectra: LadderSpectra | None = None, known=None):
-    """Invertibility of each member, then all three cyclic q-Weyl relations.
 
-    A member that `spectra` decomposes on the ladder is invertible, as no
-    ladder value is zero; any other is inverted (`Matrix.inverse()`). A
-    singular input is reported as a failure entry rather than raised, and
-    the q-Weyl relations are tested in that row too. A pair in `known`
-    (`held_residuals`) reads its residual from there. Returns
-    (passed, failures) as (name, residual), the invertibility failures first.
+def check_equitable_triple(x: Matrix, y: Matrix, z: Matrix, q: Fraction):
+    """Invertibility of each member by elimination, then all three cyclic q-Weyl relations.
+
+    A singular member is a failure entry, not raised. Returns (passed,
+    failures) as (name, residual), the invertibility failures first.
     """
     failures = []
     for name, mat in (("X", x), ("Y", y), ("Z", z)):
         try:
-            if spectra is None or not spectra.holds(mat):
-                mat.inverse()
+            mat.inverse()
         except SingularMatrixError as exc:
             failures.append((f"{name} invertible", str(exc)))
     for name, left, right in (("(X,Y)", x, y), ("(Y,Z)", y, z), ("(Z,X)", z, x)):
-        resid = known[left, right] if known and (left, right) in known else qweyl_residual(left, right, q)
+        resid = equitable.qweyl_residual(left, right, q)
         if resid is not None:
             failures.append((f"q-Weyl {name}", resid))
     return not failures, failures
 
 
-def build_triple_table(
-    pair, spectra: LadderSpectra | None = None, mirrored: bool = False
-) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
-    """The eight equitable-triple rows (label, X, Y, Z) from the (up, down) split maps and their H-conjugates.
-
-    Rows 1-4 are (H X^-1 H^-1, M^-1, X) and rows 5-8 are (X^-1, N^-1, H^-1 X H)
-    for X = K, B of up, then of down (Kdown, Bdown, with Mdown and Ndown),
-    with the conjugates in their closed forms, such as a A - a^2 K for
-    H K^-1 H^-1. X^-1 is kept on X (`build_split_maps`); M^-1 and N^-1 are
-    read from `spectra` where given (`LadderSpectra.inverse`).
-    With `mirrored`, rows 1-4 alone: rows 5-8 are their H-mirrors
-    (`verify_triple_table`), so no N^-1 is formed.
-    """
-    invert = Matrix.inverse if spectra is None else spectra.inverse
+def build_triple_table(pair) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+    """The eight rows (label, X, Y, Z) of `equitable.build_triple_table`, M^-1 and N^-1 by elimination."""
     rows = []
     for s in pair:
-        m_inv, conj_inv = invert(s.M), s.conjugates[1]
+        m_inv, conj_inv = s.M.inverse(), s.conjugates[1]
         rows += [(conj_inv["K"], m_inv, s.K), (conj_inv["B"], m_inv, s.B)]
-    if not mirrored:
-        for s in pair:
-            n_inv, conj = invert(s.N), s.conjugates[0]
-            rows += [(s.K.inverse(), n_inv, conj["K"]), (s.B.inverse(), n_inv, conj["B"])]
+    for s in pair:
+        n_inv, conj = s.N.inverse(), s.conjugates[0]
+        rows += [(s.K.inverse(), n_inv, conj["K"]), (s.B.inverse(), n_inv, conj["B"])]
     return tuple((str(label), *row) for label, row in enumerate(rows, 1))
 
 
-def verify_triple_table(model: TDModel, table, spectra: LadderSpectra | None = None, known=None, mirror=None):
-    """Every row (label, X, Y, Z) of `table` passes `check_equitable_triple` with `spectra` and `known`.
+def verify_triple_table(model: TDModel, table):
+    """Every row (label, X, Y, Z) of `table` passes `check_equitable_triple`.
 
-    With `mirror` = (H, H^-1), `table` is rows 1-4, and rows 5-8 are
-    H^-1 (rows 1-4) H member by member, as once `suite.TargetContext.mirrored`
-    holds. Conjugation keeps ranks and conjugates q-Weyl residuals, so row
-    i + 4 reads the failures of row i, residuals conjugated, and is not tested.
     Returns (passed, failures) as (row label, name, residual).
     """
     q = model.params.q
-    rows = [(label, check_equitable_triple(x, y, z, q, spectra, known)[1]) for label, x, y, z in table]
-    if mirror is not None:
-        h, h_inv = mirror
-        rows += [
-            (str(int(label) + 4), [(name, r if isinstance(r, str) else h_inv * r * h) for name, r in row_failures])
-            for label, row_failures in rows
-        ]
-    failures = [(label, name, resid) for label, row_failures in rows for name, resid in row_failures]
+    failures = [
+        (label, name, resid) for label, x, y, z in table for name, resid in check_equitable_triple(x, y, z, q)[1]
+    ]
     return not failures, failures

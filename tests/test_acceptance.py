@@ -18,8 +18,6 @@ from qonsager.model import build_model, check_qdg, eigenspace_decomposition, sol
 from qonsager.scalars import ParameterError, ParamSet, check_chu_vandermonde
 from qonsager.suite import SuiteConfig, all_passed, make_param_target, run_suite
 
-import identity_reference
-
 GRID_D = (1, 2, 3)
 GRID_Q = (F(2), F(3, 2), F(-2))
 GRID_AB = ((F(3), F(5)), (F(5), F(3)), (F(1, 7), F(2, 9)))
@@ -147,9 +145,9 @@ def test_criterion_7_split_conjugation_and_ladder(grid_structures):
 
 def test_criterion_8_equitable_triples(grid_structures):
     ok = True
-    for model, _, pair, _ in grid_structures:
-        table = identity_reference.build_triple_table(pair)
-        passed, _failures = identity_reference.verify_triple_table(model, table)
+    for model, _, pair, spectra in grid_structures:
+        table = equitable.build_triple_table(pair, spectra, False)
+        passed, _failures = equitable.verify_triple_table(model, table, spectra, {}, None)
         ok = ok and passed
         eigs = splitmaps.qweyl_eigenvalues(model.d, model.params.q)
         for mat in (m for s in pair for m in (s.M, s.N)):  # M, N, Mdown, Ndown
@@ -161,7 +159,8 @@ def test_criterion_8_equitable_triples(grid_structures):
 def test_criterion_9_diagrams(grid_structures):
     ok = True
     for model, lus, pair, spectra in grid_structures:
-        table_check = identity_reference.verify_triple_table(model, identity_reference.build_triple_table(pair))
+        table = equitable.build_triple_table(pair, spectra, False)
+        table_check = equitable.verify_triple_table(model, table, spectra, {}, None)
         passed, _failures = equitable.verify_diagrams(lus, pair, spectra, table_check, None)
         ok = ok and passed
     _report(9, "flag equalities and twisted-pair split maps over G", ok)
