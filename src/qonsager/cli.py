@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .model import ModelError, build_model, solve_phi
+from .model import ModelError, solve_phi
 from .modelio import ModelIOError, export_model, import_model
 from .scalars import ParameterError, ParamSet, format_scalar, parse_scalar
 from .suite import (
@@ -23,6 +23,7 @@ from .suite import (
     ConfigError,
     SuiteConfig,
     all_passed,
+    build_or_solve,
     load_config,
     make_file_target,
     make_param_target,
@@ -70,14 +71,6 @@ def _add_param_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--q", type=_scalar, required=required, help="rational q outside {0, 1, -1}, e.g. 2 or 3/2")
     parser.add_argument("--a", type=_scalar, required=required, help="rational eigenvalue scalar a")
     parser.add_argument("--b", type=_scalar, required=required, help="rational eigenvalue scalar b")
-    parser.add_argument(
-        "--phi",
-        nargs="+",
-        type=_scalar,
-        default=None,
-        metavar="PHI",
-        help="split sequence phi_1..phi_d; found automatically when omitted",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,6 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="build a model and write it to a model file")
     _add_param_flags(export, required=True)
     export.add_argument("--out", required=True, help="destination path")
+
+    for command in (verify, export):  # solve-phi finds phi, so it takes none
+        command.add_argument(
+            "--phi", nargs="+", type=_scalar, metavar="PHI", help="split sequence phi_1..phi_d; found automatically when omitted"
+        )
 
     imp = sub.add_parser("import", help="read a model file and validate it")
     imp.add_argument("path", help="model file to read")
@@ -160,12 +158,11 @@ def _cmd_solve_phi(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    params = ParamSet(args.d, args.q, args.a, args.b, args.phi or ())
-    models = [build_model(params)] if params.phi else solve_phi(args.d, args.q, args.a, args.b, limit=1)
-    if not models:
+    model = build_or_solve(ParamSet(args.d, args.q, args.a, args.b, args.phi or ()))
+    if model is None:
         print("no rational phi sequence found; supply --phi", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    export_model(models[0], args.out)
+    export_model(model, args.out)
     print(f"wrote {args.out}")
     return EXIT_PASS
 

@@ -112,18 +112,17 @@ def check_L_conjugation(lus: LusztigData):
 def check_L_entrywise(lus: LusztigData):
     """E_i L(A*) E_j = t_ij E_i A* E_j for |i-j| <= 1, both sides zero beyond.
 
-    Both sides are read as blocks of P^-1 X P, for P the eigenbasis of A,
-    formed on integer numerators (`Products`); within the band the two
-    blocks are compared entry by entry with t_ij from `ParamSet.t_band`. A
-    product E_i X E_j is formed only as the witness of a failing block.
+    Both sides are read as blocks of P^-1 X P on integer numerators, for P
+    the eigenbasis of A, P^-1 A* P held by the model (`TDModel.block_forms`);
+    within the band the two blocks are compared entry by entry with t_ij
+    from `ParamSet.t_band`. E_i X E_j is formed only as a failure's witness.
     Returns (passed, failures) with failures as (i, j, residual).
     """
     model, failures = lus.model, []
     band = model.params.t_band
     dec = model.eigenspaces_A
-    basis, basis_inv = dec.basis_matrix(), dec.basis_inverse()
-    products = Products(model.dim)
-    image, star = (products.product((basis_inv, x, basis)) for x in (lus.LAstar, model.Astar))
+    image = Products(model.dim).product((dec.basis_inverse(), lus.LAstar, dec.basis_matrix()))
+    star = model.block_forms[0]
 
     def witness(i, j, x):
         failures.append((i, j, dec.projector([i]) * x * dec.projector([j])))

@@ -8,8 +8,9 @@ The paper's Kdown and Bdown are the K and B of V* reversed, the relabelling
 b -> b^-1 (the relative Phi-down; Terwilliger, Rocky Mountain J. Math. 32,
 2002). The corresponding map acts as q^(d-2i) on the i-th part. Each is
 built as the lines of a tau-chain from the first V* part and certified by its
-two flags, the flag meets being the fallback (`build_split_maps`); M is a
-chain down from H times that part, certified by one product (`LadderSpectra`).
+two flags, the flag meets being the fallback (`build_split_maps`); M, N
+and the H-conjugates are chains from that part's image under H^-1 or H, or
+from the part itself, certified by one product (`LadderSpectra`).
 """
 
 from __future__ import annotations
@@ -37,21 +38,16 @@ class LadderSpectra:
     applies:
       - `known` holds (matrix, decomposition) pairs whose matrix was built as
         P diag(q^d, ..., q^-d) P^-1 from that decomposition, such as the
-        split maps; they are taken as they are.
-      - The ladder is closed under lam -> lam^-1 and ker(m^-1 - lam^-1 I) =
-        ker(m - lam I), so a matrix whose inverse has already been computed
-        and decomposed gets the inversion of that decomposition; no inverse
-        is computed here.
-      - `transports` holds (m, g, S) triples with m = g S g^-1 expected, such
-        as H^-1 K H = a^-1 A - a^-2 K^-1 with g = H^-1 and S = K: they propose
-        the parts g W_i of S's decomposition. `chains` holds (m, X, u) triples,
-        such as M with X = K and u = H v*_0: they propose the lines of
-        u, (X - q^-d I) u, ... (`linalg.chain_lines`), last first. Parts are
-        taken once certified: all nonzero, ranks summing to n, and
-        m P = P diag(q^d, ..., q^-d) (`Decomposition.acts_as`). Parts inside
-        the eigenspaces of distinct eigenvalues that fill the space are those
-        eigenspaces, so the decomposition is the one the kernels give. A
-        relation is tried once.
+        split maps and their inverses; they are taken as they are. `inverse`
+        files each inverse it builds with its decomposition in the same way.
+      - `chains` holds (m, X, u, shifts, reverse) specs, such as M with X = K,
+        u in H V*_0 and shifts q^-d, ..., q^(d-2): they propose the lines of
+        u, (X - s_0 I) u, (X - s_1 I)(X - s_0 I) u, ... (`linalg.chain_lines`),
+        last first when `reverse`. Parts are taken once certified: all
+        nonzero, ranks summing to n, and m P = P diag(q^d, ..., q^-d)
+        (`Decomposition.acts_as`). Parts inside the eigenspaces of distinct
+        eigenvalues that fill the space are those eigenspaces, so the
+        decomposition is the one the kernels give.
       - Otherwise the kernels of m - lam I are solved
         (`eigenspace_decomposition`). A matrix that is not diagonalizable on
         the ladder keeps its ModelError, raised on every lookup.
@@ -60,20 +56,15 @@ class LadderSpectra:
     members both hold has the ladder steps and crossing flags (`equitable`).
     """
 
-    def __init__(self, d: int, q: Fraction, known=(), transports=(), chains=()):
+    def __init__(self, d: int, q: Fraction, known=(), chains=()):
         self.eigenvalues = qweyl_eigenvalues(d, q)
         self._decompositions: dict[Matrix, Decomposition | ModelError] = dict(known)
-        shifts = self.eigenvalues[:0:-1]
-        self._relations = {m: lambda x=x, u=u: chain_lines(x, u, shifts)[::-1] for m, x, u in chains}
-        for m, g, source in transports:
-            self._relations[m] = lambda g=g, source=source: [w.image_under(g) for w in self.decomposition(source).parts]
+        self._chains = {m: spec for m, *spec in chains}
 
     def decomposition(self, m: Matrix) -> Decomposition:
         dec = self._decompositions.get(m)
         if dec is None:
-            inverse = m.cached_inverse()
-            known = None if inverse is None else self._decompositions.get(inverse)
-            dec = known.inversion() if isinstance(known, Decomposition) else self._certified(m)
+            dec = self._certified(m)
             if dec is None:
                 try:
                     dec = eigenspace_decomposition(m, self.eigenvalues)
@@ -93,22 +84,22 @@ class LadderSpectra:
         return True
 
     def inverse(self, m: Matrix) -> Matrix:
-        """m^-1, kept on m: the map of m's inverted ladder decomposition, or `Matrix.inverse` off the ladder."""
+        """m^-1, kept on m: the map of m's inverted ladder decomposition, filed with it; `Matrix.inverse` off the ladder."""
         if m.cached_inverse() is not None or not self.holds(m):
             return m.inverse()
-        inverse = self.decomposition(m).inversion().diagonal_map(self.eigenvalues)
+        inverted = self.decomposition(m).inversion()
+        inverse = inverted.diagonal_map(self.eigenvalues)
         link_inverses(m, inverse)
+        self._decompositions[inverse] = inverted
         return inverse
 
     def _certified(self, m: Matrix) -> Decomposition | None:
-        """The parts m's relation proposes if they certify as m's decomposition, else None."""
-        relation = self._relations.pop(m, None)  # popped first, so a cycle of relations ends
-        if relation is None:
+        """The lines m's chain proposes if they certify as m's decomposition, else None."""
+        if m not in self._chains:
             return None
-        try:
-            parts = relation()
-        except ModelError:
-            return None
+        x, seed, shifts, reverse = self._chains[m]
+        lines = chain_lines(x, seed, shifts)
+        parts = lines[::-1] if reverse else lines
         if any(part.is_zero() for part in parts) or sum(part.rank for part in parts) != m.rows:
             return None
         dec = Decomposition.independent(parts)

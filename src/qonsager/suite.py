@@ -165,6 +165,12 @@ def _check(fn):
     return check
 
 
+def build_or_solve(params: ParamSet) -> TDModel | None:
+    """The model of `params`: built from its phi, or else the first that `solve_phi` finds; None if it finds none."""
+    models = [build_model(params)] if params.phi else solve_phi(params.d, params.q, params.a, params.b, limit=1)
+    return models[0] if models else None
+
+
 def _resolve_model(target: Target, report: Report) -> TDModel | None:
     """Build or import the target's model, recording failures on the report."""
     if target.path is not None:
@@ -194,7 +200,7 @@ def _resolve_model(target: Target, report: Report) -> TDModel | None:
         )
         return None
     try:
-        models = [build_model(params)] if params.phi else solve_phi(d, params.q, params.a, params.b, limit=1)
+        model = build_or_solve(params)
     except (ParameterError, ModelError) as exc:
         residual = getattr(exc, "residual", None)
         report.add(
@@ -204,15 +210,14 @@ def _resolve_model(target: Target, report: Report) -> TDModel | None:
             residual if residual is not None else str(exc),
         )
         return None
-    if not models:
+    if model is None:
         report.add(
             "model.solve_phi",
             "find a rational phi sequence passing the q-Dolan/Grady checks",
             False,
             "no rational solution found in the scanned family; vary parameters",
         )
-        return None
-    return models[0]
+    return model
 
 
 class TargetContext:
@@ -249,29 +254,32 @@ class TargetContext:
 
     @property
     def spectra(self) -> splitmaps.LadderSpectra:
-        """Decompositions on the q-ladder; each split map comes with its split decomposition.
+        """Decompositions on the q-ladder; each split map and its inverse come with their decompositions.
 
-        The H-conjugates and N are registered as transports, per orientation:
-        H^-1 X H from X and H X^-1 H^-1 from X^-1 for X = K, B, and
-        N = H^-1 M H. M is a chain down from M_d = H V*_0 (H V*_d for
-        Mdown), with M_(i-1) = (K - q^(d-2i) I) M_i. Without H (its
-        construction raised) there are no relations, and the kernels decide.
+        H is a polynomial in A, so it commutes with tau_i(A), and every H-relative
+        is a chain from the first line v*, v+ or v- of the oriented V*, V+ = H^-1 V*
+        or V- = H V*: M from v- under K and N = H^-1 M H from v* under H^-1 K H,
+        with the shifts q^-d..q^(d-2); H^-1 X H from v+ and H X^-1 H^-1 from v-
+        under A, with the split shifts of X = K, B. Without H (its construction
+        raised) there are no chains, and the kernels decide.
         """
 
         def build():
-            pair = self.split_maps
-            known = [(x, dec) for s in pair for x, dec in ((s.K, s.dec_K), (s.B, s.dec_B))]
+            pair, model = self.split_maps, self.model
+            known = [(x, dec) for s in pair for t in (s, s.inverted) for x, dec in ((t.K, t.dec_K), (t.B, t.dec_B))]
             try:
                 lus = self.lusztig
             except CHECK_ERRORS:
-                return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known)
-            transports = [(s.N, lus.H_inv, s.M) for s in pair]
+                return splitmaps.LadderSpectra(model.d, model.params.q, known)
+            ladder = splitmaps.qweyl_eigenvalues(model.d, model.params.q)[:0:-1]  # q^-d, ..., q^(d-2)
+            chains = []
             for s in pair:
+                v_star, v_plus, v_minus = (s.orient(v)[0].numerators[0] for v in (model.eigenspaces_Astar, lus.Vplus, lus.Vminus))
                 conj, conj_inv = s.conjugates
-                for name, x in (("K", s.K), ("B", s.B)):
-                    transports += [(conj[name], lus.H_inv, x), (conj_inv[name], lus.H, x.inverse())]
-            chains = [(s.M, s.K, s.orient(lus.Vminus)[0].numerators[0]) for s in pair]
-            return splitmaps.LadderSpectra(self.model.d, self.model.params.q, known, transports, chains)
+                chains += [(s.M, s.K, v_minus, ladder, True), (s.N, conj["K"], v_star, ladder, True)]
+                for name, shifts in (("K", model.theta[:-1]), ("B", model.theta[:0:-1])):
+                    chains += [(conj[name], model.A, v_plus, shifts, False), (conj_inv[name], model.A, v_minus, shifts, True)]
+            return splitmaps.LadderSpectra(model.d, model.params.q, known, chains)
 
         return self._once("spectra", build)
 

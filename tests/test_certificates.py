@@ -357,7 +357,8 @@ def test_work_per_built_target(d, q, a, b, monkeypatch):
     assert calls == {
         "qonsager.model.kernel": 2 * n,  # eigenspaces of A and A*
         "qonsager.model.eigenspace_decomposition": 2,
-        # the kernels, the spans of the H-images of lines and 8 basis-matrix
-        # inverses: the table forms no N^-1 or Ndown^-1
-        "qonsager.linalg._gauss_jordan": 12 * n + 8,
+        # the kernels, the spans of V+ and V- (the H-images of the lines of
+        # V*, which seed the chains) and 8 basis-matrix inverses: every
+        # ladder decomposition is a chain, and the table forms no N^-1 or Ndown^-1
+        "qonsager.linalg._gauss_jordan": 6 * n + 8,
     }

@@ -238,6 +238,15 @@ def test_misspelt_option_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
 
 
+def test_solve_phi_takes_no_phi(capsys):
+    """solve-phi finds phi itself, so a given --phi is a usage error rather than ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-phi", "--d", "2", "--q", "2", "--a", "3", "--b", "5", "--phi", "1", "1", "--limit", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --phi 1 1" in captured.err
+
+
 @pytest.mark.parametrize("d", ["1", "2"])
 @pytest.mark.parametrize("limit", ["0", "-1", "x"])
 def test_solve_phi_limit_below_one_is_a_usage_error(capsys, d, limit):
@@ -265,7 +274,7 @@ def test_export_without_phi_solves(capsys, tmp_path):
 
 
 def test_export_without_phi_builds_the_model_once(capsys, tmp_path, monkeypatch):
-    from qonsager import cli, model
+    from qonsager import model, suite
 
     original, calls = model.build_model, []
 
@@ -274,7 +283,7 @@ def test_export_without_phi_builds_the_model_once(capsys, tmp_path, monkeypatch)
         return original(p)
 
     monkeypatch.setattr(model, "build_model", counted)
-    monkeypatch.setattr(cli, "build_model", counted)
+    monkeypatch.setattr(suite, "build_model", counted)
     path = tmp_path / "solved.model"
     assert main(["export", "--d", "4", "--q", "2", "--a", "3", "--b", "5", "--out", str(path)]) == 0
     assert len(calls) == 1

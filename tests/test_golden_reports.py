@@ -10,7 +10,7 @@ failing pairs under `tests/data/` (split parts that are not a direct sum,
 and an A* that escapes the tridiagonal band) were captured before the ladder
 decompositions were transported by H. These inputs fail H-conjugation or
 the split construction, so they pin the witnesses of failing checks: the
-kernels that decide when a transport fails its certificate, the error of a
+kernels that decide when a chain fails its certificate, the error of a
 structure that cannot be built, and the first failing claim of
 `diagrams.verify`, which is an N/M flag wherever one fails and never a
 twisted split-map slot.

@@ -173,16 +173,18 @@ def test_each_structure_is_built_once_per_target(monkeypatch):
     # split.R_ladder no power of R nor RK, KR, H H^-1 is formed once for
     # lusztig.H_invertible and the mirrored reads, and split.inversion reads
     # the maps of the inverted decompositions that build_split_maps formed
-    # (4 products fewer than forming them again)
-    assert len(calls["_numerator_product"]) == 130
+    # (4 products fewer than forming them again), and lusztig.entrywise reads
+    # the P^-1 A* P that the model holds (2 fewer)
+    assert len(calls["_numerator_product"]) == 128
     # the ladders read the table's verdicts and the ladder spectra its
     # invertibility entries filled: no product, elimination or kernel
     assert ladder_work == [[0, 0, 0]]
-    # The matrices on the q-ladder: K, B, Kdown and Bdown come with their
-    # split decompositions, inverses take the reversed decomposition of a
-    # matrix already decomposed, the H-conjugates that rows 1-4 and split.MN
-    # read and N, Ndown are transported by H, M and Mdown are chained down
-    # from H V*, and the ladder computes no inverse. None is left to the
+    # The matrices on the q-ladder: K, B, Kdown, Bdown and their inverses
+    # come with their split decompositions, an inverse the ladder builds is
+    # filed with the reversed decomposition, the H-conjugates that rows 1-4
+    # and split.MN read are chains under A from a line of V+ or V-, N and
+    # Ndown chains from a line of V*, M and Mdown chains from a line of V-,
+    # and the ladder computes no inverse. None is left to the
     # kernels: the model decomposes A and A* once each, and those are the
     # only kernels the target solves.
     assert len(calls["eigenspace_decomposition"]) == 2

@@ -1,13 +1,14 @@
-"""Ladder decompositions transported by H or chained down from H V*, against the kernels.
+"""Ladder decompositions of the H-relatives, chained from a seed line, against the kernels.
 
-`TargetContext.spectra` registers ten relations m = g S g^-1 with the
-source S already decomposed: H^-1 X H from X and H X^-1 H^-1 from X^-1 for
-X = K, B, Kdown, Bdown, and N = H^-1 M H, Ndown = H^-1 Mdown H. M and
-Mdown are chains: M_d = H V*_0 and M_(i-1) = (K - q^(d-2i) I) M_i, the same
-with Mdown_d = H V*_d and Kdown. A relation is taken only after one product
+`TargetContext.spectra` registers twelve chains, six per orientation, each
+from a line of V*, V+ = H^-1 V* or V- = H V*: M from v-_0 under K, N =
+H^-1 M H from v*_0 under H^-1 K H, and H^-1 X H from v+_0 and H X^-1 H^-1
+from v-_0 under A for X = K, B (the same from the last lines, with Kdown,
+for the down orientation). H is a polynomial in A, so it commutes with the
+tau_i(A) of the split chains. A chain is taken only after one product
 certifies it, so it must be the decomposition the kernels give; a wrong
-conjugator or a perturbed matrix must fail the certificate and fall back to
-the kernels. No matrix of a passing target is left to the kernels.
+seed or a perturbed matrix must fail the certificate and fall back to the
+kernels. No matrix of a passing target is left to the kernels.
 """
 
 import random
@@ -18,12 +19,12 @@ from pathlib import Path
 import pytest
 
 from qonsager import lusztig, model, splitmaps, suite
-from qonsager.linalg import Decomposition, Matrix, kernel
+from qonsager.linalg import Decomposition, Matrix, chain_lines, kernel
 from qonsager.model import ModelError, assemble_imported, solve_phi
 from qonsager.modelio import import_model
 from qonsager.scalars import ParameterError
 
-from linalg_reference import span
+from test_identity_oracle import _outcome, _perturbed_import
 
 TESTS = Path(__file__).resolve().parent
 
@@ -56,7 +57,7 @@ TARGETS = dict(_targets())
 
 
 def _ladder_matrices(pair):
-    """M and Mdown, which are chained, then the ten transported matrices."""
+    """The twelve chained matrices: M, Mdown, N, Ndown, then the eight H-conjugates."""
     up, down = pair
     return (
         [("M", up.M), ("Mdown", down.M), ("N", up.N), ("Ndown", down.N)]
@@ -88,12 +89,24 @@ def test_transported_decompositions_are_the_kernels(name, monkeypatch):
     assert not kernels
 
 
+@pytest.mark.parametrize("seed", range(2000, 2060))
+def test_every_registered_matrix_decomposes_as_the_kernels_do(seed):
+    """On the perturbed imports, where many chains fail, each lookup gives the kernels' parts or their ModelError text."""
+    ctx = suite.TargetContext(_perturbed_import(seed))
+    spectra = ctx.spectra
+    # the split maps and their inverses are known; the twelve H-relatives are chains
+    registered = list(spectra._decompositions) + list(spectra._chains)
+    assert len(registered) == 20
+    for m in registered:
+        assert _outcome(spectra.decomposition, m) == _outcome(model.eigenspace_decomposition, m, spectra.eigenvalues)
+
+
 def test_a_wrong_conjugator_fails_the_certificate_and_falls_back(monkeypatch):
     target = _built(3, F(2))
     original = lusztig.build_H
 
     def sheared_H(m):
-        # H (I + E_01): still invertible, but it conjugates nothing into its closed form
+        # H (I + E_01): still invertible, but it maps V* to wrong seed lines
         lus = original(m)
         e01 = Matrix([[int((i, j) == (0, 1)) for j in range(m.dim)] for i in range(m.dim)])
         wrong = lus.H * (Matrix.identity(m.dim) + e01)
@@ -106,10 +119,12 @@ def test_a_wrong_conjugator_fails_the_certificate_and_falls_back(monkeypatch):
     spectra = ctx.spectra
     for label, m in _ladder_matrices((up, down)):
         assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
-    # every transport and the Mdown chain, whose seed H' v*_d is off Mdown_d,
-    # failed their certificates and went to the kernels; the M chain
-    # certified, as H' v*_0 = H v*_0 for v*_0 = e_0
-    assert len(kernels) == 11 and down.M in kernels and up.M not in kernels
+    # every chain from a line of V+ = H'^-1 V*, and the down chains from
+    # H' v*_d, started off their first part, failed their certificates and
+    # went to the kernels; the up chains from H' v*_0 = H v*_0 (v*_0 = e_0)
+    # and N's chains, from v* itself, certified
+    wrong_seed = [down.M] + list(up.conjugates[0].values()) + [*down.conjugates[0].values(), *down.conjugates[1].values()]
+    assert kernels == wrong_seed
 
 
 def test_a_perturbed_chain_fails_the_certificate_and_falls_back(monkeypatch):
@@ -118,8 +133,10 @@ def test_a_perturbed_chain_fails_the_certificate_and_falls_back(monkeypatch):
     kernels = _count_kernels(monkeypatch)
     e00 = Matrix([[int((i, j) == (0, 0)) for j in range(4)] for i in range(4)])
     perturbed = s.M + e00
+    ladder = splitmaps.qweyl_eigenvalues(3, F(2))[:0:-1]
     # M's chain, offered for M + E_00: its lines are M's eigenlines, on which M + E_00 does not act as the ladder
-    chains = ((perturbed, s.K, lus.Vminus[0].numerators[0]), (s.M, s.K, lus.Vminus[0].numerators[0]))
+    seed = lus.Vminus[0].numerators[0]
+    chains = ((perturbed, s.K, seed, ladder, True), (s.M, s.K, seed, ladder, True))
     spectra = splitmaps.LadderSpectra(3, F(2), chains=chains)
     with pytest.raises(ModelError, match="has no eigenvector"):
         spectra.decomposition(perturbed)
@@ -139,7 +156,7 @@ def test_spectra_do_not_inherit_an_H_that_raises(monkeypatch):
     target = suite.make_param_target(3, F(2), F(3), F(5))
     report = suite.run_target(target, ("splitmaps", "equitable", "diagrams"))
     records = {c.name: (c.status, c.residual) for c in report.checks}
-    # the records the engine gave before transports existed
+    # the records the engine gave before the H-relatives were chained
     assert records["split.R_ladder"] == ("pass", None)
     assert records["split.MN"] == ("error", "no H for this model")
     assert records["equitable.ladders"] == ("pass", None)
@@ -149,30 +166,19 @@ def test_spectra_do_not_inherit_an_H_that_raises(monkeypatch):
     spectra = ctx.spectra
     for label, m in _ladder_matrices(ctx.split_maps):
         assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues), label
-    # no relation without H: all twelve went to the kernels
+    # no chain without H: all twelve went to the kernels
     assert len(kernels) == 12
 
 
-def test_a_cycle_of_relations_ends_in_the_kernels(monkeypatch):
+def test_a_failed_chain_raises_what_the_kernels_raise():
     target = _built(2, F(2))
-    s = suite.TargetContext(target).split_maps[0]
-    kernels = _count_kernels(monkeypatch)
-    ident = Matrix.identity(target.dim)
-    spectra = splitmaps.LadderSpectra(target.d, F(2), transports=((s.M, ident, s.N), (s.N, ident, s.M)))
-    assert spectra.decomposition(s.M) == model.eigenspace_decomposition(s.M, spectra.eigenvalues)
-    assert spectra.decomposition(s.N) == model.eigenspace_decomposition(s.N, spectra.eigenvalues)
-    # M's relation sends it to N, whose relation back to M is already used up:
-    # the lookups end, and neither transport certifies
-    assert set(kernels) == {s.M, s.N}
-
-
-def test_a_failed_transport_raises_what_the_kernels_raise():
-    target = _built(2, F(2))
-    s = suite.TargetContext(target).split_maps[0]
+    ctx = suite.TargetContext(target)
+    s = ctx.split_maps[0]
     off_ladder = s.K.scale(2)
-    # the source's decomposition transported to 2K does not certify: 2K acts as 2 q^(d-2i)
-    transports = ((off_ladder, Matrix.identity(target.dim), s.K),)
-    spectra = splitmaps.LadderSpectra(target.d, F(2), ((s.K, s.dec_K),), transports)
+    # the K chain from v*_0 under A gives K's parts, which do not certify for 2K: it acts as 2 q^(d-2i)
+    chains = ((off_ladder, target.A, target.eigenspaces_Astar[0].numerators[0], target.theta[:-1], False),)
+    spectra = splitmaps.LadderSpectra(target.d, F(2), chains=chains)
+    assert Decomposition.independent(chain_lines(*chains[0][1:4])) == s.dec_K
     with pytest.raises(ModelError, match="has no eigenvector"):
         spectra.decomposition(off_ladder)
     with pytest.raises(ModelError, match="has no eigenvector"):
@@ -180,33 +186,28 @@ def test_a_failed_transport_raises_what_the_kernels_raise():
 
 
 @pytest.mark.parametrize(
-    "g",
+    "seed, reverse",
     [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],  # the q^-1 line goes to zero
-        [[1, 0, 0], [1, 0, 0], [0, 0, 1]],  # the q plane goes to a line: nonzero parts of ranks 1 + 1 < 3
+        ([0, 0, 1], False),  # the seed is a q^-1 eigenvector, so its step is zero
+        ([1, 0, 1], True),  # two nonzero lines, of ranks 1 + 1 < 3
     ],
     ids=["a-zero-part", "parts-short-of-the-space"],
 )
-def test_proposed_parts_that_are_no_decomposition_are_refused_and_the_kernels_solved(g, monkeypatch):
-    """The parts g W_i of a transport are refused before any certificate when one is zero or their ranks miss n.
+def test_proposed_parts_that_are_no_decomposition_are_refused_and_the_kernels_solved(seed, reverse, monkeypatch):
+    """The lines of a chain are refused before any certificate when one is zero or their ranks miss n.
 
-    On Q^3 at d = 1 the ladder is q, q^-1, and the source diag(q, q, q^-1)
-    has parts of ranks 2 and 1. m = P source P^-1 is offered with a
-    singular g in place of P: no product certifies anything, and the
-    kernels give m's decomposition. With P itself the parts certify.
+    On Q^3 at d = 1 the ladder is q, q^-1, and m = P diag(q, q, q^-1) P^-1
+    has parts of ranks 2 and 1. A chain under m itself from P times `seed`
+    with the shift q^-1 has two lines: no product certifies anything, and
+    the kernels give m's decomposition.
     """
     q = F(2)
-    source = Matrix([[2, 0, 0], [0, 2, 0], [0, 0, F(1, 2)]])
-    dec = Decomposition([span(3, [[1, 0, 0], [0, 1, 0]]), span(3, [[0, 0, 1]])])
     p = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    m = p * source * p.inverse()
+    m = p * Matrix([[2, 0, 0], [0, 2, 0], [0, 0, F(1, 2)]]) * p.inverse()
+    u = [sum(e * x for e, x in zip(row, seed)) for row in p.numerators]
     certificates, acts_as = [], Decomposition.acts_as
     monkeypatch.setattr(Decomposition, "acts_as", lambda self, *args: certificates.append(self) or acts_as(self, *args))
     kernels = _count_kernels(monkeypatch)
-    spectra = splitmaps.LadderSpectra(1, q, ((source, dec),), ((m, Matrix(g), source),))
+    spectra = splitmaps.LadderSpectra(1, q, chains=((m, m, u, [1 / q], reverse),))
     assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues)
     assert kernels == [m] and not certificates
-    kernels.clear()
-    spectra = splitmaps.LadderSpectra(1, q, ((source, dec),), ((m, p, source),))
-    assert spectra.decomposition(m) == model.eigenspace_decomposition(m, spectra.eigenvalues)
-    assert not kernels and len(certificates) == 1
